@@ -3,8 +3,7 @@
 from .scalars import (ALL_DEGREES, BiDegree, CycloScalar, D00, D01, D10, D11,
                       I, MINUS_ONE, ONE, Rational, ZERO, ZETA, degree,
                       sign_deligne, sign_super, sign_unbraid)
-from .linear import (AntiLinearMap, BiGradedSpace, BilinearMap, LinearMap,
-                     Vector, apply_bilinear)
+from .linear import AntiLinearMap, BiGradedSpace, BilinearMap, LinearMap, Vector
 from .linalg import Echelon, Matrix, nullspace_of_rows, rank_of_rows, solve_dense
 from .lie import (AlgebraMorphism, BiGradedAssocAlgebra, BiGradedLieAlgebra,
                   CartanPairReport, cartan_pair, check_antisymmetry,

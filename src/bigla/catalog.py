@@ -59,6 +59,7 @@ _QTABLE = {
 }
 
 _QDEGREE = (D00, D10, D01, D11)
+_QSUFFIX = ("", "*q1", "*q2", "*q3")
 
 
 def algebra_B() -> BiGradedAssocAlgebra:
@@ -92,8 +93,7 @@ def tilde_extension(c: BiGradedAssocAlgebra) -> BiGradedAssocAlgebra:
     # slots in PBW-friendly order: plain C0, then C0 q3, then C1 q1, then C1 q2
     slots = ([(k, 0) for k in even] + [(k, 3) for k in even]
              + [(k, 1) for k in odd] + [(k, 2) for k in odd])
-    suffix = {0: "", 1: "*q1", 2: "*q2", 3: "*q3"}
-    labels = [c.space.labels[k] + suffix[q] for k, q in slots]
+    labels = [c.space.labels[k] + _QSUFFIX[q] for k, q in slots]
     degrees = [_QDEGREE[q] for _, q in slots]
     space = BiGradedSpace(list(zip(labels, degrees)),
                           name=f"{c.name}~" if c.name else "tilde")
@@ -321,14 +321,13 @@ def unitary_embedding(a: Optional[BiGradedAssocAlgebra] = None,
     source = unitary_bigraded(a, star, adapted_basis)
     target = commutator_lie(tilde_extension(a))
     tspace = target.space
-    suffix = {0: "", 1: "*q1", 2: "*q2", 3: "*q3"}
     images = {}
     for p, (lab, v) in enumerate(adapted_basis):
         d = v.degree()
         q = _BLOCK_Q[(d.eps1, _star_sign(star, v))]
         entries = {}
         for k, c in v.coeffs.items():
-            entries[tspace.index(a.space.labels[k] + suffix[q])] = c
+            entries[tspace.index(a.space.labels[k] + _QSUFFIX[q])] = c
         images[p] = Vector(tspace, entries)
     phi = LinearMap(source.space, tspace, images)
     return AlgebraMorphism(source, target, phi)

@@ -20,17 +20,17 @@ from .catalog import (catalog, so3_group_automorphism, so3_group_elements,
                       so3_standard_rep)
 from .deformed import (EvenOddPoly, character_at, parse_poly, star_product,
                        star_vs_pointwise_distinguisher, to_complex)
-from .equivalence import (SuperLieAlgebraWithInvolution,
-                          jacobiator_alpha_check, rebraid, unbraid)
+from .equivalence import (SuperLieAlgebraWithInvolution, alpha_sweep, rebraid,
+                          unbraid)
 from .errors import BiglaError, InputNotLie
 from .hc import (Functional, bch_product, convolution_commutes,
                  equivariant_hom_basis, inner_automorphism_check,
                  trivial_module)
 from .lie import BiGradedAssocAlgebra, BiGradedLieAlgebra, check_lie
 from .linear import Vector
-from .scalars import CycloScalar, ONE, sign_deligne
-from .uea import (EnvelopingAlgebra, TensorElement, antipode, counit, delta,
-                  delta_slot, normal_form, pbw_dims, uea_multiply, weyl_map)
+from .scalars import CycloScalar, parse_rational, sign_deligne
+from .sparse import add_term
+from .uea import EnvelopingAlgebra, hopf_failures, normal_form, pbw_dims, word_name
 
 
 class _Fail(Exception):
@@ -75,7 +75,7 @@ def _parse_vector(space, text: str) -> Vector:
         if "*" in term:
             coef_s, lab = term.split("*", 1)
             try:
-                c = Fraction(coef_s.strip())
+                c = parse_rational(coef_s.strip())
             except ValueError as exc:
                 raise _Fail(2, f"bad coefficient {coef_s!r}") from exc
         else:
@@ -85,9 +85,29 @@ def _parse_vector(space, text: str) -> Vector:
             k = space.index(lab)
         except KeyError as exc:
             raise _Fail(2, str(exc)) from exc
-        prev = coeffs.get(k, CycloScalar.zero())
-        coeffs[k] = prev + CycloScalar.from_rational(c)
+        add_term(coeffs, k, CycloScalar.from_rational(c))
     return Vector(space, coeffs)
+
+
+def _size(text: str) -> int:
+    """Type of the size flags: a non-negative integer."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
+
+
+def _output(args, a):
+    """Write an algebra file to args.output, or make it the command's output."""
+    text = schema.dumps(a)
+    if args.output:
+        with open(args.output, "w") as fh:
+            fh.write(text)
+        return 0, {"ok": True, "written": args.output}, [f"wrote {args.output}"]
+    return 0, schema.to_doc(a), [text.rstrip("\n")]
 
 
 def _emit(args, result: dict, lines: list[str], elapsed: float):
@@ -157,42 +177,23 @@ def cmd_unbraid(args):
         s = unbraid(g)
     except InputNotLie as exc:
         return 1, {"ok": False, "error": str(exc)}, [f"not a Lie table: {exc}"]
-    text = schema.dumps(s)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        return 0, {"ok": True, "written": args.output}, [f"wrote {args.output}"]
-    return 0, schema.to_doc(s), [text.rstrip("\n")]
+    return _output(args, s)
 
 
 def cmd_rebraid(args):
     a = _load(args.file)
     if not isinstance(a, SuperLieAlgebraWithInvolution):
         raise _Fail(2, f"{args.file}: expected kind {schema.KIND_SUPER}")
-    g = rebraid(a)
-    text = schema.dumps(g)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        return 0, {"ok": True, "written": args.output}, [f"wrote {args.output}"]
-    return 0, schema.to_doc(g), [text.rstrip("\n")]
+    return _output(args, rebraid(a))
 
 
 def cmd_alpha_check(args):
     g = _load_lie(args.file)
     n = g.dim
-    plus = minus = 0
-    failures = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                r = jacobiator_alpha_check(g, a, b, c)
-                if r.alpha_sign == 1:
-                    plus += 1
-                else:
-                    minus += 1
-                if not r.identity_holds:
-                    failures.append(_labels(g.space, (a, b, c)))
+    results = alpha_sweep(g)
+    plus = sum(r.alpha_sign == 1 for r in results.values())
+    minus = n ** 3 - plus
+    failures = [_labels(g.space, t) for t, r in results.items() if not r.identity_holds]
     ok = not failures
     result = {"file": args.file, "triples": n ** 3, "alpha_plus": plus,
               "alpha_minus": minus, "failures": failures, "ok": ok}
@@ -216,68 +217,12 @@ def cmd_uea_nf(args):
     return 0, result, [elt.pretty()]
 
 
-def _hopf_failures(U: EnvelopingAlgebra, max_len: int) -> dict[str, list[str]]:
-    labels = U.g.space.labels
-
-    def wname(w):
-        return "*".join(labels[k] for k in w) if w else "1"
-
-    fails = {"coassociativity": [], "counit": [], "antipode": [],
-             "cocommutativity": [], "multiplicativity": [], "weyl": []}
-    words = U.normal_words_up_to(max_len)
-    for w in words:
-        elt = U.element({w: ONE})
-        dw = delta(elt)
-        if delta_slot(dw, 0) != delta_slot(dw, 1):
-            fails["coassociativity"].append(wname(w))
-        left = U.zero()
-        right = U.zero()
-        for (u, v), c in dw.terms.items():
-            left = left + U.element({v: counit(U.element({u: ONE})) * c})
-            right = right + U.element({u: counit(U.element({v: ONE})) * c})
-        if left != elt or right != elt:
-            fails["counit"].append(wname(w))
-        acc_l = U.zero()
-        acc_r = U.zero()
-        for (u, v), c in dw.terms.items():
-            acc_l = acc_l + uea_multiply(antipode(U.element({u: ONE})),
-                                         U.element({v: ONE})).scale(c)
-            acc_r = acc_r + uea_multiply(U.element({u: ONE}),
-                                         antipode(U.element({v: ONE}))).scale(c)
-        unit_part = U.one().scale(counit(elt))
-        if acc_l != unit_part or acc_r != unit_part:
-            fails["antipode"].append(wname(w))
-        if dw.flip() != dw:
-            fails["cocommutativity"].append(wname(w))
-    for u in words:
-        for v in words:
-            if len(u) + len(v) > max_len:
-                continue
-            eu, ev = U.element({u: ONE}), U.element({v: ONE})
-            if delta(uea_multiply(eu, ev)) != delta(eu) * delta(ev):
-                fails["multiplicativity"].append(f"{wname(u)} | {wname(v)}")
-    S = U.sym()
-    for w in words:
-        s = S.element({w: ONE})
-        lhs = delta(weyl_map(U, s))
-        rhs_terms = {}
-        for (u, v), c in delta(s).terms.items():
-            wu = weyl_map(U, S.element({u: ONE}))
-            wv = weyl_map(U, S.element({v: ONE}))
-            for uu, cu in wu.terms.items():
-                for vv, cv in wv.terms.items():
-                    key = (uu, vv)
-                    prev = rhs_terms.get(key, CycloScalar.zero())
-                    rhs_terms[key] = prev + c * cu * cv
-        if lhs != TensorElement(U, 2, rhs_terms):
-            fails["weyl"].append(wname(w))
-    return fails
-
-
 def cmd_uea_hopf_check(args):
     g = _load_lie(args.file)
     U = EnvelopingAlgebra(g)
-    fails = _hopf_failures(U, args.max_len)
+    labels = g.space.labels
+    fails = {key: [" | ".join(word_name(labels, w) for w in entry) for entry in bad]
+             for key, bad in hopf_failures(U, args.max_len).items()}
     ok = not any(fails.values())
     nwords = len(U.normal_words_up_to(args.max_len))
     result = {"file": args.file, "max_len": args.max_len, "words": nwords,
@@ -429,7 +374,7 @@ def cmd_appendix_iso_check(args):
 def cmd_appendix_character(args):
     try:
         f = parse_poly(args.f)
-        a = Fraction(args.a)
+        a = parse_rational(args.a)
     except ValueError as exc:
         raise _Fail(2, str(exc)) from exc
     value, tag = character_at(f, a)
@@ -456,12 +401,7 @@ def cmd_examples_export(args):
         raise _Fail(2, f"unknown example {args.name!r}; "
                        f"run 'bigla examples list'")
     _, ctor = entries[args.name]
-    text = schema.dumps(ctor())
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-        return 0, {"ok": True, "written": args.output}, [f"wrote {args.output}"]
-    return 0, schema.to_doc(ctor()), [text.rstrip("\n")]
+    return _output(args, ctor())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,14 +446,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_uea_nf)
     q = usub.add_parser("hopf-check", help="coproduct, counit, antipode axioms")
     q.add_argument("file")
-    q.add_argument("--max-len", type=int, default=3)
+    q.add_argument("--max-len", type=_size, default=3)
     q.set_defaults(fn=cmd_uea_hopf_check)
 
     pbw = sub.add_parser("pbw", help="basis counting")
     psub = pbw.add_subparsers(dest="subcommand", required=True)
     q = psub.add_parser("dims", help="normal word counts against the formula")
     q.add_argument("file")
-    q.add_argument("--n", type=int, default=4)
+    q.add_argument("--n", type=_size, default=4)
     q.set_defaults(fn=cmd_pbw_dims)
 
     hc = sub.add_parser("hc", help="functionals on the enveloping algebra")
@@ -521,18 +461,18 @@ def build_parser() -> argparse.ArgumentParser:
     q = hsub.add_parser("hom-dim", help="dimension of equivariant functionals")
     q.add_argument("file")
     q.add_argument("--module", choices=["trivial"], default="trivial")
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=_size, required=True)
     q.set_defaults(fn=cmd_hc_hom_dim)
     q = hsub.add_parser("conv-check", help="convolution commutativity sweep")
     q.add_argument("file")
-    q.add_argument("--n", type=int, default=3)
-    q.add_argument("--trials", type=int, default=20)
+    q.add_argument("--n", type=_size, default=3)
+    q.add_argument("--trials", type=_size, default=20)
     q.set_defaults(fn=cmd_hc_conv_check)
     q = hsub.add_parser("bch", help="truncated log of a product of exponentials")
     q.add_argument("file")
     q.add_argument("--x", required=True, help="vector, e.g. 'e1' or '1/2*e1,e2'")
     q.add_argument("--y", required=True)
-    q.add_argument("--n", type=int, default=2)
+    q.add_argument("--n", type=_size, default=2)
     q.set_defaults(fn=cmd_hc_bch)
     q = hsub.add_parser("inner-check",
                         help="does conjugation implement the degree involution")
@@ -547,8 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--g", required=True)
     q.set_defaults(fn=cmd_appendix_star)
     q = asub.add_parser("iso-check", help="untwisting isomorphism sweep")
-    q.add_argument("--degree", type=int, default=8)
-    q.add_argument("--trials", type=int, default=200)
+    q.add_argument("--degree", type=_size, default=8)
+    q.add_argument("--trials", type=_size, default=200)
     q.set_defaults(fn=cmd_appendix_iso_check)
     q = asub.add_parser("character", help="evaluation character at a point")
     q.add_argument("--f", required=True)

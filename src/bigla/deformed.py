@@ -16,15 +16,12 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 from .errors import DegreeOverflow, NegativePoint
-from .scalars import CycloScalar, I, ONE
+from .scalars import CycloScalar, I, MINUS_ONE, ONE, as_scalar, parse_rational
+from .sparse import add_scaled, add_term, format_term, join_terms
 
 DEGREE_BOUND = 64
 
 Coeffs = dict[int, CycloScalar]
-
-
-def _scal(c) -> CycloScalar:
-    return c if isinstance(c, CycloScalar) else CycloScalar.from_rational(c)
 
 
 def _poly_mul(a: Coeffs, b: Coeffs, bound: int) -> Coeffs:
@@ -33,35 +30,27 @@ def _poly_mul(a: Coeffs, b: Coeffs, bound: int) -> Coeffs:
         for j, cb in b.items():
             if i + j > bound:
                 raise DegreeOverflow(f"degree {i + j} above the bound {bound}")
-            s = out.get(i + j)
-            s = ca * cb if s is None else s + ca * cb
-            if s:
-                out[i + j] = s
-            else:
-                out.pop(i + j, None)
+            add_term(out, i + j, ca * cb)
     return out
 
 
+def _monomial(k: int):
+    return None if k == 0 else ("x" if k == 1 else f"x^{k}")
+
+
 def _poly_pretty(coeffs: Coeffs) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for k in sorted(coeffs, reverse=True):
-        c = coeffs[k]
-        mono = "1" if k == 0 else ("x" if k == 1 else f"x^{k}")
-        if k == 0:
-            s = c.pretty()
-            parts.append(f"({s})" if " " in s else s)
-        elif c.is_one():
-            parts.append(mono)
-        elif c == -1:
-            parts.append(f"-{mono}")
-        else:
-            s = c.pretty()
-            parts.append(f"({s})*{mono}" if " " in s else f"{s}*{mono}")
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return join_terms(format_term(coeffs[k], _monomial(k))
+                      for k in sorted(coeffs, reverse=True))
+
+
+def _evaluate(coeffs: Coeffs, a: Fraction) -> CycloScalar:
+    out = CycloScalar.zero()
+    power = Fraction(1)
+    for k in range(max(coeffs, default=0) + 1):
+        c = coeffs.get(k)
+        if c:
+            out = out + c * power
+        power *= a
     return out
 
 
@@ -73,7 +62,7 @@ class EvenOddPoly:
     def __init__(self, coeffs: Mapping[int, Union[CycloScalar, Fraction, int]]):
         clean: Coeffs = {}
         for k, c in coeffs.items():
-            c = _scal(c)
+            c = as_scalar(c)
             if not c:
                 continue
             if not c.is_conj_fixed():
@@ -106,13 +95,7 @@ class EvenOddPoly:
 
     def __add__(self, other: "EvenOddPoly") -> "EvenOddPoly":
         out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        add_scaled(out, other.coeffs)
         return EvenOddPoly(out)
 
     def __sub__(self, other: "EvenOddPoly") -> "EvenOddPoly":
@@ -122,7 +105,7 @@ class EvenOddPoly:
         return EvenOddPoly({k: -c for k, c in self.coeffs.items()})
 
     def scale(self, c) -> "EvenOddPoly":
-        return EvenOddPoly({k: _scal(c) * v for k, v in self.coeffs.items()})
+        return EvenOddPoly({k: as_scalar(c) * v for k, v in self.coeffs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, EvenOddPoly):
@@ -130,14 +113,7 @@ class EvenOddPoly:
         return self.coeffs == other.coeffs
 
     def evaluate(self, a: Fraction) -> CycloScalar:
-        out = CycloScalar.zero()
-        power = Fraction(1)
-        for k in range(self.degree() + 1):
-            c = self.coeffs.get(k)
-            if c:
-                out = out + c * power
-            power *= a
-        return out
+        return _evaluate(self.coeffs, a)
 
     def pointwise_mul(self, other: "EvenOddPoly",
                       bound: int = DEGREE_BOUND) -> "EvenOddPoly":
@@ -156,18 +132,11 @@ def star_product(f: EvenOddPoly, h: EvenOddPoly,
     fp, fm = f.even_part(), f.odd_part()
     hp, hm = h.even_part(), h.odd_part()
     out: Coeffs = {}
-    for part, sign in ((_poly_mul(fp, hp, bound), 1),
-                       (_poly_mul(fm, hm, bound), -1),
-                       (_poly_mul(fp, hm, bound), 1),
-                       (_poly_mul(fm, hp, bound), 1)):
-        for k, c in part.items():
-            s = out.get(k)
-            add = c if sign == 1 else -c
-            s = add if s is None else s + add
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+    for part, sign in ((_poly_mul(fp, hp, bound), None),
+                       (_poly_mul(fm, hm, bound), MINUS_ONE),
+                       (_poly_mul(fp, hm, bound), None),
+                       (_poly_mul(fm, hp, bound), None)):
+        add_scaled(out, part, sign)
     return EvenOddPoly(out)
 
 
@@ -197,14 +166,7 @@ class ConjSymPoly:
         return ConjSymPoly(_poly_mul(self.coeffs, other.coeffs, DEGREE_BOUND))
 
     def evaluate(self, a: Fraction) -> CycloScalar:
-        out = CycloScalar.zero()
-        power = Fraction(1)
-        for k in range(max(self.coeffs, default=0) + 1):
-            c = self.coeffs.get(k)
-            if c:
-                out = out + c * power
-            power *= a
-        return out
+        return _evaluate(self.coeffs, a)
 
     def pretty(self) -> str:
         return _poly_pretty(self.coeffs)
@@ -286,9 +248,9 @@ def parse_poly(text: str) -> EvenOddPoly:
         m = _TERM.fullmatch(chunk)
         if not m or (m.group("coef") is None and m.group("var") is None):
             raise ValueError(f"cannot parse term {chunk!r} in {text!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        coef = parse_rational(m.group("coef")) if m.group("coef") else Fraction(1)
         power = 0
         if m.group("var"):
             power = int(m.group("pow")) if m.group("pow") else 1
-        coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coef
+        add_term(coeffs, power, sign * coef)
     return EvenOddPoly(coeffs)

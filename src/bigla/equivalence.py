@@ -18,11 +18,13 @@ is what jacobiator_alpha_check certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import (AlgebraMismatch, DegreeViolation, NotDiagonal, NotEquivariant,
                      NotEvenType)
 from .lie import (AlgebraMorphism, BiGradedLieAlgebra, check_antisymmetry,
-                  check_homogeneity, check_jacobi, jacobiator, require_lie)
+                  check_homogeneity, check_jacobi, check_morphism, jacobiator,
+                  require_lie)
 from .linear import BiGradedSpace, BilinearMap, LinearMap, Vector
 from .scalars import BiDegree, D00, D11, sign_super, sign_unbraid
 
@@ -52,6 +54,25 @@ class SuperLieAlgebraWithInvolution:
         report["involution"] = _involution_defects(self.algebra, self.involution)
         return report
 
+    def involution_signs(self) -> list[int]:
+        """The eigenvalue +-1 of the involution at each basis vector.
+
+        NotDiagonal if the involution is not diagonal with eigenvalues +-1
+        on the given basis.
+        """
+        sigma = self.involution
+        if not sigma.is_diagonal():
+            raise NotDiagonal("involution is not diagonal on this basis; "
+                              "supply a diagonalizing basis in the input")
+        signs = []
+        for k in range(self.dim):
+            c = sigma.images[k].coeff(k)
+            if c != 1 and c != -1:
+                raise NotDiagonal(
+                    f"involution eigenvalue at {self.space.labels[k]} is not +-1")
+            signs.append(1 if c == 1 else -1)
+        return signs
+
 
 def _involution_defects(g: BiGradedLieAlgebra, sigma: LinearMap) -> list:
     bad = []
@@ -71,12 +92,14 @@ def involution_from_bidegree(g: BiGradedLieAlgebra) -> LinearMap:
     return LinearMap.diagonal(g.space, [-1 if d.eps2 else 1 for d in g.space.degrees])
 
 
-def _twist_constants(g: BiGradedLieAlgebra) -> BilinearMap:
+def twist(g: BiGradedLieAlgebra) -> BiGradedLieAlgebra:
+    """The same table with [a,b] scaled by (-1)^(eps1(a) eps2(b)), unchecked."""
     degs = g.space.degrees
     constants = {}
     for (i, j), v in g.bracket.constants.items():
         constants[(i, j)] = v.scale(sign_unbraid(degs[i], degs[j]))
-    return BilinearMap(g.space, constants)
+    return BiGradedLieAlgebra(g.space, BilinearMap(g.space, constants),
+                              name=f"{g.name}~s" if g.name else "")
 
 
 def unbraid(g: BiGradedLieAlgebra) -> SuperLieAlgebraWithInvolution:
@@ -86,9 +109,7 @@ def unbraid(g: BiGradedLieAlgebra) -> SuperLieAlgebraWithInvolution:
     Raises InputNotLie if g fails its own axioms.
     """
     require_lie(g)
-    twisted = BiGradedLieAlgebra(g.space, _twist_constants(g),
-                                 name=f"{g.name}~s" if g.name else "")
-    return SuperLieAlgebraWithInvolution(twisted, involution_from_bidegree(g))
+    return SuperLieAlgebraWithInvolution(twist(g), involution_from_bidegree(g))
 
 
 def rebraid(s: SuperLieAlgebraWithInvolution) -> BiGradedLieAlgebra:
@@ -98,20 +119,8 @@ def rebraid(s: SuperLieAlgebraWithInvolution) -> BiGradedLieAlgebra:
     rebraid(unbraid(g)) reproduces g exactly.  NotDiagonal if the involution
     is not diagonal with eigenvalues +-1 on the given basis.
     """
-    sigma = s.involution
-    if not sigma.is_diagonal():
-        raise NotDiagonal("involution is not diagonal on this basis; "
-                          "supply a diagonalizing basis in the input")
+    eps2 = [0 if sign == 1 else 1 for sign in s.involution_signs()]
     space = s.space
-    eps2 = []
-    for k in range(space.dim):
-        c = sigma.images[k].coeff(k)
-        if c.is_one():
-            eps2.append(0)
-        elif c == -1:
-            eps2.append(1)
-        else:
-            raise NotDiagonal(f"involution eigenvalue at {space.labels[k]} is not +-1")
     rebuilt = BiGradedSpace(
         [(space.labels[k],
           BiDegree((space.degrees[k].parity + eps2[k]) % 2, eps2[k]))
@@ -138,23 +147,35 @@ class AlphaCheckResult:
         return self.residual_bi == self.residual_super.scale(self.alpha_sign)
 
 
-def jacobiator_alpha_check(g: BiGradedLieAlgebra, a: int, b: int, c: int
+def jacobiator_alpha_check(g: BiGradedLieAlgebra, a: int, b: int, c: int,
+                           twisted: Optional[BiGradedLieAlgebra] = None
                            ) -> AlphaCheckResult:
     """Compare Jacobi defects of a bracket and its twist on one basis triple.
 
     Works for non-Lie brackets too, as long as the bracket values are
-    degree-homogeneous; Jacobi and antisymmetry are not used.
+    degree-homogeneous; Jacobi and antisymmetry are not used.  twisted is
+    twist(g), built here when not given.
     """
     degs = g.space.degrees
     alpha = (degs[a].eps1 * degs[b].eps2
              + degs[b].eps1 * degs[c].eps2
              + degs[c].eps1 * degs[a].eps2) % 2
-    twisted = BiGradedLieAlgebra(g.space, _twist_constants(g))
+    if twisted is None:
+        twisted = twist(g)
     return AlphaCheckResult(
         alpha_sign=-1 if alpha else 1,
         residual_bi=jacobiator(g, a, b, c),
         residual_super=jacobiator(twisted, a, b, c, sign_super),
     )
+
+
+def alpha_sweep(g: BiGradedLieAlgebra
+                ) -> dict[tuple[int, int, int], AlphaCheckResult]:
+    """jacobiator_alpha_check on every basis triple, twisting the table once."""
+    twisted = twist(g)
+    n = g.dim
+    return {(a, b, c): jacobiator_alpha_check(g, a, b, c, twisted)
+            for a in range(n) for b in range(n) for c in range(n)}
 
 
 @dataclass
@@ -180,13 +201,7 @@ def morphism_transfer(phi: AlgebraMorphism) -> SuperMorphism:
         if phi.map(src.involution.images[k]) != tgt.involution(phi.map.images[k]):
             raise NotEquivariant(
                 f"phi does not intertwine the involutions at {src.space.labels[k]}")
-    bad = []
-    for i in range(src.dim):
-        for j in range(src.dim):
-            lhs = phi.map(src.algebra.basis_bracket(i, j))
-            rhs = tgt.algebra.bracket_of(phi.map.images[i], phi.map.images[j])
-            if lhs != rhs:
-                bad.append((i, j))
+    bad = check_morphism(AlgebraMorphism(src.algebra, tgt.algebra, phi.map))
     if bad:
         raise AlgebraMismatch(f"transferred map fails the super bracket at {bad[:5]}")
     return SuperMorphism(src, tgt, phi.map)

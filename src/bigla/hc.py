@@ -21,6 +21,7 @@ from .catalog import MatrixRep
 from .linalg import Echelon, Matrix
 from .linear import BilinearMap, LinearMap, BiGradedSpace, Vector
 from .scalars import BiDegree, CycloScalar, D00, ONE, sign_deligne
+from .sparse import add_scaled, add_term
 from .uea import (EnvelopingAlgebra, UEAElement, Word, delta_word,
                   max_truncation, primitive_vector, uea_multiply)
 
@@ -38,8 +39,7 @@ class CoefficientModule:
     def multiply(self, a: Vector, b: Vector) -> Vector:
         if self.product is None:
             raise ModuleNotAlgebra("module carries no product")
-        from .linear import apply_bilinear
-        return apply_bilinear(self.product, a, b)
+        return self.product(a, b)
 
 
 def trivial_module(g) -> CoefficientModule:
@@ -72,16 +72,15 @@ class Functional:
         if a.filtration() > self.truncation:
             raise TruncationExceeded(
                 f"element filtration {a.filtration()} above {self.truncation}")
-        out = self.module.space.zero()
+        out: dict[int, CycloScalar] = {}
         for w, c in a.terms.items():
-            out = out + self.value(w).scale(c)
-        return out
+            add_scaled(out, self.value(w).coeffs, c)
+        return Vector(self.module.space, out)
 
     def __add__(self, other: "Functional") -> "Functional":
         _match(self, other)
         vals = dict(self.values)
-        for w, v in other.values.items():
-            vals[w] = vals.get(w, self.module.space.zero()) + v
+        add_scaled(vals, other.values)
         return Functional(self.ctx, self.module, self.truncation, vals)
 
     def scale(self, c: CycloScalar) -> "Functional":
@@ -133,7 +132,7 @@ def convolution(phi: Functional, psi: Functional) -> Functional:
     values: dict[Word, Vector] = {}
     for n in range(phi.truncation + 1):
         for w in ctx.normal_words(n):
-            acc = module.space.zero()
+            acc: dict[int, CycloScalar] = {}
             for (u, v), c in delta_word(ctx, w).terms.items():
                 left = phi.value(u)
                 right = psi.value(v)
@@ -143,10 +142,9 @@ def convolution(phi: Functional, psi: Functional) -> Functional:
                 dv = ctx.word_degree(v)
                 for d, part in right.homogeneous_parts().items():
                     s = sign_deligne(d + dv, du)
-                    term = module.multiply(left, part).scale(c)
-                    acc = acc + (term if s == 1 else -term)
-            if acc.coeffs:
-                values[w] = acc
+                    add_scaled(acc, module.multiply(left, part).coeffs, c if s == 1 else -c)
+            if acc:
+                values[w] = Vector(module.space, acc)
     return Functional(ctx, module, phi.truncation, values)
 
 
@@ -206,22 +204,21 @@ def equivariant_functionals(ctx: EnvelopingAlgebra, module: CoefficientModule,
                     for v, c in nf.items():
                         j = ids.get((v, m))
                         if j is not None:
-                            row[j] = row.get(j, CycloScalar.zero()) + c
+                            add_term(row, j, c)
                     for m2 in range(dim_b):
                         c = act.images[m2].coeff(m)
                         if c:
                             j = ids.get((w, m2))
                             assert j is not None
-                            row[j] = row.get(j, CycloScalar.zero()) - c
-                    row = {j: c for j, c in row.items() if c}
+                            add_term(row, j, -c)
                     if row:
                         ech.add_row(row)
         for sol in ech.nullspace(len(cols), ONE):
-            values: dict[Word, Vector] = {}
+            coeffs: dict[Word, dict[int, CycloScalar]] = {}
             for j, c in sol.items():
                 w, m = cols[j]
-                values.setdefault(w, space.zero())
-                values[w] = values[w] + space.basis_vector(m).scale(c)
+                coeffs.setdefault(w, {})[m] = c
+            values = {w: Vector(space, cs) for w, cs in coeffs.items()}
             basis.append(Functional(ctx, module, truncation, values))
     basis.sort(key=lambda f: min((word_pos[w], m)
                                  for w, v in f.values.items()
@@ -251,9 +248,8 @@ def _series_mul(a: TSeries, b: TSeries, n: int) -> TSeries:
         for j, v in b.items():
             if i + j > n:
                 continue
-            prod = uea_multiply(u, v)
-            out[i + j] = out[i + j] + prod if i + j in out else prod
-    return {k: v for k, v in out.items() if v}
+            add_term(out, i + j, uea_multiply(u, v))
+    return out
 
 
 def _exp_series(ctx: EnvelopingAlgebra, x: Vector, n: int) -> TSeries:
@@ -274,9 +270,8 @@ def _log_series(ctx: EnvelopingAlgebra, z: TSeries, n: int) -> TSeries:
         power = _series_mul(power, u, n)
         sign = Fraction((-1) ** (k + 1), k)
         for t, elt in power.items():
-            scaled = elt.scale(sign)
-            out[t] = out[t] + scaled if t in out else scaled
-    return {k: v for k, v in out.items() if v}
+            add_term(out, t, elt.scale(sign))
+    return out
 
 
 @dataclass
@@ -307,9 +302,10 @@ def bch_product(ctx: EnvelopingAlgebra, x: Vector, y: Vector,
                 raise OddInput("exponential inputs must be parity-even")
     z = _series_mul(_exp_series(ctx, x, n), _exp_series(ctx, y, n), n)
     log = _log_series(ctx, z, n)
-    total = ctx.zero()
+    terms: dict[Word, CycloScalar] = {}
     for elt in log.values():
-        total = total + elt
+        add_scaled(terms, elt.terms)
+    total = UEAElement(ctx, terms)
     return CompositionResult(total, primitive_vector(total))
 
 

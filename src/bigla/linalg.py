@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from .errors import Singular
-from .scalars import CycloScalar
+from .scalars import CycloScalar, as_scalar
+from .sparse import add_scaled
 
 
 def _inv(x):
@@ -35,14 +36,7 @@ class Echelon:
             piv = self.pivots.get(lead)
             if piv is None:
                 return row
-            c = row[lead]
-            for k, v in piv.items():
-                s = row.get(k)
-                s = -(c * v) if s is None else s - c * v
-                if s:
-                    row[k] = s
-                else:
-                    row.pop(k, None)
+            add_scaled(row, piv, -row[lead])
         return row
 
     def add_row(self, row: Mapping) -> Optional[int]:
@@ -67,15 +61,8 @@ class Echelon:
                 if other_lead >= lead:
                     continue
                 c = row.get(lead)
-                if not c:
-                    continue
-                for k, v in prow.items():
-                    s = row.get(k)
-                    s = -(c * v) if s is None else s - c * v
-                    if s:
-                        row[k] = s
-                    else:
-                        row.pop(k, None)
+                if c:
+                    add_scaled(row, prow, -c)
 
     def nullspace(self, ncols: int, one) -> list[dict]:
         """Basis of the solution space of (rows) x = 0 on columns 0..ncols-1.
@@ -149,7 +136,7 @@ class Matrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence]):
-        self.rows = tuple(tuple(_c(x) for x in row) for row in rows)
+        self.rows = tuple(tuple(as_scalar(x) for x in row) for row in rows)
         if len({len(r) for r in self.rows}) > 1:
             raise ValueError("ragged matrix")
 
@@ -182,7 +169,7 @@ class Matrix:
         return Matrix([[-a for a in r] for r in self.rows])
 
     def scale(self, c) -> "Matrix":
-        c = _c(c)
+        c = as_scalar(c)
         return Matrix([[c * a for a in r] for r in self.rows])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -218,20 +205,9 @@ class Matrix:
                     aug[k] = [a - f * b for a, b in zip(aug[k], aug[c])]
         return Matrix([row[n:] for row in aug])
 
-    def entries(self):
-        for i, row in enumerate(self.rows):
-            for j, x in enumerate(row):
-                yield i, j, x
-
     def __repr__(self):
         return "Matrix([" + ", ".join(
             "[" + ", ".join(x.pretty() for x in r) + "]" for r in self.rows) + "])"
-
-
-def _c(x) -> CycloScalar:
-    if isinstance(x, CycloScalar):
-        return x
-    return CycloScalar.from_rational(x)
 
 
 def _dot(r, c) -> CycloScalar:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from .errors import DegreeViolation, SpaceMismatch
-from .scalars import BiDegree, CycloScalar, ONE, ScalarLike
+from .scalars import BiDegree, CycloScalar, ONE, ScalarLike, as_scalar
+from .sparse import add_scaled, format_term, join_terms
 
 
 class BiGradedSpace:
@@ -44,7 +45,7 @@ class BiGradedSpace:
         return Vector(self, {k: ONE})
 
     def vector(self, coeffs: Mapping[str, ScalarLike]) -> "Vector":
-        return Vector(self, {self.index(lab): _scal(c) for lab, c in coeffs.items()})
+        return Vector(self, {self.index(lab): as_scalar(c) for lab, c in coeffs.items()})
 
     def zero(self) -> "Vector":
         return Vector(self, {})
@@ -59,10 +60,6 @@ class BiGradedSpace:
 
     def __repr__(self):
         return f"BiGradedSpace({self.name or self.labels}, dim={self.dim})"
-
-
-def _scal(c: ScalarLike) -> CycloScalar:
-    return c if isinstance(c, CycloScalar) else CycloScalar.from_rational(c)
 
 
 def _same_space(a: "Vector", b: "Vector"):
@@ -82,9 +79,7 @@ class Vector:
     def __add__(self, other: "Vector") -> "Vector":
         _same_space(self, other)
         out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k)
-            out[k] = c if s is None else s + c
+        add_scaled(out, other.coeffs)
         return Vector(self.space, out)
 
     def __sub__(self, other: "Vector") -> "Vector":
@@ -94,7 +89,7 @@ class Vector:
         return Vector(self.space, {k: -c for k, c in self.coeffs.items()})
 
     def scale(self, c: ScalarLike) -> "Vector":
-        c = _scal(c)
+        c = as_scalar(c)
         return Vector(self.space, {k: c * v for k, v in self.coeffs.items()})
 
     def __rmul__(self, c: ScalarLike) -> "Vector":
@@ -137,33 +132,11 @@ class Vector:
         return Vector(self.space, {k: c.conj() for k, c in self.coeffs.items()})
 
     def pretty(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in sorted(self.coeffs):
-            parts.append(_term(self.coeffs[k], self.space.labels[k]))
-        return _join_terms(parts)
+        labels = self.space.labels
+        return join_terms(format_term(self.coeffs[k], labels[k]) for k in sorted(self.coeffs))
 
     def __repr__(self):
         return f"<{self.pretty()}>"
-
-
-def _term(c: CycloScalar, label: str) -> str:
-    if c.is_one():
-        return label
-    if c == -1:
-        return f"-{label}"
-    s = c.pretty()
-    if " " in s:
-        return f"({s})*{label}"
-    return f"{s}*{label}"
-
-
-def _join_terms(parts: list[str]) -> str:
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
 
 
 class LinearMap:
@@ -209,10 +182,10 @@ class LinearMap:
     def __call__(self, v: Vector) -> Vector:
         if v.space != self.source:
             raise SpaceMismatch("vector not in the map's source space")
-        out = self.target.zero()
+        out: dict[int, CycloScalar] = {}
         for k, c in v.coeffs.items():
-            out = out + self.images[k].scale(c)
-        return out
+            add_scaled(out, self.images[k].coeffs, c)
+        return Vector(self.target, out)
 
     def compose(self, inner: "LinearMap") -> "LinearMap":
         if inner.target != self.source:
@@ -258,10 +231,10 @@ class AntiLinearMap:
     def __call__(self, v: Vector) -> Vector:
         if v.space != self.space:
             raise SpaceMismatch("vector not in the map's space")
-        out = self.space.zero()
+        out: dict[int, CycloScalar] = {}
         for k, c in v.coeffs.items():
-            out = out + self.images[k].scale(c.conj())
-        return out
+            add_scaled(out, self.images[k].coeffs, c.conj())
+        return Vector(self.space, out)
 
 
 class BilinearMap:
@@ -284,13 +257,13 @@ class BilinearMap:
     def __call__(self, a: Vector, b: Vector) -> Vector:
         if a.space != self.space or b.space != self.space:
             raise SpaceMismatch("operands not in the map's space")
-        out = self.space.zero()
+        out: dict[int, CycloScalar] = {}
         for i, ca in a.coeffs.items():
             for j, cb in b.coeffs.items():
                 v = self.constants.get((i, j))
                 if v is not None:
-                    out = out + v.scale(ca * cb)
-        return out
+                    add_scaled(out, v.coeffs, ca * cb)
+        return Vector(self.space, out)
 
     def check_homogeneity(self) -> list[tuple[int, int]]:
         """Pairs (i,j) whose value is not homogeneous of deg(i)+deg(j)+declared."""
@@ -301,7 +274,3 @@ class BilinearMap:
             if v.degree() != want:
                 bad.append((i, j))
         return bad
-
-
-def apply_bilinear(m: BilinearMap, a: Vector, b: Vector) -> Vector:
-    return m(a, b)

@@ -16,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Union
 
+from .sparse import format_term, join_terms
+
 Rational = Fraction
 
 RationalLike = Union[int, Fraction]
@@ -189,6 +191,11 @@ class CycloScalar:
         return out
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            # a cheap comparison with 1 and -1, which the printer and
+            # add_scaled make often
+            a = self.c
+            return a[0] == other and not (a[1] or a[2] or a[3])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -208,29 +215,25 @@ class CycloScalar:
 
     def pretty(self) -> str:
         """Render like '3/2', 'i', '-2*i + z8', with zeta spelled z8."""
-        if self.is_zero():
-            return "0"
-        names = ["", "z8", "i", "z8^3"]
-        parts = []
-        for cj, name in zip(self.c, names):
-            if not cj:
-                continue
-            if not name:
-                parts.append(str(cj))
-            elif cj == 1:
-                parts.append(name)
-            elif cj == -1:
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{cj}*{name}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return join_terms(format_term(cj, name)
+                          for cj, name in zip(self.c, (None, "z8", "i", "z8^3")) if cj)
 
     def is_one(self) -> bool:
         a = self.c
         return a[0] == 1 and not (a[1] or a[2] or a[3])
+
+
+def as_scalar(c: ScalarLike) -> CycloScalar:
+    return c if isinstance(c, CycloScalar) else CycloScalar.from_rational(c)
+
+
+def parse_rational(q: Union[str, int]) -> Fraction:
+    """Fraction(q), with a zero denominator reported as a ValueError like
+    any other malformed rational."""
+    try:
+        return Fraction(q)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {q!r}") from exc
 
 
 ZERO = CycloScalar.zero()
@@ -266,8 +269,9 @@ ALL_DEGREES = (D00, D11, D10, D01)
 
 
 def degree(e1: int, e2: int) -> BiDegree:
-    if e1 not in (0, 1) or e2 not in (0, 1):
-        raise ValueError(f"degree components must be 0 or 1, got ({e1},{e2})")
+    # type() and not isinstance(): True and 1.0 are not degree components
+    if type(e1) is not int or type(e2) is not int or e1 not in (0, 1) or e2 not in (0, 1):
+        raise ValueError(f"degree components must be 0 or 1, got ({e1!r},{e2!r})")
     return BiDegree(e1, e2)
 
 

@@ -10,14 +10,13 @@ defective tables can be loaded and then diagnosed.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any, Union
 
 from .equivalence import SuperLieAlgebraWithInvolution
-from .errors import NotDiagonal
 from .lie import BiGradedAssocAlgebra, BiGradedLieAlgebra
 from .linear import BilinearMap, BiGradedSpace, LinearMap, Vector
-from .scalars import CycloScalar, degree, sign_deligne, sign_super
+from .scalars import CycloScalar, degree, parse_rational, sign_deligne, sign_super
+from .sparse import add_term
 
 Algebra = Union[BiGradedLieAlgebra, BiGradedAssocAlgebra,
                 SuperLieAlgebraWithInvolution]
@@ -41,8 +40,15 @@ def scalar_from_json(obj: Any) -> CycloScalar:
     for q in comps:
         if isinstance(q, bool) or not isinstance(q, (str, int)):
             raise ValueError(f"rational component must be a string, got {q!r}")
-        out.append(Fraction(q))
+        out.append(parse_rational(q))
     return CycloScalar._raw(tuple(out))
+
+
+def _index(k: Any, space: BiGradedSpace, what: str) -> int:
+    # JSON true and 1.0 are not indices, though Python counts True as an int
+    if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < space.dim:
+        raise ValueError(f"{what} index {k!r} out of range")
+    return k
 
 
 def _space_to_json(space: BiGradedSpace) -> list[dict]:
@@ -76,10 +82,8 @@ def _value_from_json(obj: Any, space: BiGradedSpace) -> Vector:
     for term in obj:
         if not isinstance(term, dict) or "basis" not in term or "coeff" not in term:
             raise ValueError(f"value term needs basis and coeff: {term!r}")
-        k = term["basis"]
-        if not isinstance(k, int) or not 0 <= k < space.dim:
-            raise ValueError(f"basis index {k!r} out of range")
-        coeffs[k] = coeffs.get(k, CycloScalar.zero()) + scalar_from_json(term["coeff"])
+        k = _index(term["basis"], space, "basis")
+        add_term(coeffs, k, scalar_from_json(term["coeff"]))
     return Vector(space, coeffs)
 
 
@@ -93,46 +97,32 @@ def _table_to_json(m: BilinearMap, upper_only: bool) -> list[dict]:
     return rows
 
 
-def _table_from_json(rows: Any, space: BiGradedSpace, sign_rule) -> BilinearMap:
-    """Read an upper-triangular table; mirror entries come from the sign rule."""
+def _rows_from_json(rows: Any, space: BiGradedSpace, what: str
+                    ) -> dict[tuple[int, int], Vector]:
     if not isinstance(rows, list):
-        raise ValueError("bracket table must be a list")
+        raise ValueError(f"{what} table must be a list")
     constants: dict[tuple[int, int], Vector] = {}
     for row in rows:
         if not isinstance(row, dict) or not {"left", "right", "value"} <= row.keys():
-            raise ValueError(f"bracket row needs left, right, value: {row!r}")
-        i, j = row["left"], row["right"]
-        for k in (i, j):
-            if not isinstance(k, int) or not 0 <= k < space.dim:
-                raise ValueError(f"bracket index {k!r} out of range")
+            raise ValueError(f"{what} row needs left, right, value: {row!r}")
+        i, j = _index(row["left"], space, what), _index(row["right"], space, what)
+        if (i, j) in constants:
+            raise ValueError(f"duplicate {what} entry ({i}, {j})")
+        constants[(i, j)] = _value_from_json(row["value"], space)
+    return constants
+
+
+def _table_from_json(rows: Any, space: BiGradedSpace, sign_rule) -> BilinearMap:
+    """Read an upper-triangular table; mirror entries come from the sign rule."""
+    constants = _rows_from_json(rows, space, "bracket")
+    for (i, j) in list(constants):
         if i > j:
             raise ValueError(f"store only left <= right, got ({i}, {j})")
-        if (i, j) in constants:
-            raise ValueError(f"duplicate bracket entry ({i}, {j})")
-        constants[(i, j)] = _value_from_json(row["value"], space)
-    for (i, j) in list(constants):
         if i < j:
             s = sign_rule(space.degrees[i], space.degrees[j])
             v = constants[(i, j)].scale(-s)
             if v.coeffs:
                 constants[(j, i)] = v
-    return BilinearMap(space, constants)
-
-
-def _full_table_from_json(rows: Any, space: BiGradedSpace) -> BilinearMap:
-    if not isinstance(rows, list):
-        raise ValueError("product table must be a list")
-    constants: dict[tuple[int, int], Vector] = {}
-    for row in rows:
-        if not isinstance(row, dict) or not {"left", "right", "value"} <= row.keys():
-            raise ValueError(f"product row needs left, right, value: {row!r}")
-        i, j = row["left"], row["right"]
-        for k in (i, j):
-            if not isinstance(k, int) or not 0 <= k < space.dim:
-                raise ValueError(f"product index {k!r} out of range")
-        if (i, j) in constants:
-            raise ValueError(f"duplicate product entry ({i}, {j})")
-        constants[(i, j)] = _value_from_json(row["value"], space)
     return BilinearMap(space, constants)
 
 
@@ -148,22 +138,10 @@ def to_doc(a: Algebra) -> dict:
         doc["unit"] = _value_to_json(a.unit) if a.unit is not None else None
         return doc
     if isinstance(a, SuperLieAlgebraWithInvolution):
-        sigma = a.involution
-        if not sigma.is_diagonal():
-            raise NotDiagonal("only diagonal involutions serialize")
-        signs = []
-        for k in range(a.dim):
-            c = sigma.images[k].coeff(k)
-            if c == 1:
-                signs.append(1)
-            elif c == -1:
-                signs.append(-1)
-            else:
-                raise NotDiagonal(f"involution eigenvalue at {k} is not +-1")
         return {"kind": KIND_SUPER, "name": a.algebra.name,
                 "basis": _space_to_json(a.space),
                 "brackets": _table_to_json(a.algebra.bracket, upper_only=True),
-                "involution": signs}
+                "involution": a.involution_signs()}
     raise TypeError(f"cannot serialize {type(a).__name__}")
 
 
@@ -180,7 +158,7 @@ def from_doc(doc: Any) -> Algebra:
         return BiGradedLieAlgebra(space, bracket, name=name)
     if kind == KIND_ASSOC:
         space = _space_from_json(doc.get("basis"), name)
-        product = _full_table_from_json(doc.get("products"), space)
+        product = BilinearMap(space, _rows_from_json(doc.get("products"), space, "product"))
         unit = doc.get("unit")
         unit_vec = _value_from_json(unit, space) if unit is not None else None
         return BiGradedAssocAlgebra(space, product, unit=unit_vec, name=name)

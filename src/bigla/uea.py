@@ -21,11 +21,14 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .errors import AlgebraMismatch, BadBasisOrder, TruncationExceeded
 from .lie import BiGradedLieAlgebra, even_subalgebra
 from .linear import BilinearMap, Vector
-from .scalars import BiDegree, CycloScalar, ONE, sign_deligne
+from .scalars import BiDegree, CycloScalar, MINUS_ONE, ONE, as_scalar, sign_deligne
+from .sparse import add_scaled, add_term, format_term, join_terms
 
 Word = tuple[int, ...]
 
 DEFAULT_MAX_TRUNCATION = 6
+
+HALF = CycloScalar(Fraction(1, 2))
 
 
 def max_truncation() -> int:
@@ -67,45 +70,36 @@ class EnvelopingAlgebra:
             e2 += d.eps2
         return BiDegree(e1 % 2, e2 % 2)
 
-    def _violation(self, w: Word) -> Optional[int]:
-        rank = self.rank
+    def violations(self, w: Word) -> Iterator[int]:
+        """Positions p, left to right, where w[p] w[p+1] breaks the PBW order."""
+        rank, exterior = self.rank, self.exterior
         for p in range(len(w) - 1):
             a, b = w[p], w[p + 1]
-            if rank[a] > rank[b] or (a == b and self.exterior[a]):
-                return p
-        return None
-
-    def violations(self, w: Word) -> list[int]:
-        rank = self.rank
-        out = []
-        for p in range(len(w) - 1):
-            a, b = w[p], w[p + 1]
-            if rank[a] > rank[b] or (a == b and self.exterior[a]):
-                out.append(p)
-        return out
+            if rank[a] > rank[b] or (a == b and exterior[a]):
+                yield p
 
     def is_normal(self, w: Word) -> bool:
-        return self._violation(w) is None
+        return next(self.violations(w), None) is None
 
-    def _rewrite_at(self, w: Word, p: int) -> dict[Word, CycloScalar]:
-        """One rewriting step at position p, results recursively normalized."""
+    def _rewrite_at(self, w: Word, p: int, nf) -> dict[Word, CycloScalar]:
+        """One rewriting step at position p, the resulting words normalized
+        by nf.  Both rewriting strategies share this step."""
         a, b = w[p], w[p + 1]
         head, tail = w[:p], w[p + 2:]
-        out: dict[Word, CycloScalar] = {}
         if a == b:
             # exterior letter squared: x x = (1/2)[x,x]
-            half = CycloScalar.from_rational(Fraction(1, 2))
-            bracket = self.g.basis_bracket(a, a)
-            for k, c in bracket.coeffs.items():
-                _accumulate(out, self.normal_form(head + (k,) + tail), half * c)
+            out: dict[Word, CycloScalar] = {}
+            for k, c in self.g.basis_bracket(a, a).coeffs.items():
+                add_scaled(out, nf(head + (k,) + tail), HALF * c)
             return out
         degs = self.g.space.degrees
-        s = sign_deligne(degs[a], degs[b])
-        swapped = self.normal_form(head + (b, a) + tail)
-        for word, c in swapped.items():
-            _add_term(out, word, c if s == 1 else -c)
+        swapped = nf(head + (b, a) + tail)
+        if sign_deligne(degs[a], degs[b]) == 1:
+            out = dict(swapped)
+        else:
+            out = {word: -c for word, c in swapped.items()}
         for k, c in self.g.basis_bracket(a, b).coeffs.items():
-            _accumulate(out, self.normal_form(head + (k,) + tail), c)
+            add_scaled(out, nf(head + (k,) + tail), c)
         return out
 
     def normal_form(self, w: Word) -> dict[Word, CycloScalar]:
@@ -114,8 +108,8 @@ class EnvelopingAlgebra:
         cached = self._nf_memo.get(w)
         if cached is not None:
             return cached
-        p = self._violation(w)
-        result = {w: ONE} if p is None else self._rewrite_at(w, p)
+        p = next(self.violations(w), None)
+        result = {w: ONE} if p is None else self._rewrite_at(w, p, self.normal_form)
         self._nf_memo[w] = result
         return result
 
@@ -123,7 +117,7 @@ class EnvelopingAlgebra:
         out: dict[Word, CycloScalar] = {}
         for w, c in terms.items():
             if c:
-                _accumulate(out, self.normal_form(tuple(w)), c)
+                add_scaled(out, self.normal_form(tuple(w)), c)
         return UEAElement(self, out)
 
     def one(self) -> "UEAElement":
@@ -180,23 +174,8 @@ class EnvelopingAlgebra:
         return self._even
 
 
-def _add_term(acc: dict[Word, CycloScalar], w: Word, c: CycloScalar):
-    s = acc.get(w)
-    s = c if s is None else s + c
-    if s:
-        acc[w] = s
-    else:
-        acc.pop(w, None)
-
-
-def _accumulate(acc: dict[Word, CycloScalar], terms: Mapping[Word, CycloScalar],
-                factor: CycloScalar):
-    if factor.is_one():
-        for w, c in terms.items():
-            _add_term(acc, w, c)
-    else:
-        for w, c in terms.items():
-            _add_term(acc, w, factor * c)
+def word_name(labels: Sequence[str], w: Word) -> str:
+    return "*".join(labels[k] for k in w) if w else "1"
 
 
 class UEAElement:
@@ -215,8 +194,7 @@ class UEAElement:
     def __add__(self, other: "UEAElement") -> "UEAElement":
         self._check(other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            _add_term(out, w, c)
+        add_scaled(out, other.terms)
         return UEAElement(self.ctx, out)
 
     def __sub__(self, other: "UEAElement") -> "UEAElement":
@@ -226,7 +204,7 @@ class UEAElement:
         return UEAElement(self.ctx, {w: -c for w, c in self.terms.items()})
 
     def scale(self, c) -> "UEAElement":
-        c = c if isinstance(c, CycloScalar) else CycloScalar.from_rational(c)
+        c = as_scalar(c)
         return UEAElement(self.ctx, {w: c * v for w, v in self.terms.items()})
 
     def __rmul__(self, c) -> "UEAElement":
@@ -262,27 +240,9 @@ class UEAElement:
         return sorted(self.terms.items(), key=lambda t: (-len(t[0]), t[0]))
 
     def pretty(self) -> str:
-        if not self.terms:
-            return "0"
         labels = self.ctx.g.space.labels
-        parts = []
-        for w, c in self.sorted_terms():
-            name = "*".join(labels[k] for k in w) if w else "1"
-            if not w:
-                s = c.pretty()
-                parts.append(f"({s})" if " " in s else s)
-                continue
-            if c.is_one():
-                parts.append(name)
-            elif c == -1:
-                parts.append(f"-{name}")
-            else:
-                s = c.pretty()
-                parts.append(f"({s})*{name}" if " " in s else f"{s}*{name}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return join_terms(format_term(c, word_name(labels, w) if w else None)
+                          for w, c in self.sorted_terms())
 
     def __repr__(self):
         return f"U<{self.pretty()}>"
@@ -302,7 +262,7 @@ def uea_multiply(a: UEAElement, b: UEAElement,
         for v, cv in b.terms.items():
             if t_bound is not None and len(u) + len(v) > t_bound:
                 continue
-            _accumulate(out, a.ctx.normal_form(u + v), cu * cv)
+            add_scaled(out, a.ctx.normal_form(u + v), cu * cv)
     return UEAElement(a.ctx, out)
 
 
@@ -325,25 +285,8 @@ def normal_form_random(ctx: EnvelopingAlgebra, word: Sequence[int],
         got = memo.get(w)
         if got is not None:
             return got
-        spots = ctx.violations(w)
-        if not spots:
-            result = {w: ONE}
-        else:
-            p = rng.choice(spots)
-            a, b = w[p], w[p + 1]
-            head, tail = w[:p], w[p + 2:]
-            result = {}
-            if a == b:
-                half = CycloScalar.from_rational(Fraction(1, 2))
-                for k, c in ctx.g.basis_bracket(a, a).coeffs.items():
-                    _accumulate(result, nf(head + (k,) + tail), half * c)
-            else:
-                degs = ctx.g.space.degrees
-                s = sign_deligne(degs[a], degs[b])
-                for word2, c in nf(head + (b, a) + tail).items():
-                    _add_term(result, word2, c if s == 1 else -c)
-                for k, c in ctx.g.basis_bracket(a, b).coeffs.items():
-                    _accumulate(result, nf(head + (k,) + tail), c)
+        spots = list(ctx.violations(w))
+        result = ctx._rewrite_at(w, rng.choice(spots), nf) if spots else {w: ONE}
         memo[w] = result
         return result
 
@@ -367,13 +310,7 @@ class TensorElement:
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
         out = dict(self.terms)
-        for ws, c in other.terms.items():
-            s = out.get(ws)
-            s = c if s is None else s + c
-            if s:
-                out[ws] = s
-            else:
-                out.pop(ws, None)
+        add_scaled(out, other.terms)
         return TensorElement(self.ctx, self.nslots, out)
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
@@ -420,14 +357,7 @@ class TensorElement:
         out: dict[tuple[Word, ...], CycloScalar] = {}
         for (u, v), c in self.terms.items():
             s = sign_deligne(ctx.word_degree(u), ctx.word_degree(v))
-            w = (v, u)
-            prev = out.get(w)
-            val = c if s == 1 else -c
-            val = val if prev is None else prev + val
-            if val:
-                out[w] = val
-            else:
-                out.pop(w, None)
+            add_term(out, (v, u), c if s == 1 else -c)
         return TensorElement(ctx, 2, out)
 
     def sorted_terms(self):
@@ -435,27 +365,9 @@ class TensorElement:
                       key=lambda t: tuple((-len(w), w) for w in t[0]))
 
     def pretty(self) -> str:
-        if not self.terms:
-            return "0"
         labels = self.ctx.g.space.labels
-
-        def wname(w: Word) -> str:
-            return "*".join(labels[k] for k in w) if w else "1"
-
-        parts = []
-        for ws, c in self.sorted_terms():
-            name = " (x) ".join(wname(w) for w in ws)
-            if c.is_one():
-                parts.append(name)
-            elif c == -1:
-                parts.append(f"-{name}")
-            else:
-                s = c.pretty()
-                parts.append(f"({s})*[{name}]" if " " in s else f"{s}*[{name}]")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return join_terms(format_term(c, tuple(word_name(labels, w) for w in ws))
+                          for ws, c in self.sorted_terms())
 
     def __repr__(self):
         return f"T<{self.pretty()}>"
@@ -469,12 +381,7 @@ def _spread(acc: dict, slot_expansions: list[dict[Word, CycloScalar]],
         combos = [(ws + (w,), c * cw) for ws, c in combos
                   for w, cw in expansion.items()]
     for ws, c in combos:
-        prev = acc.get(ws)
-        val = c if prev is None else prev + c
-        if val:
-            acc[ws] = val
-        else:
-            acc.pop(ws, None)
+        add_term(acc, ws, c)
 
 
 def delta_word(ctx: EnvelopingAlgebra, w: Word) -> TensorElement:
@@ -495,19 +402,16 @@ def delta_word(ctx: EnvelopingAlgebra, w: Word) -> TensorElement:
                 for p in range(q):
                     if not mask >> p & 1:
                         sign += degs[p].pairing(degs[q])
-        c = ONE if sign % 2 == 0 else -ONE
-        key = (left, right)
-        prev = terms.get(key)
-        terms[key] = c if prev is None else prev + c
+        add_term(terms, (left, right), ONE if sign % 2 == 0 else MINUS_ONE)
     return TensorElement(ctx, 2, terms)
 
 
 def delta(a: UEAElement) -> TensorElement:
     ctx = a.ctx
-    out = TensorElement(ctx, 2, {})
+    out: dict[tuple[Word, ...], CycloScalar] = {}
     for w, c in a.terms.items():
-        out = out + delta_word(ctx, w).scale(c)
-    return out
+        add_scaled(out, delta_word(ctx, w).terms, c)
+    return TensorElement(ctx, 2, out)
 
 
 def delta_slot(t: TensorElement, slot: int) -> TensorElement:
@@ -517,13 +421,7 @@ def delta_slot(t: TensorElement, slot: int) -> TensorElement:
     for ws, c in t.terms.items():
         expanded = delta_word(ctx, ws[slot])
         for pair, cc in expanded.terms.items():
-            key = ws[:slot] + pair + ws[slot + 1:]
-            prev = out.get(key)
-            val = c * cc if prev is None else prev + c * cc
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
+            add_term(out, ws[:slot] + pair + ws[slot + 1:], c * cc)
     return TensorElement(ctx, t.nslots + 1, out)
 
 
@@ -548,7 +446,7 @@ def antipode(a: UEAElement) -> UEAElement:
         sign = _reversal_sign(ctx, w)
         if len(w) % 2:
             sign = -sign
-        _accumulate(out, ctx.normal_form(w[::-1]), c if sign == 1 else -c)
+        add_scaled(out, ctx.normal_form(w[::-1]), c if sign == 1 else -c)
     return UEAElement(ctx, out)
 
 
@@ -569,7 +467,7 @@ def weyl_map(ctx: EnvelopingAlgebra, s: UEAElement) -> UEAElement:
     if s.ctx is not ctx.sym():
         raise AlgebraMismatch("weyl_map argument must live in the symmetric algebra")
     bound = max_truncation()
-    out = ctx.zero()
+    out: dict[Word, CycloScalar] = {}
     for w, c in s.terms.items():
         m = len(w)
         if m > bound:
@@ -579,10 +477,67 @@ def weyl_map(ctx: EnvelopingAlgebra, s: UEAElement) -> UEAElement:
         for perm in permutations(range(m)):
             sign = _permutation_sign(degs, perm)
             word = tuple(w[p] for p in perm)
-            _accumulate(acc, ctx.normal_form(word),
-                        ONE if sign == 1 else -ONE)
-        out = out + UEAElement(ctx, acc).scale(c * Fraction(1, factorial(m)))
-    return out
+            add_scaled(acc, ctx.normal_form(word), None if sign == 1 else MINUS_ONE)
+        add_scaled(out, acc, c * Fraction(1, factorial(m)))
+    return UEAElement(ctx, out)
+
+
+HOPF_AXIOMS = ("antipode", "coassociativity", "cocommutativity", "counit",
+               "multiplicativity", "weyl")
+
+
+def hopf_failures(U: EnvelopingAlgebra, max_len: int) -> dict[str, list[tuple[Word, ...]]]:
+    """Check the Hopf structure on the normal words of length <= max_len.
+
+    Returns, per axiom, the inputs where it fails: a 1-tuple (w,) of the
+    word, or for multiplicativity the pair (u, v) with len(u) + len(v) <=
+    max_len.  'weyl' is the coalgebra-morphism property of weyl_map.
+    """
+    fails: dict[str, list[tuple[Word, ...]]] = {key: [] for key in HOPF_AXIOMS}
+    words = U.normal_words_up_to(max_len)
+    for w in words:
+        elt = U.element({w: ONE})
+        dw = delta(elt)
+        if delta_slot(dw, 0) != delta_slot(dw, 1):
+            fails["coassociativity"].append((w,))
+        left: dict[Word, CycloScalar] = {}
+        right: dict[Word, CycloScalar] = {}
+        for (u, v), c in dw.terms.items():
+            add_term(left, v, counit(U.element({u: ONE})) * c)
+            add_term(right, u, counit(U.element({v: ONE})) * c)
+        if U.element(left) != elt or U.element(right) != elt:
+            fails["counit"].append((w,))
+        acc_l: dict[Word, CycloScalar] = {}
+        acc_r: dict[Word, CycloScalar] = {}
+        for (u, v), c in dw.terms.items():
+            eu, ev = U.element({u: ONE}), U.element({v: ONE})
+            add_scaled(acc_l, uea_multiply(antipode(eu), ev).terms, c)
+            add_scaled(acc_r, uea_multiply(eu, antipode(ev)).terms, c)
+        unit_part = U.one().scale(counit(elt))
+        if UEAElement(U, acc_l) != unit_part or UEAElement(U, acc_r) != unit_part:
+            fails["antipode"].append((w,))
+        if dw.flip() != dw:
+            fails["cocommutativity"].append((w,))
+    for u in words:
+        for v in words:
+            if len(u) + len(v) > max_len:
+                continue
+            eu, ev = U.element({u: ONE}), U.element({v: ONE})
+            if delta(uea_multiply(eu, ev)) != delta(eu) * delta(ev):
+                fails["multiplicativity"].append((u, v))
+    S = U.sym()
+    for w in words:
+        s = S.element({w: ONE})
+        rhs: dict[tuple[Word, ...], CycloScalar] = {}
+        for (u, v), c in delta(s).terms.items():
+            wu = weyl_map(U, S.element({u: ONE}))
+            wv = weyl_map(U, S.element({v: ONE}))
+            for uu, cu in wu.terms.items():
+                for vv, cv in wv.terms.items():
+                    add_term(rhs, (uu, vv), c * cu * cv)
+        if delta(weyl_map(U, s)) != TensorElement(U, 2, rhs):
+            fails["weyl"].append((w,))
+    return fails
 
 
 def pbw_dims(ctx: EnvelopingAlgebra, n_max: int) -> tuple[list[int], list[int]]:

@@ -23,7 +23,7 @@ from bigla.hc import (bch_product, convolution_commutes,
 from bigla.lie import BiGradedLieAlgebra, check_lie, check_morphism, commutator_lie
 from bigla.linear import BilinearMap, Vector
 from bigla.scalars import CycloScalar, I, ONE
-from bigla.uea import EnvelopingAlgebra, normal_form_random, pbw_dims
+from bigla.uea import EnvelopingAlgebra, hopf_failures, normal_form_random, pbw_dims
 
 
 def _report(number: int, title: str, ok: bool):
@@ -133,10 +133,9 @@ def test_criterion_05_pbw_counts_and_confluence():
 
 
 def test_criterion_06_hopf_suite():
-    from bigla.cli import _hopf_failures
     ok = True
     for g in (so3(), unitary_example()):
-        fails = _hopf_failures(EnvelopingAlgebra(g), 3)
+        fails = hopf_failures(EnvelopingAlgebra(g), 3)
         ok = ok and not any(fails.values())
     _report(6, "coproduct, counit, antipode, cocommutativity, and the "
                "symmetrization identity on words up to length 3", ok)

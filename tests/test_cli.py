@@ -199,6 +199,39 @@ def test_appendix_character(capsys):
     assert main(["appendix", "character", "--f", "1 + x", "--a", "w"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "{zero_coeff}"],
+    ["hc", "bch", "{so3}", "--x", "1/0*e1", "--y", "e2"],
+    ["appendix", "character", "--f", "1 + x", "--a", "1/0"],
+    ["appendix", "star", "--f", "1/0*x", "--g", "1"],
+], ids=["json-coefficient", "bch-vector", "character-point", "star-polynomial"])
+def test_zero_denominator_in_input_is_a_usage_error(argv, so3_file, tmp_path, capsys):
+    doc = to_doc(so3())
+    doc["brackets"][0]["value"][0]["coeff"] = {"zeta8": ["1/0", "0", "0", "0"]}
+    zero_coeff = tmp_path / "zero.json"
+    zero_coeff.write_text(json.dumps(doc))
+    argv = [a.format(so3=so3_file, zero_coeff=zero_coeff) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["pbw", "dims", "{so3}", "--n", "-1"],
+    ["hc", "hom-dim", "{so3}", "--n", "-1"],
+    ["hc", "conv-check", "{so3}", "--n", "-1"],
+    ["hc", "conv-check", "{so3}", "--trials", "-3"],
+    ["hc", "bch", "{so3}", "--x", "e1", "--y", "e2", "--n", "-1"],
+    ["uea", "hopf-check", "{so3}", "--max-len", "-1"],
+    ["appendix", "iso-check", "--degree", "-1"],
+    ["appendix", "iso-check", "--trials", "-1"],
+], ids=lambda argv: " ".join(a for a in argv if a != "{so3}"))
+def test_negative_size_flags_are_refused(argv, so3_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(so3=so3_file) for a in argv])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
 def test_json_output_is_sorted_and_valid(so3_file, capsys):
     assert main(["--json", "check", so3_file]) == 0
     text = capsys.readouterr().out

@@ -116,8 +116,10 @@ def test_bidegree():
     assert D11.pairing(D11) == 0
     assert D10.pairing(D01) == 0
     assert degree(1, 0) == D10
-    with pytest.raises(ValueError):
-        degree(2, 0)
+    # bools and floats compare equal to 0 and 1 but are not degree components
+    for bad in ((2, 0), (True, 0), (0, False), (1.0, 0)):
+        with pytest.raises(ValueError):
+            degree(*bad)
 
 
 def test_sign_rules():

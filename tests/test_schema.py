@@ -121,9 +121,11 @@ def test_malformed_documents():
     bad = dict(good); bad["basis"] = [{"label": "a"}]
     with pytest.raises(ValueError):
         from_doc(bad)
-    bad = dict(good); bad["basis"] = [{"label": "a", "degree": [0, 1, 1]}]
-    with pytest.raises(ValueError):
-        from_doc(bad)
+    for deg in ([0, 1, 1], [False, False], [True, 0], [1.0, 0]):
+        bad = dict(good); bad["basis"] = [{"label": "a", "degree": deg}]
+        bad["brackets"] = []
+        with pytest.raises(ValueError):
+            from_doc(bad)
     bad = dict(good); bad["name"] = 7
     with pytest.raises(ValueError):
         from_doc(bad)
@@ -142,6 +144,20 @@ def test_malformed_documents():
                         "value": [{"basis": 0}]}]
     with pytest.raises(ValueError):
         from_doc(bad)
+    # JSON true is not the index 1, and a zero denominator is malformed
+    coeff = scalar_to_json(ONE)
+    for row in ({"left": True, "right": 1, "value": []},
+                {"left": 0, "right": True, "value": []},
+                {"left": 0, "right": 1, "value": [{"basis": True, "coeff": coeff}]},
+                {"left": 0, "right": 1,
+                 "value": [{"basis": 2, "coeff": {"zeta8": ["1/0", "0", "0", "0"]}}]}):
+        bad["brackets"] = [row]
+        with pytest.raises(ValueError):
+            from_doc(bad)
+    assoc = to_doc(algebra_B())
+    assoc["products"] = [{"left": 0, "right": True, "value": []}]
+    with pytest.raises(ValueError):
+        from_doc(assoc)
 
 
 def test_involution_validation():

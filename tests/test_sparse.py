@@ -1,10 +1,11 @@
-"""Sparse combinations: the shared term printer, as every element type uses it."""
+"""Sparse combinations: the accumulation step and the term printer."""
 
 from fractions import Fraction
 
 from bigla.catalog import so3
 from bigla.deformed import EvenOddPoly, to_complex
 from bigla.scalars import CycloScalar, I, ONE
+from bigla.sparse import add_scaled, add_term, format_term, join_terms
 from bigla.uea import EnvelopingAlgebra, TensorElement, UEAElement
 
 ONE_PLUS_I = CycloScalar(1, 0, 1, 0)
@@ -40,3 +41,30 @@ def test_printed_sums_of_every_element_type():
     ]
     for element, text in cases:
         assert element.pretty() == text
+
+
+def test_add_term_and_add_scaled_drop_cancelled_keys():
+    acc = {"a": Fraction(1), "b": Fraction(2)}
+    add_term(acc, "a", Fraction(-1))
+    add_term(acc, "c", Fraction(0))
+    assert acc == {"b": 2}
+    add_scaled(acc, {"b": Fraction(1), "d": Fraction(3)}, Fraction(-2))
+    assert acc == {"d": -6}
+    add_scaled(acc, {"d": Fraction(6), "e": Fraction(1, 2)})
+    assert acc == {"e": Fraction(1, 2)}
+    acc = {}
+    add_scaled(acc, {"x": ONE_PLUS_I}, I)
+    assert acc == {"x": CycloScalar(-1, 0, 1, 0)}
+
+
+def test_format_term():
+    assert format_term(ONE, "e1") == "e1"
+    assert format_term(-ONE, "e1") == "-e1"
+    assert format_term(ONE_PLUS_I, "e1") == "(1 + i)*e1"
+    assert format_term(-ONE, None) == "-1"
+    assert format_term(ONE_PLUS_I, None) == "(1 + i)"
+    assert format_term(Fraction(-3, 2), "z8") == "-3/2*z8"
+    assert format_term(ONE, ("e1", "1")) == "e1 (x) 1"
+    assert format_term(I, ("e1", "1")) == "i*[e1 (x) 1]"
+    assert join_terms([]) == "0"
+    assert join_terms(["a", "-b", "2*c"]) == "a - b + 2*c"
