@@ -11,9 +11,9 @@ from .lie import (AlgebraMorphism, BiGradedAssocAlgebra, BiGradedLieAlgebra,
                   commutator_lie, even_subalgebra, is_lie, jacobiator,
                   require_lie, subalgebra_on)
 from .equivalence import (AlphaCheckResult, SuperLieAlgebraWithInvolution,
-                          SuperMorphism, cartan_sign_flip,
+                          SuperMorphism, alpha_sweep, cartan_sign_flip,
                           involution_from_bidegree, jacobiator_alpha_check,
-                          morphism_transfer, rebraid, unbraid)
+                          morphism_transfer, rebraid, twist, unbraid)
 from .catalog import (MatrixRep, algebra_B, algebra_B_rep, catalog,
                       catalog_lie, check_assoc_rep, check_lie_rep,
                       m2_superalgebra, mat2_adapted_basis, mat2_star, odd_pair,
@@ -22,9 +22,9 @@ from .catalog import (MatrixRep, algebra_B, algebra_B_rep, catalog,
                       unitary_bigraded, unitary_embedding, unitary_example,
                       upper_triangular3)
 from .uea import (EnvelopingAlgebra, TensorElement, UEAElement, antipode,
-                  counit, delta, delta_slot, delta_word, max_truncation,
-                  normal_form, normal_form_random, pbw_dims, pbw_factorize,
-                  primitive_vector, uea_multiply, weyl_map)
+                  counit, delta, delta_slot, delta_word, hopf_failures,
+                  max_truncation, normal_form, normal_form_random, pbw_dims,
+                  pbw_factorize, primitive_vector, uea_multiply, weyl_map)
 from .hc import (CoefficientModule, CompositionResult, Functional,
                  bch_product, convolution, convolution_commutes,
                  equivariant_functionals, equivariant_hom_basis,

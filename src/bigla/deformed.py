@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 from .errors import DegreeOverflow, NegativePoint
 from .scalars import CycloScalar, I, MINUS_ONE, ONE, as_scalar, parse_rational
@@ -34,7 +34,7 @@ def _poly_mul(a: Coeffs, b: Coeffs, bound: int) -> Coeffs:
     return out
 
 
-def _monomial(k: int):
+def _monomial(k: int) -> Optional[str]:
     return None if k == 0 else ("x" if k == 1 else f"x^{k}")
 
 

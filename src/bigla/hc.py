@@ -142,7 +142,8 @@ def convolution(phi: Functional, psi: Functional) -> Functional:
                 dv = ctx.word_degree(v)
                 for d, part in right.homogeneous_parts().items():
                     s = sign_deligne(d + dv, du)
-                    add_scaled(acc, module.multiply(left, part).coeffs, c if s == 1 else -c)
+                    add_scaled(acc, module.multiply(left, part).coeffs,
+                               c if s == 1 else -c)
             if acc:
                 values[w] = Vector(module.space, acc)
     return Functional(ctx, module, phi.truncation, values)

@@ -133,7 +133,8 @@ class Vector:
 
     def pretty(self) -> str:
         labels = self.space.labels
-        return join_terms(format_term(self.coeffs[k], labels[k]) for k in sorted(self.coeffs))
+        return join_terms(format_term(self.coeffs[k], labels[k])
+                          for k in sorted(self.coeffs))
 
     def __repr__(self):
         return f"<{self.pretty()}>"

@@ -158,7 +158,8 @@ def from_doc(doc: Any) -> Algebra:
         return BiGradedLieAlgebra(space, bracket, name=name)
     if kind == KIND_ASSOC:
         space = _space_from_json(doc.get("basis"), name)
-        product = BilinearMap(space, _rows_from_json(doc.get("products"), space, "product"))
+        products = _rows_from_json(doc.get("products"), space, "product")
+        product = BilinearMap(space, products)
         unit = doc.get("unit")
         unit_vec = _value_from_json(unit, space) if unit is not None else None
         return BiGradedAssocAlgebra(space, product, unit=unit_vec, name=name)

@@ -25,22 +25,14 @@ def add_term(acc: dict, key, c):
 
 
 def add_scaled(acc: dict, terms: Mapping, factor=None):
-    """acc += factor * terms in place, dropping keys whose sums cancel.
-
-    A factor of None or 1 adds the terms unscaled.
-    """
-    scaled = factor is not None and factor != 1
-    get, pop = acc.get, acc.pop
-    for key, c in terms.items():
-        if scaled:
-            c = factor * c
-        s = get(key)
-        if s is not None:
-            c = s + c
-        if c:
-            acc[key] = c
-        else:
-            pop(key, None)
+    """acc += factor * terms in place, through add_term; a factor of None
+    or 1 adds the terms unscaled."""
+    if factor is None or factor == 1:
+        for key, c in terms.items():
+            add_term(acc, key, c)
+    else:
+        for key, c in terms.items():
+            add_term(acc, key, factor * c)
 
 
 def format_term(c, name: Union[None, str, tuple[str, ...]]) -> str:

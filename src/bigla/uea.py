@@ -486,7 +486,8 @@ HOPF_AXIOMS = ("antipode", "coassociativity", "cocommutativity", "counit",
                "multiplicativity", "weyl")
 
 
-def hopf_failures(U: EnvelopingAlgebra, max_len: int) -> dict[str, list[tuple[Word, ...]]]:
+def hopf_failures(U: EnvelopingAlgebra, max_len: int
+                  ) -> dict[str, list[tuple[Word, ...]]]:
     """Check the Hopf structure on the normal words of length <= max_len.
 
     Returns, per axiom, the inputs where it fails: a 1-tuple (w,) of the

@@ -126,12 +126,15 @@ def test_alpha_check(so3_file, broken_file, capsys):
     assert "twist transfer identity: ok" in capsys.readouterr().out
 
 
-def test_hopf_check(so3_file, capsys):
+def test_hopf_check(so3_file, broken_file, capsys):
     assert main(["uea", "hopf-check", so3_file, "--max-len", "2"]) == 0
     out = capsys.readouterr().out
     for key in ("antipode", "coassociativity", "cocommutativity", "counit",
                 "multiplicativity", "weyl"):
         assert f"{key}: ok" in out
+    # broken Jacobi shows up in the antipode of the first word that needs it
+    assert main(["uea", "hopf-check", broken_file, "--max-len", "3"]) == 1
+    assert "antipode: 1 failure(s)\n  e1*e2*e3\n" in capsys.readouterr().out
 
 
 def test_pbw_dims(so3_file, capsys):

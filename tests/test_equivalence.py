@@ -5,9 +5,10 @@ import random
 import pytest
 
 from bigla.catalog import catalog, odd_pair, so3, so12, unitary_example
-from bigla.equivalence import (SuperLieAlgebraWithInvolution, cartan_sign_flip,
-                               involution_from_bidegree, jacobiator_alpha_check,
-                               morphism_transfer, rebraid, unbraid)
+from bigla.equivalence import (SuperLieAlgebraWithInvolution, alpha_sweep,
+                               cartan_sign_flip, involution_from_bidegree,
+                               jacobiator_alpha_check, morphism_transfer, rebraid,
+                               unbraid)
 from bigla.errors import (AlgebraMismatch, DegreeViolation, InputNotLie,
                           NotDiagonal, NotEvenType)
 from bigla.lie import AlgebraMorphism, BiGradedLieAlgebra, is_lie
@@ -147,6 +148,22 @@ def test_alpha_identity_needs_homogeneity():
         sp, BilinearMap(sp, {(x1, x1): sp.basis_vector(y1),
                              (x2, y1): sp.basis_vector(u1)}))
     assert not jacobiator_alpha_check(crooked, x2, x1, x1).identity_holds
+    assert not alpha_sweep(crooked)[(x2, x1, x1)].identity_holds
+
+
+def test_alpha_sweep_agrees_with_the_per_triple_check():
+    # the sweep twists the table once; each triple must see the same result
+    # as a check that twists it afresh
+    rng = random.Random(5)
+    for g in (so3(), _random_homogeneous_bracket(unitary_example().space, rng)):
+        n = g.dim
+        sweep = alpha_sweep(g)
+        assert list(sweep) == [(a, b, c) for a in range(n) for b in range(n)
+                               for c in range(n)]
+        for (a, b, c), r in sweep.items():
+            single = jacobiator_alpha_check(g, a, b, c)
+            assert (r.alpha_sign, r.residual_bi, r.residual_super) == \
+                (single.alpha_sign, single.residual_bi, single.residual_super)
 
 
 def test_involution_from_bidegree_is_automorphism():
