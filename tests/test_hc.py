@@ -136,6 +136,35 @@ def test_equivariant_basis_is_equivariant():
                 assert lhs == rhs
 
 
+# Every functional of the equivariant basis, as word -> module label ->
+# coefficient, with the words written as letter labels joined by spaces.
+_UNITARY_WORDS = ["", "x1", "x2", "y1", "y2", "x1 x2", "x1 y1", "x1 y2",
+                  "x2 y1", "x2 y2", "y1 y2", "x1 x2 y1", "x1 x2 y2", "x1 y1 y2",
+                  "x2 y1 y2", "x1 x2 y1 y2"]
+_QMAT2_WORDS = ["", "E12*q1", "E21*q1", "E12*q2", "E21*q2",
+                "E12*q1 E21*q1", "E12*q1 E12*q2", "E12*q1 E21*q2",
+                "E21*q1 E12*q2", "E21*q1 E21*q2", "E12*q2 E21*q2",
+                "E12*q1 E21*q1 E12*q2", "E12*q1 E21*q1 E21*q2",
+                "E12*q1 E12*q2 E21*q2", "E21*q1 E12*q2 E21*q2",
+                "E12*q1 E21*q1 E12*q2 E21*q2"]
+EQUIVARIANT_BASES = {
+    ("unitary2x2", 4): [{w: {"1": "1"}} for w in _UNITARY_WORDS],
+    ("qmat2-lie", 4): [{w: {"1": "1"}} for w in _QMAT2_WORDS],
+    ("so3", 6): [{"": {"1": "1"}}],
+}
+
+
+@pytest.mark.parametrize("name,truncation", sorted(EQUIVARIANT_BASES))
+def test_equivariant_basis_values(name, truncation):
+    g = catalog_lie()[name]
+    mod = trivial_module(g)
+    basis = equivariant_functionals(_ctx(g), mod, truncation)
+    got = [{" ".join(g.space.labels[k] for k in w):
+            {mod.space.labels[m]: str(c) for m, c in v.coeffs.items()}
+            for w, v in phi.values.items()} for phi in basis]
+    assert got == EQUIVARIANT_BASES[(name, truncation)]
+
+
 def test_equivariant_dimension_oracles():
     assert len(equivariant_hom_basis(_ctx(so3()), trivial_module(so3()), 2)) == 1
     b_lie = commutator_lie(algebra_B())

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bigla.errors import Singular
-from bigla.linalg import (Echelon, Matrix, nullspace_of_rows, rank_of_rows,
-                          solve_dense)
+from bigla.linalg import Echelon, Matrix, solve_dense
 from bigla.scalars import CycloScalar, I, ONE
 
 
@@ -29,16 +28,23 @@ def _rand_rows(rng, nrows, ncols, density=0.6):
     return rows
 
 
+def _echelon(rows):
+    ech = Echelon()
+    for row in rows:
+        ech.add_row(row)
+    return ech
+
+
 def test_rank_bounds_and_duplicates():
     rng = random.Random(0)
     for _ in range(30):
         ncols = rng.randint(1, 6)
         rows = _rand_rows(rng, rng.randint(1, 6), ncols)
-        r = rank_of_rows(rows)
+        r = _echelon(rows).rank
         assert 0 <= r <= min(len(rows), ncols)
         # stacking scaled copies never raises the rank
         doubled = rows + [{j: c * 2 for j, c in row.items()} for row in rows]
-        assert rank_of_rows(doubled) == r
+        assert _echelon(doubled).rank == r
 
 
 def test_nullspace_annihilates():
@@ -46,8 +52,10 @@ def test_nullspace_annihilates():
     for _ in range(30):
         ncols = rng.randint(1, 6)
         rows = _rand_rows(rng, rng.randint(1, 5), ncols)
-        null = nullspace_of_rows(rows, ncols, ONE)
-        assert len(null) == ncols - rank_of_rows(rows)
+        ech = _echelon(rows)
+        rank = ech.rank
+        null = ech.nullspace(ncols, ONE)
+        assert len(null) == ncols - rank
         for sol in null:
             for row in rows:
                 acc = CycloScalar.zero()
@@ -79,6 +87,17 @@ def test_solve_dense():
     with pytest.raises(Singular):
         # underdetermined: a 1x2 system has no unique solution
         solve_dense([[ONE, ONE]], [ONE])
+    # rational entries, as the catalog passes them; a zero coordinate stays
+    # a Fraction
+    a = [[Fraction(1, 2), Fraction(0), Fraction(1)],
+         [Fraction(0), Fraction(3), Fraction(0)],
+         [Fraction(1), Fraction(1), Fraction(0)],
+         [Fraction(3, 2), Fraction(4), Fraction(1)]]
+    x = solve_dense(a, [Fraction(1, 2), Fraction(3), Fraction(1), Fraction(9, 2)])
+    assert x == [Fraction(0), Fraction(1), Fraction(1, 2)]
+    assert all(type(v) is Fraction for v in x)
+    with pytest.raises(Singular, match="inconsistent"):
+        solve_dense(a, [Fraction(1, 2), Fraction(3), Fraction(1), Fraction(0)])
 
 
 def test_matrix_algebra():
