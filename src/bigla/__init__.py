@@ -4,7 +4,7 @@ from .scalars import (ALL_DEGREES, BiDegree, CycloScalar, D00, D01, D10, D11,
                       I, MINUS_ONE, ONE, Rational, ZERO, ZETA, degree,
                       sign_deligne, sign_super, sign_unbraid)
 from .linear import AntiLinearMap, BiGradedSpace, BilinearMap, LinearMap, Vector
-from .linalg import Echelon, Matrix, nullspace_of_rows, rank_of_rows, solve_dense
+from .linalg import Echelon, Matrix, solve_dense
 from .lie import (AlgebraMorphism, BiGradedAssocAlgebra, BiGradedLieAlgebra,
                   CartanPairReport, cartan_pair, check_antisymmetry,
                   check_homogeneity, check_jacobi, check_lie, check_morphism,
@@ -26,12 +26,14 @@ from .uea import (EnvelopingAlgebra, TensorElement, UEAElement, antipode,
                   max_truncation, normal_form, normal_form_random, pbw_dims,
                   pbw_factorize, primitive_vector, uea_multiply, weyl_map)
 from .hc import (CoefficientModule, CompositionResult, Functional,
-                 bch_product, convolution, convolution_commutes,
-                 equivariant_functionals, equivariant_hom_basis,
-                 inner_automorphism_check, trivial_module)
+                 bch_product, commutativity_failures, convolution,
+                 convolution_commutes, equivariant_functionals,
+                 equivariant_hom_basis, inner_automorphism_check,
+                 trivial_module)
 from .deformed import (ConjSymPoly, DistinguisherCertificate, EvenOddPoly,
                        character_at, parse_poly, star_product,
-                       star_vs_pointwise_distinguisher, to_complex)
+                       star_vs_pointwise_distinguisher, to_complex,
+                       untwisting_failures)
 from . import errors, schema
 
 __version__ = "0.1.0"

@@ -18,14 +18,13 @@ from fractions import Fraction
 from . import schema
 from .catalog import (catalog, so3_group_automorphism, so3_group_elements,
                       so3_standard_rep)
-from .deformed import (EvenOddPoly, character_at, parse_poly, star_product,
-                       star_vs_pointwise_distinguisher, to_complex)
+from .deformed import (character_at, parse_poly, star_product,
+                       star_vs_pointwise_distinguisher, untwisting_failures)
 from .equivalence import (SuperLieAlgebraWithInvolution, alpha_sweep, rebraid,
                           unbraid)
 from .errors import BiglaError, InputNotLie
-from .hc import (Functional, bch_product, convolution_commutes,
-                 equivariant_hom_basis, inner_automorphism_check,
-                 trivial_module)
+from .hc import (bch_product, commutativity_failures, equivariant_hom_basis,
+                 inner_automorphism_check, trivial_module)
 from .lie import BiGradedAssocAlgebra, BiGradedLieAlgebra, check_lie
 from .linear import Vector
 from .scalars import CycloScalar, parse_rational, sign_deligne
@@ -34,24 +33,22 @@ from .uea import EnvelopingAlgebra, hopf_failures, normal_form, pbw_dims, word_n
 
 
 class _Fail(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """Malformed input or bad usage: exit code 2."""
 
 
 def _load(path: str):
     try:
         return schema.load_path(path)
     except OSError as exc:
-        raise _Fail(2, f"cannot read {path}: {exc}") from exc
+        raise _Fail(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
-        raise _Fail(2, f"{path}: {exc}") from exc
+        raise _Fail(f"{path}: {exc}") from exc
 
 
 def _load_lie(path: str) -> BiGradedLieAlgebra:
     a = _load(path)
     if not isinstance(a, BiGradedLieAlgebra):
-        raise _Fail(2, f"{path}: expected kind {schema.KIND_LIE}")
+        raise _Fail(f"{path}: expected kind {schema.KIND_LIE}")
     return a
 
 
@@ -63,28 +60,30 @@ def _parse_word(U: EnvelopingAlgebra, text: str):
     try:
         return U.word_from_labels(lab.strip() for lab in text.split(","))
     except KeyError as exc:
-        raise _Fail(2, f"unknown basis label in word: {exc}") from exc
+        raise _Fail(f"unknown basis label in word: {exc}") from exc
 
 
 def _parse_vector(space, text: str) -> Vector:
+    """Comma-separated terms, each a basis label or coef*label; a label may
+    itself contain '*'."""
     coeffs: dict[int, CycloScalar] = {}
     for term in text.split(","):
         term = term.strip()
         if not term:
-            raise _Fail(2, f"empty term in vector {text!r}")
-        if "*" in term:
-            coef_s, lab = term.split("*", 1)
+            raise _Fail(f"empty term in vector {text!r}")
+        coef_s, star, lab = term.partition("*")
+        if term in space.labels or not star:
+            c, lab = Fraction(1), term
+        else:
             try:
                 c = parse_rational(coef_s.strip())
             except ValueError as exc:
-                raise _Fail(2, f"bad coefficient {coef_s!r}") from exc
-        else:
-            c, lab = Fraction(1), term
+                raise _Fail(f"bad coefficient {coef_s!r}") from exc
         lab = lab.strip()
         try:
             k = space.index(lab)
         except KeyError as exc:
-            raise _Fail(2, str(exc)) from exc
+            raise _Fail(str(exc)) from exc
         add_term(coeffs, k, CycloScalar.from_rational(c))
     return Vector(space, coeffs)
 
@@ -129,7 +128,7 @@ def cmd_check(args):
                 if getattr(args, w)]
     if isinstance(a, BiGradedAssocAlgebra):
         if selected and selected != ["homogeneity"]:
-            raise _Fail(2, "only --homogeneity applies to an associative table")
+            raise _Fail("only --homogeneity applies to an associative table")
         report = {"homogeneity": a.product.check_homogeneity()}
         if not selected:
             report["associativity"] = a.check_associativity()
@@ -183,7 +182,7 @@ def cmd_unbraid(args):
 def cmd_rebraid(args):
     a = _load(args.file)
     if not isinstance(a, SuperLieAlgebraWithInvolution):
-        raise _Fail(2, f"{args.file}: expected kind {schema.KIND_SUPER}")
+        raise _Fail(f"{args.file}: expected kind {schema.KIND_SUPER}")
     return _output(args, rebraid(a))
 
 
@@ -260,38 +259,15 @@ def cmd_hc_hom_dim(args):
                        f"{args.n}: {len(basis)}"]
 
 
-def _random_functional(U, module, truncation, rng) -> Functional:
-    words = U.normal_words_up_to(truncation)
-    target = U.word_degree(words[rng.randrange(len(words))])
-    vals = {}
-    for w in words:
-        if U.word_degree(w) == target and rng.random() < 0.6:
-            c = CycloScalar.from_rational(Fraction(rng.randint(-3, 3)))
-            if c:
-                vals[w] = module.space.basis_vector(0).scale(c)
-    return Functional(U, module, truncation, vals)
-
-
 def cmd_hc_conv_check(args):
     g = _load_lie(args.file)
-    U = EnvelopingAlgebra(g)
-    module = trivial_module(g)
-    rng = random.Random(args.seed)
-    checked = 0
-    failures = 0
-    while checked < args.trials:
-        phi = _random_functional(U, module, args.n, rng)
-        psi = _random_functional(U, module, args.n, rng)
-        if phi.shift() is None or psi.shift() is None:
-            continue
-        if not convolution_commutes(phi, psi):
-            failures += 1
-        checked += 1
+    failures = commutativity_failures(EnvelopingAlgebra(g), trivial_module(g),
+                                      args.n, args.trials, random.Random(args.seed))
     ok = failures == 0
-    result = {"file": args.file, "n": args.n, "trials": checked,
+    result = {"file": args.file, "n": args.n, "trials": args.trials,
               "failures": failures, "ok": ok}
     return (0 if ok else 1), result, [
-        f"convolution commutativity: {checked} random pairs, "
+        f"convolution commutativity: {args.trials} random pairs, "
         + ("all commute" if ok else f"{failures} FAILED")]
 
 
@@ -311,12 +287,12 @@ def cmd_hc_bch(args):
 
 def cmd_hc_inner_check(args):
     if args.rep != "so3-std":
-        raise _Fail(2, f"unknown representation {args.rep!r}")
+        raise _Fail(f"unknown representation {args.rep!r}")
     rep = so3_standard_rep()
     elements = so3_group_elements()
     if args.element not in elements:
-        raise _Fail(2, f"unknown group element {args.element!r}; "
-                       f"choices: {', '.join(sorted(elements))}")
+        raise _Fail(f"unknown group element {args.element!r}; "
+                    f"choices: {', '.join(sorted(elements))}")
     expected = so3_group_automorphism(args.element)
     bad = inner_automorphism_check(rep, elements[args.element], expected)
     labels = [rep.space.labels[k] for k in bad]
@@ -336,25 +312,14 @@ def cmd_appendix_star(args):
         h = parse_poly(args.g)
         out = star_product(f, h)
     except (ValueError, BiglaError) as exc:
-        raise _Fail(2, str(exc)) from exc
+        raise _Fail(str(exc)) from exc
     result = {"f": f.pretty(), "g": h.pretty(), "star": out.pretty(),
               "pointwise": f.pointwise_mul(h).pretty()}
     return 0, result, [out.pretty()]
 
 
 def cmd_appendix_iso_check(args):
-    rng = random.Random(args.seed)
-
-    def rand_poly():
-        return EvenOddPoly({k: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                            for k in range(args.degree + 1)
-                            if rng.random() < 0.7})
-
-    failures = 0
-    for _ in range(args.trials):
-        f, h = rand_poly(), rand_poly()
-        if to_complex(star_product(f, h)) != to_complex(f) * to_complex(h):
-            failures += 1
+    failures = untwisting_failures(args.degree, args.trials, random.Random(args.seed))
     cert = star_vs_pointwise_distinguisher(3)
     ok = failures == 0 and cert.separates
     result = {"trials": args.trials, "degree": args.degree,
@@ -376,7 +341,7 @@ def cmd_appendix_character(args):
         f = parse_poly(args.f)
         a = parse_rational(args.a)
     except ValueError as exc:
-        raise _Fail(2, str(exc)) from exc
+        raise _Fail(str(exc)) from exc
     value, tag = character_at(f, a)
     result = {"f": f.pretty(), "a": str(a), "value": value.pretty(),
               "residue": tag}
@@ -398,8 +363,8 @@ def cmd_examples_list(args):
 def cmd_examples_export(args):
     entries = catalog()
     if args.name not in entries:
-        raise _Fail(2, f"unknown example {args.name!r}; "
-                       f"run 'bigla examples list'")
+        raise _Fail(f"unknown example {args.name!r}; "
+                    f"run 'bigla examples list'")
     _, ctor = entries[args.name]
     return _output(args, ctor())
 
@@ -512,13 +477,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code, result, lines = args.fn(args)
-    except _Fail as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except BiglaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (_Fail, BiglaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(args, result, lines, time.perf_counter() - t0)

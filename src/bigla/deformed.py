@@ -10,6 +10,7 @@ nonzero sample point.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -197,6 +198,23 @@ def character_at(f: EvenOddPoly, a: Fraction) -> tuple[CycloScalar, str]:
     ep = EvenOddPoly(f.even_part()).evaluate(a)
     om = EvenOddPoly(f.odd_part()).evaluate(a)
     return ep + I * om, ("R" if a == 0 else "C")
+
+
+def untwisting_failures(degree: int, trials: int, rng: random.Random) -> int:
+    """Draw trials random pairs of degree <= degree; the number of pairs on
+    which to_complex fails to turn the star product into the pointwise
+    one."""
+
+    def rand_poly():
+        return EvenOddPoly({k: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                            for k in range(degree + 1) if rng.random() < 0.7})
+
+    failures = 0
+    for _ in range(trials):
+        f, h = rand_poly(), rand_poly()
+        if to_complex(star_product(f, h)) != to_complex(f) * to_complex(h):
+            failures += 1
+    return failures
 
 
 @dataclass(frozen=True)

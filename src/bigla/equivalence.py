@@ -76,8 +76,9 @@ class SuperLieAlgebraWithInvolution:
 
 def _involution_defects(g: BiGradedLieAlgebra, sigma: LinearMap) -> list:
     bad = []
+    square = sigma.compose(sigma)
     for k in range(g.dim):
-        if sigma.compose(sigma).images[k] != g.space.basis_vector(k):
+        if square.images[k] != g.space.basis_vector(k):
             bad.append(("not involutive", k))
     for i in range(g.dim):
         for j in range(g.dim):

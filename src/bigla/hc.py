@@ -9,6 +9,7 @@ the first-order composition law on even vectors.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -160,8 +161,37 @@ def convolution_commutes(phi: Functional, psi: Functional) -> bool:
     return lhs == (rhs if s == 1 else rhs.scale(-ONE))
 
 
-def _even_letters(ctx: EnvelopingAlgebra) -> list[int]:
-    return [k for k in range(ctx.dim) if ctx.g.space.degrees[k].parity == 0]
+def _random_functional(ctx: EnvelopingAlgebra, module: CoefficientModule,
+                       truncation: int, rng: random.Random) -> Functional:
+    """Small integer multiples of the first module basis vector on a random
+    subset of the words of one word degree."""
+    words = ctx.normal_words_up_to(truncation)
+    target = ctx.word_degree(words[rng.randrange(len(words))])
+    vals = {}
+    for w in words:
+        if ctx.word_degree(w) == target and rng.random() < 0.6:
+            c = CycloScalar.from_rational(Fraction(rng.randint(-3, 3)))
+            if c:
+                vals[w] = module.space.basis_vector(0).scale(c)
+    return Functional(ctx, module, truncation, vals)
+
+
+def commutativity_failures(ctx: EnvelopingAlgebra, module: CoefficientModule,
+                           truncation: int, trials: int,
+                           rng: random.Random) -> int:
+    """Draw trials random pairs of homogeneous-shift functionals; the number
+    of pairs that fail convolution_commutes."""
+    checked = 0
+    failures = 0
+    while checked < trials:
+        phi = _random_functional(ctx, module, truncation, rng)
+        psi = _random_functional(ctx, module, truncation, rng)
+        if phi.shift() is None or psi.shift() is None:
+            continue
+        if not convolution_commutes(phi, psi):
+            failures += 1
+        checked += 1
+    return failures
 
 
 def equivariant_functionals(ctx: EnvelopingAlgebra, module: CoefficientModule,
@@ -169,12 +199,13 @@ def equivariant_functionals(ctx: EnvelopingAlgebra, module: CoefficientModule,
     """Basis of functionals with phi(u w) = u . phi(w) for even letters u
     and words w of length < truncation.
 
-    The system never mixes degree-shift classes, so it is solved one class
-    at a time; columns are ordered longest word first, which keeps the
-    elimination nearly triangular.
+    The system never mixes degree-shift classes, so each constraint row
+    goes to the echelon form of its class; columns are ordered longest
+    word first, which keeps the elimination nearly triangular.
     """
     space = module.space
     dim_b = space.dim
+    degrees = ctx.g.space.degrees
     words = ctx.normal_words_up_to(truncation)
     word_pos = {w: p for p, w in enumerate(words)}
 
@@ -187,34 +218,35 @@ def equivariant_functionals(ctx: EnvelopingAlgebra, module: CoefficientModule,
             classes.setdefault(col_class(w, m), []).append((w, m))
     col_id = {key: {col: j for j, col in enumerate(cols)}
               for key, cols in classes.items()}
+    echelons = {key: Echelon() for key in classes}
+
+    even = [k for k in range(ctx.dim) if degrees[k].parity == 0]
+    for w in words:
+        if len(w) >= truncation:
+            continue
+        for u in even:
+            nf = ctx.normal_form((u,) + w)
+            act = module.action[u]
+            for m in range(dim_b):
+                key = col_class(w, m) + degrees[u]
+                ids = col_id.get(key)
+                if ids is None:
+                    continue
+                row: dict[int, CycloScalar] = {}
+                for v, c in nf.items():
+                    j = ids.get((v, m))
+                    if j is not None:
+                        add_term(row, j, c)
+                for m2 in range(dim_b):
+                    c = act.images[m2].coeff(m)
+                    if c:
+                        add_term(row, ids[(w, m2)], -c)
+                if row:
+                    echelons[key].add_row(row)
 
     basis: list[Functional] = []
     for key, cols in sorted(classes.items()):
-        ids = col_id[key]
-        ech = Echelon()
-        for w in words:
-            if len(w) >= truncation:
-                continue
-            for u in _even_letters(ctx):
-                nf = ctx.normal_form((u,) + w)
-                act = module.action[u]
-                for m in range(dim_b):
-                    if col_class(w, m) + ctx.g.space.degrees[u] != key:
-                        continue
-                    row: dict[int, CycloScalar] = {}
-                    for v, c in nf.items():
-                        j = ids.get((v, m))
-                        if j is not None:
-                            add_term(row, j, c)
-                    for m2 in range(dim_b):
-                        c = act.images[m2].coeff(m)
-                        if c:
-                            j = ids.get((w, m2))
-                            assert j is not None
-                            add_term(row, j, -c)
-                    if row:
-                        ech.add_row(row)
-        for sol in ech.nullspace(len(cols), ONE):
+        for sol in echelons[key].nullspace(len(cols)):
             coeffs: dict[Word, dict[int, CycloScalar]] = {}
             for j, c in sol.items():
                 w, m = cols[j]

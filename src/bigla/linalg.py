@@ -1,10 +1,11 @@
-"""Exact elimination helpers.
+"""Exact elimination: one incremental echelon form.
 
 Works over any field whose elements support +, -, *, inverse()/division and
 truthiness for zero tests, which here means CycloScalar or Fraction.  Rows
-are sparse dicts keyed by integer column.  The incremental echelon form is
-tuned for the nearly triangular systems PBW constraints produce: most rows
-pivot immediately on their leading column.
+are sparse dicts keyed by integer column.  The echelon form is tuned for
+the nearly triangular systems PBW constraints produce: most rows pivot
+immediately on their leading column.  Dense solving and matrix inversion
+feed it augmented rows and read the answer off the reduced pivot rows.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from .errors import Singular
-from .scalars import CycloScalar, as_scalar
+from .scalars import ONE, CycloScalar, as_scalar
 from .sparse import add_scaled
 
 
@@ -28,26 +29,19 @@ class Echelon:
     def __init__(self):
         self.pivots: dict[int, dict] = {}  # leading column -> normalized row
 
-    def reduce(self, row: Mapping) -> dict:
-        """Fully reduce a row against the current pivots (row unchanged)."""
+    def add_row(self, row: Mapping) -> Optional[int]:
+        """Reduce a row against the pivots and insert what is left; returns
+        its pivot column, or None if the row was dependent."""
         row = {k: v for k, v in row.items() if v}
         while row:
             lead = min(row)
             piv = self.pivots.get(lead)
             if piv is None:
-                return row
+                inv = _inv(row[lead])
+                self.pivots[lead] = {k: inv * v for k, v in row.items()}
+                return lead
             add_scaled(row, piv, -row[lead])
-        return row
-
-    def add_row(self, row: Mapping) -> Optional[int]:
-        """Insert a row; returns its pivot column, or None if dependent."""
-        red = self.reduce(row)
-        if not red:
-            return None
-        lead = min(red)
-        inv = _inv(red[lead])
-        self.pivots[lead] = {k: inv * v for k, v in red.items()}
-        return lead
+        return None
 
     @property
     def rank(self) -> int:
@@ -64,7 +58,7 @@ class Echelon:
                 if c:
                     add_scaled(row, prow, -c)
 
-    def nullspace(self, ncols: int, one) -> list[dict]:
+    def nullspace(self, ncols: int) -> list[dict]:
         """Basis of the solution space of (rows) x = 0 on columns 0..ncols-1.
 
         Returns sparse dicts col -> value with the free column set to one.
@@ -73,7 +67,7 @@ class Echelon:
         free = [c for c in range(ncols) if c not in self.pivots]
         basis = []
         for f in free:
-            vec = {f: one}
+            vec = {f: ONE}
             for lead, row in self.pivots.items():
                 c = row.get(f)
                 if c:
@@ -82,52 +76,20 @@ class Echelon:
         return basis
 
 
-def rank_of_rows(rows: Sequence[Mapping]) -> int:
-    ech = Echelon()
-    for r in rows:
-        ech.add_row(r)
-    return ech.rank
-
-
-def nullspace_of_rows(rows: Sequence[Mapping], ncols: int, one) -> list[dict]:
-    ech = Echelon()
-    for r in rows:
-        ech.add_row(r)
-    return ech.nullspace(ncols, one)
-
-
 def solve_dense(matrix: Sequence[Sequence], rhs: Sequence):
     """Solve a square-or-tall exact system; raises Singular if inconsistent
     or underdetermined.  Entries are Fractions or CycloScalars."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        p = next((k for k in range(r, nrows) if aug[k][c]), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        inv = _inv(aug[r][c])
-        aug[r] = [inv * x for x in aug[r]]
-        for k in range(nrows):
-            if k != r and aug[k][c]:
-                f = aug[k][c]
-                aug[k] = [a - f * b for a, b in zip(aug[k], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for k in range(r, nrows):
-        if aug[k][ncols]:
-            raise Singular("inconsistent linear system")
-    if len(pivot_cols) < ncols:
+    ncols = len(matrix[0]) if matrix else 0
+    ech = Echelon()
+    for row, b in zip(matrix, rhs, strict=True):
+        ech.add_row(dict(enumerate((*row, b))))
+    if ncols in ech.pivots:
+        raise Singular("inconsistent linear system")
+    if ech.rank < ncols:
         raise Singular("underdetermined linear system")
-    sol = [None] * ncols
-    for row_idx, c in enumerate(pivot_cols):
-        sol[c] = aug[row_idx][ncols]
-    return sol
+    ech.back_substitute()
+    # a coordinate missing from its sparse row is a zero of the rhs's field
+    return [ech.pivots[c].get(ncols, 0 * rhs[0]) for c in range(ncols)]
 
 
 class Matrix:
@@ -190,20 +152,14 @@ class Matrix:
         n = self.nrows
         if n != self.ncols:
             raise Singular("only square matrices invert")
-        aug = [list(self.rows[i]) + [CycloScalar.one() if i == j else CycloScalar.zero()
-                                     for j in range(n)] for i in range(n)]
-        for c in range(n):
-            p = next((k for k in range(c, n) if aug[k][c]), None)
-            if p is None:
-                raise Singular("matrix is singular")
-            aug[c], aug[p] = aug[p], aug[c]
-            inv = aug[c][c].inverse()
-            aug[c] = [inv * x for x in aug[c]]
-            for k in range(n):
-                if k != c and aug[k][c]:
-                    f = aug[k][c]
-                    aug[k] = [a - f * b for a, b in zip(aug[k], aug[c])]
-        return Matrix([row[n:] for row in aug])
+        ech = Echelon()
+        for i, row in enumerate(self.rows):
+            ech.add_row({**dict(enumerate(row)), n + i: ONE})
+        if any(c not in ech.pivots for c in range(n)):
+            raise Singular("matrix is singular")
+        ech.back_substitute()
+        return Matrix([[ech.pivots[c].get(n + j, 0) for j in range(n)]
+                       for c in range(n)])
 
     def __repr__(self):
         return "Matrix([" + ", ".join(

@@ -166,12 +166,6 @@ class LinearMap:
             self.images[k] = img
 
     @classmethod
-    def from_labels(cls, source, target, images: Mapping[str, Vector],
-                    declared_degree: BiDegree = BiDegree(0, 0)) -> "LinearMap":
-        return cls(source, target,
-                   {source.index(lab): v for lab, v in images.items()}, declared_degree)
-
-    @classmethod
     def diagonal(cls, space: BiGradedSpace, scalars: Sequence[ScalarLike]) -> "LinearMap":
         return cls(space, space,
                    {k: space.basis_vector(k).scale(scalars[k]) for k in range(space.dim)})

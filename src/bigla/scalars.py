@@ -69,9 +69,6 @@ class CycloScalar:
         a = self.c
         return not (a[1] or a[2] or a[3])
 
-    def rational_part(self) -> Fraction:
-        return self.c[0]
-
     def is_conj_fixed(self) -> bool:
         # fixed by zeta -> -zeta^3, i.e. real: c2 = 0 and c3 = -c1
         a = self.c

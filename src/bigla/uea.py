@@ -252,16 +252,12 @@ def normal_form(ctx: EnvelopingAlgebra, word: Sequence[int]) -> UEAElement:
     return ctx.element({tuple(word): ONE})
 
 
-def uea_multiply(a: UEAElement, b: UEAElement,
-                 t_bound: Optional[int] = None) -> UEAElement:
-    """Product in U(g).  t_bound drops letter-count products above the bound,
-    the grading that makes truncated exp/log series exact."""
+def uea_multiply(a: UEAElement, b: UEAElement) -> UEAElement:
+    """Product in U(g)."""
     a._check(b)
     out: dict[Word, CycloScalar] = {}
     for u, cu in a.terms.items():
         for v, cv in b.terms.items():
-            if t_bound is not None and len(u) + len(v) > t_bound:
-                continue
             add_scaled(out, a.ctx.normal_form(u + v), cu * cv)
     return UEAElement(a.ctx, out)
 

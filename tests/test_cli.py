@@ -6,7 +6,7 @@ import pytest
 
 from bigla.cli import main
 from bigla.schema import dumps, scalar_to_json, to_doc
-from bigla.catalog import so3, unitary_example
+from bigla.catalog import catalog_lie, so3, unitary_example
 from bigla.scalars import ONE
 
 
@@ -167,6 +167,20 @@ def test_bch(so3_file, capsys):
     assert main(["hc", "bch", so3_file, "--x", "e9", "--y", "e2"]) == 2
     capsys.readouterr()
     assert main(["hc", "bch", so3_file, "--x", "bogus*e1", "--y", "e2"]) == 2
+
+
+@pytest.mark.parametrize("x,y,log", [
+    ("E11*q3", "E22", "E22 + E11*q3"),
+    ("2*E11*q3", "E22", "E22 + 2*E11*q3"),
+    ("E11*q3", "E11,E22*q3", "E11 + E11*q3 + E22*q3"),
+])
+def test_bch_reads_labels_that_contain_a_star(x, y, log, tmp_path, capsys):
+    # the logs are those printed for the explicit 1*E11*q3 and 1*E22*q3
+    path = tmp_path / "qmat2-lie.json"
+    path.write_text(dumps(catalog_lie()["qmat2-lie"]))
+    assert main(["hc", "bch", str(path), f"--x={x}", f"--y={y}", "--n", "3"]) == 0
+    assert capsys.readouterr().out == (f"log(exp(x) exp(y)) to order 3: {log}\n"
+                                       "result is primitive\n")
 
 
 def test_inner_check(capsys):

@@ -11,10 +11,10 @@ from bigla.catalog import (algebra_B, catalog_lie, odd_pair, so3,
 from bigla.errors import (AlgebraMismatch, ModuleNotAlgebra, OddInput,
                           Singular, TruncationExceeded, TruncationMismatch,
                           TruncationTooSmall)
-from bigla.hc import (CoefficientModule, Functional, bch_product, convolution,
-                      convolution_commutes, equivariant_functionals,
-                      equivariant_hom_basis, inner_automorphism_check,
-                      trivial_module)
+from bigla.hc import (CoefficientModule, Functional, _series_mul, bch_product,
+                      convolution, convolution_commutes,
+                      equivariant_functionals, equivariant_hom_basis,
+                      inner_automorphism_check, trivial_module)
 from bigla.lie import commutator_lie
 from bigla.linalg import Matrix
 from bigla.linear import Vector
@@ -189,6 +189,13 @@ def test_truncation_too_small_guard():
         equivariant_hom_basis(_ctx(g), trivial_module(g), 2)
     # the raw solver carries no guard
     assert equivariant_functionals(_ctx(g), trivial_module(g), 0)
+
+
+def test_series_product_drops_long_words():
+    ctx = _ctx(so3())
+    e1 = ctx.letter(0)
+    assert _series_mul({1: e1}, {1: e1}, 1) == {}
+    assert _series_mul({0: ctx.one(), 1: e1}, {1: e1}, 2) == {1: e1, 2: e1 * e1}
 
 
 def test_bch_oracle():

@@ -54,7 +54,7 @@ def test_nullspace_annihilates():
         rows = _rand_rows(rng, rng.randint(1, 5), ncols)
         ech = _echelon(rows)
         rank = ech.rank
-        null = ech.nullspace(ncols, ONE)
+        null = ech.nullspace(ncols)
         assert len(null) == ncols - rank
         for sol in null:
             for row in rows:

@@ -263,13 +263,6 @@ def test_tensor_koszul_sign():
     assert even_cross == TensorElement(ctx, 2, {(u, x): ONE})
 
 
-def test_truncated_product_drops_long_words():
-    ctx = _so3_ctx()
-    e1 = ctx.letter(0)
-    assert uea_multiply(e1, e1, t_bound=1).is_zero()
-    assert uea_multiply(e1, e1, t_bound=2) == e1 * e1
-
-
 def test_pretty_wraps_spaced_scalars():
     ctx = _so3_ctx()
     c = ONE - ZETA
