@@ -53,9 +53,8 @@ def test_nullspace_annihilates():
         ncols = rng.randint(1, 6)
         rows = _rand_rows(rng, rng.randint(1, 5), ncols)
         ech = _echelon(rows)
-        rank = ech.rank
         null = ech.nullspace(ncols)
-        assert len(null) == ncols - rank
+        assert len(null) == ncols - ech.rank
         for sol in null:
             for row in rows:
                 acc = CycloScalar.zero()
@@ -98,6 +97,9 @@ def test_solve_dense():
     assert all(type(v) is Fraction for v in x)
     with pytest.raises(Singular, match="inconsistent"):
         solve_dense(a, [Fraction(1, 2), Fraction(3), Fraction(1), Fraction(0)])
+    with pytest.raises(ValueError):
+        # one right-hand side per row
+        solve_dense(a, [Fraction(1, 2), Fraction(3)])
 
 
 def test_matrix_algebra():
