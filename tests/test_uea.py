@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -9,11 +11,12 @@ from bigla.catalog import algebra_B, catalog_lie, odd_pair, so3, unitary_example
 from bigla.errors import AlgebraMismatch, BadBasisOrder, TruncationExceeded
 from bigla.lie import commutator_lie
 from bigla.linalg import Echelon
-from bigla.scalars import ONE, ZETA, CycloScalar
+from bigla.scalars import MINUS_ONE, ONE, ZETA, CycloScalar
+from bigla.sparse import add_scaled, add_term
 from bigla.uea import (EnvelopingAlgebra, TensorElement, antipode, counit,
-                       delta, delta_slot, normal_form, normal_form_random,
-                       pbw_dims, pbw_factorize, primitive_vector, uea_multiply,
-                       weyl_map)
+                       delta, delta_slot, delta_word, normal_form,
+                       normal_form_random, pbw_dims, pbw_factorize,
+                       primitive_vector, uea_multiply, weyl_map)
 
 
 def _so3_ctx():
@@ -272,3 +275,60 @@ def test_pretty_wraps_spaced_scalars():
     assert ctx.one().pretty() == "1"
     half = ctx.one().scale(CycloScalar.from_rational(Fraction(1, 2)))
     assert half.pretty() == "1/2"
+
+
+# brute-force references for the graded signs: each counts, pair by pair,
+# the Deligne pairings of the letters that cross (Scheunert, "Generalized
+# Lie algebras", J. Math. Phys. 20 (1979))
+
+def _crossings(degs, pairs):
+    return ONE if sum(degs[p].pairing(degs[q]) for p, q in pairs) % 2 == 0 \
+        else MINUS_ONE
+
+
+def _unshuffle_reference(ctx, w):
+    degs = [ctx.g.space.degrees[k] for k in w]
+    m = len(w)
+    out = {}
+    for mask in range(1 << m):
+        left = tuple(w[p] for p in range(m) if mask >> p & 1)
+        right = tuple(w[p] for p in range(m) if not mask >> p & 1)
+        # a chosen letter q moves left past every unchosen letter p < q
+        pairs = [(p, q) for q in range(m) if mask >> q & 1
+                 for p in range(q) if not mask >> p & 1]
+        add_term(out, (left, right), _crossings(degs, pairs))
+    return out
+
+
+def _antipode_reference(ctx, w):
+    degs = [ctx.g.space.degrees[k] for k in w]
+    m = len(w)
+    sign = _crossings(degs, [(i, j) for i in range(m) for j in range(i + 1, m)])
+    if m % 2:
+        sign = -sign
+    return ctx.element({w[::-1]: sign}).terms
+
+
+def _weyl_reference(ctx, w):
+    degs = [ctx.g.space.degrees[k] for k in w]
+    m = len(w)
+    out = {}
+    for perm in permutations(range(m)):
+        inversions = [(perm[a], perm[b]) for a in range(m)
+                      for b in range(a + 1, m) if perm[a] > perm[b]]
+        add_scaled(out, ctx.normal_form(tuple(w[p] for p in perm)),
+                   _crossings(degs, inversions) * Fraction(1, factorial(m)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(catalog_lie()))
+def test_hopf_maps_match_brute_force_signs(name):
+    g = catalog_lie()[name]
+    ctx = EnvelopingAlgebra(g)
+    sym = ctx.sym()
+    for w in ctx.normal_words_up_to(3 if g.dim >= 8 else 4):
+        assert delta_word(ctx, w).terms == _unshuffle_reference(ctx, w), w
+        assert antipode(ctx.element({w: ONE})).terms \
+            == _antipode_reference(ctx, w), w
+        assert weyl_map(ctx, sym.element({w: ONE})).terms \
+            == _weyl_reference(ctx, w), w
