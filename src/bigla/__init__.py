@@ -21,9 +21,9 @@ from .catalog import (MatrixRep, algebra_B, algebra_B_rep, catalog,
                       so3_standard_rep, so12, tilde_extension,
                       unitary_bigraded, unitary_embedding, unitary_example,
                       upper_triangular3)
-from .uea import (EnvelopingAlgebra, TensorElement, UEAElement, antipode,
-                  counit, delta, delta_slot, delta_word, hopf_failures,
-                  max_truncation, normal_form, normal_form_random, pbw_dims,
+from .uea import (MAX_TRUNCATION, EnvelopingAlgebra, TensorElement,
+                  UEAElement, antipode, counit, delta, delta_slot, delta_word,
+                  hopf_failures, normal_form, normal_form_random, pbw_dims,
                   pbw_factorize, primitive_vector, uea_multiply, weyl_map)
 from .hc import (CoefficientModule, CompositionResult, Functional,
                  bch_product, commutativity_failures, convolution,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (BasisNotAdapted, DegreeViolation, NotAssociative, NotClosed,
                      Singular, StarNotAntiAutomorphism, StarNotInvolutive)
@@ -242,15 +242,15 @@ def _rational_coordinates(basis: Sequence[Vector], target: Vector) -> list[Fract
         raise NotClosed(f"bracket value leaves the rational span: {target!r}") from exc
 
 
-def unitary_bigraded(a: BiGradedAssocAlgebra, star: AntiLinearMap,
-                     adapted_basis: Optional[list[tuple[str, Vector]]] = None,
-                     imaginary_unit: Optional[Vector] = None) -> BiGradedLieAlgebra:
-    """Bi-graded Lie algebra of a Z2-graded star algebra.
+def unitary_bigraded(a: BiGradedAssocAlgebra, star: AntiLinearMap
+                     ) -> BiGradedLieAlgebra:
+    """Bi-graded Lie algebra of a Z2-graded star algebra, over the adapted
+    basis of mat2_adapted_basis.
 
     Blocks by (parity, star sign): anti-fixed even -> (0,0), anti-fixed odd
     -> (1,0), fixed odd -> (0,1), fixed even -> (1,1).  On blocks with
     Deligne pairing 0 the bracket is the commutator ab - ba; on pairing-1
-    blocks it is j(ab+ba) with j the imaginary unit element (default i.1),
+    blocks it is j(ab+ba) with j = i.1 the imaginary unit element,
     carrying the sign dictated by the q-table (+j on u1/h0 pairs, -j on
     h1-involved ones).  Structure constants come out rational because values
     are re-expressed over the adapted basis with rational coefficients.
@@ -259,15 +259,11 @@ def unitary_bigraded(a: BiGradedAssocAlgebra, star: AntiLinearMap,
         if d.eps2 != 0:
             raise DegreeViolation("star algebra must be Z2-graded, degrees (p,0)")
     _check_star(a, star)
-    if adapted_basis is None:
-        adapted_basis = mat2_adapted_basis(a)
-    if imaginary_unit is None:
-        if a.unit is None:
-            raise BasisNotAdapted("no unit: pass imaginary_unit explicitly")
-        imaginary_unit = a.unit.scale(I)
-    j = imaginary_unit
-    if a.unit is not None:
-        assert a.mul(j, j) == -a.unit, "imaginary unit must square to -1"
+    if a.unit is None:
+        raise BasisNotAdapted("star algebra has no unit to build i.1 from")
+    adapted_basis = mat2_adapted_basis(a)
+    j = a.unit.scale(I)
+    assert a.mul(j, j) == -a.unit, "imaginary unit must square to -1"
     assert star(j) == -j, "imaginary unit must be anti-fixed"
 
     names = [lab for lab, _ in adapted_basis]
@@ -306,19 +302,14 @@ def unitary_example() -> BiGradedLieAlgebra:
     return unitary_bigraded(a, star)
 
 
-def unitary_embedding(a: Optional[BiGradedAssocAlgebra] = None,
-                      star: Optional[AntiLinearMap] = None,
-                      adapted_basis: Optional[list[tuple[str, Vector]]] = None
-                      ) -> AlgebraMorphism:
+def unitary_embedding() -> AlgebraMorphism:
     """The block-tagged inclusion of the unitary algebra into the commutator
     algebra of the tilde extension: u0 lands plainly, u1 via q1, h1 via q2,
     h0 via q3.  check_morphism on the result certifies the case-table
     bracket satisfies Jacobi by transport."""
-    if a is None or star is None:
-        a, star = mat2_star()
-    if adapted_basis is None:
-        adapted_basis = mat2_adapted_basis(a)
-    source = unitary_bigraded(a, star, adapted_basis)
+    a, star = mat2_star()
+    adapted_basis = mat2_adapted_basis(a)
+    source = unitary_bigraded(a, star)
     target = commutator_lie(tilde_extension(a))
     tspace = target.space
     images = {}

@@ -25,12 +25,13 @@ DEGREE_BOUND = 64
 Coeffs = dict[int, CycloScalar]
 
 
-def _poly_mul(a: Coeffs, b: Coeffs, bound: int) -> Coeffs:
+def _poly_mul(a: Coeffs, b: Coeffs) -> Coeffs:
     out: Coeffs = {}
     for i, ca in a.items():
         for j, cb in b.items():
-            if i + j > bound:
-                raise DegreeOverflow(f"degree {i + j} above the bound {bound}")
+            if i + j > DEGREE_BOUND:
+                raise DegreeOverflow(
+                    f"degree {i + j} above the bound {DEGREE_BOUND}")
             add_term(out, i + j, ca * cb)
     return out
 
@@ -105,9 +106,6 @@ class EvenOddPoly:
     def __neg__(self) -> "EvenOddPoly":
         return EvenOddPoly({k: -c for k, c in self.coeffs.items()})
 
-    def scale(self, c) -> "EvenOddPoly":
-        return EvenOddPoly({k: as_scalar(c) * v for k, v in self.coeffs.items()})
-
     def __eq__(self, other):
         if not isinstance(other, EvenOddPoly):
             return NotImplemented
@@ -116,9 +114,8 @@ class EvenOddPoly:
     def evaluate(self, a: Fraction) -> CycloScalar:
         return _evaluate(self.coeffs, a)
 
-    def pointwise_mul(self, other: "EvenOddPoly",
-                      bound: int = DEGREE_BOUND) -> "EvenOddPoly":
-        return EvenOddPoly(_poly_mul(self.coeffs, other.coeffs, bound))
+    def pointwise_mul(self, other: "EvenOddPoly") -> "EvenOddPoly":
+        return EvenOddPoly(_poly_mul(self.coeffs, other.coeffs))
 
     def pretty(self) -> str:
         return _poly_pretty(self.coeffs)
@@ -127,16 +124,15 @@ class EvenOddPoly:
         return f"EvenOddPoly<{self.pretty()}>"
 
 
-def star_product(f: EvenOddPoly, h: EvenOddPoly,
-                 bound: int = DEGREE_BOUND) -> EvenOddPoly:
+def star_product(f: EvenOddPoly, h: EvenOddPoly) -> EvenOddPoly:
     """(f * h) = (f+ h+ - f- h-) + (f+ h- + f- h+), parities as written."""
     fp, fm = f.even_part(), f.odd_part()
     hp, hm = h.even_part(), h.odd_part()
     out: Coeffs = {}
-    for part, sign in ((_poly_mul(fp, hp, bound), None),
-                       (_poly_mul(fm, hm, bound), MINUS_ONE),
-                       (_poly_mul(fp, hm, bound), None),
-                       (_poly_mul(fm, hp, bound), None)):
+    for part, sign in ((_poly_mul(fp, hp), None),
+                       (_poly_mul(fm, hm), MINUS_ONE),
+                       (_poly_mul(fp, hm), None),
+                       (_poly_mul(fm, hp), None)):
         add_scaled(out, part, sign)
     return EvenOddPoly(out)
 
@@ -164,7 +160,7 @@ class ConjSymPoly:
         return self.coeffs == other.coeffs
 
     def __mul__(self, other: "ConjSymPoly") -> "ConjSymPoly":
-        return ConjSymPoly(_poly_mul(self.coeffs, other.coeffs, DEGREE_BOUND))
+        return ConjSymPoly(_poly_mul(self.coeffs, other.coeffs))
 
     def evaluate(self, a: Fraction) -> CycloScalar:
         return _evaluate(self.coeffs, a)

@@ -23,8 +23,8 @@ from .linalg import Echelon, Matrix
 from .linear import BilinearMap, LinearMap, BiGradedSpace, Vector
 from .scalars import BiDegree, CycloScalar, D00, ONE, sign_deligne
 from .sparse import add_scaled, add_term
-from .uea import (EnvelopingAlgebra, UEAElement, Word, delta_word,
-                  max_truncation, primitive_vector, uea_multiply)
+from .uea import (MAX_TRUNCATION, EnvelopingAlgebra, UEAElement, Word,
+                  delta_word, primitive_vector, uea_multiply)
 
 
 @dataclass(frozen=True)
@@ -135,9 +135,9 @@ def convolution(phi: Functional, psi: Functional) -> Functional:
         for w in ctx.normal_words(n):
             acc: dict[int, CycloScalar] = {}
             for (u, v), c in delta_word(ctx, w).terms.items():
-                left = phi.value(u)
-                right = psi.value(v)
-                if not left.coeffs or not right.coeffs:
+                left = phi.values.get(u)
+                right = psi.values.get(v)
+                if left is None or right is None:
                     continue
                 du = ctx.word_degree(u)
                 dv = ctx.word_degree(v)
@@ -325,8 +325,8 @@ def bch_product(ctx: EnvelopingAlgebra, x: Vector, y: Vector,
     result collects the homogeneous orders into one element, primitive by
     the composition theorem.
     """
-    if n > max_truncation():
-        raise TruncationExceeded(f"order {n} above the bound {max_truncation()}")
+    if n > MAX_TRUNCATION:
+        raise TruncationExceeded(f"order {n} above the bound {MAX_TRUNCATION}")
     for v in (x, y):
         if v.space != ctx.g.space:
             raise AlgebraMismatch("vector is not over this algebra's space")

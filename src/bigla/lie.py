@@ -24,8 +24,6 @@ class BiGradedLieAlgebra:
     def __init__(self, space: BiGradedSpace, bracket: BilinearMap, name: str = ""):
         if bracket.space != space:
             raise SpaceMismatch("bracket not defined on the algebra's space")
-        if bracket.declared_degree != D00:
-            raise DegreeViolation("a Lie bracket must have degree (0,0)")
         self.space = space
         self.bracket = bracket
         self.name = name or space.name

@@ -127,9 +127,6 @@ class Matrix:
         return Matrix([[a - b for a, b in zip(r1, r2)]
                        for r1, r2 in zip(self.rows, other.rows)])
 
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in r] for r in self.rows])
-
     def scale(self, c) -> "Matrix":
         c = as_scalar(c)
         return Matrix([[c * a for a in r] for r in self.rows])
@@ -144,9 +141,6 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def inverse(self) -> "Matrix":
         n = self.nrows

@@ -112,9 +112,6 @@ class Vector:
     def coeff(self, k: int) -> CycloScalar:
         return self.coeffs.get(k, CycloScalar.zero())
 
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
-
     def degree(self) -> Optional[BiDegree]:
         """The common degree of the support, or None if mixed or zero."""
         degs = {self.space.degrees[k] for k in self.coeffs}
@@ -235,10 +232,8 @@ class AntiLinearMap:
 class BilinearMap:
     """Bilinear map V x V -> V from structure constants on basis pairs."""
 
-    def __init__(self, space: BiGradedSpace, constants: Mapping[tuple[int, int], Vector],
-                 declared_degree: BiDegree = BiDegree(0, 0)):
+    def __init__(self, space: BiGradedSpace, constants: Mapping[tuple[int, int], Vector]):
         self.space = space
-        self.declared_degree = declared_degree
         self.constants: dict[tuple[int, int], Vector] = {}
         for (i, j), v in constants.items():
             if v.space != space:
@@ -261,11 +256,10 @@ class BilinearMap:
         return Vector(self.space, out)
 
     def check_homogeneity(self) -> list[tuple[int, int]]:
-        """Pairs (i,j) whose value is not homogeneous of deg(i)+deg(j)+declared."""
+        """Pairs (i,j) whose value is not homogeneous of deg(i)+deg(j)."""
         bad = []
         degs = self.space.degrees
         for (i, j), v in sorted(self.constants.items()):
-            want = degs[i] + degs[j] + self.declared_degree
-            if v.degree() != want:
+            if v.degree() != degs[i] + degs[j]:
                 bad.append((i, j))
         return bad

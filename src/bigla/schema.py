@@ -63,10 +63,15 @@ def _space_from_json(basis: Any, name: str) -> BiGradedSpace:
     for b in basis:
         if not isinstance(b, dict) or "label" not in b or "degree" not in b:
             raise ValueError(f"basis entry needs label and degree: {b!r}")
-        d = b["degree"]
+        label, d = b["label"], b["degree"]
+        # the CLI addresses letters by label, in comma-separated lists
+        if (not isinstance(label, str) or not label or "," in label
+                or label != label.strip()):
+            raise ValueError(f"label must be a nonempty string without ',' "
+                             f"or edge spaces: {label!r}")
         if not isinstance(d, list) or len(d) != 2:
             raise ValueError(f"degree must be [eps1, eps2]: {d!r}")
-        entries.append((str(b["label"]), degree(d[0], d[1])))
+        entries.append((label, degree(d[0], d[1])))
     return BiGradedSpace(entries, name=name)
 
 

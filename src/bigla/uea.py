@@ -13,7 +13,6 @@ instances of the same machinery.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -21,19 +20,15 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .errors import AlgebraMismatch, BadBasisOrder, TruncationExceeded
 from .lie import BiGradedLieAlgebra, even_subalgebra
 from .linear import BilinearMap, Vector
-from .scalars import BiDegree, CycloScalar, MINUS_ONE, ONE, as_scalar, sign_deligne
+from .scalars import BiDegree, CycloScalar, ONE, as_scalar, sign_deligne
 from .sparse import add_scaled, add_term, format_term, join_terms
 
 Word = tuple[int, ...]
 
-DEFAULT_MAX_TRUNCATION = 6
+# longest word weyl_map symmetrizes and highest order bch_product expands
+MAX_TRUNCATION = 6
 
 HALF = CycloScalar(Fraction(1, 2))
-
-
-def max_truncation() -> int:
-    raw = os.environ.get("BIGLA_MAX_TRUNCATION", "")
-    return int(raw) if raw else DEFAULT_MAX_TRUNCATION
 
 
 def _block(d: BiDegree) -> int:
@@ -300,10 +295,6 @@ class TensorElement:
         self.nslots = nslots
         self.terms = {ws: c for ws, c in terms.items() if c}
 
-    @classmethod
-    def unit(cls, ctx: EnvelopingAlgebra, nslots: int) -> "TensorElement":
-        return cls(ctx, nslots, {((),) * nslots: ONE})
-
     def __add__(self, other: "TensorElement") -> "TensorElement":
         out = dict(self.terms)
         add_scaled(out, other.terms)
@@ -380,25 +371,28 @@ def _spread(acc: dict, slot_expansions: list[dict[Word, CycloScalar]],
         add_term(acc, ws, c)
 
 
-def delta_word(ctx: EnvelopingAlgebra, w: Word) -> TensorElement:
-    """Coproduct of a normal word by signed unshuffles.
+def _crossed(ctx: EnvelopingAlgebra, x: int, u: Word,
+             c: CycloScalar) -> CycloScalar:
+    """c times the sign of moving the letter x past the word u,
+    (-1)^(deg x . deg u): the one crossing rule of the coproduct, the
+    antipode and the symmetrization."""
+    return -c if ctx.g.space.degrees[x].pairing(ctx.word_degree(u)) else c
 
-    Every subword of a normal word is normal, so no rewriting is needed; the
-    sign counts crossings of complement letters past chosen ones.
+
+def delta_word(ctx: EnvelopingAlgebra, w: Word) -> TensorElement:
+    """Coproduct of a normal word, folded over its letters from the right.
+
+    Delta(x u) = (x (x) 1 + 1 (x) x) Delta(u): each term (u, v) gives (x u, v)
+    and, with the sign of moving x past u, (u, x v).  Every subword of a
+    normal word is normal, so no rewriting is needed.
     """
-    degs = [ctx.g.space.degrees[k] for k in w]
-    m = len(w)
-    terms: dict[tuple[Word, ...], CycloScalar] = {}
-    for mask in range(1 << m):
-        left = tuple(w[p] for p in range(m) if mask >> p & 1)
-        right = tuple(w[p] for p in range(m) if not mask >> p & 1)
-        sign = 0
-        for q in range(m):
-            if mask >> q & 1:
-                for p in range(q):
-                    if not mask >> p & 1:
-                        sign += degs[p].pairing(degs[q])
-        add_term(terms, (left, right), ONE if sign % 2 == 0 else MINUS_ONE)
+    terms: dict[tuple[Word, ...], CycloScalar] = {((), ()): ONE}
+    for x in reversed(w):
+        out: dict[tuple[Word, ...], CycloScalar] = {}
+        for (u, v), c in terms.items():
+            add_term(out, ((x,) + u, v), c)
+            add_term(out, (u, (x,) + v), _crossed(ctx, x, u, c))
+        terms = out
     return TensorElement(ctx, 2, terms)
 
 
@@ -425,56 +419,46 @@ def counit(a: UEAElement) -> CycloScalar:
     return a.terms.get((), CycloScalar.zero())
 
 
-def _reversal_sign(ctx: EnvelopingAlgebra, w: Word) -> int:
-    degs = [ctx.g.space.degrees[k] for k in w]
-    total = 0
-    for i in range(len(w)):
-        for j in range(i + 1, len(w)):
-            total += degs[i].pairing(degs[j])
-    return -1 if total % 2 else 1
-
-
 def antipode(a: UEAElement) -> UEAElement:
-    """S(x1...xm) = (-1)^m (reversal Koszul sign) xm...x1, normalized."""
+    """S(x1...xm) = (-1)^m xm...x1, normalized, where the reversed word is
+    built by moving each letter past the ones already placed."""
     ctx = a.ctx
     out: dict[Word, CycloScalar] = {}
     for w, c in a.terms.items():
-        sign = _reversal_sign(ctx, w)
-        if len(w) % 2:
-            sign = -sign
-        add_scaled(out, ctx.normal_form(w[::-1]), c if sign == 1 else -c)
+        rev: Word = ()
+        for x in w:
+            c = _crossed(ctx, x, rev, c)
+            rev = (x,) + rev
+        add_scaled(out, ctx.normal_form(rev), -c if len(w) % 2 else c)
     return UEAElement(ctx, out)
 
 
-def _permutation_sign(degs: list[BiDegree], perm: Sequence[int]) -> int:
-    total = 0
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                total += degs[perm[a]].pairing(degs[perm[b]])
-    return -1 if total % 2 else 1
-
-
 def weyl_map(ctx: EnvelopingAlgebra, s: UEAElement) -> UEAElement:
-    """Symmetrization Sym(g) -> U(g): w -> (1/m!) sum over permutations with
-    Koszul signs.  The argument lives in ctx.sym()."""
-    from itertools import permutations
+    """Symmetrization Sym(g) -> U(g): w -> (1/m!) sum over the arrangements
+    of its letters with Koszul signs.  The argument lives in ctx.sym().
 
+    The arrangements are built from the right: inserting x after the first
+    k letters of an arrangement of the later letters moves x past them.
+    """
     if s.ctx is not ctx.sym():
         raise AlgebraMismatch("weyl_map argument must live in the symmetric algebra")
-    bound = max_truncation()
     out: dict[Word, CycloScalar] = {}
     for w, c in s.terms.items():
         m = len(w)
-        if m > bound:
-            raise TruncationExceeded(f"word length {m} above the bound {bound}")
-        degs = [ctx.g.space.degrees[k] for k in w]
-        acc: dict[Word, CycloScalar] = {}
-        for perm in permutations(range(m)):
-            sign = _permutation_sign(degs, perm)
-            word = tuple(w[p] for p in perm)
-            add_scaled(acc, ctx.normal_form(word), None if sign == 1 else MINUS_ONE)
-        add_scaled(out, acc, c * Fraction(1, factorial(m)))
+        if m > MAX_TRUNCATION:
+            raise TruncationExceeded(
+                f"word length {m} above the bound {MAX_TRUNCATION}")
+        arrangements: dict[Word, CycloScalar] = {(): ONE}
+        for x in reversed(w):
+            placed: dict[Word, CycloScalar] = {}
+            for arr, ca in arrangements.items():
+                for k in range(len(arr) + 1):
+                    add_term(placed, arr[:k] + (x,) + arr[k:],
+                             _crossed(ctx, x, arr[:k], ca))
+            arrangements = placed
+        c = c * Fraction(1, factorial(m))
+        for arr, ca in arrangements.items():
+            add_scaled(out, ctx.normal_form(arr), ca * c)
     return UEAElement(ctx, out)
 
 
@@ -497,11 +481,9 @@ def hopf_failures(U: EnvelopingAlgebra, max_len: int
         dw = delta(elt)
         if delta_slot(dw, 0) != delta_slot(dw, 1):
             fails["coassociativity"].append((w,))
-        left: dict[Word, CycloScalar] = {}
-        right: dict[Word, CycloScalar] = {}
-        for (u, v), c in dw.terms.items():
-            add_term(left, v, counit(U.element({u: ONE})) * c)
-            add_term(right, u, counit(U.element({v: ONE})) * c)
+        # the counit of a normal word is 1 on () and 0 on every other word
+        left = {v: c for (u, v), c in dw.terms.items() if not u}
+        right = {u: c for (u, v), c in dw.terms.items() if not v}
         if U.element(left) != elt or U.element(right) != elt:
             fails["counit"].append((w,))
         acc_l: dict[Word, CycloScalar] = {}

@@ -95,6 +95,17 @@ def test_check_malformed_input(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("label", ["a,b", " e1", 1])
+def test_check_refuses_labels_the_cli_cannot_address(label, tmp_path, capsys):
+    doc = to_doc(so3())
+    doc["basis"][0]["label"] = label
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_uea_nf_output(so3_file, capsys):
     assert main(["uea", "nf", so3_file, "--word", "e2,e1"]) == 0
     assert capsys.readouterr().out == "e1*e2 - e3\n"

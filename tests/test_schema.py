@@ -126,6 +126,12 @@ def test_malformed_documents():
         bad["brackets"] = []
         with pytest.raises(ValueError):
             from_doc(bad)
+    # labels the CLI could not address, or that str() would invent
+    for label in ("a,b", " e1", "e1 ", "", 1, None):
+        bad = dict(good)
+        bad["basis"] = [dict(good["basis"][0], label=label)] + good["basis"][1:]
+        with pytest.raises(ValueError):
+            from_doc(bad)
     bad = dict(good); bad["name"] = 7
     with pytest.raises(ValueError):
         from_doc(bad)

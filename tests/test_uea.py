@@ -193,15 +193,12 @@ def test_weyl_map_is_injective_up_to_length_three():
     assert kept == len(words) == 20
 
 
-def test_weyl_truncation_bound(monkeypatch):
+def test_weyl_truncation_bound():
     ctx = _so3_ctx()
     sym = ctx.sym()
     long_word = (0,) * 7
     with pytest.raises(TruncationExceeded):
         weyl_map(ctx, sym.element({long_word: ONE}))
-    monkeypatch.setenv("BIGLA_MAX_TRUNCATION", "7")
-    out = weyl_map(ctx, sym.element({long_word: ONE}))
-    assert out == ctx.element({long_word: ONE})
 
 
 def test_pbw_dims_oracles():
