@@ -15,10 +15,25 @@ import tempfile
 
 from bigla.catalog import catalog
 from bigla.cli import main
+from bigla.schema import KIND_ASSOC
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_golden.json")
 
 LIE = ("odd-pair", "qalgebra-lie", "qmat2-lie", "so12", "so3", "unitary2x2")
+
+ZETA = {"zeta8": ["0", "1", "0", "0"]}
+
+# Defective tables, written next to the exported catalog: (new file,
+# catalog file, table row (left, right), added value term).  Each added
+# term has the degree of the row's value, so the table stays homogeneous
+# while Jacobi (or associativity) breaks.  The super file takes the same
+# term on the same row of the unbraided table.
+BROKEN = (
+    ("broken-so3", "so3", (0, 1), {"basis": 1, "coeff": {"zeta8": ["1", "0", "0", "0"]}}),
+    ("broken-qmat2-lie", "qmat2-lie", (0, 4), {"basis": 5, "coeff": ZETA}),
+    ("broken-qmat2-lie-super", "qmat2-lie-super", (0, 4), {"basis": 5, "coeff": ZETA}),
+    ("broken-qmat2", "qmat2", (0, 4), {"basis": 5, "coeff": ZETA}),
+)
 
 README = [
     ["examples", "list"],
@@ -76,6 +91,16 @@ def commands() -> list[list[str]]:
                 flags + ["appendix", "character", "--f=x^3 + 2*x - 1", "--a", "3/2"],
                 flags + ["--seed", "4", "appendix", "iso-check", "--degree", "5",
                          "--trials", "30"]]
+    for name, source, _, _ in BROKEN:
+        path = f"{{dir}}/{name}.json"
+        out += [["check", path], ["--json", "check", path],
+                ["check", "--homogeneity", path]]
+        if source != "qmat2":
+            out += [["check", "--antisymmetry", path], ["check", "--jacobi", path],
+                    ["--json", "check", "--jacobi", "--antisymmetry", path]]
+        if not source.endswith(("-super", "qmat2")):
+            out += [["unbraid", path], ["--json", "unbraid", path],
+                    ["alpha-check", path], ["--json", "alpha-check", path]]
     return out
 
 
@@ -86,6 +111,14 @@ def _export(directory: str):
         if kind == "lie":
             sup = os.path.join(directory, f"{name}-super.json")
             assert main(["unbraid", path, "-o", sup]) == 0
+    for name, source, (left, right), term in BROKEN:
+        with open(os.path.join(directory, f"{source}.json")) as fh:
+            doc = json.load(fh)
+        rows = doc["products" if doc["kind"] == KIND_ASSOC else "brackets"]
+        row = next(r for r in rows if (r["left"], r["right"]) == (left, right))
+        row["value"].append(term)
+        with open(os.path.join(directory, f"{name}.json"), "w") as fh:
+            json.dump(doc, fh)
 
 
 def run_all(directory: str, capture) -> list[dict]:
