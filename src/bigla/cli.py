@@ -135,15 +135,11 @@ def cmd_check(args):
             report["unit"] = a.check_unit()
         kind = schema.KIND_ASSOC
     elif isinstance(a, SuperLieAlgebraWithInvolution):
-        report = a.check()
-        if selected:
-            report = {k: v for k, v in report.items() if k in selected}
+        report = a.check(selected)
         kind = schema.KIND_SUPER
         a = a.algebra
     else:
-        report = check_lie(a, sign_deligne)
-        if selected:
-            report = {k: v for k, v in report.items() if k in selected}
+        report = check_lie(a, sign_deligne, selected)
         kind = schema.KIND_LIE
 
     result = {"file": args.file, "kind": kind, "name": a.name, "checks": {}}

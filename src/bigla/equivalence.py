@@ -18,13 +18,12 @@ is what jacobiator_alpha_check certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Collection, Optional
 
 from .errors import (AlgebraMismatch, DegreeViolation, NotDiagonal, NotEquivariant,
                      NotEvenType)
-from .lie import (AlgebraMorphism, BiGradedLieAlgebra, check_antisymmetry,
-                  check_homogeneity, check_jacobi, check_morphism, jacobiator,
-                  require_lie)
+from .lie import (AlgebraMorphism, BiGradedLieAlgebra, check_morphism, jacobiator,
+                  jacobiators, lie_checks, require_lie, run_checks)
 from .linear import BiGradedSpace, BilinearMap, LinearMap, Vector
 from .scalars import BiDegree, D00, D11, sign_super, sign_unbraid
 
@@ -45,14 +44,12 @@ class SuperLieAlgebraWithInvolution:
     def dim(self) -> int:
         return self.algebra.dim
 
-    def check(self) -> dict[str, list]:
-        report = {
-            "homogeneity": check_homogeneity(self.algebra),
-            "antisymmetry": check_antisymmetry(self.algebra, sign_super),
-            "jacobi": check_jacobi(self.algebra, sign_super),
-        }
-        report["involution"] = _involution_defects(self.algebra, self.involution)
-        return report
+    def check(self, only: Collection[str] = ()) -> dict[str, list]:
+        """Violations per super Lie axiom and of the involution; only names
+        the checks to run (all when empty)."""
+        checks = lie_checks(self.algebra, sign_super)
+        checks["involution"] = lambda: _involution_defects(self.algebra, self.involution)
+        return run_checks(checks, only)
 
     def involution_signs(self) -> list[int]:
         """The eigenvalue +-1 of the involution at each basis vector.
@@ -157,26 +154,30 @@ def jacobiator_alpha_check(g: BiGradedLieAlgebra, a: int, b: int, c: int,
     degree-homogeneous; Jacobi and antisymmetry are not used.  twisted is
     twist(g), built here when not given.
     """
-    degs = g.space.degrees
-    alpha = (degs[a].eps1 * degs[b].eps2
-             + degs[b].eps1 * degs[c].eps2
-             + degs[c].eps1 * degs[a].eps2) % 2
     if twisted is None:
         twisted = twist(g)
     return AlphaCheckResult(
-        alpha_sign=-1 if alpha else 1,
+        alpha_sign=_alpha_sign(g.space.degrees, a, b, c),
         residual_bi=jacobiator(g, a, b, c),
         residual_super=jacobiator(twisted, a, b, c, sign_super),
     )
 
 
+def _alpha_sign(degs, a: int, b: int, c: int) -> int:
+    alpha = (degs[a].eps1 * degs[b].eps2
+             + degs[b].eps1 * degs[c].eps2
+             + degs[c].eps1 * degs[a].eps2) % 2
+    return -1 if alpha else 1
+
+
 def alpha_sweep(g: BiGradedLieAlgebra
                 ) -> dict[tuple[int, int, int], AlphaCheckResult]:
-    """jacobiator_alpha_check on every basis triple, twisting the table once."""
-    twisted = twist(g)
-    n = g.dim
-    return {(a, b, c): jacobiator_alpha_check(g, a, b, c, twisted)
-            for a in range(n) for b in range(n) for c in range(n)}
+    """jacobiator_alpha_check on every basis triple, in lexicographic order,
+    from one Jacobi sweep of g and one of its twist."""
+    degs = g.space.degrees
+    return {t: AlphaCheckResult(_alpha_sign(degs, *t), bi, sup)
+            for (t, bi), (_, sup) in zip(jacobiators(g),
+                                         jacobiators(twist(g), sign_super))}
 
 
 @dataclass

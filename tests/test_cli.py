@@ -76,6 +76,39 @@ def test_check_selector_flags(so3_file, broken_file, capsys):
     assert main(["check", "--antisymmetry", broken_file]) == 0
 
 
+class _JacobiRan(Exception):
+    pass
+
+
+def test_check_skips_the_jacobi_sweep_it_does_not_print(so3_file, tmp_path,
+                                                         capsys, monkeypatch):
+    import bigla.equivalence
+    import bigla.lie
+
+    super_file = str(tmp_path / "so3s.json")
+    assert main(["unbraid", so3_file, "-o", super_file]) == 0
+    runs = [[flag, path] for path in (so3_file, super_file)
+            for flag in ("--antisymmetry", "--homogeneity")]
+    capsys.readouterr()
+    expected = []
+    for argv in runs:
+        assert main(["check"] + argv) == 0
+        expected.append(capsys.readouterr().out)
+
+    def refuse(*args, **kwargs):
+        raise _JacobiRan
+
+    # patched in every namespace that holds it by name
+    for module in (bigla.lie, bigla.equivalence):
+        if hasattr(module, "check_jacobi"):
+            monkeypatch.setattr(module, "check_jacobi", refuse)
+    with pytest.raises(_JacobiRan):
+        main(["check", so3_file])
+    for argv, out in zip(runs, expected):
+        assert main(["check"] + argv) == 0, argv
+        assert capsys.readouterr().out == out, argv
+
+
 def test_check_assoc_file(tmp_path, capsys):
     from bigla.catalog import algebra_B
     path = tmp_path / "q.json"

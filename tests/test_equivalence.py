@@ -65,6 +65,15 @@ def test_unbraid_output_is_super_lie():
         assert all(v == [] for v in report.values()), (name, report)
 
 
+def test_super_check_runs_only_the_named_checks():
+    s = unbraid(so3())
+    assert s.check(["involution"]) == {"involution": []}
+    assert s.check(["jacobi", "homogeneity"]) == {"jacobi": [], "homogeneity": []}
+    assert set(s.check()) == {"homogeneity", "antisymmetry", "jacobi", "involution"}
+    with pytest.raises(ValueError, match="unknown check"):
+        s.check(["associativity"])
+
+
 def test_rebraid_requires_diagonal_involution():
     s = unbraid(so3())
     sp = s.space

@@ -32,6 +32,16 @@ def test_so3_is_lie():
     require_lie(so12())
 
 
+def test_check_lie_runs_only_the_named_checks():
+    g = _broken_so3()
+    assert check_lie(g, only=["jacobi"]) == {"jacobi": check_jacobi(g)}
+    assert check_lie(g, only=("homogeneity", "antisymmetry")) == {
+        "homogeneity": [], "antisymmetry": check_antisymmetry(g)}
+    assert check_lie(g, only=()) == check_lie(g)
+    with pytest.raises(ValueError, match="unknown check"):
+        check_lie(g, only=["jacobi", "involution"])
+
+
 def test_broken_table_detected():
     g = _broken_so3()
     assert check_homogeneity(g) == []
