@@ -18,7 +18,7 @@ is what jacobiator_alpha_check certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Optional
+from typing import Collection
 
 from .errors import (AlgebraMismatch, DegreeViolation, NotDiagonal, NotEquivariant,
                      NotEvenType)
@@ -145,21 +145,17 @@ class AlphaCheckResult:
         return self.residual_bi == self.residual_super.scale(self.alpha_sign)
 
 
-def jacobiator_alpha_check(g: BiGradedLieAlgebra, a: int, b: int, c: int,
-                           twisted: Optional[BiGradedLieAlgebra] = None
+def jacobiator_alpha_check(g: BiGradedLieAlgebra, a: int, b: int, c: int
                            ) -> AlphaCheckResult:
     """Compare Jacobi defects of a bracket and its twist on one basis triple.
 
     Works for non-Lie brackets too, as long as the bracket values are
-    degree-homogeneous; Jacobi and antisymmetry are not used.  twisted is
-    twist(g), built here when not given.
+    degree-homogeneous; Jacobi and antisymmetry are not used.
     """
-    if twisted is None:
-        twisted = twist(g)
     return AlphaCheckResult(
         alpha_sign=_alpha_sign(g.space.degrees, a, b, c),
         residual_bi=jacobiator(g, a, b, c),
-        residual_super=jacobiator(twisted, a, b, c, sign_super),
+        residual_super=jacobiator(twist(g), a, b, c, sign_super),
     )
 
 

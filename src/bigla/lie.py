@@ -164,13 +164,8 @@ def _signed_sum(space: BiGradedSpace,
     negating; t None is zero."""
     out: Coeffs = {}
     for s, t in terms:
-        if not t:
-            continue
-        if s == 1:
-            add_scaled(out, t)
-        else:
-            for k, c in t.items():
-                add_term(out, k, -c)
+        for k, c in (t or {}).items():
+            add_term(out, k, c if s == 1 else -c)
     return Vector(space, out)
 
 

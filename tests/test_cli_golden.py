@@ -1,8 +1,8 @@
 """Frozen CLI output: stdout and exit code of a fixed command list.
 
 Every command runs against the catalog exported into a temporary
-directory; paths in the commands and in their output are written as
-``{dir}``.  The recorded outputs live in ``cli_golden.json`` next to this
+directory, and against the defective tables in BROKEN written next to it;
+paths in the commands and in their output are written as ``{dir}``.  The recorded outputs live in ``cli_golden.json`` next to this
 file.  To record them again, after a deliberate change of output, run
 
     PYTHONPATH=src python3 tests/test_cli_golden.py
