@@ -23,7 +23,7 @@ from typing import Collection
 from .errors import (AlgebraMismatch, DegreeViolation, NotDiagonal, NotEquivariant,
                      NotEvenType)
 from .lie import (AlgebraMorphism, BiGradedLieAlgebra, check_morphism, jacobiator,
-                  jacobiators, lie_checks, require_lie, run_checks)
+                  _lie_checks, _run_checks, jacobiators, require_lie)
 from .linear import BiGradedSpace, BilinearMap, LinearMap, Vector
 from .scalars import BiDegree, D00, D11, sign_super, sign_unbraid
 
@@ -47,9 +47,9 @@ class SuperLieAlgebraWithInvolution:
     def check(self, only: Collection[str] = ()) -> dict[str, list]:
         """Violations per super Lie axiom and of the involution; only names
         the checks to run (all when empty)."""
-        checks = lie_checks(self.algebra, sign_super)
+        checks = _lie_checks(self.algebra, sign_super)
         checks["involution"] = lambda: _involution_defects(self.algebra, self.involution)
-        return run_checks(checks, only)
+        return _run_checks(checks, only)
 
     def involution_signs(self) -> list[int]:
         """The eigenvalue +-1 of the involution at each basis vector.
