@@ -2,15 +2,25 @@
 
 A functional assigns a vector in a coefficient module to every normal word
 up to a truncation length.  Convolution pushes the coproduct through a pair
-of functionals with the crossing sign, equivariant functionals solve a
-per-degree linear system, and the truncated exp/log composition recovers
-the first-order composition law on even vectors.
+of functionals with the crossing sign, and the truncated exp/log composition
+recovers the first-order composition law on even vectors.
+
+Equivariant functionals are read off in closed form.  For the
+Harish-Chandra pair (g_0, g), U(g) is free as a left U(g_0)-module on the
+exterior words, U(g) = U(g_0) (x) Lambda(g_1), so Hom_{U(g_0)}(U(g), k) is
+the dual of Lambda(g_1): one indicator functional per exterior word (the
+Kostant-Koszul description of a supergroup's coordinate ring; Kostant,
+"Graded manifolds, graded Lie theory, and prequantization", 1977;
+Carmeli-Caston-Fioresi, "Mathematical Foundations of Supersymmetry", 2011,
+ch. 7).  The reading needs a PBW order that puts every even letter before
+every exterior letter, as the default order of the enveloping algebra does.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import combinations
 from fractions import Fraction
 from math import factorial
 from typing import Optional
@@ -19,7 +29,7 @@ from .errors import (AlgebraMismatch, ModuleNotAlgebra, OddInput,
                      TruncationExceeded, TruncationMismatch,
                      TruncationTooSmall)
 from .catalog import MatrixRep
-from .linalg import Echelon, Matrix
+from .linalg import Matrix
 from .linear import BilinearMap, LinearMap, BiGradedSpace, Vector
 from .scalars import BiDegree, CycloScalar, D00, ONE, sign_deligne
 from .sparse import add_scaled, add_term
@@ -29,11 +39,10 @@ from .uea import (MAX_TRUNCATION, EnvelopingAlgebra, UEAElement, Word,
 
 @dataclass(frozen=True)
 class CoefficientModule:
-    """A bigraded space with an action of the even letters, optionally an
-    algebra so functionals can be convolved."""
+    """A bigraded space, optionally an algebra so functionals can be
+    convolved."""
 
     space: BiGradedSpace
-    action: dict[int, LinearMap]
     product: Optional[BilinearMap] = None
     unit: Optional[Vector] = None
 
@@ -44,12 +53,10 @@ class CoefficientModule:
 
 
 def trivial_module(g) -> CoefficientModule:
+    """The ground field, on which every even letter acts by zero."""
     space = BiGradedSpace([("1", D00)], name="triv")
-    zero = LinearMap(space, space, {0: space.zero()}, BiDegree(0, 0))
-    action = {k: zero for k in range(g.dim)
-              if g.space.degrees[k].parity == 0}
     product = BilinearMap(space, {(0, 0): space.basis_vector(0)})
-    return CoefficientModule(space, action, product, space.basis_vector(0))
+    return CoefficientModule(space, product, space.basis_vector(0))
 
 
 class Functional:
@@ -181,6 +188,9 @@ def commutativity_failures(ctx: EnvelopingAlgebra, module: CoefficientModule,
                            rng: random.Random) -> int:
     """Draw trials random pairs of homogeneous-shift functionals; the number
     of pairs that fail convolution_commutes."""
+    if truncation > MAX_TRUNCATION:
+        raise TruncationExceeded(
+            f"truncation {truncation} above the bound {MAX_TRUNCATION}")
     checked = 0
     failures = 0
     while checked < trials:
@@ -196,67 +206,24 @@ def commutativity_failures(ctx: EnvelopingAlgebra, module: CoefficientModule,
 
 def equivariant_functionals(ctx: EnvelopingAlgebra, module: CoefficientModule,
                             truncation: int) -> list[Functional]:
-    """Basis of functionals with phi(u w) = u . phi(w) for even letters u
-    and words w of length < truncation.
+    """Basis of functionals into the trivial module with phi(u w) = 0 for
+    even letters u and words w of length < truncation.
 
-    The system never mixes degree-shift classes, so each constraint row
-    goes to the echelon form of its class; columns are ordered longest
-    word first, which keeps the elimination nearly triangular.
+    Every normal word is an even prefix followed by an exterior suffix, and
+    the functionals vanishing on g_0 U(g) are those supported on the
+    exterior-only words: the basis is one indicator functional, valued
+    module.unit, per exterior word of length <= truncation, shortest first
+    and then in PBW order.  Raises ValueError when the context's order puts
+    an exterior letter before an even one.
     """
-    space = module.space
-    dim_b = space.dim
-    degrees = ctx.g.space.degrees
-    words = ctx.normal_words_up_to(truncation)
-    word_pos = {w: p for p, w in enumerate(words)}
-
-    def col_class(w: Word, m: int) -> BiDegree:
-        return ctx.word_degree(w) + space.degrees[m]
-
-    classes: dict[BiDegree, list[tuple[Word, int]]] = {}
-    for w in sorted(words, key=lambda w: (-len(w), w)):
-        for m in range(dim_b):
-            classes.setdefault(col_class(w, m), []).append((w, m))
-    col_id = {key: {col: j for j, col in enumerate(cols)}
-              for key, cols in classes.items()}
-    echelons = {key: Echelon() for key in classes}
-
-    even = [k for k in range(ctx.dim) if degrees[k].parity == 0]
-    for w in words:
-        if len(w) >= truncation:
-            continue
-        for u in even:
-            nf = ctx.normal_form((u,) + w)
-            act = module.action[u]
-            for m in range(dim_b):
-                key = col_class(w, m) + degrees[u]
-                ids = col_id.get(key)
-                if ids is None:
-                    continue
-                row: dict[int, CycloScalar] = {}
-                for v, c in nf.items():
-                    j = ids.get((v, m))
-                    if j is not None:
-                        add_term(row, j, c)
-                for m2 in range(dim_b):
-                    c = act.images[m2].coeff(m)
-                    if c:
-                        add_term(row, ids[(w, m2)], -c)
-                if row:
-                    echelons[key].add_row(row)
-
-    basis: list[Functional] = []
-    for key, cols in sorted(classes.items()):
-        for sol in echelons[key].nullspace(len(cols)):
-            coeffs: dict[Word, dict[int, CycloScalar]] = {}
-            for j, c in sol.items():
-                w, m = cols[j]
-                coeffs.setdefault(w, {})[m] = c
-            values = {w: Vector(space, cs) for w, cs in coeffs.items()}
-            basis.append(Functional(ctx, module, truncation, values))
-    basis.sort(key=lambda f: min((word_pos[w], m)
-                                 for w, v in f.values.items()
-                                 for m in v.coeffs))
-    return basis
+    flags = [ctx.exterior[k] for k in ctx.order]
+    if flags != sorted(flags):
+        raise ValueError("the PBW order puts an exterior letter before an "
+                         "even one")
+    exterior = [k for k in ctx.order if ctx.exterior[k]]
+    return [Functional(ctx, module, truncation, {w: module.unit})
+            for k in range(min(truncation, len(exterior)) + 1)
+            for w in combinations(exterior, k)]
 
 
 def equivariant_hom_basis(ctx: EnvelopingAlgebra, module: CoefficientModule,

@@ -1,6 +1,7 @@
 """End-to-end command line behavior: exit codes, output shape, round trips."""
 
 import json
+import time
 
 import pytest
 
@@ -196,6 +197,16 @@ def test_hom_dim(so3_file, unitary_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_hom_dim_cost_does_not_grow_with_the_truncation(unitary_file, capsys):
+    # the basis is read off the 2^4 exterior words; no word of length 200
+    # is ever built
+    t0 = time.perf_counter()
+    assert main(["hc", "hom-dim", unitary_file, "--n", "200"]) == 0
+    assert time.perf_counter() - t0 < 5
+    assert capsys.readouterr().out == (
+        "equivariant functional dimension at truncation 200: 16\n")
+
+
 def test_conv_check(so3_file, capsys):
     assert main(["--seed", "3", "hc", "conv-check", so3_file,
                  "--n", "2", "--trials", "5"]) == 0
@@ -291,6 +302,18 @@ def test_negative_size_flags_are_refused(argv, so3_file, capsys):
         main([a.format(so3=so3_file) for a in argv])
     assert exc.value.code == 2
     assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["hc", "conv-check", "{unitary}", "--n", "7"],
+     "error: truncation 7 above the bound 6\n"),
+    (["hc", "bch", "{unitary}", "--x", "u1", "--y", "u2", "--n", "7"],
+     "error: order 7 above the bound 6\n"),
+], ids=["conv-check", "bch"])
+def test_size_flags_above_the_truncation_bound_are_refused(argv, err, unitary_file,
+                                                           capsys):
+    assert main([a.format(unitary=unitary_file) for a in argv]) == 2
+    assert capsys.readouterr().err == err
 
 
 def test_json_output_is_sorted_and_valid(so3_file, capsys):

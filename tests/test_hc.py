@@ -1,4 +1,4 @@
-"""Functionals, convolution, the equivariant solver, and the composition law."""
+"""Functionals, convolution, the equivariant basis, and the composition law."""
 
 import random
 from fractions import Fraction
@@ -16,7 +16,7 @@ from bigla.hc import (CoefficientModule, Functional, _series_mul, bch_product,
                       equivariant_functionals, equivariant_hom_basis,
                       inner_automorphism_check, trivial_module)
 from bigla.lie import commutator_lie
-from bigla.linalg import Matrix
+from bigla.linalg import Echelon, Matrix
 from bigla.linear import Vector
 from bigla.scalars import CycloScalar, ONE
 from bigla.uea import EnvelopingAlgebra
@@ -45,10 +45,15 @@ def test_trivial_module():
     g = so3()
     mod = trivial_module(g)
     assert mod.space.dim == 1
-    assert set(mod.action) == {0, 1, 2}
     assert mod.unit == mod.space.basis_vector(0)
     v = mod.space.basis_vector(0)
     assert mod.multiply(v, v) == v
+    # every letter of so3 is even and acts on the module by zero
+    ctx = _ctx(g)
+    [phi] = equivariant_functionals(ctx, mod, 2)
+    for w in ctx.normal_words_up_to(1):
+        for u in range(3):
+            assert not phi.apply(ctx.element(ctx.normal_form((u,) + w)))
 
 
 def test_functional_apply_and_truncation():
@@ -74,7 +79,7 @@ def test_functional_mismatch_guards():
     other_ctx = _ctx(so3())
     with pytest.raises(AlgebraMismatch):
         phi + Functional(other_ctx, mod, 2, {(): one})
-    bare = CoefficientModule(mod.space, mod.action)  # no product attached
+    bare = CoefficientModule(mod.space)  # no product attached
     chi = Functional(ctx, bare, 2, {(): one})
     with pytest.raises(ModuleNotAlgebra):
         convolution(chi, chi)
@@ -131,9 +136,7 @@ def test_equivariant_basis_is_equivariant():
     for phi in basis:
         for w in ctx.normal_words_up_to(truncation - 1):
             for u in even:
-                lhs = phi.apply(ctx.element(dict(ctx.normal_form((u,) + w))))
-                rhs = mod.action[u](phi.value(w))
-                assert lhs == rhs
+                assert not phi.apply(ctx.element(ctx.normal_form((u,) + w)))
 
 
 # Every functional of the equivariant basis, as word -> module label ->
@@ -163,6 +166,43 @@ def test_equivariant_basis_values(name, truncation):
             {mod.space.labels[m]: str(c) for m, c in v.coeffs.items()}
             for w, v in phi.values.items()} for phi in basis]
     assert got == EQUIVARIANT_BASES[(name, truncation)]
+
+
+def elimination_basis(ctx, truncation):
+    """The equivariant functionals into the trivial module, by elimination:
+    one row phi(normal_form(u w)) = 0 per even letter u and normal word w
+    shorter than the truncation, one column per normal word.  Each
+    functional is a dict word -> coefficient, in nullspace order."""
+    words = ctx.normal_words_up_to(truncation)
+    col = {w: j for j, w in enumerate(words)}
+    even = [k for k in range(ctx.dim) if ctx.g.space.degrees[k].parity == 0]
+    ech = Echelon()
+    for w in words:
+        if len(w) < truncation:
+            for u in even:
+                ech.add_row({col[v]: c for v, c in ctx.normal_form((u,) + w).items()})
+    return [{words[j]: c for j, c in sol.items()}
+            for sol in ech.nullspace(len(words))]
+
+
+def closed_form_basis(ctx, truncation):
+    return [{w: v.coeff(0) for w, v in phi.values.items()}
+            for phi in equivariant_functionals(ctx, trivial_module(ctx.g), truncation)]
+
+
+@pytest.mark.parametrize("name", sorted(catalog_lie()))
+def test_closed_form_matches_the_elimination_on_the_catalog(name):
+    g = catalog_lie()[name]
+    ctx = _ctx(g)
+    for n in range(6 if g.dim == 8 else 7):
+        assert closed_form_basis(ctx, n) == elimination_basis(ctx, n), n
+
+
+def test_closed_form_refuses_an_order_with_exterior_letters_first():
+    g = unitary_example()
+    ctx = EnvelopingAlgebra(g, order=list(reversed(_ctx(g).order)))
+    with pytest.raises(ValueError, match="exterior letter before an even one"):
+        equivariant_functionals(ctx, trivial_module(g), 4)
 
 
 def test_equivariant_dimension_oracles():

@@ -1,0 +1,106 @@
+"""Property tests of the enveloping-algebra layer against independent oracles.
+
+The closed-form Harish-Chandra basis of hc.equivariant_functionals is
+compared with the elimination of tests/test_hc.py on genuine Lie algebras:
+each catalog Lie algebra moved through a random invertible, degree-preserving
+change of basis with Q(zeta8) entries, under a random PBW order that keeps
+the even letters first.  (The generators of test_sweep_properties.py build
+tables that are not Lie, and the closed form holds only for Lie algebras.)
+
+Leftmost rewriting is compared with rewriting at random positions: the PBW
+rewriting system is confluent, so every strategy reaches the same normal
+form (Bergman, "The diamond lemma for ring theory", Adv. Math. 29, 1978).
+"""
+
+import pytest
+
+from bigla.catalog import catalog_lie
+from bigla.lie import BiGradedLieAlgebra, check_lie
+from bigla.linalg import Matrix
+from bigla.linear import BilinearMap, Vector
+from bigla.scalars import CycloScalar
+from bigla.uea import EnvelopingAlgebra, normal_form_random
+
+from test_hc import closed_form_basis, elimination_basis
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+given, settings = hypothesis.given, hypothesis.settings
+
+CATALOG = catalog_lie()
+CONTEXTS = {name: EnvelopingAlgebra(g) for name, g in CATALOG.items()}
+
+small = st.integers(-2, 2)
+scalars = st.builds(CycloScalar, small, small, small, small)
+# a nonzero rational part keeps the scalar nonzero
+nonzero_scalars = st.builds(CycloScalar, st.sampled_from([-2, -1, 1, 2]),
+                            small, small, small)
+
+
+@st.composite
+def block_matrices(draw, n):
+    """L D U with L, U unipotent and D diagonal nonzero: invertible."""
+    def unipotent(lower):
+        return Matrix([[1 if i == j else draw(scalars) if (i > j) == lower else 0
+                        for j in range(n)] for i in range(n)])
+    diag = Matrix([[draw(nonzero_scalars) if i == j else 0 for j in range(n)]
+                   for i in range(n)])
+    return unipotent(True) @ diag @ unipotent(False)
+
+
+def rebased(g, change):
+    """g in the basis f_k = sum_i change[i][k] e_i."""
+    n = g.dim
+    inv = change.inverse().rows
+    f = [Vector(g.space, {i: change.rows[i][k] for i in range(n)}) for k in range(n)]
+    constants = {}
+    for a in range(n):
+        for b in range(n):
+            v = g.bracket(f[a], f[b])
+            constants[(a, b)] = Vector(g.space, {
+                i: sum((inv[i][j] * c for j, c in v.coeffs.items()), CycloScalar.zero())
+                for i in range(n)})
+    return BiGradedLieAlgebra(g.space, BilinearMap(g.space, constants), name="rebased")
+
+
+@st.composite
+def rebased_lie_algebras(draw):
+    """A catalog Lie algebra in a random degree-preserving basis, with a
+    random PBW order that keeps every even letter before every odd one."""
+    g = CATALOG[draw(st.sampled_from(sorted(CATALOG)))]
+    n = g.dim
+    rows = [[0] * n for _ in range(n)]
+    for d in sorted(set(g.space.degrees)):
+        block = g.space.component(d)
+        m = draw(block_matrices(len(block)))
+        for r, i in enumerate(block):
+            for c, j in enumerate(block):
+                rows[i][j] = m.rows[r][c]
+    h = rebased(g, Matrix(rows))
+    parity = [d.parity for d in g.space.degrees]
+    even = draw(st.permutations([k for k in range(n) if parity[k] == 0]))
+    odd = draw(st.permutations([k for k in range(n) if parity[k] == 1]))
+    return EnvelopingAlgebra(h, order=even + odd)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rebased_lie_algebras(), st.integers(0, 4))
+def test_closed_form_matches_the_elimination_on_rebased_algebras(ctx, n):
+    assert not any(check_lie(ctx.g).values())
+    n = min(n, 3) if ctx.dim == 8 else n
+    assert closed_form_basis(ctx, n) == elimination_basis(ctx, n)
+
+
+@st.composite
+def catalog_words(draw):
+    name = draw(st.sampled_from(sorted(CONTEXTS)))
+    ctx = CONTEXTS[name]
+    word = draw(st.lists(st.integers(0, ctx.dim - 1), max_size=8))
+    return ctx, tuple(word)
+
+
+@settings(max_examples=100, deadline=None)
+@given(catalog_words(), st.randoms(use_true_random=False))
+def test_leftmost_rewriting_agrees_with_random_rewriting(ctx_word, rng):
+    ctx, word = ctx_word
+    assert normal_form_random(ctx, word, rng) == ctx.normal_form(word)
