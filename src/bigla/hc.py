@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 from typing import Optional
 
@@ -209,12 +209,14 @@ def equivariant_functionals(ctx: EnvelopingAlgebra, module: CoefficientModule,
     """Basis of functionals into the trivial module with phi(u w) = 0 for
     even letters u and words w of length < truncation.
 
-    Every normal word is an even prefix followed by an exterior suffix, and
-    the functionals vanishing on g_0 U(g) are those supported on the
-    exterior-only words: the basis is one indicator functional, valued
-    module.unit, per exterior word of length <= truncation, shortest first
-    and then in PBW order.  Raises ValueError when the context's order puts
-    an exterior letter before an even one.
+    Closed form, no rewriting or elimination: U(g) = U(g_0) (x) Lambda(g_1)
+    (Kostant 1977; Carmeli-Caston-Fioresi 2011, ch. 7), so under an
+    even-first PBW order every normal word is an even prefix followed by an
+    exterior suffix, and the functionals vanishing on g_0 U(g) are those
+    supported on the exterior-only words.  The basis is one indicator
+    functional, valued module.unit, per exterior word of length <=
+    truncation, shortest first and then in PBW order.  Raises ValueError
+    when the context's order puts an exterior letter before an even one.
     """
     flags = [ctx.exterior[k] for k in ctx.order]
     if flags != sorted(flags):
