@@ -1,10 +1,19 @@
-"""Functionals, convolution, the equivariant basis, and the composition law."""
+"""Functionals, convolution, the equivariant basis, and the composition law.
 
+The recorded convolution values live in ``convolution_golden.json`` next to
+this file.  To record them again, after a deliberate change of values, run
+
+    PYTHONPATH=src python3 tests/test_hc.py
+"""
+
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+from bigla import hc
 from bigla.catalog import (algebra_B, catalog_lie, odd_pair, so3,
                            so3_group_automorphism, so3_group_elements,
                            so3_standard_rep, unitary_example)
@@ -20,6 +29,10 @@ from bigla.linalg import Echelon, Matrix
 from bigla.linear import Vector
 from bigla.scalars import CycloScalar, ONE
 from bigla.uea import EnvelopingAlgebra
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "convolution_golden.json")
 
 
 def _ctx(g):
@@ -109,6 +122,38 @@ def test_convolution_commutes_across_catalog():
             if phi.shift() is None or psi.shift() is None:
                 continue
             assert convolution_commutes(phi, psi), name
+
+
+def convolution_table():
+    """Per catalog Lie algebra, the convolution of one seeded pair of
+    hc._random_functional draws at truncation 3 for every ordered pair of
+    occurring word degrees (phi's shift, psi's shift), as label word ->
+    coefficient."""
+    out = {}
+    for name, g in sorted(catalog_lie().items()):
+        ctx = _ctx(g)
+        rng = random.Random(name)
+        degrees = {ctx.word_degree(w) for w in ctx.normal_words_up_to(3)}
+        todo = {(a, b) for a in degrees for b in degrees}
+        mod = trivial_module(g)
+        draw = lambda: hc._random_functional(ctx, mod, 3, rng)
+        rows = {}
+        while todo:
+            phi, psi = draw(), draw()
+            shifts = (phi.shift(), psi.shift())
+            if shifts not in todo:
+                continue
+            todo.remove(shifts)
+            key = " ".join(f"{d.eps1}{d.eps2}" for d in shifts)
+            rows[key] = {" ".join(g.space.labels[k] for k in w): str(v.coeff(0))
+                         for w, v in convolution(phi, psi).values.items()}
+        out[name] = rows
+    return out
+
+
+def test_convolution_values_are_frozen():
+    with open(GOLDEN) as fh:
+        assert convolution_table() == json.load(fh)
 
 
 def test_shift_additivity():
@@ -301,3 +346,9 @@ def test_inner_automorphism_check():
     assert 0 not in bad
     with pytest.raises(Singular):
         inner_automorphism_check(rep, Matrix.zero(3), target)
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w") as fh:
+        json.dump(convolution_table(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
