@@ -25,11 +25,10 @@ from .uea import (MAX_TRUNCATION, EnvelopingAlgebra, TensorElement,
                   UEAElement, antipode, counit, delta, delta_slot, delta_word,
                   hopf_failures, normal_form, normal_form_random, pbw_dims,
                   pbw_factorize, primitive_vector, uea_multiply, weyl_map)
-from .hc import (CoefficientModule, CompositionResult, Functional,
-                 bch_product, commutativity_failures, convolution,
-                 convolution_commutes, equivariant_functionals,
-                 equivariant_hom_basis, inner_automorphism_check,
-                 trivial_module)
+from .hc import (CompositionResult, Functional, bch_product,
+                 commutativity_failures, convolution, convolution_commutes,
+                 equivariant_functionals, equivariant_hom_basis,
+                 inner_automorphism_check)
 from .deformed import (ConjSymPoly, DistinguisherCertificate, EvenOddPoly,
                        character_at, parse_poly, star_product,
                        star_vs_pointwise_distinguisher, to_complex,

@@ -24,7 +24,7 @@ from .equivalence import (SuperLieAlgebraWithInvolution, alpha_sweep, rebraid,
                           unbraid)
 from .errors import BiglaError, InputNotLie
 from .hc import (bch_product, commutativity_failures, equivariant_hom_basis,
-                 inner_automorphism_check, trivial_module)
+                 inner_automorphism_check)
 from .lie import BiGradedAssocAlgebra, BiGradedLieAlgebra, check_lie
 from .linear import Vector
 from .scalars import CycloScalar, parse_rational, sign_deligne
@@ -246,10 +246,8 @@ def cmd_pbw_dims(args):
 
 def cmd_hc_hom_dim(args):
     g = _load_lie(args.file)
-    U = EnvelopingAlgebra(g)
-    module = trivial_module(g)
-    basis = equivariant_hom_basis(U, module, args.n)
-    result = {"file": args.file, "module": args.module, "truncation": args.n,
+    basis = equivariant_hom_basis(EnvelopingAlgebra(g), args.n)
+    result = {"file": args.file, "module": "trivial", "truncation": args.n,
               "dimension": len(basis)}
     return 0, result, [f"equivariant functional dimension at truncation "
                        f"{args.n}: {len(basis)}"]
@@ -257,8 +255,8 @@ def cmd_hc_hom_dim(args):
 
 def cmd_hc_conv_check(args):
     g = _load_lie(args.file)
-    failures = commutativity_failures(EnvelopingAlgebra(g), trivial_module(g),
-                                      args.n, args.trials, random.Random(args.seed))
+    failures = commutativity_failures(EnvelopingAlgebra(g), args.n, args.trials,
+                                      random.Random(args.seed))
     ok = failures == 0
     result = {"file": args.file, "n": args.n, "trials": args.trials,
               "failures": failures, "ok": ok}
@@ -421,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     hsub = hc.add_subparsers(dest="subcommand", required=True)
     q = hsub.add_parser("hom-dim", help="dimension of equivariant functionals")
     q.add_argument("file")
-    q.add_argument("--module", choices=["trivial"], default="trivial")
     q.add_argument("--n", type=_size, required=True)
     q.set_defaults(fn=cmd_hc_hom_dim)
     q = hsub.add_parser("conv-check", help="convolution commutativity sweep")

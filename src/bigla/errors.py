@@ -68,13 +68,9 @@ class TruncationTooSmall(BiglaError):
     pass
 
 
-class BadBasisOrder(BiglaError):
-    # PBW factorization needs every even letter ordered before every odd one
-    pass
-
-
-class ModuleNotAlgebra(BiglaError):
-    # convolution needs a multiplication on the coefficient module
+class BadBasisOrder(BiglaError, ValueError):
+    # PBW factorization and the equivariant basis need every even letter
+    # ordered before every odd one
     pass
 
 

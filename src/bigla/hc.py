@@ -1,9 +1,9 @@
-"""Module-valued functionals on the enveloping algebra.
+"""Ground-field functionals on the enveloping algebra.
 
-A functional assigns a vector in a coefficient module to every normal word
-up to a truncation length.  Convolution pushes the coproduct through a pair
-of functionals with the crossing sign, and the truncated exp/log composition
-recovers the first-order composition law on even vectors.
+A functional assigns a scalar to every normal word up to a truncation
+length.  Convolution pushes the coproduct through a pair of functionals
+with the crossing sign, and the truncated exp/log composition recovers the
+first-order composition law on even vectors.
 
 Equivariant functionals are read off in closed form.  For the
 Harish-Chandra pair (g_0, g), U(g) is free as a left U(g_0)-module on the
@@ -25,91 +25,58 @@ from itertools import combinations
 from math import factorial
 from typing import Optional
 
-from .errors import (AlgebraMismatch, ModuleNotAlgebra, OddInput,
-                     TruncationExceeded, TruncationMismatch,
-                     TruncationTooSmall)
+from .errors import (AlgebraMismatch, OddInput, TruncationExceeded,
+                     TruncationMismatch, TruncationTooSmall)
 from .catalog import MatrixRep
 from .linalg import Matrix
-from .linear import BilinearMap, LinearMap, BiGradedSpace, Vector
-from .scalars import BiDegree, CycloScalar, D00, ONE, sign_deligne
+from .linear import LinearMap, Vector
+from .scalars import BiDegree, CycloScalar, ONE, ZERO, sign_deligne
 from .sparse import add_scaled, add_term
 from .uea import (MAX_TRUNCATION, EnvelopingAlgebra, UEAElement, Word,
                   delta_word, primitive_vector, uea_multiply)
 
 
-@dataclass(frozen=True)
-class CoefficientModule:
-    """A bigraded space, optionally an algebra so functionals can be
-    convolved."""
-
-    space: BiGradedSpace
-    product: Optional[BilinearMap] = None
-    unit: Optional[Vector] = None
-
-    def multiply(self, a: Vector, b: Vector) -> Vector:
-        if self.product is None:
-            raise ModuleNotAlgebra("module carries no product")
-        return self.product(a, b)
-
-
-def trivial_module(g) -> CoefficientModule:
-    """The ground field, on which every even letter acts by zero."""
-    space = BiGradedSpace([("1", D00)], name="triv")
-    product = BilinearMap(space, {(0, 0): space.basis_vector(0)})
-    return CoefficientModule(space, product, space.basis_vector(0))
-
-
 class Functional:
-    """Values on normal words of length <= truncation."""
+    """Scalar values on normal words of length <= truncation."""
 
-    __slots__ = ("ctx", "module", "truncation", "values")
+    __slots__ = ("ctx", "truncation", "values")
 
-    def __init__(self, ctx: EnvelopingAlgebra, module: CoefficientModule,
-                 truncation: int, values: dict[Word, Vector]):
+    def __init__(self, ctx: EnvelopingAlgebra, truncation: int,
+                 values: dict[Word, CycloScalar]):
         self.ctx = ctx
-        self.module = module
         self.truncation = truncation
-        self.values = {w: v for w, v in values.items() if v.coeffs}
+        self.values = {w: c for w, c in values.items() if c}
 
-    def value(self, w: Word) -> Vector:
-        return self.values.get(tuple(w), self.module.space.zero())
+    def value(self, w: Word) -> CycloScalar:
+        return self.values.get(tuple(w), ZERO)
 
-    def apply(self, a: UEAElement) -> Vector:
+    def apply(self, a: UEAElement) -> CycloScalar:
         if a.ctx is not self.ctx:
             raise AlgebraMismatch("element from a different enveloping algebra")
         if a.filtration() > self.truncation:
             raise TruncationExceeded(
                 f"element filtration {a.filtration()} above {self.truncation}")
-        out: dict[int, CycloScalar] = {}
-        for w, c in a.terms.items():
-            add_scaled(out, self.value(w).coeffs, c)
-        return Vector(self.module.space, out)
+        return sum((c * self.value(w) for w, c in a.terms.items()), ZERO)
 
     def __add__(self, other: "Functional") -> "Functional":
         _match(self, other)
         vals = dict(self.values)
         add_scaled(vals, other.values)
-        return Functional(self.ctx, self.module, self.truncation, vals)
+        return Functional(self.ctx, self.truncation, vals)
 
     def scale(self, c: CycloScalar) -> "Functional":
-        return Functional(self.ctx, self.module, self.truncation,
-                          {w: v.scale(c) for w, v in self.values.items()})
+        return Functional(self.ctx, self.truncation,
+                          {w: c * v for w, v in self.values.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Functional):
             return NotImplemented
-        return (self.ctx is other.ctx and self.module is other.module
-                and self.truncation == other.truncation
+        return (self.ctx is other.ctx and self.truncation == other.truncation
                 and self.values == other.values)
 
     def shifts(self) -> set[BiDegree]:
-        """Degree shifts value-degree + word-degree over all nonzero parts."""
-        out: set[BiDegree] = set()
-        for w, v in self.values.items():
-            wd = self.ctx.word_degree(w)
-            for d in v.homogeneous_parts():
-                out.add(d + wd)
-        return out
+        """Word degrees of the support."""
+        return {self.ctx.word_degree(w) for w in self.values}
 
     def shift(self) -> Optional[BiDegree]:
         s = self.shifts()
@@ -119,47 +86,39 @@ class Functional:
 def _match(phi: Functional, psi: Functional):
     if phi.ctx is not psi.ctx:
         raise AlgebraMismatch("functionals on different enveloping algebras")
-    if phi.module is not psi.module:
-        raise AlgebraMismatch("functionals into different modules")
     if phi.truncation != psi.truncation:
         raise TruncationMismatch(
             f"truncations differ: {phi.truncation} vs {psi.truncation}")
 
 
 def convolution(phi: Functional, psi: Functional) -> Functional:
-    """(phi * psi)(w) = sum over Delta(w) of the signed module product.
+    """(phi * psi)(w) = sum over Delta(w) = sum c u (x) v of the signed
+    product c phi(u) psi(v).
 
-    The sign moves each psi component, of degree value-degree + slot-degree,
-    past the left slot u.
+    The sign moves psi's slot v past the left slot u.
     """
     _match(phi, psi)
-    if phi.module.product is None:
-        raise ModuleNotAlgebra("convolution needs an algebra-valued module")
     ctx = phi.ctx
-    module = phi.module
-    values: dict[Word, Vector] = {}
+    values: dict[Word, CycloScalar] = {}
     for n in range(phi.truncation + 1):
         for w in ctx.normal_words(n):
-            acc: dict[int, CycloScalar] = {}
+            acc = ZERO
             for (u, v), c in delta_word(ctx, w).terms.items():
                 left = phi.values.get(u)
                 right = psi.values.get(v)
                 if left is None or right is None:
                     continue
-                du = ctx.word_degree(u)
-                dv = ctx.word_degree(v)
-                for d, part in right.homogeneous_parts().items():
-                    s = sign_deligne(d + dv, du)
-                    add_scaled(acc, module.multiply(left, part).coeffs,
-                               c if s == 1 else -c)
-            if acc:
-                values[w] = Vector(module.space, acc)
-    return Functional(ctx, module, phi.truncation, values)
+                term = c * left * right
+                if sign_deligne(ctx.word_degree(v), ctx.word_degree(u)) == 1:
+                    acc += term
+                else:
+                    acc -= term
+            values[w] = acc
+    return Functional(ctx, phi.truncation, values)
 
 
 def convolution_commutes(phi: Functional, psi: Functional) -> bool:
-    """Deligne commutativity for homogeneous-shift functionals into a
-    commutative module."""
+    """Deligne commutativity for homogeneous-shift functionals."""
     lhs = convolution(phi, psi)
     rhs = convolution(psi, phi)
     sp, ss = phi.shift(), psi.shift()
@@ -168,24 +127,20 @@ def convolution_commutes(phi: Functional, psi: Functional) -> bool:
     return lhs == (rhs if s == 1 else rhs.scale(-ONE))
 
 
-def _random_functional(ctx: EnvelopingAlgebra, module: CoefficientModule,
-                       truncation: int, rng: random.Random) -> Functional:
-    """Small integer multiples of the first module basis vector on a random
-    subset of the words of one word degree."""
+def _random_functional(ctx: EnvelopingAlgebra, truncation: int,
+                       rng: random.Random) -> Functional:
+    """Small integers on a random subset of the words of one word degree."""
     words = ctx.normal_words_up_to(truncation)
     target = ctx.word_degree(words[rng.randrange(len(words))])
     vals = {}
     for w in words:
         if ctx.word_degree(w) == target and rng.random() < 0.6:
-            c = CycloScalar.from_rational(Fraction(rng.randint(-3, 3)))
-            if c:
-                vals[w] = module.space.basis_vector(0).scale(c)
-    return Functional(ctx, module, truncation, vals)
+            vals[w] = CycloScalar.from_rational(Fraction(rng.randint(-3, 3)))
+    return Functional(ctx, truncation, vals)
 
 
-def commutativity_failures(ctx: EnvelopingAlgebra, module: CoefficientModule,
-                           truncation: int, trials: int,
-                           rng: random.Random) -> int:
+def commutativity_failures(ctx: EnvelopingAlgebra, truncation: int,
+                           trials: int, rng: random.Random) -> int:
     """Draw trials random pairs of homogeneous-shift functionals; the number
     of pairs that fail convolution_commutes."""
     if truncation > MAX_TRUNCATION:
@@ -194,8 +149,8 @@ def commutativity_failures(ctx: EnvelopingAlgebra, module: CoefficientModule,
     checked = 0
     failures = 0
     while checked < trials:
-        phi = _random_functional(ctx, module, truncation, rng)
-        psi = _random_functional(ctx, module, truncation, rng)
+        phi = _random_functional(ctx, truncation, rng)
+        psi = _random_functional(ctx, truncation, rng)
         if phi.shift() is None or psi.shift() is None:
             continue
         if not convolution_commutes(phi, psi):
@@ -204,31 +159,29 @@ def commutativity_failures(ctx: EnvelopingAlgebra, module: CoefficientModule,
     return failures
 
 
-def equivariant_functionals(ctx: EnvelopingAlgebra, module: CoefficientModule,
+def equivariant_functionals(ctx: EnvelopingAlgebra,
                             truncation: int) -> list[Functional]:
-    """Basis of functionals into the trivial module with phi(u w) = 0 for
-    even letters u and words w of length < truncation.
+    """Basis of functionals with phi(u w) = 0 for even letters u and words
+    w of length < truncation.
 
     Closed form, no rewriting or elimination: U(g) = U(g_0) (x) Lambda(g_1)
     (Kostant 1977; Carmeli-Caston-Fioresi 2011, ch. 7), so under an
     even-first PBW order every normal word is an even prefix followed by an
     exterior suffix, and the functionals vanishing on g_0 U(g) are those
     supported on the exterior-only words.  The basis is one indicator
-    functional, valued module.unit, per exterior word of length <=
-    truncation, shortest first and then in PBW order.  Raises ValueError
-    when the context's order puts an exterior letter before an even one.
+    functional, valued 1, per exterior word of length <= truncation,
+    shortest first and then in PBW order.  Raises BadBasisOrder (a
+    ValueError) when the context's order puts an exterior letter before an
+    even one.
     """
-    flags = [ctx.exterior[k] for k in ctx.order]
-    if flags != sorted(flags):
-        raise ValueError("the PBW order puts an exterior letter before an "
-                         "even one")
+    ctx.require_even_first()
     exterior = [k for k in ctx.order if ctx.exterior[k]]
-    return [Functional(ctx, module, truncation, {w: module.unit})
+    return [Functional(ctx, truncation, {w: ONE})
             for k in range(min(truncation, len(exterior)) + 1)
             for w in combinations(exterior, k)]
 
 
-def equivariant_hom_basis(ctx: EnvelopingAlgebra, module: CoefficientModule,
+def equivariant_hom_basis(ctx: EnvelopingAlgebra,
                           truncation: int) -> list[Functional]:
     """Equivariant basis with the stabilization guard: the count is only
     meaningful once the truncation dominates the number of exterior letters."""
@@ -236,7 +189,7 @@ def equivariant_hom_basis(ctx: EnvelopingAlgebra, module: CoefficientModule,
     if truncation < d_odd:
         raise TruncationTooSmall(
             f"truncation {truncation} below the exterior letter count {d_odd}")
-    return equivariant_functionals(ctx, module, truncation)
+    return equivariant_functionals(ctx, truncation)
 
 
 # truncated exponential composition

@@ -28,6 +28,9 @@ Word = tuple[int, ...]
 # longest word weyl_map symmetrizes and highest order bch_product expands
 MAX_TRUNCATION = 6
 
+# most normal words pbw_dims enumerates over all its degrees
+MAX_PBW_WORDS = 10 ** 6
+
 HALF = CycloScalar(Fraction(1, 2))
 
 
@@ -72,6 +75,14 @@ class EnvelopingAlgebra:
             a, b = w[p], w[p + 1]
             if rank[a] > rank[b] or (a == b and exterior[a]):
                 yield p
+
+    def require_even_first(self):
+        """BadBasisOrder unless every even letter precedes every exterior
+        one.  Exterior is odd parity: eps1^2 + eps2^2 = eps1 + eps2 mod 2."""
+        flags = [self.exterior[k] for k in self.order]
+        if flags != sorted(flags):
+            raise BadBasisOrder("the PBW order puts an exterior letter before "
+                                "an even one")
 
     def is_normal(self, w: Word) -> bool:
         return next(self.violations(w), None) is None
@@ -523,13 +534,20 @@ def pbw_dims(ctx: EnvelopingAlgebra, n_max: int) -> tuple[list[int], list[int]]:
     """(normal word counts, symmetric-coinvariant counts) per degree 0..n_max.
 
     The second list counts multisets over polynomial letters times subsets
-    of exterior letters; PBW says the lists agree.
+    of exterior letters; PBW says the lists agree.  It is computed first:
+    when the normal words of degrees 0..n_max, plus one per degree, come to
+    more than MAX_PBW_WORDS, TruncationExceeded is raised before any word
+    is enumerated.
     """
     d_ext = sum(1 for e in ctx.exterior if e)
     d_poly = ctx.dim - d_ext
-    counted = [sum(1 for _ in ctx.normal_words(n)) for n in range(n_max + 1)]
+    # each degree costs a step even when empty, as above d_ext with no
+    # polynomial letters
+    steps = n_max + 1
     formula = []
     for n in range(n_max + 1):
+        if steps > MAX_PBW_WORDS:
+            break
         total = 0
         for k in range(min(n, d_ext) + 1):
             m = n - k
@@ -537,6 +555,12 @@ def pbw_dims(ctx: EnvelopingAlgebra, n_max: int) -> tuple[list[int], list[int]]:
             polys = 1 if m == 0 else comb(d_poly + m - 1, m)
             total += comb(d_ext, k) * polys
         formula.append(total)
+        steps += total
+    if steps > MAX_PBW_WORDS:
+        raise TruncationExceeded(
+            f"degrees 0..{n_max} and their normal words number more "
+            f"than {MAX_PBW_WORDS}")
+    counted = [sum(1 for _ in ctx.normal_words(n)) for n in range(n_max + 1)]
     return counted, formula
 
 
@@ -546,14 +570,12 @@ def pbw_factorize(ctx: EnvelopingAlgebra, a: UEAElement
 
     Returns (even factor, odd word) pairs, odd words sorted; multiplying
     each even factor (included into U(g)) by its odd word and summing
-    recovers the input.  BadBasisOrder if the context order interleaves
-    parities.
+    recovers the input.  BadBasisOrder if the context order puts an odd
+    letter before an even one.
     """
     if a.ctx is not ctx:
         raise AlgebraMismatch("element from a different context")
-    parities = [ctx.g.space.degrees[k].parity for k in ctx.order]
-    if any(p0 > p1 for p0, p1 in zip(parities, parities[1:])):
-        raise BadBasisOrder("even letters must all precede odd letters")
+    ctx.require_even_first()
     even_ctx = ctx.even_envelope()
     sub = even_ctx.g.space
     groups: dict[Word, dict[Word, CycloScalar]] = {}

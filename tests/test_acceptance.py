@@ -19,7 +19,7 @@ from bigla.equivalence import jacobiator_alpha_check, rebraid, unbraid
 from bigla.errors import NegativePoint
 from bigla.hc import (bch_product, convolution_commutes,
                       equivariant_functionals, equivariant_hom_basis,
-                      inner_automorphism_check, trivial_module)
+                      inner_automorphism_check)
 from bigla.lie import BiGradedLieAlgebra, check_lie, check_morphism, commutator_lie
 from bigla.linear import BilinearMap, Vector
 from bigla.scalars import CycloScalar, I, ONE
@@ -145,8 +145,7 @@ def test_criterion_07_equivariant_functionals():
     ok = True
     for g in (so3(), unitary_example()):
         ctx = EnvelopingAlgebra(g)
-        module = trivial_module(g)
-        basis = equivariant_functionals(ctx, module, 3)
+        basis = equivariant_functionals(ctx, 3)
         for phi in basis:
             for psi in basis:
                 if phi.shift() is None or psi.shift() is None:
@@ -154,11 +153,9 @@ def test_criterion_07_equivariant_functionals():
                     continue
                 ok = ok and convolution_commutes(phi, psi)
     g = so3()
-    ok = ok and len(equivariant_hom_basis(
-        EnvelopingAlgebra(g), trivial_module(g), 2)) == 1
+    ok = ok and len(equivariant_hom_basis(EnvelopingAlgebra(g), 2)) == 1
     g = unitary_example()
-    ok = ok and len(equivariant_hom_basis(
-        EnvelopingAlgebra(g), trivial_module(g), 6)) == 16
+    ok = ok and len(equivariant_hom_basis(EnvelopingAlgebra(g), 6)) == 16
     _report(7, "convolution commutes on the equivariant bases; dimensions "
                "are 2^(odd letters)", ok)
 

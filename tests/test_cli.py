@@ -7,7 +7,7 @@ import pytest
 
 from bigla.cli import main
 from bigla.schema import dumps, scalar_to_json, to_doc
-from bigla.catalog import catalog_lie, so3, unitary_example
+from bigla.catalog import catalog_lie, odd_pair, so3, unitary_example
 from bigla.scalars import ONE
 
 
@@ -205,6 +205,21 @@ def test_hom_dim_cost_does_not_grow_with_the_truncation(unitary_file, capsys):
     assert time.perf_counter() - t0 < 5
     assert capsys.readouterr().out == (
         "equivariant functional dimension at truncation 200: 16\n")
+
+
+@pytest.mark.parametrize("algebra,n", [(so3, "400"), (odd_pair, "1000000000000")])
+def test_pbw_dims_is_bounded_before_enumerating(algebra, n, tmp_path, capsys):
+    # the formula counts first: so3 holds about 1.1e7 normal words up to
+    # degree 400; odd-pair has none past degree 2, but each degree is a line
+    path = tmp_path / "g.json"
+    path.write_text(dumps(algebra()))
+    t0 = time.perf_counter()
+    assert main(["pbw", "dims", str(path), "--n", n]) == 2
+    assert time.perf_counter() - t0 < 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"error: degrees 0..{n} and their normal words number "
+                       "more than 1000000\n")
 
 
 def test_conv_check(so3_file, capsys):

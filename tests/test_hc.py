@@ -17,13 +17,12 @@ from bigla import hc
 from bigla.catalog import (algebra_B, catalog_lie, odd_pair, so3,
                            so3_group_automorphism, so3_group_elements,
                            so3_standard_rep, unitary_example)
-from bigla.errors import (AlgebraMismatch, ModuleNotAlgebra, OddInput,
-                          Singular, TruncationExceeded, TruncationMismatch,
+from bigla.errors import (AlgebraMismatch, OddInput, Singular,
+                          TruncationExceeded, TruncationMismatch,
                           TruncationTooSmall)
-from bigla.hc import (CoefficientModule, Functional, _series_mul, bch_product,
-                      convolution, convolution_commutes,
-                      equivariant_functionals, equivariant_hom_basis,
-                      inner_automorphism_check, trivial_module)
+from bigla.hc import (Functional, _series_mul, bch_product, convolution,
+                      convolution_commutes, equivariant_functionals,
+                      equivariant_hom_basis, inner_automorphism_check)
 from bigla.lie import commutator_lie
 from bigla.linalg import Echelon, Matrix
 from bigla.linear import Vector
@@ -39,31 +38,23 @@ def _ctx(g):
     return EnvelopingAlgebra(g)
 
 
-def _random_functional(ctx, module, truncation, rng):
-    """Scalar multiples of a single module basis vector on each word, kept
-    within one degree-shift class so that shift() is defined."""
+def _random_functional(ctx, truncation, rng):
+    """Small integers on each word, kept within one degree-shift class so
+    that shift() is defined."""
     words = ctx.normal_words_up_to(truncation)
     target = ctx.word_degree(rng.choice(words))
     values = {}
     for w in words:
         if ctx.word_degree(w) != target:
             continue
-        c = CycloScalar.from_rational(rng.randrange(-3, 4))
-        if c:
-            values[w] = module.space.basis_vector(0).scale(c)
-    return Functional(ctx, module, truncation, values)
+        values[w] = CycloScalar.from_rational(rng.randrange(-3, 4))
+    return Functional(ctx, truncation, values)
 
 
 def test_trivial_module():
-    g = so3()
-    mod = trivial_module(g)
-    assert mod.space.dim == 1
-    assert mod.unit == mod.space.basis_vector(0)
-    v = mod.space.basis_vector(0)
-    assert mod.multiply(v, v) == v
-    # every letter of so3 is even and acts on the module by zero
-    ctx = _ctx(g)
-    [phi] = equivariant_functionals(ctx, mod, 2)
+    # every letter of so3 is even and acts on the ground field by zero
+    ctx = _ctx(so3())
+    [phi] = equivariant_functionals(ctx, 2)
     for w in ctx.normal_words_up_to(1):
         for u in range(3):
             assert not phi.apply(ctx.element(ctx.normal_form((u,) + w)))
@@ -71,11 +62,9 @@ def test_trivial_module():
 
 def test_functional_apply_and_truncation():
     ctx = _ctx(so3())
-    mod = trivial_module(so3())
-    one = mod.space.basis_vector(0)
-    phi = Functional(ctx, mod, 2, {(): one, (0,): one.scale(2)})
+    phi = Functional(ctx, 2, {(): ONE, (0,): CycloScalar(2)})
     elt = ctx.one() + ctx.letter(0)
-    assert phi.apply(elt) == one.scale(3)
+    assert phi.apply(elt) == 3
     too_long = ctx.letter(0) * ctx.letter(0) * ctx.letter(0)
     with pytest.raises(TruncationExceeded):
         phi.apply(too_long)
@@ -83,30 +72,23 @@ def test_functional_apply_and_truncation():
 
 def test_functional_mismatch_guards():
     ctx = _ctx(so3())
-    mod = trivial_module(so3())
-    one = mod.space.basis_vector(0)
-    phi = Functional(ctx, mod, 2, {(): one})
-    shorter = Functional(ctx, mod, 1, {(): one})
+    phi = Functional(ctx, 2, {(): ONE})
+    shorter = Functional(ctx, 1, {(): ONE})
     with pytest.raises(TruncationMismatch):
         phi + shorter
     other_ctx = _ctx(so3())
     with pytest.raises(AlgebraMismatch):
-        phi + Functional(other_ctx, mod, 2, {(): one})
-    bare = CoefficientModule(mod.space)  # no product attached
-    chi = Functional(ctx, bare, 2, {(): one})
-    with pytest.raises(ModuleNotAlgebra):
-        convolution(chi, chi)
+        phi + Functional(other_ctx, 2, {(): ONE})
 
 
 def test_convolution_unit():
-    """The functional supported on the empty word at the module unit is a
-    two-sided unit for convolution."""
+    """The functional supported on the empty word at 1 is a two-sided unit
+    for convolution."""
     rng = random.Random(13)
     ctx = _ctx(unitary_example())
-    mod = trivial_module(unitary_example())
-    unit = Functional(ctx, mod, 3, {(): mod.unit})
+    unit = Functional(ctx, 3, {(): ONE})
     for _ in range(6):
-        phi = _random_functional(ctx, mod, 3, rng)
+        phi = _random_functional(ctx, 3, rng)
         assert convolution(unit, phi) == phi
         assert convolution(phi, unit) == phi
 
@@ -115,10 +97,9 @@ def test_convolution_commutes_across_catalog():
     rng = random.Random(41)
     for name, g in catalog_lie().items():
         ctx = _ctx(g)
-        mod = trivial_module(g)
         for _ in range(4):
-            phi = _random_functional(ctx, mod, 2, rng)
-            psi = _random_functional(ctx, mod, 2, rng)
+            phi = _random_functional(ctx, 2, rng)
+            psi = _random_functional(ctx, 2, rng)
             if phi.shift() is None or psi.shift() is None:
                 continue
             assert convolution_commutes(phi, psi), name
@@ -135,8 +116,7 @@ def convolution_table():
         rng = random.Random(name)
         degrees = {ctx.word_degree(w) for w in ctx.normal_words_up_to(3)}
         todo = {(a, b) for a in degrees for b in degrees}
-        mod = trivial_module(g)
-        draw = lambda: hc._random_functional(ctx, mod, 3, rng)
+        draw = lambda: hc._random_functional(ctx, 3, rng)
         rows = {}
         while todo:
             phi, psi = draw(), draw()
@@ -145,8 +125,8 @@ def convolution_table():
                 continue
             todo.remove(shifts)
             key = " ".join(f"{d.eps1}{d.eps2}" for d in shifts)
-            rows[key] = {" ".join(g.space.labels[k] for k in w): str(v.coeff(0))
-                         for w, v in convolution(phi, psi).values.items()}
+            rows[key] = {" ".join(g.space.labels[k] for k in w): str(c)
+                         for w, c in convolution(phi, psi).values.items()}
         out[name] = rows
     return out
 
@@ -159,10 +139,9 @@ def test_convolution_values_are_frozen():
 def test_shift_additivity():
     rng = random.Random(19)
     ctx = _ctx(unitary_example())
-    mod = trivial_module(unitary_example())
     for _ in range(10):
-        phi = _random_functional(ctx, mod, 2, rng)
-        psi = _random_functional(ctx, mod, 2, rng)
+        phi = _random_functional(ctx, 2, rng)
+        psi = _random_functional(ctx, 2, rng)
         sp, ss = phi.shift(), psi.shift()
         if sp is None or ss is None:
             continue
@@ -174,9 +153,8 @@ def test_shift_additivity():
 def test_equivariant_basis_is_equivariant():
     g = unitary_example()
     ctx = _ctx(g)
-    mod = trivial_module(g)
     truncation = 4
-    basis = equivariant_functionals(ctx, mod, truncation)
+    basis = equivariant_functionals(ctx, truncation)
     even = [k for k in range(ctx.dim) if g.space.degrees[k].parity == 0]
     for phi in basis:
         for w in ctx.normal_words_up_to(truncation - 1):
@@ -184,8 +162,8 @@ def test_equivariant_basis_is_equivariant():
                 assert not phi.apply(ctx.element(ctx.normal_form((u,) + w)))
 
 
-# Every functional of the equivariant basis, as word -> module label ->
-# coefficient, with the words written as letter labels joined by spaces.
+# Every functional of the equivariant basis, as word -> coefficient, with
+# the words written as letter labels joined by spaces.
 _UNITARY_WORDS = ["", "x1", "x2", "y1", "y2", "x1 x2", "x1 y1", "x1 y2",
                   "x2 y1", "x2 y2", "y1 y2", "x1 x2 y1", "x1 x2 y2", "x1 y1 y2",
                   "x2 y1 y2", "x1 x2 y1 y2"]
@@ -196,25 +174,23 @@ _QMAT2_WORDS = ["", "E12*q1", "E21*q1", "E12*q2", "E21*q2",
                 "E12*q1 E12*q2 E21*q2", "E21*q1 E12*q2 E21*q2",
                 "E12*q1 E21*q1 E12*q2 E21*q2"]
 EQUIVARIANT_BASES = {
-    ("unitary2x2", 4): [{w: {"1": "1"}} for w in _UNITARY_WORDS],
-    ("qmat2-lie", 4): [{w: {"1": "1"}} for w in _QMAT2_WORDS],
-    ("so3", 6): [{"": {"1": "1"}}],
+    ("unitary2x2", 4): [{w: "1"} for w in _UNITARY_WORDS],
+    ("qmat2-lie", 4): [{w: "1"} for w in _QMAT2_WORDS],
+    ("so3", 6): [{"": "1"}],
 }
 
 
 @pytest.mark.parametrize("name,truncation", sorted(EQUIVARIANT_BASES))
 def test_equivariant_basis_values(name, truncation):
     g = catalog_lie()[name]
-    mod = trivial_module(g)
-    basis = equivariant_functionals(_ctx(g), mod, truncation)
-    got = [{" ".join(g.space.labels[k] for k in w):
-            {mod.space.labels[m]: str(c) for m, c in v.coeffs.items()}
-            for w, v in phi.values.items()} for phi in basis]
+    basis = equivariant_functionals(_ctx(g), truncation)
+    got = [{" ".join(g.space.labels[k] for k in w): str(c)
+            for w, c in phi.values.items()} for phi in basis]
     assert got == EQUIVARIANT_BASES[(name, truncation)]
 
 
 def elimination_basis(ctx, truncation):
-    """The equivariant functionals into the trivial module, by elimination:
+    """The equivariant functionals into the ground field, by elimination:
     one row phi(normal_form(u w)) = 0 per even letter u and normal word w
     shorter than the truncation, one column per normal word.  Each
     functional is a dict word -> coefficient, in nullspace order."""
@@ -231,8 +207,7 @@ def elimination_basis(ctx, truncation):
 
 
 def closed_form_basis(ctx, truncation):
-    return [{w: v.coeff(0) for w, v in phi.values.items()}
-            for phi in equivariant_functionals(ctx, trivial_module(ctx.g), truncation)]
+    return [phi.values for phi in equivariant_functionals(ctx, truncation)]
 
 
 @pytest.mark.parametrize("name", sorted(catalog_lie()))
@@ -247,33 +222,32 @@ def test_closed_form_refuses_an_order_with_exterior_letters_first():
     g = unitary_example()
     ctx = EnvelopingAlgebra(g, order=list(reversed(_ctx(g).order)))
     with pytest.raises(ValueError, match="exterior letter before an even one"):
-        equivariant_functionals(ctx, trivial_module(g), 4)
+        equivariant_functionals(ctx, 4)
 
 
 def test_equivariant_dimension_oracles():
-    assert len(equivariant_hom_basis(_ctx(so3()), trivial_module(so3()), 2)) == 1
+    assert len(equivariant_hom_basis(_ctx(so3()), 2)) == 1
     b_lie = commutator_lie(algebra_B())
-    assert len(equivariant_hom_basis(_ctx(b_lie), trivial_module(b_lie), 4)) == 4
+    assert len(equivariant_hom_basis(_ctx(b_lie), 4)) == 4
     pair = odd_pair()
-    assert len(equivariant_hom_basis(_ctx(pair), trivial_module(pair), 4)) == 4
+    assert len(equivariant_hom_basis(_ctx(pair), 4)) == 4
     g = unitary_example()
-    assert len(equivariant_hom_basis(_ctx(g), trivial_module(g), 4)) == 16
+    assert len(equivariant_hom_basis(_ctx(g), 4)) == 16
 
 
 def test_equivariant_dimension_stabilizes():
     pair = odd_pair()
     ctx = _ctx(pair)
-    mod = trivial_module(pair)
-    dims = [len(equivariant_hom_basis(ctx, mod, n)) for n in (2, 3, 4)]
+    dims = [len(equivariant_hom_basis(ctx, n)) for n in (2, 3, 4)]
     assert dims == [4, 4, 4]
 
 
 def test_truncation_too_small_guard():
     g = unitary_example()
     with pytest.raises(TruncationTooSmall):
-        equivariant_hom_basis(_ctx(g), trivial_module(g), 2)
+        equivariant_hom_basis(_ctx(g), 2)
     # the raw solver carries no guard
-    assert equivariant_functionals(_ctx(g), trivial_module(g), 0)
+    assert equivariant_functionals(_ctx(g), 0)
 
 
 def test_series_product_drops_long_words():
