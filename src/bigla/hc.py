@@ -102,18 +102,14 @@ def convolution(phi: Functional, psi: Functional) -> Functional:
     values: dict[Word, CycloScalar] = {}
     for n in range(phi.truncation + 1):
         for w in ctx.normal_words(n):
-            acc = ZERO
             for (u, v), c in delta_word(ctx, w).terms.items():
                 left = phi.values.get(u)
                 right = psi.values.get(v)
                 if left is None or right is None:
                     continue
-                term = c * left * right
-                if sign_deligne(ctx.word_degree(v), ctx.word_degree(u)) == 1:
-                    acc += term
-                else:
-                    acc -= term
-            values[w] = acc
+                if sign_deligne(ctx.word_degree(v), ctx.word_degree(u)) != 1:
+                    c = -c
+                add_term(values, w, c * left * right)
     return Functional(ctx, phi.truncation, values)
 
 

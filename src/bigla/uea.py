@@ -28,7 +28,7 @@ Word = tuple[int, ...]
 # longest word weyl_map symmetrizes and highest order bch_product expands
 MAX_TRUNCATION = 6
 
-# most normal words pbw_dims enumerates over all its degrees
+# most normal words, plus one per degree, that pbw_dims enumerates
 MAX_PBW_WORDS = 10 ** 6
 
 HALF = CycloScalar(Fraction(1, 2))
