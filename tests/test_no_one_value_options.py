@@ -11,6 +11,7 @@ from bigla.cli import build_parser
 
 
 def _parsers(parser):
+    parser.complete()
     yield parser
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
