@@ -124,6 +124,10 @@ def test_mat2_star_is_involutive_antiautomorphism():
         for j in range(a.dim):
             ei, ej = a.space.basis_vector(i), a.space.basis_vector(j)
             assert star(a.mul(ei, ej)) == a.mul(star(ej), star(ei))
+    # the imaginary unit element j = i.1 squares to -1 and is anti-fixed
+    j = a.unit.scale(I)
+    assert a.mul(j, j) == -a.unit
+    assert star(j) == -j
 
 
 def test_so3_standard_rep():

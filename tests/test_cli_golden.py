@@ -101,6 +101,7 @@ def commands() -> list[list[str]]:
         if not source.endswith(("-super", "qmat2")):
             out += [["unbraid", path], ["--json", "unbraid", path],
                     ["alpha-check", path], ["--json", "alpha-check", path]]
+    out += [["examples", "export", name] for name in sorted(catalog())]
     return out
 
 
