@@ -19,8 +19,7 @@ from .catalog import (MatrixRep, algebra_B, algebra_B_rep, catalog,
                       m2_superalgebra, mat2_adapted_basis, mat2_star, odd_pair,
                       so3, so3_group_automorphism, so3_group_elements,
                       so3_standard_rep, so12, tilde_extension,
-                      unitary_bigraded, unitary_embedding, unitary_example,
-                      upper_triangular3)
+                      unitary_embedding, unitary_example, upper_triangular3)
 from .uea import (MAX_TRUNCATION, EnvelopingAlgebra, TensorElement,
                   UEAElement, antipode, counit, delta, delta_slot, delta_word,
                   hopf_failures, normal_form, normal_form_random, pbw_dims,

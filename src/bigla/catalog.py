@@ -14,37 +14,36 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (BasisNotAdapted, DegreeViolation, NotAssociative, NotClosed,
-                     Singular, StarNotAntiAutomorphism, StarNotInvolutive)
+from .errors import BasisNotAdapted, DegreeViolation, NotAssociative, NotClosed, Singular
 from .lie import (AlgebraMorphism, BiGradedAssocAlgebra, BiGradedLieAlgebra,
                   commutator_lie)
 from .linalg import Matrix, solve_dense
 from .linear import AntiLinearMap, BiGradedSpace, BilinearMap, LinearMap, Vector
-from .scalars import CycloScalar, D00, D01, D10, D11, I, ONE, sign_deligne
+from .scalars import BiDegree, CycloScalar, D00, D01, D10, D11, I, ONE, sign_deligne
+
+
+def _rotation(name: str, sign: int) -> BiGradedLieAlgebra:
+    """e1 in degree (0,0), e2 and e3 in degree (1,1), with [e1,e2] = e3,
+    [e3,e1] = e2 and [e2,e3] = sign.e1."""
+    space = BiGradedSpace([("e1", D00), ("e2", D11), ("e3", D11)], name=name)
+    e1, e2, e3 = (space.basis_vector(k) for k in range(3))
+    e23 = e1.scale(sign)
+    constants = {
+        (0, 1): e3, (1, 0): -e3,
+        (1, 2): e23, (2, 1): -e23,
+        (2, 0): e2, (0, 2): -e2,
+    }
+    return BiGradedLieAlgebra(space, BilinearMap(space, constants), name=name)
 
 
 def so3() -> BiGradedLieAlgebra:
     """Rotation algebra with e1 in degree (0,0) and e2, e3 in degree (1,1)."""
-    space = BiGradedSpace([("e1", D00), ("e2", D11), ("e3", D11)], name="so3")
-    e1, e2, e3 = (space.basis_vector(k) for k in range(3))
-    constants = {
-        (0, 1): e3, (1, 0): -e3,
-        (1, 2): e1, (2, 1): -e1,
-        (2, 0): e2, (0, 2): -e2,
-    }
-    return BiGradedLieAlgebra(space, BilinearMap(space, constants), name="so3")
+    return _rotation("so3", 1)
 
 
 def so12() -> BiGradedLieAlgebra:
     """Same space as so3 with the (1,1)x(1,1) bracket negated: [e2,e3] = -e1."""
-    space = BiGradedSpace([("e1", D00), ("e2", D11), ("e3", D11)], name="so12")
-    e1, e2, e3 = (space.basis_vector(k) for k in range(3))
-    constants = {
-        (0, 1): e3, (1, 0): -e3,
-        (1, 2): -e1, (2, 1): e1,
-        (2, 0): e2, (0, 2): -e2,
-    }
-    return BiGradedLieAlgebra(space, BilinearMap(space, constants), name="so12")
+    return _rotation("so12", -1)
 
 
 # q-multiplication table: index 0 is the unit, then q1, q2, q3.
@@ -117,42 +116,35 @@ def tilde_extension(c: BiGradedAssocAlgebra) -> BiGradedAssocAlgebra:
                                 name=space.name)
 
 
-def m2_superalgebra() -> BiGradedAssocAlgebra:
-    """2x2 matrices with the checkerboard Z2 grading: diagonal even,
-    off-diagonal odd (degrees (p,0) only)."""
-    basis = [("E11", D00), ("E22", D00), ("E12", D10), ("E21", D10)]
-    space = BiGradedSpace(basis, name="mat2-super")
-    pairs = {"E11": (1, 1), "E22": (2, 2), "E12": (1, 2), "E21": (2, 1)}
-    idx = {lab: k for k, (lab, _) in enumerate(basis)}
-    constants = {}
-    for a, la in enumerate(space.labels):
-        for b, lb in enumerate(space.labels):
-            (i, j), (k, l) = pairs[la], pairs[lb]
-            if j != k:
-                continue
-            out = f"E{i}{l}"
-            constants[(a, b)] = space.basis_vector(idx[out])
-    unit = space.basis_vector(0) + space.basis_vector(1)
-    return BiGradedAssocAlgebra(space, BilinearMap(space, constants), unit=unit,
-                                name="mat2-super")
-
-
-def upper_triangular3() -> BiGradedAssocAlgebra:
-    """3x3 upper triangular matrices with degrees assigned additively:
-    E12 -> (1,0), E23 -> (0,1), E13 -> (1,1), diagonal (0,0)."""
-    cells = [((1, 1), D00), ((2, 2), D00), ((3, 3), D00),
-             ((1, 2), D10), ((2, 3), D01), ((1, 3), D11)]
-    space = BiGradedSpace([(f"E{i}{j}", d) for (i, j), d in cells], name="triangular3")
-    idx = {(i, j): k for k, ((i, j), _) in enumerate(cells)}
+def _matrix_units(name: str, cells: Sequence[tuple[tuple[int, int], BiDegree]]
+                  ) -> BiGradedAssocAlgebra:
+    """Span of the matrix units E_ij on the given ((i, j), degree) cells:
+    E_ij E_kl = E_il when j = k and cell (i, l) exists.  The unit is the
+    sum of the diagonal cells."""
+    space = BiGradedSpace([(f"E{i}{j}", d) for (i, j), d in cells], name=name)
+    idx = {cell: k for k, (cell, _) in enumerate(cells)}
     constants = {}
     for a, ((i, j), _) in enumerate(cells):
         for b, ((k, l), _) in enumerate(cells):
             if j == k and (i, l) in idx:
                 constants[(a, b)] = space.basis_vector(idx[(i, l)])
-    unit = sum((space.basis_vector(idx[(i, i)]) for i in (2, 3)),
-               space.basis_vector(idx[(1, 1)]))
+    unit = Vector(space, {k: ONE for (i, j), k in idx.items() if i == j})
     return BiGradedAssocAlgebra(space, BilinearMap(space, constants), unit=unit,
-                                name="triangular3")
+                                name=name)
+
+
+def m2_superalgebra() -> BiGradedAssocAlgebra:
+    """2x2 matrices with the checkerboard Z2 grading: diagonal even,
+    off-diagonal odd (degrees (p,0) only)."""
+    return _matrix_units("mat2-super", [((1, 1), D00), ((2, 2), D00),
+                                        ((1, 2), D10), ((2, 1), D10)])
+
+
+def upper_triangular3() -> BiGradedAssocAlgebra:
+    """3x3 upper triangular matrices with degrees assigned additively:
+    E12 -> (1,0), E23 -> (0,1), E13 -> (1,1), diagonal (0,0)."""
+    return _matrix_units("triangular3", [((1, 1), D00), ((2, 2), D00), ((3, 3), D00),
+                                         ((1, 2), D10), ((2, 3), D01), ((1, 3), D11)])
 
 
 def odd_pair() -> BiGradedLieAlgebra:
@@ -197,22 +189,6 @@ _BLOCK_DEGREE = {(0, -1): D00, (1, -1): D10, (1, 1): D01, (0, 1): D11}
 _BLOCK_Q = {(0, -1): 0, (1, -1): 1, (1, 1): 2, (0, 1): 3}
 
 
-def _check_star(a: BiGradedAssocAlgebra, star: AntiLinearMap):
-    n = a.space.dim
-    for k in range(n):
-        e = a.space.basis_vector(k)
-        if star(star(e)) != e:
-            raise StarNotInvolutive(f"star^2 != id at {a.space.labels[k]}")
-    for i in range(n):
-        for j in range(n):
-            lhs = star(a.product.pair(i, j))
-            rhs = a.mul(star(a.space.basis_vector(j)), star(a.space.basis_vector(i)))
-            if lhs != rhs:
-                raise StarNotAntiAutomorphism(
-                    f"star(ab) != star(b)star(a) at ({a.space.labels[i]},"
-                    f"{a.space.labels[j]})")
-
-
 def _star_sign(star: AntiLinearMap, v: Vector) -> int:
     sv = star(v)
     if sv == v:
@@ -220,6 +196,11 @@ def _star_sign(star: AntiLinearMap, v: Vector) -> int:
     if sv == -v:
         return -1
     raise BasisNotAdapted(f"{v!r} is not a +-1 eigenvector of star")
+
+
+def _block(star: AntiLinearMap, v: Vector) -> tuple[int, int]:
+    """(parity, star sign) of an adapted basis vector."""
+    return v.degree().eps1, _star_sign(star, v)
 
 
 def _rational_coordinates(basis: Sequence[Vector], target: Vector) -> list[Fraction]:
@@ -242,10 +223,9 @@ def _rational_coordinates(basis: Sequence[Vector], target: Vector) -> list[Fract
         raise NotClosed(f"bracket value leaves the rational span: {target!r}") from exc
 
 
-def unitary_bigraded(a: BiGradedAssocAlgebra, star: AntiLinearMap
-                     ) -> BiGradedLieAlgebra:
-    """Bi-graded Lie algebra of a Z2-graded star algebra, over the adapted
-    basis of mat2_adapted_basis.
+def unitary_example() -> BiGradedLieAlgebra:
+    """Bi-graded Lie algebra of the 2x2 star superalgebra mat2_star, over
+    the adapted basis of mat2_adapted_basis.
 
     Blocks by (parity, star sign): anti-fixed even -> (0,0), anti-fixed odd
     -> (1,0), fixed odd -> (0,1), fixed even -> (1,1).  On blocks with
@@ -255,25 +235,10 @@ def unitary_bigraded(a: BiGradedAssocAlgebra, star: AntiLinearMap
     h1-involved ones).  Structure constants come out rational because values
     are re-expressed over the adapted basis with rational coefficients.
     """
-    for d in a.space.degrees:
-        if d.eps2 != 0:
-            raise DegreeViolation("star algebra must be Z2-graded, degrees (p,0)")
-    _check_star(a, star)
-    if a.unit is None:
-        raise BasisNotAdapted("star algebra has no unit to build i.1 from")
-    adapted_basis = mat2_adapted_basis(a)
+    a, star = mat2_star()
+    names, vectors = zip(*mat2_adapted_basis(a))
     j = a.unit.scale(I)
-    assert a.mul(j, j) == -a.unit, "imaginary unit must square to -1"
-    assert star(j) == -j, "imaginary unit must be anti-fixed"
-
-    names = [lab for lab, _ in adapted_basis]
-    vectors = [v for _, v in adapted_basis]
-    blocks = []
-    for lab, v in adapted_basis:
-        d = v.degree()
-        if d is None:
-            raise BasisNotAdapted(f"{lab} is not parity-homogeneous")
-        blocks.append((d.eps1, _star_sign(star, v)))
+    blocks = [_block(star, v) for v in vectors]
     degrees = [_BLOCK_DEGREE[b] for b in blocks]
     space = BiGradedSpace(list(zip(names, degrees)), name="unitary")
 
@@ -297,25 +262,18 @@ def unitary_bigraded(a: BiGradedAssocAlgebra, star: AntiLinearMap
     return BiGradedLieAlgebra(space, BilinearMap(space, constants), name="unitary")
 
 
-def unitary_example() -> BiGradedLieAlgebra:
-    a, star = mat2_star()
-    return unitary_bigraded(a, star)
-
-
 def unitary_embedding() -> AlgebraMorphism:
     """The block-tagged inclusion of the unitary algebra into the commutator
     algebra of the tilde extension: u0 lands plainly, u1 via q1, h1 via q2,
     h0 via q3.  check_morphism on the result certifies the case-table
     bracket satisfies Jacobi by transport."""
     a, star = mat2_star()
-    adapted_basis = mat2_adapted_basis(a)
-    source = unitary_bigraded(a, star)
+    source = unitary_example()
     target = commutator_lie(tilde_extension(a))
     tspace = target.space
     images = {}
-    for p, (lab, v) in enumerate(adapted_basis):
-        d = v.degree()
-        q = _BLOCK_Q[(d.eps1, _star_sign(star, v))]
+    for p, (_, v) in enumerate(mat2_adapted_basis(a)):
+        q = _BLOCK_Q[_block(star, v)]
         entries = {}
         for k, c in v.coeffs.items():
             entries[tspace.index(a.space.labels[k] + _QSUFFIX[q])] = c

@@ -83,14 +83,6 @@ class Singular(BiglaError):
     pass
 
 
-class StarNotInvolutive(BiglaError):
-    pass
-
-
-class StarNotAntiAutomorphism(BiglaError):
-    pass
-
-
 class BasisNotAdapted(BiglaError):
     # basis vectors must be +-1 eigenvectors of the star map
     pass
