@@ -484,8 +484,16 @@ def hopf_failures(U: EnvelopingAlgebra, max_len: int
     Returns, per axiom, the inputs where it fails: a 1-tuple (w,) of the
     word, or for multiplicativity the pair (u, v) with len(u) + len(v) <=
     max_len.  'weyl' is the coalgebra-morphism property of weyl_map.
+
+    A normal word longer than MAX_TRUNCATION, which weyl_map refuses, is
+    refused before any sweep.  A prefix of a normal word is normal, so
+    there is such a word exactly when there is one of length
+    MAX_TRUNCATION + 1.
     """
     fails: dict[str, list[tuple[Word, ...]]] = {key: [] for key in HOPF_AXIOMS}
+    if max_len > MAX_TRUNCATION and next(U.normal_words(MAX_TRUNCATION + 1), None):
+        raise TruncationExceeded(
+            f"word length {MAX_TRUNCATION + 1} above the bound {MAX_TRUNCATION}")
     words = U.normal_words_up_to(max_len)
     for w in words:
         elt = U.element({w: ONE})

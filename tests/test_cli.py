@@ -182,6 +182,25 @@ def test_hopf_check(so3_file, broken_file, capsys):
     assert "antipode: 1 failure(s)\n  e1*e2*e3\n" in capsys.readouterr().out
 
 
+def test_hopf_check_refuses_long_words_before_any_sweep(so3_file, capsys):
+    # weyl_map refuses words past MAX_TRUNCATION; the sweeps before it
+    # would otherwise run over every word of length <= 7 first
+    t0 = time.perf_counter()
+    assert main(["uea", "hopf-check", so3_file, "--max-len", "7"]) == 2
+    assert time.perf_counter() - t0 < 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: word length 7 above the bound 6\n"
+
+
+def test_hopf_check_bounds_the_words_not_the_flag(tmp_path, capsys):
+    # odd-pair's normal words stop at length 2, so a long --max-len is fine
+    path = tmp_path / "odd-pair.json"
+    path.write_text(dumps(odd_pair()))
+    assert main(["uea", "hopf-check", str(path), "--max-len", "9"]) == 0
+    assert capsys.readouterr().out.startswith("words up to length 9: 4\n")
+
+
 def test_pbw_dims(so3_file, capsys):
     assert main(["pbw", "dims", so3_file, "--n", "4"]) == 0
     out = capsys.readouterr().out
