@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .errors import DegreeOverflow, NegativePoint
-from .scalars import CycloScalar, I, MINUS_ONE, ONE, as_scalar, parse_rational
+from .scalars import CycloScalar, I, ONE, as_scalar, parse_rational
 from .sparse import add_scaled, add_term, format_term, join_terms
 
 DEGREE_BOUND = 64
@@ -25,27 +25,21 @@ DEGREE_BOUND = 64
 Coeffs = dict[int, CycloScalar]
 
 
-def _poly_mul(a: Coeffs, b: Coeffs) -> Coeffs:
+def _poly_mul(a: Coeffs, b: Coeffs, twisted: bool = False) -> Coeffs:
+    """Product of two coefficient maps; twisted negates every odd x odd
+    term."""
     out: Coeffs = {}
     for i, ca in a.items():
         for j, cb in b.items():
             if i + j > DEGREE_BOUND:
                 raise DegreeOverflow(
                     f"degree {i + j} above the bound {DEGREE_BOUND}")
-            add_term(out, i + j, ca * cb)
+            c = ca * cb
+            add_term(out, i + j, -c if twisted and i & j & 1 else c)
     return out
 
 
-def _monomial(k: int) -> Optional[str]:
-    return None if k == 0 else ("x" if k == 1 else f"x^{k}")
-
-
-def _poly_pretty(coeffs: Coeffs) -> str:
-    return join_terms(format_term(coeffs[k], _monomial(k))
-                      for k in sorted(coeffs, reverse=True))
-
-
-def _evaluate(coeffs: Coeffs, a: Fraction) -> CycloScalar:
+def _evaluate(coeffs: Mapping[int, CycloScalar], a: Fraction) -> CycloScalar:
     out = CycloScalar.zero()
     power = Fraction(1)
     for k in range(max(coeffs, default=0) + 1):
@@ -56,8 +50,13 @@ def _evaluate(coeffs: Coeffs, a: Fraction) -> CycloScalar:
     return out
 
 
-class EvenOddPoly:
-    """Polynomial with conjugation-fixed coefficients, split by power parity."""
+def _monomial(k: int) -> Optional[str]:
+    return None if k == 0 else ("x" if k == 1 else f"x^{k}")
+
+
+class _Poly:
+    """Coefficients by power, zeros dropped; a subclass states which
+    coefficients it admits (_check) and how it multiplies."""
 
     __slots__ = ("coeffs",)
 
@@ -67,12 +66,36 @@ class EvenOddPoly:
             c = as_scalar(c)
             if not c:
                 continue
-            if not c.is_conj_fixed():
-                raise ValueError(f"coefficient at x^{k} is not conjugation-fixed")
+            self._check(k, c)
             if k < 0:
                 raise ValueError("negative powers are not polynomial")
             clean[k] = c
         self.coeffs = clean
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def evaluate(self, a: Fraction) -> CycloScalar:
+        return _evaluate(self.coeffs, a)
+
+    def pretty(self) -> str:
+        return join_terms(format_term(self.coeffs[k], _monomial(k))
+                          for k in sorted(self.coeffs, reverse=True))
+
+    def __repr__(self):
+        return f"{type(self).__name__}<{self.pretty()}>"
+
+
+class EvenOddPoly(_Poly):
+    """Polynomial with conjugation-fixed coefficients, split by power parity."""
+
+    __slots__ = ()
+
+    def _check(self, k: int, c: CycloScalar) -> None:
+        if not c.is_conj_fixed():
+            raise ValueError(f"coefficient at x^{k} is not conjugation-fixed")
 
     @classmethod
     def zero(cls) -> "EvenOddPoly":
@@ -106,70 +129,27 @@ class EvenOddPoly:
     def __neg__(self) -> "EvenOddPoly":
         return EvenOddPoly({k: -c for k, c in self.coeffs.items()})
 
-    def __eq__(self, other):
-        if not isinstance(other, EvenOddPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def evaluate(self, a: Fraction) -> CycloScalar:
-        return _evaluate(self.coeffs, a)
-
     def pointwise_mul(self, other: "EvenOddPoly") -> "EvenOddPoly":
         return EvenOddPoly(_poly_mul(self.coeffs, other.coeffs))
-
-    def pretty(self) -> str:
-        return _poly_pretty(self.coeffs)
-
-    def __repr__(self):
-        return f"EvenOddPoly<{self.pretty()}>"
 
 
 def star_product(f: EvenOddPoly, h: EvenOddPoly) -> EvenOddPoly:
     """(f * h) = (f+ h+ - f- h-) + (f+ h- + f- h+), parities as written."""
-    fp, fm = f.even_part(), f.odd_part()
-    hp, hm = h.even_part(), h.odd_part()
-    out: Coeffs = {}
-    for part, sign in ((_poly_mul(fp, hp), None),
-                       (_poly_mul(fm, hm), MINUS_ONE),
-                       (_poly_mul(fp, hm), None),
-                       (_poly_mul(fm, hp), None)):
-        add_scaled(out, part, sign)
-    return EvenOddPoly(out)
+    return EvenOddPoly(_poly_mul(f.coeffs, h.coeffs, twisted=True))
 
 
-class ConjSymPoly:
+class ConjSymPoly(_Poly):
     """Polynomial whose coefficients are conjugation-fixed at even powers
     and conjugation-negated at odd powers; the product is pointwise."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: Mapping[int, CycloScalar]):
-        clean: Coeffs = {}
-        for k, c in coeffs.items():
-            if not c:
-                continue
-            expected = c if k % 2 == 0 else -c
-            if c.conj() != expected:
-                raise ValueError(f"coefficient at x^{k} breaks the symmetry")
-            clean[k] = c
-        self.coeffs = clean
-
-    def __eq__(self, other):
-        if not isinstance(other, ConjSymPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+    def _check(self, k: int, c: CycloScalar) -> None:
+        if c.conj() != (c if k % 2 == 0 else -c):
+            raise ValueError(f"coefficient at x^{k} breaks the symmetry")
 
     def __mul__(self, other: "ConjSymPoly") -> "ConjSymPoly":
         return ConjSymPoly(_poly_mul(self.coeffs, other.coeffs))
-
-    def evaluate(self, a: Fraction) -> CycloScalar:
-        return _evaluate(self.coeffs, a)
-
-    def pretty(self) -> str:
-        return _poly_pretty(self.coeffs)
-
-    def __repr__(self):
-        return f"ConjSymPoly<{self.pretty()}>"
 
 
 def to_complex(f: EvenOddPoly) -> ConjSymPoly:
@@ -191,9 +171,8 @@ def character_at(f: EvenOddPoly, a: Fraction) -> tuple[CycloScalar, str]:
     a = Fraction(a)
     if a < 0:
         raise NegativePoint(f"character points must be >= 0, got {a}")
-    ep = EvenOddPoly(f.even_part()).evaluate(a)
-    om = EvenOddPoly(f.odd_part()).evaluate(a)
-    return ep + I * om, ("R" if a == 0 else "C")
+    return (_evaluate(f.even_part(), a) + I * _evaluate(f.odd_part(), a),
+            "R" if a == 0 else "C")
 
 
 def untwisting_failures(degree: int, trials: int, rng: random.Random) -> int:

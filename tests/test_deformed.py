@@ -105,6 +105,8 @@ def test_coefficient_symmetry_enforcement():
         ConjSymPoly({1: ONE})  # odd coefficients must conjugate to their negative
     with pytest.raises(ValueError):
         ConjSymPoly({0: I})
+    with pytest.raises(ValueError, match="negative powers are not polynomial"):
+        ConjSymPoly({-2: ONE})
     assert ConjSymPoly({1: I, 0: ONE}).coeffs == {1: I, 0: ONE}
 
 
