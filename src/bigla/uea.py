@@ -159,9 +159,14 @@ class EnvelopingAlgebra:
         yield from extend([], 0, length)
 
     def normal_words_up_to(self, n: int) -> list[Word]:
+        """Normal words of length <= n, shortest first.  A prefix of a normal
+        word is normal, so the first empty length ends the enumeration."""
         out: list[Word] = []
         for m in range(n + 1):
-            out.extend(self.normal_words(m))
+            level = list(self.normal_words(m))
+            if not level:
+                break
+            out += level
         return out
 
     def sym(self) -> "EnvelopingAlgebra":
@@ -486,9 +491,8 @@ def hopf_failures(U: EnvelopingAlgebra, max_len: int
     max_len.  'weyl' is the coalgebra-morphism property of weyl_map.
 
     A normal word longer than MAX_TRUNCATION, which weyl_map refuses, is
-    refused before any sweep.  A prefix of a normal word is normal, so
-    there is such a word exactly when there is one of length
-    MAX_TRUNCATION + 1.
+    refused before any sweep; as a prefix of a normal word is normal,
+    there is one exactly when there is one of length MAX_TRUNCATION + 1.
     """
     fails: dict[str, list[tuple[Word, ...]]] = {key: [] for key in HOPF_AXIOMS}
     if max_len > MAX_TRUNCATION and next(U.normal_words(MAX_TRUNCATION + 1), None):

@@ -193,12 +193,16 @@ def test_hopf_check_refuses_long_words_before_any_sweep(so3_file, capsys):
     assert out.err == "error: word length 7 above the bound 6\n"
 
 
-def test_hopf_check_bounds_the_words_not_the_flag(tmp_path, capsys):
-    # odd-pair's normal words stop at length 2, so a long --max-len is fine
+@pytest.mark.parametrize("n", ["9", "1000000000000"])
+def test_hopf_check_bounds_the_words_not_the_flag(n, tmp_path, capsys):
+    # odd-pair's normal words stop at length 2, so a long --max-len is
+    # fine, and the enumeration stops there too
     path = tmp_path / "odd-pair.json"
     path.write_text(dumps(odd_pair()))
-    assert main(["uea", "hopf-check", str(path), "--max-len", "9"]) == 0
-    assert capsys.readouterr().out.startswith("words up to length 9: 4\n")
+    t0 = time.perf_counter()
+    assert main(["uea", "hopf-check", str(path), "--max-len", n]) == 0
+    assert time.perf_counter() - t0 < 1
+    assert capsys.readouterr().out.startswith(f"words up to length {n}: 4\n")
 
 
 def test_pbw_dims(so3_file, capsys):
