@@ -2,10 +2,11 @@
 
 Works over any field whose elements support +, -, *, inverse()/division and
 truthiness for zero tests, which here means CycloScalar or Fraction.  Rows
-are sparse dicts keyed by integer column.  The echelon form is tuned for
-the nearly triangular systems PBW constraints produce: most rows pivot
-immediately on their leading column.  Dense solving and matrix inversion
-feed it augmented rows and read the answer off the reduced pivot rows.
+are sparse dicts keyed by integer column.  Its callers are small dense
+systems: solve_dense (re-expressing the unitary2x2 brackets over the
+adapted basis), Matrix.inverse (hc inner-check) and the tests' elimination
+oracle for the equivariant basis.  Both feed it augmented rows and read
+the answer off the reduced pivot rows.
 """
 
 from __future__ import annotations
