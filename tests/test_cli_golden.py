@@ -35,6 +35,10 @@ BROKEN = (
     ("broken-qmat2", "qmat2", (0, 4), {"basis": 5, "coeff": ZETA}),
 )
 
+# A copy of so3-super.json whose involution flips only e2, so that the
+# six nonzero brackets leave the eigenspace of their arguments' signs.
+FLIPPED = ("flipped-so3-super", "so3-super", [1, -1, 1])
+
 README = [
     ["examples", "list"],
     ["examples", "export", "so3", "-o", "{dir}/so3.json"],
@@ -102,6 +106,8 @@ def commands() -> list[list[str]]:
             out += [["unbraid", path], ["--json", "unbraid", path],
                     ["alpha-check", path], ["--json", "alpha-check", path]]
     out += [["examples", "export", name] for name in sorted(catalog())]
+    path = f"{{dir}}/{FLIPPED[0]}.json"
+    out += [["check", path], ["--json", "check", path], ["rebraid", path]]
     return out
 
 
@@ -120,6 +126,12 @@ def _export(directory: str):
         row["value"].append(term)
         with open(os.path.join(directory, f"{name}.json"), "w") as fh:
             json.dump(doc, fh)
+    name, source, signs = FLIPPED
+    with open(os.path.join(directory, f"{source}.json")) as fh:
+        doc = json.load(fh)
+    doc["involution"] = signs
+    with open(os.path.join(directory, f"{name}.json"), "w") as fh:
+        json.dump(doc, fh)
 
 
 def run_all(directory: str, capture) -> list[dict]:
