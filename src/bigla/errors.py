@@ -16,7 +16,7 @@ class SpaceMismatch(BiglaError):
 
 
 class DegreeViolation(BiglaError):
-    # a map's basis images do not honor its declared degree
+    # a map or table does not respect the bi-degrees
     pass
 
 
@@ -36,11 +36,6 @@ class NotEvenType(BiglaError):
 
 class InputNotLie(BiglaError):
     # antisymmetry/Jacobi/homogeneity failed where a Lie algebra was required
-    pass
-
-
-class NotDiagonal(BiglaError):
-    # involution is not diagonal on the given basis
     pass
 
 

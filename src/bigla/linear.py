@@ -137,30 +137,35 @@ class Vector:
         return f"<{self.pretty()}>"
 
 
-class LinearMap:
-    """Linear map given by basis images, homogeneous of a declared degree.
+def _checked_images(source: BiGradedSpace, target: BiGradedSpace,
+                    images: Mapping[int, Vector]) -> dict[int, Vector]:
+    """Every basis image, zero where none is given.
 
-    Every image must be homogeneous of (source degree + declared degree);
-    violating images raise DegreeViolation up front, since nothing downstream
-    can interpret a non-homogeneous map.
+    Each image must lie in target and be homogeneous of its letter's
+    degree; violating images raise DegreeViolation up front, since nothing
+    downstream can interpret a non-homogeneous map.
     """
+    out = {}
+    for k in range(source.dim):
+        img = images.get(k, target.zero())
+        if img.space != target:
+            raise SpaceMismatch("image vector not in target space")
+        got = img.degree()
+        if img and got != source.degrees[k]:
+            raise DegreeViolation(f"image of {source.labels[k]} has degree {got}, "
+                                  f"expected {source.degrees[k]}")
+        out[k] = img
+    return out
+
+
+class LinearMap:
+    """Degree-preserving linear map given by basis images."""
 
     def __init__(self, source: BiGradedSpace, target: BiGradedSpace,
-                 images: Mapping[int, Vector], declared_degree: BiDegree = BiDegree(0, 0)):
+                 images: Mapping[int, Vector]):
         self.source = source
         self.target = target
-        self.declared_degree = declared_degree
-        self.images = {}
-        for k in range(source.dim):
-            img = images.get(k, target.zero())
-            if img.space != target:
-                raise SpaceMismatch("image vector not in target space")
-            want = source.degrees[k] + declared_degree
-            got = img.degree()
-            if img and got != want:
-                raise DegreeViolation(
-                    f"image of {source.labels[k]} has degree {got}, expected {want}")
-            self.images[k] = img
+        self.images = _checked_images(source, target, images)
 
     @classmethod
     def diagonal(cls, space: BiGradedSpace, scalars: Sequence[ScalarLike]) -> "LinearMap":
@@ -179,21 +184,11 @@ class LinearMap:
             add_scaled(out, self.images[k].coeffs, c)
         return Vector(self.target, out)
 
-    def compose(self, inner: "LinearMap") -> "LinearMap":
-        if inner.target != self.source:
-            raise SpaceMismatch("composition spaces do not line up")
-        return LinearMap(inner.source, self.target,
-                         {k: self(inner.images[k]) for k in range(inner.source.dim)},
-                         self.declared_degree + inner.declared_degree)
-
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
             return NotImplemented
         return (self.source == other.source and self.target == other.target
                 and self.images == other.images)
-
-    def is_diagonal(self) -> bool:
-        return all(set(img.coeffs) <= {k} for k, img in self.images.items())
 
 
 class AntiLinearMap:
@@ -205,15 +200,7 @@ class AntiLinearMap:
 
     def __init__(self, space: BiGradedSpace, images: Mapping[int, Vector]):
         self.space = space
-        self.images = {}
-        for k in range(space.dim):
-            img = images.get(k, space.zero())
-            if img.space != space:
-                raise SpaceMismatch("image vector not in the space")
-            if img and img.degree() != space.degrees[k]:
-                raise DegreeViolation(
-                    f"star image of {space.labels[k]} is not degree-preserving")
-            self.images[k] = img
+        self.images = _checked_images(space, space, images)
 
     @classmethod
     def diagonal_signs(cls, space: BiGradedSpace, signs: Sequence[int]) -> "AntiLinearMap":

@@ -14,7 +14,7 @@ from typing import Any, Union
 
 from .equivalence import SuperLieAlgebraWithInvolution
 from .lie import BiGradedAssocAlgebra, BiGradedLieAlgebra
-from .linear import BilinearMap, BiGradedSpace, LinearMap, Vector
+from .linear import BilinearMap, BiGradedSpace, Vector
 from .scalars import CycloScalar, degree, parse_rational, sign_deligne, sign_super
 from .sparse import add_term
 
@@ -146,7 +146,7 @@ def to_doc(a: Algebra) -> dict:
         return {"kind": KIND_SUPER, "name": a.algebra.name,
                 "basis": _space_to_json(a.space),
                 "brackets": _table_to_json(a.algebra.bracket, upper_only=True),
-                "involution": a.involution_signs()}
+                "involution": list(a.involution)}
     raise TypeError(f"cannot serialize {type(a).__name__}")
 
 
@@ -171,13 +171,8 @@ def from_doc(doc: Any) -> Algebra:
     if kind == KIND_SUPER:
         space = _space_from_json(doc.get("basis"), name)
         bracket = _table_from_json(doc.get("brackets"), space, sign_super)
-        signs = doc.get("involution")
-        if (not isinstance(signs, list) or len(signs) != space.dim
-                or any(isinstance(s, bool) or s not in (1, -1) for s in signs)):
-            raise ValueError("involution must list +-1 per basis element")
-        sigma = LinearMap.diagonal(space, signs)
         return SuperLieAlgebraWithInvolution(
-            BiGradedLieAlgebra(space, bracket, name=name), sigma)
+            BiGradedLieAlgebra(space, bracket, name=name), doc.get("involution"))
     raise ValueError(f"unknown kind {kind!r}")
 
 

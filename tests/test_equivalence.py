@@ -9,11 +9,9 @@ from bigla.equivalence import (SuperLieAlgebraWithInvolution, alpha_sweep,
                                cartan_sign_flip, involution_from_bidegree,
                                jacobiator_alpha_check, morphism_transfer, rebraid,
                                unbraid)
-from bigla.errors import (AlgebraMismatch, DegreeViolation, InputNotLie,
-                          NotDiagonal, NotEvenType)
+from bigla.errors import AlgebraMismatch, DegreeViolation, InputNotLie, NotEvenType
 from bigla.lie import AlgebraMorphism, BiGradedLieAlgebra, is_lie
 from bigla.linear import BilinearMap, LinearMap
-from bigla.scalars import D11
 
 
 def _lie_entries():
@@ -30,10 +28,7 @@ def test_unbraid_so3_is_so12():
             assert s.algebra.basis_bracket(i, j).coeffs == \
                 target.basis_bracket(i, j).coeffs
     # sigma = (-1)^eps2 fixes e1 and negates the (1,1) pair
-    sig = s.involution
-    assert sig.images[0].coeff(0).is_one()
-    assert sig.images[1].coeff(1) == -1
-    assert sig.images[2].coeff(2) == -1
+    assert s.involution == (1, -1, -1)
 
 
 def test_unbraid_rejects_non_lie_input():
@@ -72,17 +67,12 @@ def test_super_check_runs_only_the_named_checks():
     assert set(s.check()) == {"homogeneity", "antisymmetry", "jacobi", "involution"}
 
 
-def test_rebraid_requires_diagonal_involution():
+def test_involution_must_list_signs():
     s = unbraid(so3())
-    sp = s.space
-    swap = LinearMap(sp, sp, {0: sp.basis_vector(0),
-                              1: sp.basis_vector(2),
-                              2: sp.basis_vector(1)})
-    with pytest.raises(NotDiagonal):
-        rebraid(SuperLieAlgebraWithInvolution(s.algebra, swap))
-    stretch = LinearMap.diagonal(sp, [1, 2, 1])
-    with pytest.raises(NotDiagonal):
-        rebraid(SuperLieAlgebraWithInvolution(s.algebra, stretch))
+    for broken in ([1, -1], [1, 2, 1], [1, -1, True]):
+        with pytest.raises(ValueError, match="involution must list"):
+            SuperLieAlgebraWithInvolution(s.algebra, broken)
+    assert SuperLieAlgebraWithInvolution(s.algebra, [1, -1, 1]).involution == (1, -1, 1)
 
 
 def test_alpha_identity_on_catalog_triples():
@@ -175,8 +165,9 @@ def test_alpha_sweep_agrees_with_the_per_triple_check():
 
 def test_involution_from_bidegree_is_automorphism():
     g = odd_pair()
-    sigma = involution_from_bidegree(g)
-    assert sigma.compose(sigma).images == LinearMap.identity(g.space).images
+    signs = involution_from_bidegree(g)
+    assert signs == tuple(-1 if d.eps2 else 1 for d in g.space.degrees)
+    sigma = LinearMap.diagonal(g.space, signs)
     for i in range(g.dim):
         for j in range(g.dim):
             assert sigma(g.basis_bracket(i, j)) == \
@@ -194,13 +185,12 @@ def test_morphism_transfer():
     with pytest.raises(AlgebraMismatch):
         morphism_transfer(flip_one)
 
+    # a degree shift is not a linear map at all
     sp = g.space
-    shift = LinearMap(sp, sp, {0: sp.basis_vector(1),
-                               1: sp.basis_vector(0),
-                               2: sp.basis_vector(0)},
-                      declared_degree=D11)
     with pytest.raises(DegreeViolation):
-        morphism_transfer(AlgebraMorphism(g, g, shift))
+        LinearMap(sp, sp, {0: sp.basis_vector(1),
+                           1: sp.basis_vector(0),
+                           2: sp.basis_vector(0)})
 
 
 def test_cartan_sign_flip():

@@ -6,7 +6,7 @@ import pytest
 
 from bigla.equivalence import SuperLieAlgebraWithInvolution
 from bigla.lie import BiGradedAssocAlgebra, BiGradedLieAlgebra
-from bigla.linear import LinearMap, Vector
+from bigla.linear import Vector
 from bigla.schema import dumps, loads
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -34,7 +34,7 @@ def assoc_tables(draw):
 def super_tables(draw):
     g = draw(lie_tables())
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=g.dim, max_size=g.dim))
-    return SuperLieAlgebraWithInvolution(g, LinearMap.diagonal(g.space, signs))
+    return SuperLieAlgebraWithInvolution(g, signs)
 
 
 @settings(max_examples=60, deadline=None)
