@@ -1,6 +1,7 @@
 """End-to-end command line behavior: exit codes, output shape, round trips."""
 
 import json
+import pathlib
 import time
 
 import pytest
@@ -151,7 +152,7 @@ def test_unbraid_rebraid_round_trip(so3_file, tmp_path, capsys):
     back_path = tmp_path / "back.json"
     assert main(["unbraid", so3_file, "-o", str(super_path)]) == 0
     assert main(["rebraid", str(super_path), "-o", str(back_path)]) == 0
-    assert back_path.read_bytes() == open(so3_file, "rb").read()
+    assert back_path.read_bytes() == pathlib.Path(so3_file).read_bytes()
     # rebraid demands the super kind
     assert main(["rebraid", so3_file]) == 2
 
