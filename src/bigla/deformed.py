@@ -69,6 +69,8 @@ class _Poly:
             self._check(k, c)
             if k < 0:
                 raise ValueError("negative powers are not polynomial")
+            if k > DEGREE_BOUND:
+                raise DegreeOverflow(f"degree {k} above the bound {DEGREE_BOUND}")
             clean[k] = c
         self.coeffs = clean
 
@@ -178,7 +180,10 @@ def character_at(f: EvenOddPoly, a: Fraction) -> tuple[CycloScalar, str]:
 def untwisting_failures(degree: int, trials: int, rng: random.Random) -> int:
     """Draw trials random pairs of degree <= degree; the number of pairs on
     which to_complex fails to turn the star product into the pointwise
-    one."""
+    one.  Refused before any draw if the products can pass DEGREE_BOUND."""
+    if 2 * degree > DEGREE_BOUND:
+        raise DegreeOverflow(f"degree {degree} products reach degree {2 * degree}, "
+                             f"above the bound {DEGREE_BOUND}")
 
     def rand_poly():
         return EvenOddPoly({k: Fraction(rng.randint(-4, 4), rng.randint(1, 3))

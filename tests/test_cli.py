@@ -348,10 +348,18 @@ def test_negative_size_flags_are_refused(argv, so3_file, capsys):
      "error: truncation 7 above the bound 6\n"),
     (["hc", "bch", "{unitary}", "--x", "u1", "--y", "u2", "--n", "7"],
      "error: order 7 above the bound 6\n"),
-], ids=["conv-check", "bch"])
+    (["appendix", "character", "--f", "x^99999999", "--a", "2"],
+     "error: degree 99999999 above the bound 64\n"),
+    (["--seed", "0", "appendix", "iso-check", "--degree", "33", "--trials", "1"],
+     "error: degree 33 products reach degree 66, above the bound 64\n"),
+    (["--seed", "1", "appendix", "iso-check", "--degree", "33", "--trials", "1"],
+     "error: degree 33 products reach degree 66, above the bound 64\n"),
+], ids=["conv-check", "bch", "character", "iso-check-seed0", "iso-check-seed1"])
 def test_size_flags_above_the_truncation_bound_are_refused(argv, err, unitary_file,
                                                            capsys):
+    t0 = time.perf_counter()
     assert main([a.format(unitary=unitary_file) for a in argv]) == 2
+    assert time.perf_counter() - t0 < 1
     assert capsys.readouterr().err == err
 
 
