@@ -2,8 +2,9 @@
 
 A functional assigns a scalar to every normal word up to a truncation
 length.  Convolution pushes the coproduct through a pair of functionals
-with the crossing sign, and the truncated exp/log composition recovers the
-first-order composition law on even vectors.
+with the crossing sign, read off the two supports without expanding any
+coproduct, and the truncated exp/log composition recovers the first-order
+composition law on even vectors.
 
 Equivariant functionals are read off in closed form.  For the
 Harish-Chandra pair (g_0, g), U(g) is free as a left U(g_0)-module on the
@@ -19,21 +20,23 @@ every exterior letter, as the default order of the enveloping algebra does.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 from typing import Optional
 
-from .errors import (AlgebraMismatch, OddInput, TruncationExceeded,
-                     TruncationMismatch, TruncationTooSmall)
+from .errors import (AlgebraMismatch, DegreeViolation, OddInput,
+                     TruncationExceeded, TruncationMismatch,
+                     TruncationTooSmall)
 from .catalog import MatrixRep
 from .linalg import Matrix
 from .linear import LinearMap, Vector
 from .scalars import BiDegree, CycloScalar, ONE, ZERO, sign_deligne
 from .sparse import add_scaled, add_term
 from .uea import (MAX_TRUNCATION, EnvelopingAlgebra, UEAElement, Word,
-                  delta_word, primitive_vector, uea_multiply)
+                  primitive_vector, uea_multiply)
 
 
 class Functional:
@@ -91,35 +94,73 @@ def _match(phi: Functional, psi: Functional):
             f"truncations differ: {phi.truncation} vs {psi.truncation}")
 
 
+def _support(f: Functional) -> list[tuple[Word, Counter, CycloScalar]]:
+    """The normal words f is nonzero on, each with its letter counts and
+    value; convolution reads f on nothing else."""
+    return [(u, Counter(u), c) for u, c in f.values.items()
+            if f.ctx.is_normal(u)]
+
+
+def _unshuffles(ctx: EnvelopingAlgebra, u_count: Counter,
+                v_count: Counter) -> int:
+    """The number of unshuffles of w = u v sorted by rank that give (u, v),
+    prod_k C(mult_w(k), mult_u(k)); 0 when an exterior letter sits in both,
+    because w is then not normal."""
+    n = 1
+    for k, m in v_count.items():
+        if k in u_count:
+            if ctx.exterior[k]:
+                return 0
+            n *= comb(u_count[k] + m, m)
+    return n
+
+
 def convolution(phi: Functional, psi: Functional) -> Functional:
     """(phi * psi)(w) = sum over Delta(w) = sum c u (x) v of the signed
-    product c phi(u) psi(v).
+    product c phi(u) psi(v), summed over the pairs of supported words.
 
-    The sign moves psi's slot v past the left slot u.
+    Delta(w) of a normal word w is a sum over the unshuffles of w, since
+    every subword of a normal word is normal.  So phi(u) psi(v) reaches only
+    w = u v sorted by rank, when that w is normal, once per unshuffle giving
+    (u, v).  Those differ only in how a repeated letter is split; repeated
+    letters sit next to each other in w and pair to 0 with themselves, so
+    all carry one sign.  With the sign of moving psi's slot v past the left
+    slot u, it reduces mod 2 to (-1)^(deg x . deg y) over the letters x of v
+    and y of u with rank x > rank y.
     """
     _match(phi, psi)
     ctx = phi.ctx
+    rank, degs = ctx.rank, ctx.g.space.degrees
+    right = _support(psi)
     values: dict[Word, CycloScalar] = {}
-    for n in range(phi.truncation + 1):
-        for w in ctx.normal_words(n):
-            for (u, v), c in delta_word(ctx, w).terms.items():
-                left = phi.values.get(u)
-                right = psi.values.get(v)
-                if left is None or right is None:
-                    continue
-                if sign_deligne(ctx.word_degree(v), ctx.word_degree(u)) != 1:
-                    c = -c
-                add_term(values, w, c * left * right)
+    for u, u_count, a in _support(phi):
+        room = phi.truncation - len(u)
+        for v, v_count, b in right:
+            if len(v) > room:
+                continue
+            n = _unshuffles(ctx, u_count, v_count)
+            if not n:
+                continue
+            c = a * b
+            if n != 1:
+                c = c * n
+            if sum(degs[x].pairing(degs[y]) for x in v for y in u
+                   if rank[x] > rank[y]) % 2:
+                c = -c
+            add_term(values, tuple(sorted(u + v, key=rank.__getitem__)), c)
     return Functional(ctx, phi.truncation, values)
 
 
 def convolution_commutes(phi: Functional, psi: Functional) -> bool:
-    """Deligne commutativity for homogeneous-shift functionals."""
+    """Deligne commutativity for homogeneous-shift functionals.  Raises
+    DegreeViolation when either support spans other than one word degree."""
+    for name, f in (("first", phi), ("second", psi)):
+        if f.shift() is None:
+            raise DegreeViolation(
+                f"the {name} functional has {len(f.shifts())} shifts, not one")
     lhs = convolution(phi, psi)
     rhs = convolution(psi, phi)
-    sp, ss = phi.shift(), psi.shift()
-    assert sp is not None and ss is not None
-    s = sign_deligne(sp, ss)
+    s = sign_deligne(phi.shift(), psi.shift())
     return lhs == (rhs if s == 1 else rhs.scale(-ONE))
 
 

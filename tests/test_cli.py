@@ -252,6 +252,19 @@ def test_conv_check(so3_file, capsys):
     assert "all commute" in capsys.readouterr().out
 
 
+def test_conv_check_expands_no_coproduct(tmp_path, monkeypatch, capsys):
+    """conv-check convolves from the functionals' supports: with every
+    delta_word made to raise it still runs, and every pair commutes."""
+    def refuse(*args):
+        raise AssertionError("delta_word called")
+    monkeypatch.setattr("bigla.uea.delta_word", refuse)
+    monkeypatch.setattr("bigla.hc.delta_word", refuse, raising=False)
+    path = tmp_path / "qmat2-lie.json"
+    path.write_text(dumps(catalog_lie()["qmat2-lie"]))
+    assert main(["hc", "conv-check", str(path), "--n", "6", "--trials", "3"]) == 0
+    assert "all commute" in capsys.readouterr().out
+
+
 def test_bch(so3_file, capsys):
     assert main(["hc", "bch", so3_file, "--x", "e1", "--y", "e2",
                  "--n", "2"]) == 0

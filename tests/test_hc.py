@@ -17,8 +17,8 @@ from bigla import hc
 from bigla.catalog import (algebra_B, catalog_lie, odd_pair, so3,
                            so3_group_automorphism, so3_group_elements,
                            so3_standard_rep, unitary_example)
-from bigla.errors import (AlgebraMismatch, OddInput, Singular,
-                          TruncationExceeded, TruncationMismatch,
+from bigla.errors import (AlgebraMismatch, DegreeViolation, OddInput,
+                          Singular, TruncationExceeded, TruncationMismatch,
                           TruncationTooSmall)
 from bigla.hc import (Functional, _series_mul, bch_product, convolution,
                       convolution_commutes, equivariant_functionals,
@@ -26,8 +26,9 @@ from bigla.hc import (Functional, _series_mul, bch_product, convolution,
 from bigla.lie import commutator_lie
 from bigla.linalg import Echelon, Matrix
 from bigla.linear import Vector
-from bigla.scalars import CycloScalar, ONE
-from bigla.uea import EnvelopingAlgebra
+from bigla.scalars import CycloScalar, ONE, sign_deligne
+from bigla.sparse import add_term
+from bigla.uea import EnvelopingAlgebra, delta_word
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -49,6 +50,34 @@ def _random_functional(ctx, truncation, rng):
             continue
         values[w] = CycloScalar.from_rational(rng.randrange(-3, 4))
     return Functional(ctx, truncation, values)
+
+
+def mixed_functional(ctx, truncation, rng):
+    """Small Q(zeta8) values on a random half of the normal words of every
+    degree, so that the shift is usually not defined."""
+    return Functional(ctx, truncation, {
+        w: CycloScalar(rng.randrange(-3, 4), rng.randrange(-1, 2))
+        for w in ctx.normal_words_up_to(truncation) if rng.random() < 0.5})
+
+
+def expanded_convolution(phi, psi):
+    """The convolution by expanding Delta(w) for every normal word w up to
+    the truncation and keeping the terms c u (x) v that both functionals
+    see, each signed by moving v past u.  The oracle for hc.convolution,
+    which reads the two supports instead."""
+    ctx = phi.ctx
+    values = {}
+    for n in range(phi.truncation + 1):
+        for w in ctx.normal_words(n):
+            for (u, v), c in delta_word(ctx, w).terms.items():
+                left = phi.values.get(u)
+                right = psi.values.get(v)
+                if left is None or right is None:
+                    continue
+                if sign_deligne(ctx.word_degree(v), ctx.word_degree(u)) != 1:
+                    c = -c
+                add_term(values, w, c * left * right)
+    return Functional(ctx, phi.truncation, values)
 
 
 def test_trivial_module():
@@ -103,6 +132,35 @@ def test_convolution_commutes_across_catalog():
             if phi.shift() is None or psi.shift() is None:
                 continue
             assert convolution_commutes(phi, psi), name
+
+
+@pytest.mark.parametrize("name", sorted(catalog_lie()))
+def test_convolution_matches_the_expanded_coproduct_on_the_catalog(name):
+    """Seeded homogeneous and inhomogeneous pairs at truncation 4, under the
+    default PBW order and under its reverse, which puts the exterior
+    letters first."""
+    g = catalog_lie()[name]
+    rng = random.Random(name)
+    default = _ctx(g)
+    for ctx in (default, EnvelopingAlgebra(g, order=default.order[::-1])):
+        for draw in (hc._random_functional, mixed_functional):
+            for _ in range(3):
+                phi, psi = draw(ctx, 4, rng), draw(ctx, 4, rng)
+                assert convolution(phi, psi) == expanded_convolution(phi, psi)
+
+
+def test_convolution_commutes_needs_one_shift_per_functional():
+    ctx = _ctx(unitary_example())
+    one = Functional(ctx, 2, {(): ONE})
+    mixed = Functional(ctx, 2, {(): ONE, (ctx.g.space.index("x1"),): ONE})
+    zero = Functional(ctx, 2, {})
+    with pytest.raises(DegreeViolation,
+                       match="^the second functional has 2 shifts, not one$"):
+        convolution_commutes(one, mixed)
+    with pytest.raises(DegreeViolation,
+                       match="^the first functional has 0 shifts, not one$"):
+        convolution_commutes(zero, one)
+    assert convolution_commutes(one, one)
 
 
 def convolution_table():

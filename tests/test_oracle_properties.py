@@ -6,6 +6,11 @@ each catalog Lie algebra moved through a random invertible, degree-preserving
 change of basis with Q(zeta8) entries, under a random PBW order that keeps
 the even letters first.  (The generators of test_sweep_properties.py build
 tables that are not Lie, and the closed form holds only for Lie algebras.)
+On the same algebras and orders, hc.convolution, which reads the two
+functionals' supports, is compared with the expansion of Delta(w) over every
+normal word w of tests/test_hc.py (the PBW coproduct is dual to the shuffle
+product; Kostant, "Graded manifolds, graded Lie theory, and prequantization",
+1977).
 
 Leftmost rewriting is compared with rewriting at random positions: the PBW
 rewriting system is confluent, so every strategy reaches the same normal
@@ -14,6 +19,7 @@ form (Bergman, "The diamond lemma for ring theory", Adv. Math. 29, 1978).
 
 import pytest
 
+from bigla import hc
 from bigla.catalog import catalog_lie
 from bigla.lie import BiGradedLieAlgebra, check_lie
 from bigla.linalg import Matrix
@@ -21,7 +27,8 @@ from bigla.linear import BilinearMap, Vector
 from bigla.scalars import CycloScalar
 from bigla.uea import EnvelopingAlgebra, normal_form_random
 
-from test_hc import closed_form_basis, elimination_basis
+from test_hc import (closed_form_basis, elimination_basis,
+                     expanded_convolution, mixed_functional)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -89,6 +96,16 @@ def test_closed_form_matches_the_elimination_on_rebased_algebras(ctx, n):
     assert not any(check_lie(ctx.g).values())
     n = min(n, 3) if ctx.dim == 8 else n
     assert closed_form_basis(ctx, n) == elimination_basis(ctx, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rebased_lie_algebras(), st.integers(0, 4), st.randoms(use_true_random=False))
+def test_convolution_matches_the_expanded_coproduct_on_rebased_algebras(ctx, n, rng):
+    n = min(n, 3) if ctx.dim == 8 else n
+    phi = hc._random_functional(ctx, n, rng)
+    psi = mixed_functional(ctx, n, rng)
+    assert hc.convolution(phi, psi) == expanded_convolution(phi, psi)
+    assert hc.convolution(psi, phi) == expanded_convolution(psi, phi)
 
 
 @st.composite
