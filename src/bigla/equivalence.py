@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection
 
-from .errors import AlgebraMismatch, NotEquivariant, NotEvenType
+from .errors import AlgebraMismatch, NotEvenType
 from .lie import (AlgebraMorphism, BiGradedLieAlgebra, check_morphism, jacobiator,
                   _lie_checks, _run_checks, jacobiators, require_lie)
 from .linear import BiGradedSpace, BilinearMap, LinearMap, Vector
@@ -169,16 +169,13 @@ def morphism_transfer(phi: AlgebraMorphism) -> SuperMorphism:
     """View a bi-graded morphism as a morphism of the unbraided algebras.
 
     The twist signs depend only on degrees, which phi preserves, so the same
-    linear map intertwines the twisted brackets and the involutions.  Checked,
-    not assumed: NotEquivariant on an involution mismatch, AlgebraMismatch if
-    the super bracket property fails.
+    linear map intertwines the twisted brackets and the involutions: both
+    involutions are (-1)^eps2 of the degree, and a LinearMap is
+    degree-preserving.  The super bracket property is checked, not assumed:
+    AlgebraMismatch if it fails.
     """
     src = unbraid(phi.source)
     tgt = unbraid(phi.target)
-    for k in range(src.dim):
-        if any(tgt.involution[m] != src.involution[k] for m in phi.map.images[k].coeffs):
-            raise NotEquivariant(
-                f"phi does not intertwine the involutions at {src.space.labels[k]}")
     bad = check_morphism(AlgebraMorphism(src.algebra, tgt.algebra, phi.map))
     if bad:
         raise AlgebraMismatch(f"transferred map fails the super bracket at {bad[:5]}")

@@ -39,10 +39,6 @@ class InputNotLie(BiglaError):
     pass
 
 
-class NotEquivariant(BiglaError):
-    pass
-
-
 class AlgebraMismatch(BiglaError):
     # elements or maps attached to different algebras
     pass
