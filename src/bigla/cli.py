@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -280,8 +281,6 @@ def cmd_hc_bch(args):
 
 
 def cmd_hc_inner_check(args):
-    if args.rep != "so3-std":
-        raise _Fail(f"unknown representation {args.rep!r}")
     rep = so3_standard_rep()
     elements = so3_group_elements()
     if args.element not in elements:
@@ -291,7 +290,7 @@ def cmd_hc_inner_check(args):
     bad = inner_automorphism_check(rep, elements[args.element], expected)
     labels = [rep.space.labels[k] for k in bad]
     ok = not bad
-    result = {"rep": args.rep, "element": args.element,
+    result = {"rep": "so3-std", "element": args.element,
               "target": "degree involution", "violations": labels, "ok": ok}
     lines = [f"conjugation by {args.element} implements the degree involution"
              if ok else
@@ -461,7 +460,6 @@ def build_parser() -> _Parser:
         q.set_defaults(fn=cmd_hc_bch)
         q = hsub.add_parser("inner-check",
                             help="does conjugation implement the degree involution")
-        q.add_argument("--rep", default="so3-std")
         q.add_argument("--element", required=True)
         q.set_defaults(fn=cmd_hc_inner_check)
     sub.add_parser("hc", help="functionals on the enveloping algebra", build=hc)
@@ -503,7 +501,14 @@ def main(argv=None) -> int:
     except (_Fail, BiglaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, result, lines, time.perf_counter() - t0)
+    try:
+        _emit(args, result, lines, time.perf_counter() - t0)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point stdout at devnull so that
+        # the interpreter's final flush is silent too (the SIGPIPE recipe of
+        # the Python signal module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

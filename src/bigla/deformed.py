@@ -16,11 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .errors import DegreeOverflow, NegativePoint
+from .errors import DegreeOverflow, NegativePoint, TrialsExceeded
 from .scalars import CycloScalar, I, ONE, as_scalar, parse_rational
 from .sparse import add_scaled, add_term, format_term, join_terms
 
 DEGREE_BOUND = 64
+
+# most random trials a sweep draws, here and in hc.commutativity_failures
+MAX_TRIALS = 10 ** 4
 
 Coeffs = dict[int, CycloScalar]
 
@@ -100,14 +103,6 @@ class EvenOddPoly(_Poly):
             raise ValueError(f"coefficient at x^{k} is not conjugation-fixed")
 
     @classmethod
-    def zero(cls) -> "EvenOddPoly":
-        return cls({})
-
-    @classmethod
-    def one(cls) -> "EvenOddPoly":
-        return cls({0: ONE})
-
-    @classmethod
     def variable(cls) -> "EvenOddPoly":
         return cls({1: ONE})
 
@@ -116,9 +111,6 @@ class EvenOddPoly(_Poly):
 
     def odd_part(self) -> Coeffs:
         return {k: c for k, c in self.coeffs.items() if k % 2 == 1}
-
-    def degree(self) -> int:
-        return max(self.coeffs, default=0)
 
     def __add__(self, other: "EvenOddPoly") -> "EvenOddPoly":
         out = dict(self.coeffs)
@@ -180,10 +172,13 @@ def character_at(f: EvenOddPoly, a: Fraction) -> tuple[CycloScalar, str]:
 def untwisting_failures(degree: int, trials: int, rng: random.Random) -> int:
     """Draw trials random pairs of degree <= degree; the number of pairs on
     which to_complex fails to turn the star product into the pointwise
-    one.  Refused before any draw if the products can pass DEGREE_BOUND."""
+    one.  Refused before any draw if the products can pass DEGREE_BOUND or
+    trials is above MAX_TRIALS."""
     if 2 * degree > DEGREE_BOUND:
         raise DegreeOverflow(f"degree {degree} products reach degree {2 * degree}, "
                              f"above the bound {DEGREE_BOUND}")
+    if trials > MAX_TRIALS:
+        raise TrialsExceeded(f"trials {trials} above the bound {MAX_TRIALS}")
 
     def rand_poly():
         return EvenOddPoly({k: Fraction(rng.randint(-4, 4), rng.randint(1, 3))

@@ -79,6 +79,11 @@ class BasisNotAdapted(BiglaError):
     pass
 
 
+class TrialsExceeded(BiglaError):
+    # more random trials requested than MAX_TRIALS
+    pass
+
+
 class DegreeOverflow(BiglaError):
     # polynomial degree above the configured bound
     pass

@@ -28,12 +28,13 @@ from math import comb, factorial
 from typing import Optional
 
 from .errors import (AlgebraMismatch, DegreeViolation, OddInput,
-                     TruncationExceeded, TruncationMismatch,
+                     TrialsExceeded, TruncationExceeded, TruncationMismatch,
                      TruncationTooSmall)
 from .catalog import MatrixRep
+from .deformed import MAX_TRIALS
 from .linalg import Matrix
 from .linear import LinearMap, Vector
-from .scalars import BiDegree, CycloScalar, ONE, ZERO, sign_deligne
+from .scalars import BiDegree, CycloScalar, ONE, sign_deligne
 from .sparse import add_scaled, add_term
 from .uea import (MAX_TRUNCATION, EnvelopingAlgebra, UEAElement, Word,
                   primitive_vector, uea_multiply)
@@ -49,17 +50,6 @@ class Functional:
         self.ctx = ctx
         self.truncation = truncation
         self.values = {w: c for w, c in values.items() if c}
-
-    def value(self, w: Word) -> CycloScalar:
-        return self.values.get(tuple(w), ZERO)
-
-    def apply(self, a: UEAElement) -> CycloScalar:
-        if a.ctx is not self.ctx:
-            raise AlgebraMismatch("element from a different enveloping algebra")
-        if a.filtration() > self.truncation:
-            raise TruncationExceeded(
-                f"element filtration {a.filtration()} above {self.truncation}")
-        return sum((c * self.value(w) for w, c in a.terms.items()), ZERO)
 
     def __add__(self, other: "Functional") -> "Functional":
         _match(self, other)
@@ -179,10 +169,13 @@ def _random_functional(ctx: EnvelopingAlgebra, truncation: int,
 def commutativity_failures(ctx: EnvelopingAlgebra, truncation: int,
                            trials: int, rng: random.Random) -> int:
     """Draw trials random pairs of homogeneous-shift functionals; the number
-    of pairs that fail convolution_commutes."""
+    of pairs that fail convolution_commutes.  Refused before any draw if
+    truncation is above MAX_TRUNCATION or trials above MAX_TRIALS."""
     if truncation > MAX_TRUNCATION:
         raise TruncationExceeded(
             f"truncation {truncation} above the bound {MAX_TRUNCATION}")
+    if trials > MAX_TRIALS:
+        raise TrialsExceeded(f"trials {trials} above the bound {MAX_TRIALS}")
     checked = 0
     failures = 0
     while checked < trials:

@@ -292,10 +292,6 @@ class CartanPairReport:
     g11: list[int]
     violations: list[str]
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def cartan_pair(g: BiGradedLieAlgebra) -> CartanPairReport:
     """Split an algebra concentrated in degrees (0,0) and (1,1) into (k, p)

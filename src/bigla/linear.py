@@ -35,17 +35,11 @@ class BiGradedSpace:
             raise KeyError(f"no basis element {label!r} in {self.name or 'space'}")
         return self._index[label]
 
-    def degree(self, k: int) -> BiDegree:
-        return self.degrees[k]
-
     def component(self, deg: BiDegree) -> list[int]:
         return [k for k, d in enumerate(self.degrees) if d == deg]
 
     def basis_vector(self, k: int) -> "Vector":
         return Vector(self, {k: ONE})
-
-    def vector(self, coeffs: Mapping[str, ScalarLike]) -> "Vector":
-        return Vector(self, {self.index(lab): as_scalar(c) for lab, c in coeffs.items()})
 
     def zero(self) -> "Vector":
         return Vector(self, {})
@@ -100,12 +94,6 @@ class Vector:
             return NotImplemented
         return self.space == other.space and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash((self.space, tuple(sorted((k, v.c) for k, v in self.coeffs.items()))))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -124,9 +112,6 @@ class Vector:
         for k, c in self.coeffs.items():
             parts.setdefault(self.space.degrees[k], {})[k] = c
         return {d: Vector(self.space, m) for d, m in parts.items()}
-
-    def conj_coeffs(self) -> "Vector":
-        return Vector(self.space, {k: c.conj() for k, c in self.coeffs.items()})
 
     def pretty(self) -> str:
         labels = self.space.labels
@@ -172,10 +157,6 @@ class LinearMap:
         return cls(space, space,
                    {k: space.basis_vector(k).scale(scalars[k]) for k in range(space.dim)})
 
-    @classmethod
-    def identity(cls, space: BiGradedSpace) -> "LinearMap":
-        return cls.diagonal(space, [1] * space.dim)
-
     def __call__(self, v: Vector) -> Vector:
         if v.space != self.source:
             raise SpaceMismatch("vector not in the map's source space")
@@ -183,12 +164,6 @@ class LinearMap:
         for k, c in v.coeffs.items():
             add_scaled(out, self.images[k].coeffs, c)
         return Vector(self.target, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearMap):
-            return NotImplemented
-        return (self.source == other.source and self.target == other.target
-                and self.images == other.images)
 
 
 class AntiLinearMap:
@@ -201,11 +176,6 @@ class AntiLinearMap:
     def __init__(self, space: BiGradedSpace, images: Mapping[int, Vector]):
         self.space = space
         self.images = _checked_images(space, space, images)
-
-    @classmethod
-    def diagonal_signs(cls, space: BiGradedSpace, signs: Sequence[int]) -> "AntiLinearMap":
-        return cls(space, {k: space.basis_vector(k).scale(signs[k])
-                           for k in range(space.dim)})
 
     def __call__(self, v: Vector) -> Vector:
         if v.space != self.space:

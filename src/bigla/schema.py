@@ -184,11 +184,6 @@ def loads(text: str) -> Algebra:
     return from_doc(json.loads(text))
 
 
-def save_path(a: Algebra, path: str):
-    with open(path, "w") as fh:
-        fh.write(dumps(a))
-
-
 def load_path(path: str) -> Algebra:
     with open(path) as fh:
         return loads(fh.read())

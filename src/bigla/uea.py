@@ -129,12 +129,6 @@ class EnvelopingAlgebra:
     def one(self) -> "UEAElement":
         return UEAElement(self, {(): ONE})
 
-    def zero(self) -> "UEAElement":
-        return UEAElement(self, {})
-
-    def letter(self, k: int) -> "UEAElement":
-        return UEAElement(self, {(k,): ONE})
-
     def from_vector(self, v: Vector) -> "UEAElement":
         if v.space != self.g.space:
             raise AlgebraMismatch("vector is not over this algebra's space")
@@ -208,20 +202,12 @@ class UEAElement:
         add_scaled(out, other.terms)
         return UEAElement(self.ctx, out)
 
-    def __sub__(self, other: "UEAElement") -> "UEAElement":
-        return self + (-other)
-
     def __neg__(self) -> "UEAElement":
         return UEAElement(self.ctx, {w: -c for w, c in self.terms.items()})
 
     def scale(self, c) -> "UEAElement":
         c = as_scalar(c)
         return UEAElement(self.ctx, {w: c * v for w, v in self.terms.items()})
-
-    def __rmul__(self, c) -> "UEAElement":
-        if isinstance(c, (int, Fraction, CycloScalar)):
-            return self.scale(c)
-        return NotImplemented
 
     def __mul__(self, other) -> "UEAElement":
         if isinstance(other, UEAElement):
@@ -237,15 +223,6 @@ class UEAElement:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def filtration(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
-    def coeff(self, w: Word) -> CycloScalar:
-        return self.terms.get(tuple(w), CycloScalar.zero())
 
     def sorted_terms(self) -> list[tuple[Word, CycloScalar]]:
         return sorted(self.terms.items(), key=lambda t: (-len(t[0]), t[0]))
@@ -316,21 +293,11 @@ class TensorElement:
         add_scaled(out, other.terms)
         return TensorElement(self.ctx, self.nslots, out)
 
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + other.scale(CycloScalar.from_rational(-1))
-
-    def scale(self, c: CycloScalar) -> "TensorElement":
-        return TensorElement(self.ctx, self.nslots,
-                             {ws: c * v for ws, v in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented
         return (self.ctx is other.ctx and self.nslots == other.nslots
                 and self.terms == other.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __mul__(self, other: "TensorElement") -> "TensorElement":
         """(u1 x ... x un)(v1 x ... x vn) with the Koszul sign from moving

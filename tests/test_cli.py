@@ -1,11 +1,15 @@
 """End-to-end command line behavior: exit codes, output shape, round trips."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import bigla
 from bigla.cli import main
 from bigla.schema import dumps, scalar_to_json, to_doc
 from bigla.catalog import catalog_lie, odd_pair, so3, unitary_example
@@ -296,8 +300,6 @@ def test_inner_check(capsys):
     assert main(["hc", "inner-check", "--element", "rotation-x"]) == 1
     assert "does not implement" in capsys.readouterr().out
     assert main(["hc", "inner-check", "--element", "glide"]) == 2
-    assert main(["hc", "inner-check", "--rep", "other",
-                 "--element", "rotation-x"]) == 2
 
 
 def test_appendix_star(capsys):
@@ -367,7 +369,12 @@ def test_negative_size_flags_are_refused(argv, so3_file, capsys):
      "error: degree 33 products reach degree 66, above the bound 64\n"),
     (["--seed", "1", "appendix", "iso-check", "--degree", "33", "--trials", "1"],
      "error: degree 33 products reach degree 66, above the bound 64\n"),
-], ids=["conv-check", "bch", "character", "iso-check-seed0", "iso-check-seed1"])
+    (["hc", "conv-check", "{unitary}", "--trials", "100000000"],
+     "error: trials 100000000 above the bound 10000\n"),
+    (["appendix", "iso-check", "--trials", "100000000"],
+     "error: trials 100000000 above the bound 10000\n"),
+], ids=["conv-check", "bch", "character", "iso-check-seed0", "iso-check-seed1",
+        "conv-check-trials", "iso-check-trials"])
 def test_size_flags_above_the_truncation_bound_are_refused(argv, err, unitary_file,
                                                            capsys):
     t0 = time.perf_counter()
@@ -400,3 +407,22 @@ def test_output_is_deterministic_unless_timed(so3_file, capsys):
     assert main(["--json", "--timing", "check", so3_file]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert "elapsed_s" in doc
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["examples", "list"], 0),
+    (["hc", "inner-check", "--element", "rotation-x"], 1),
+], ids=["examples-list", "inner-check-fails"])
+def test_a_closed_stdout_ends_quietly_with_the_command_code(argv, code):
+    # the reader is gone before the command writes, as with `| head -0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(bigla.__file__).parent.parent))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bigla.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == code

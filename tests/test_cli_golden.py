@@ -52,8 +52,8 @@ README = [
     ["hc", "hom-dim", "{dir}/so3.json", "--n", "2"],
     ["hc", "conv-check", "{dir}/so3.json", "--n", "3", "--trials", "20"],
     ["hc", "bch", "{dir}/so3.json", "--x", "e1", "--y", "e2", "--n", "2"],
-    ["hc", "inner-check", "--rep", "so3-std", "--element", "reflection-diag"],
-    ["hc", "inner-check", "--rep", "so3-std", "--element", "rotation-x"],
+    ["hc", "inner-check", "--element", "reflection-diag"],
+    ["hc", "inner-check", "--element", "rotation-x"],
     ["appendix", "star", "--f", "1+x", "--g", "1-x"],
     ["appendix", "character", "--f", "x^2+1", "--a", "2"],
     ["appendix", "iso-check", "--degree", "8", "--trials", "200"],

@@ -38,6 +38,11 @@ def _reference_defects(g, signs):
 @settings(max_examples=80, deadline=None)
 @given(tables_and_signs())
 def test_involution_check_matches_the_diagonal_map(drawn):
+    """The involution check flags exactly the basis pairs on which the diagonal
+    map of the signs is not a bracket automorphism. A sign tuple that is one is
+    a second Z2-grading, through which the super algebra corresponds to a
+    Z2xZ2-graded one (Scheunert, "Generalized Lie algebras", J. Math. Phys. 20
+    (1979))."""
     g, signs = drawn
     s = SuperLieAlgebraWithInvolution(g, signs)
     assert s.check(["involution"]) == {"involution": _reference_defects(g, signs)}

@@ -138,7 +138,7 @@ def test_cartan_pair():
 
 def test_check_morphism():
     g = so3()
-    ident = AlgebraMorphism(g, g, LinearMap.identity(g.space))
+    ident = AlgebraMorphism(g, g, LinearMap.diagonal(g.space, [1, 1, 1]))
     assert check_morphism(ident) == []
     # negating a single generator of a pair breaks the bracket relation
     flip_one = AlgebraMorphism(g, g, LinearMap.diagonal(g.space, [1, -1, 1]))

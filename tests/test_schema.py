@@ -9,8 +9,8 @@ import pytest
 from bigla.catalog import algebra_B, catalog, so3, unitary_example
 from bigla.equivalence import SuperLieAlgebraWithInvolution, unbraid
 from bigla.lie import BiGradedAssocAlgebra, BiGradedLieAlgebra
-from bigla.schema import (dumps, from_doc, load_path, loads, save_path,
-                          scalar_from_json, scalar_to_json, to_doc)
+from bigla.schema import (dumps, from_doc, load_path, loads, scalar_from_json,
+                          scalar_to_json, to_doc)
 from bigla.scalars import CycloScalar, I, ONE
 
 
@@ -187,5 +187,5 @@ def test_dumps_is_stable_and_file_round_trips(tmp_path):
     assert json.loads(text)["kind"] == "bigraded-lie"
     assert dumps(loads(text)) == text
     target = tmp_path / "so3.json"
-    save_path(so3(), str(target))
+    target.write_text(dumps(so3()))
     assert dumps(load_path(str(target))) == text

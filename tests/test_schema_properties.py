@@ -40,6 +40,11 @@ def super_tables(draw):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(lie_tables(), assoc_tables(), super_tables()))
 def test_dump_load_dump_is_the_identity(a):
+    """A table of every kind reloads to one that dumps to the same bytes. A
+    file keeps the entries with left <= right and the reload fills in the rest
+    by eps-antisymmetry, [y, x] = -eps(y, x) [x, y], with the commutation
+    factor of the kind (Scheunert, "Generalized Lie algebras", J. Math. Phys.
+    20 (1979))."""
     text = dumps(a)
     assert dumps(loads(text)) == text
 
@@ -47,6 +52,10 @@ def test_dump_load_dump_is_the_identity(a):
 @settings(max_examples=60, deadline=None)
 @given(assoc_tables())
 def test_assoc_reload_keeps_constants_and_unit(a):
+    """An associative table reloads with its product constants and unit
+    exactly. Its product has no symmetry to rebuild entries from: the
+    eps-commutator of such an algebra is what gives a Z2xZ2-graded Lie algebra
+    (Scheunert, "Generalized Lie algebras", J. Math. Phys. 20 (1979))."""
     b = loads(dumps(a))
     drawn = {pair: v for pair, v in a.product.constants.items() if v}
     assert b.product.constants == drawn

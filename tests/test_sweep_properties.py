@@ -78,6 +78,11 @@ def _triples(n):
 @settings(max_examples=60, deadline=None)
 @given(brackets())
 def test_jacobi_sweep_matches_the_reference(g):
+    """The shared-bracket Jacobi sweep matches the graded Jacobi identity
+    recomputed per triple, the cyclic sum of eps(c, a) [a, [b, c]], under both
+    the Z2xZ2 and the super commutation factor (Scheunert, "Generalized Lie
+    algebras", J. Math. Phys. 20 (1979); Rittenberg-Wyler, "Generalized
+    superalgebras", Nucl. Phys. B 139 (1978))."""
     for sign in SIGNS:
         reference = {t: _reference_jacobiator(g, *t, sign) for t in _triples(g.dim)}
         swept = list(jacobiators(g, sign))
@@ -91,6 +96,11 @@ def test_jacobi_sweep_matches_the_reference(g):
 @settings(max_examples=40, deadline=None)
 @given(brackets())
 def test_alpha_sweep_matches_the_per_triple_check(g):
+    """The alpha sweep matches the per-triple check, and on every homogeneous
+    table, Lie or not, the unbraiding twist multiplies each jacobiator by
+    (-1)^alpha: the Z2xZ2 <-> super correspondence of Rittenberg-Wyler,
+    "Generalized superalgebras", Nucl. Phys. B 139 (1978), and Scheunert,
+    "Generalized Lie algebras", J. Math. Phys. 20 (1979)."""
     sweep = alpha_sweep(g)
     assert list(sweep) == _triples(g.dim)
     for t, r in sweep.items():
@@ -104,6 +114,10 @@ def test_alpha_sweep_matches_the_per_triple_check(g):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_associativity_check_matches_the_reference(data):
+    """The associativity check flags exactly the triples with (e_i e_j) e_k !=
+    e_i (e_j e_k). Associativity is what makes the eps-commutator of a graded
+    algebra a Z2xZ2-graded Lie bracket (Scheunert, "Generalized Lie algebras",
+    J. Math. Phys. 20 (1979))."""
     space = data.draw(spaces())
     a = BiGradedAssocAlgebra(space, data.draw(homogeneous_tables(space)))
     e = space.basis_vector
@@ -138,6 +152,12 @@ def lie_algebras(draw):
 @settings(max_examples=20, deadline=None)
 @given(lie_algebras())
 def test_rebraid_undoes_unbraid_on_random_lie_algebras(g):
+    """On commutator algebras of random Z2xZ2-graded matrix algebras, unbraid
+    gives a valid super Lie algebra with involution and rebraid gives g back:
+    the twist is an invertible correspondence between Z2xZ2-graded and super
+    Lie algebras (Rittenberg-Wyler, "Generalized superalgebras", Nucl. Phys. B
+    139 (1978); Scheunert, "Generalized Lie algebras", J. Math. Phys. 20
+    (1979))."""
     s = unbraid(g)
     assert not any(s.check().values())
     back = rebraid(s)

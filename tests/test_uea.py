@@ -110,12 +110,12 @@ def test_normal_form_random_agrees_with_leftmost():
 def test_letters_are_primitive():
     ctx = _unitary_ctx()
     for k in range(ctx.dim):
-        x = ctx.letter(k)
+        x = ctx.element({(k,): ONE})
         left = TensorElement(ctx, 2, {((k,), ()): ONE})
         right = TensorElement(ctx, 2, {((), (k,)): ONE})
         assert delta(x) == left + right
         assert primitive_vector(x) == ctx.g.space.basis_vector(k)
-    assert primitive_vector(ctx.letter(0) * ctx.letter(1)) is None
+    assert primitive_vector(ctx.element({(0, 1): ONE})) is None
 
 
 def test_delta_is_multiplicative():
@@ -138,7 +138,7 @@ def test_coassociativity_and_counit():
         recovered = ctx.element(
             {ws[1]: c for ws, c in t.terms.items() if ws[0] == ()})
         assert recovered == a
-        assert counit(a) == a.coeff(())
+        assert counit(a) == a.terms.get((), 0)
 
 
 def test_coproduct_is_graded_cocommutative():
@@ -152,7 +152,7 @@ def test_coproduct_is_graded_cocommutative():
 
 def test_antipode():
     ctx = _so3_ctx()
-    e1, e2 = ctx.letter(0), ctx.letter(1)
+    e1, e2 = ctx.element({(0,): ONE}), ctx.element({(1,): ONE})
     assert antipode(e1) == -e1
     # S(e1 e2) = S(e2)S(e1) = e2 e1, which normalizes to e1 e2 - e3
     assert antipode(e1 * e2).pretty() == "e1*e2 - e3"
@@ -161,7 +161,7 @@ def test_antipode():
         for _ in range(6):
             a = _random_element(ctx, rng, n_words=2, max_len=3)
             t = delta(a)
-            acc = ctx.zero()
+            acc = ctx.element({})
             for (u, v), c in t.terms.items():
                 acc = acc + (antipode(ctx.element({u: ONE}))
                              * ctx.element({v: ONE})).scale(c)
@@ -227,9 +227,9 @@ def test_pbw_factorize_round_trip():
         a = _random_element(ctx, rng, n_words=3, max_len=3)
         a = uea_multiply(a, ctx.one())  # normalize the words first
         pairs = pbw_factorize(ctx, a)
-        rebuilt = ctx.zero()
+        rebuilt = ctx.element({})
         for even_elt, odd_word in pairs:
-            lifted = ctx.zero()
+            lifted = ctx.element({})
             for w, c in even_elt.terms.items():
                 parent = tuple(ctx.g.space.index(even_elt.ctx.g.space.labels[k])
                                for k in w)
@@ -256,7 +256,7 @@ def test_tensor_koszul_sign():
         * TensorElement(ctx, 2, {((), x): ONE})
     # x1 crosses x1, both of pairing-1 degree, so one product picks up -1
     assert plain == TensorElement(ctx, 2, {(x, x): ONE})
-    assert crossing == plain.scale(-ONE)
+    assert crossing == TensorElement(ctx, 2, {(x, x): -ONE})
     u = (ctx.g.space.index("u1"),)
     even_cross = TensorElement(ctx, 2, {((), x): ONE}) \
         * TensorElement(ctx, 2, {(u, ()): ONE})
@@ -266,9 +266,9 @@ def test_tensor_koszul_sign():
 def test_pretty_wraps_spaced_scalars():
     ctx = _so3_ctx()
     c = ONE - ZETA
-    elt = ctx.letter(0).scale(c)
+    elt = ctx.element({(0,): c})
     assert elt.pretty() == "(1 - z8)*e1"
-    assert ctx.zero().pretty() == "0"
+    assert ctx.element({}).pretty() == "0"
     assert ctx.one().pretty() == "1"
     half = ctx.one().scale(CycloScalar.from_rational(Fraction(1, 2)))
     assert half.pretty() == "1/2"
