@@ -362,29 +362,35 @@ def cmd_examples_export(args):
     return _output(args, ctor())
 
 
-class _Parser(argparse.ArgumentParser):
-    """A parser whose arguments and subcommands are added by build when
-    argparse first dispatches to it, or on complete().  main() builds a
-    parser per call; the whole tree cost about 3.4 ms and 775 objects of
-    cyclic garbage a call, and this way a call builds only the top level
-    and the named command."""
+class _Subcommands(argparse._SubParsersAction):
+    """Subcommands whose parsers are built when argparse first dispatches to
+    them.  main() builds a parser per call, so a call builds only the top
+    level, the named command and, under a group, the named subcommand: two
+    or three parsers, not the whole tree.  add_parser records the help line
+    and a build function; argparse's choice checks, usage and help read
+    only the names and help lines."""
 
-    def __init__(self, *args, build=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._build = build
+    def add_parser(self, name, *, help, build):
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self._name_parser_map[name] = build
 
-    def complete(self):
-        build, self._build = self._build, None
-        if build is not None:
-            build(self)
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = values[0]
+        build = self._name_parser_map[name]
+        if not isinstance(build, argparse.ArgumentParser):
+            self._name_parser_map[name] = sub = argparse.ArgumentParser(
+                prog=f"{self._prog_prefix} {name}")
+            build(sub)
+        super().__call__(parser, namespace, values, option_string)
 
-    def parse_known_args(self, args=None, namespace=None):
-        self.complete()
-        return super().parse_known_args(args, namespace)
+
+def _subcommands(parser, dest: str) -> _Subcommands:
+    parser.register("action", "parsers", _Subcommands)
+    return parser.add_subparsers(dest=dest, required=True)
 
 
-def build_parser() -> _Parser:
-    p = _Parser(
+def build_parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
         prog="bigla",
         description="Exact checks and constructions for bi-graded Lie algebras.")
     p.add_argument("--json", action="store_true",
@@ -393,7 +399,7 @@ def build_parser() -> _Parser:
                    help="seed for randomized checks (default 0)")
     p.add_argument("--timing", action="store_true",
                    help="append elapsed wall time to the output")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = _subcommands(p, "command")
 
     def check(q):
         q.add_argument("file")
@@ -422,72 +428,102 @@ def build_parser() -> _Parser:
                    build=alpha_check)
 
     def uea(group):
-        usub = group.add_subparsers(dest="subcommand", required=True)
-        q = usub.add_parser("nf", help="normal form of a word")
-        q.add_argument("file")
-        q.add_argument("--word", required=True, help="comma-separated labels")
-        q.set_defaults(fn=cmd_uea_nf)
-        q = usub.add_parser("hopf-check", help="coproduct, counit, antipode axioms")
-        q.add_argument("file")
-        q.add_argument("--max-len", type=_size, default=3)
-        q.set_defaults(fn=cmd_uea_hopf_check)
+        usub = _subcommands(group, "subcommand")
+
+        def nf(q):
+            q.add_argument("file")
+            q.add_argument("--word", required=True, help="comma-separated labels")
+            q.set_defaults(fn=cmd_uea_nf)
+        usub.add_parser("nf", help="normal form of a word", build=nf)
+
+        def hopf_check(q):
+            q.add_argument("file")
+            q.add_argument("--max-len", type=_size, default=3)
+            q.set_defaults(fn=cmd_uea_hopf_check)
+        usub.add_parser("hopf-check", help="coproduct, counit, antipode axioms",
+                        build=hopf_check)
     sub.add_parser("uea", help="enveloping algebra operations", build=uea)
 
     def pbw(group):
-        psub = group.add_subparsers(dest="subcommand", required=True)
-        q = psub.add_parser("dims", help="normal word counts against the formula")
-        q.add_argument("file")
-        q.add_argument("--n", type=_size, default=4)
-        q.set_defaults(fn=cmd_pbw_dims)
+        def dims(q):
+            q.add_argument("file")
+            q.add_argument("--n", type=_size, default=4)
+            q.set_defaults(fn=cmd_pbw_dims)
+        _subcommands(group, "subcommand").add_parser(
+            "dims", help="normal word counts against the formula", build=dims)
     sub.add_parser("pbw", help="basis counting", build=pbw)
 
     def hc(group):
-        hsub = group.add_subparsers(dest="subcommand", required=True)
-        q = hsub.add_parser("hom-dim", help="dimension of equivariant functionals")
-        q.add_argument("file")
-        q.add_argument("--n", type=_size, required=True)
-        q.set_defaults(fn=cmd_hc_hom_dim)
-        q = hsub.add_parser("conv-check", help="convolution commutativity sweep")
-        q.add_argument("file")
-        q.add_argument("--n", type=_size, default=3)
-        q.add_argument("--trials", type=_size, default=20)
-        q.set_defaults(fn=cmd_hc_conv_check)
-        q = hsub.add_parser("bch", help="truncated log of a product of exponentials")
-        q.add_argument("file")
-        q.add_argument("--x", required=True, help="vector, e.g. 'e1' or '1/2*e1,e2'")
-        q.add_argument("--y", required=True)
-        q.add_argument("--n", type=_size, default=2)
-        q.set_defaults(fn=cmd_hc_bch)
-        q = hsub.add_parser("inner-check",
-                            help="does conjugation implement the degree involution")
-        q.add_argument("--element", required=True)
-        q.set_defaults(fn=cmd_hc_inner_check)
+        hsub = _subcommands(group, "subcommand")
+
+        def hom_dim(q):
+            q.add_argument("file")
+            q.add_argument("--n", type=_size, required=True)
+            q.set_defaults(fn=cmd_hc_hom_dim)
+        hsub.add_parser("hom-dim", help="dimension of equivariant functionals",
+                        build=hom_dim)
+
+        def conv_check(q):
+            q.add_argument("file")
+            q.add_argument("--n", type=_size, default=3)
+            q.add_argument("--trials", type=_size, default=20)
+            q.set_defaults(fn=cmd_hc_conv_check)
+        hsub.add_parser("conv-check", help="convolution commutativity sweep",
+                        build=conv_check)
+
+        def bch(q):
+            q.add_argument("file")
+            q.add_argument("--x", required=True, help="vector, e.g. 'e1' or '1/2*e1,e2'")
+            q.add_argument("--y", required=True)
+            q.add_argument("--n", type=_size, default=2)
+            q.set_defaults(fn=cmd_hc_bch)
+        hsub.add_parser("bch", help="truncated log of a product of exponentials",
+                        build=bch)
+
+        def inner_check(q):
+            q.add_argument("--element", required=True)
+            q.set_defaults(fn=cmd_hc_inner_check)
+        hsub.add_parser("inner-check",
+                        help="does conjugation implement the degree involution",
+                        build=inner_check)
     sub.add_parser("hc", help="functionals on the enveloping algebra", build=hc)
 
     def appendix(group):
-        asub = group.add_subparsers(dest="subcommand", required=True)
-        q = asub.add_parser("star", help="star product of two polynomials")
-        q.add_argument("--f", required=True)
-        q.add_argument("--g", required=True)
-        q.set_defaults(fn=cmd_appendix_star)
-        q = asub.add_parser("iso-check", help="untwisting isomorphism sweep")
-        q.add_argument("--degree", type=_size, default=8)
-        q.add_argument("--trials", type=_size, default=200)
-        q.set_defaults(fn=cmd_appendix_iso_check)
-        q = asub.add_parser("character", help="evaluation character at a point")
-        q.add_argument("--f", required=True)
-        q.add_argument("--a", required=True)
-        q.set_defaults(fn=cmd_appendix_character)
+        asub = _subcommands(group, "subcommand")
+
+        def star(q):
+            q.add_argument("--f", required=True)
+            q.add_argument("--g", required=True)
+            q.set_defaults(fn=cmd_appendix_star)
+        asub.add_parser("star", help="star product of two polynomials", build=star)
+
+        def iso_check(q):
+            q.add_argument("--degree", type=_size, default=8)
+            q.add_argument("--trials", type=_size, default=200)
+            q.set_defaults(fn=cmd_appendix_iso_check)
+        asub.add_parser("iso-check", help="untwisting isomorphism sweep",
+                        build=iso_check)
+
+        def character(q):
+            q.add_argument("--f", required=True)
+            q.add_argument("--a", required=True)
+            q.set_defaults(fn=cmd_appendix_character)
+        asub.add_parser("character", help="evaluation character at a point",
+                        build=character)
     sub.add_parser("appendix", help="deformed one-variable products", build=appendix)
 
     def examples(group):
-        esub = group.add_subparsers(dest="subcommand", required=True)
-        q = esub.add_parser("list", help="list names, kinds, dimensions")
-        q.set_defaults(fn=cmd_examples_list)
-        q = esub.add_parser("export", help="write an example as JSON")
-        q.add_argument("name")
-        q.add_argument("-o", "--output")
-        q.set_defaults(fn=cmd_examples_export)
+        esub = _subcommands(group, "subcommand")
+
+        def list_(q):
+            q.set_defaults(fn=cmd_examples_list)
+        esub.add_parser("list", help="list names, kinds, dimensions", build=list_)
+
+        def export(q):
+            q.add_argument("name")
+            q.add_argument("-o", "--output")
+            q.set_defaults(fn=cmd_examples_export)
+        esub.add_parser("export", help="write an example as JSON", build=export)
     sub.add_parser("examples", help="shipped example algebras", build=examples)
 
     return p

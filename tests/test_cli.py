@@ -1,5 +1,6 @@
 """End-to-end command line behavior: exit codes, output shape, round trips."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -407,6 +408,41 @@ def test_output_is_deterministic_unless_timed(so3_file, capsys):
     assert main(["--json", "--timing", "check", so3_file]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert "elapsed_s" in doc
+
+
+@pytest.mark.parametrize("argv,built", [
+    (["check", "{so3}"], 2),
+    (["unbraid", "{so3}"], 2),
+    (["rebraid", "{super}"], 2),
+    (["alpha-check", "{so3}"], 2),
+    (["uea", "nf", "{so3}", "--word", "e2,e1"], 3),
+    (["uea", "hopf-check", "{so3}", "--max-len", "1"], 3),
+    (["pbw", "dims", "{so3}", "--n", "2"], 3),
+    (["hc", "hom-dim", "{so3}", "--n", "2"], 3),
+    (["hc", "conv-check", "{so3}", "--n", "2", "--trials", "1"], 3),
+    (["hc", "bch", "{so3}", "--x", "e1", "--y", "e2", "--n", "1"], 3),
+    (["hc", "inner-check", "--element", "rotation-x"], 3),
+    (["appendix", "star", "--f", "x", "--g", "x"], 3),
+    (["appendix", "iso-check", "--degree", "1", "--trials", "1"], 3),
+    (["appendix", "character", "--f", "x", "--a", "2"], 3),
+    (["examples", "list"], 3),
+    (["examples", "export", "so3"], 3),
+], ids=lambda v: " ".join(a for a in v[:2] if a[0] not in "{-")
+   if isinstance(v, list) else None)
+def test_a_command_builds_only_its_own_parsers(argv, built, so3_file, tmp_path,
+                                               monkeypatch, capsys):
+    # the top level, the command and, under a group, the subcommand
+    super_file = str(tmp_path / "super.json")
+    assert main(["unbraid", so3_file, "-o", super_file]) == 0
+    init = argparse.ArgumentParser.__init__
+    calls = []
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    main([a.format(so3=so3_file, super=super_file) for a in argv])
+    assert len(calls) == built, calls
 
 
 @pytest.mark.parametrize("argv,code", [

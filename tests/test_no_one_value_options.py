@@ -11,17 +11,23 @@ from bigla.cli import build_parser
 
 
 def _parsers(parser):
-    parser.complete()
+    """The parser and every parser below it.  A subcommand's parser is
+    built on dispatch, so the walk calls each subcommand's build function,
+    as dispatch does, on a parser of its own."""
     yield parser
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
+            for name, build in action.choices.items():
+                sub = argparse.ArgumentParser(prog=f"{parser.prog} {name}")
+                build(sub)
                 yield from _parsers(sub)
 
 
 def test_no_option_has_a_single_choice():
+    walked = list(_parsers(build_parser()))
+    assert len(walked) == 22  # top level, 9 commands, 12 grouped subcommands
     single = [f"{p.prog} {'/'.join(a.option_strings) or a.dest}"
-              for p in _parsers(build_parser()) for a in p._actions
+              for p in walked for a in p._actions
               if not isinstance(a, argparse._SubParsersAction)
               and a.choices is not None and len(a.choices) == 1]
     assert single == []
