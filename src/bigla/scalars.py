@@ -169,12 +169,6 @@ class CycloScalar:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other: ScalarLike) -> "CycloScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, n: int) -> "CycloScalar":
         if n < 0:
             return self.inverse() ** (-n)
