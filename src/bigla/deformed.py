@@ -22,8 +22,13 @@ from .sparse import add_scaled, add_term, format_term, join_terms
 
 DEGREE_BOUND = 64
 
-# most random trials a sweep draws, here and in hc.commutativity_failures
-MAX_TRIALS = 10 ** 4
+# most work a random sweep may draw: its trials times the size of one
+# trial, here (degree + 1)^2 coefficient products and in
+# hc.commutativity_failures the normal words up to the truncation.  Per
+# unit of size a tiny trial costs the most: the largest admitted sweep,
+# conv-check at truncation 0 with 60000 trials, took 9.1 s on a shared
+# 2-core host, and iso-check at degree 32 with 55 trials 1.3 s.
+MAX_TRIAL_WORK = 6 * 10 ** 4
 
 Coeffs = dict[int, CycloScalar]
 
@@ -169,16 +174,24 @@ def character_at(f: EvenOddPoly, a: Fraction) -> tuple[CycloScalar, str]:
             "R" if a == 0 else "C")
 
 
+def bound_trial_work(trials: int, size: int, unit: str) -> None:
+    """Raise TrialsExceeded when trials of size units each come to more
+    than MAX_TRIAL_WORK."""
+    if trials * size > MAX_TRIAL_WORK:
+        raise TrialsExceeded(f"{trials} trials of {size} {unit} come to "
+                             f"{trials * size}, above the bound {MAX_TRIAL_WORK}")
+
+
 def untwisting_failures(degree: int, trials: int, rng: random.Random) -> int:
     """Draw trials random pairs of degree <= degree; the number of pairs on
     which to_complex fails to turn the star product into the pointwise
     one.  Refused before any draw if the products can pass DEGREE_BOUND or
-    trials is above MAX_TRIALS."""
+    the (degree + 1)^2 coefficient products of all trials pass
+    MAX_TRIAL_WORK."""
     if 2 * degree > DEGREE_BOUND:
         raise DegreeOverflow(f"degree {degree} products reach degree {2 * degree}, "
                              f"above the bound {DEGREE_BOUND}")
-    if trials > MAX_TRIALS:
-        raise TrialsExceeded(f"trials {trials} above the bound {MAX_TRIALS}")
+    bound_trial_work(trials, (degree + 1) ** 2, "coefficient products")
 
     def rand_poly():
         return EvenOddPoly({k: Fraction(rng.randint(-4, 4), rng.randint(1, 3))

@@ -80,7 +80,7 @@ class BasisNotAdapted(BiglaError):
 
 
 class TrialsExceeded(BiglaError):
-    # more random trials requested than MAX_TRIALS
+    # a random sweep's trials times their size above MAX_TRIAL_WORK
     pass
 
 

@@ -28,10 +28,9 @@ from math import comb, factorial
 from typing import Optional
 
 from .errors import (AlgebraMismatch, DegreeViolation, OddInput,
-                     TrialsExceeded, TruncationExceeded, TruncationMismatch,
-                     TruncationTooSmall)
+                     TruncationExceeded, TruncationMismatch, TruncationTooSmall)
 from .catalog import MatrixRep
-from .deformed import MAX_TRIALS
+from .deformed import bound_trial_work
 from .linalg import Matrix
 from .linear import LinearMap, Vector
 from .scalars import BiDegree, CycloScalar, ONE, sign_deligne
@@ -170,12 +169,12 @@ def commutativity_failures(ctx: EnvelopingAlgebra, truncation: int,
                            trials: int, rng: random.Random) -> int:
     """Draw trials random pairs of homogeneous-shift functionals; the number
     of pairs that fail convolution_commutes.  Refused before any draw if
-    truncation is above MAX_TRUNCATION or trials above MAX_TRIALS."""
+    truncation is above MAX_TRUNCATION, or if trials times the normal words
+    up to the truncation pass deformed.MAX_TRIAL_WORK."""
     if truncation > MAX_TRUNCATION:
         raise TruncationExceeded(
             f"truncation {truncation} above the bound {MAX_TRUNCATION}")
-    if trials > MAX_TRIALS:
-        raise TrialsExceeded(f"trials {trials} above the bound {MAX_TRIALS}")
+    bound_trial_work(trials, len(ctx.normal_words_up_to(truncation)), "normal words")
     checked = 0
     failures = 0
     while checked < trials:
