@@ -376,11 +376,11 @@ class _Subcommands(argparse._SubParsersAction):
 
     def __call__(self, parser, namespace, values, option_string=None):
         name = values[0]
-        build = self._name_parser_map[name]
-        if not isinstance(build, argparse.ArgumentParser):
+        entry = self._name_parser_map[name]
+        if not isinstance(entry, argparse.ArgumentParser):
             self._name_parser_map[name] = sub = argparse.ArgumentParser(
                 prog=f"{self._prog_prefix} {name}")
-            build(sub)
+            entry(sub)
         super().__call__(parser, namespace, values, option_string)
 
 
@@ -445,12 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("uea", help="enveloping algebra operations", build=uea)
 
     def pbw(group):
+        psub = _subcommands(group, "subcommand")
+
         def dims(q):
             q.add_argument("file")
             q.add_argument("--n", type=_size, default=4)
             q.set_defaults(fn=cmd_pbw_dims)
-        _subcommands(group, "subcommand").add_parser(
-            "dims", help="normal word counts against the formula", build=dims)
+        psub.add_parser("dims", help="normal word counts against the formula",
+                        build=dims)
     sub.add_parser("pbw", help="basis counting", build=pbw)
 
     def hc(group):
