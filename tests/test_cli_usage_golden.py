@@ -3,7 +3,10 @@
 Each argv below stops in the argument parser, so no file is read and the
 paths need not exist.  The recording holds stdout, stderr and the exit
 code of the ``SystemExit`` argparse raises.  Help text is wrapped to the
-terminal width, so COLUMNS is pinned to 80.  The recorded outputs live in
+terminal width, so COLUMNS is pinned to 80.  Argparse's layout also moves
+between Python versions (3.13 wraps the long usage line differently from
+3.10-3.12), so the recording holds for the interpreter it was made with,
+Python 3.11.  The recorded outputs live in
 ``cli_usage_golden.json`` next to this file.  To record them again, after
 a deliberate change of the parser, run
 
