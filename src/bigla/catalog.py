@@ -214,9 +214,11 @@ def _rational_coordinates(basis: Sequence[Vector], target: Vector) -> list[Fract
     rows = []
     rhs = []
     for k in range(dim):
+        coords = [b.coeff(k).rationals() for b in basis]
+        target_coords = target.coeff(k).rationals()
         for comp in range(4):
-            rows.append([b.coeff(k).c[comp] for b in basis])
-            rhs.append(target.coeff(k).c[comp])
+            rows.append([q[comp] for q in coords])
+            rhs.append(target_coords[comp])
     try:
         return solve_dense(rows, rhs)
     except Singular as exc:

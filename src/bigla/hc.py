@@ -42,13 +42,14 @@ from .uea import (MAX_TRUNCATION, EnvelopingAlgebra, UEAElement, Word,
 class Functional:
     """Scalar values on normal words of length <= truncation."""
 
-    __slots__ = ("ctx", "truncation", "values")
+    __slots__ = ("ctx", "truncation", "values", "_shifts")
 
     def __init__(self, ctx: EnvelopingAlgebra, truncation: int,
                  values: dict[Word, CycloScalar]):
         self.ctx = ctx
         self.truncation = truncation
         self.values = {w: c for w, c in values.items() if c}
+        self._shifts: Optional[set[BiDegree]] = None
 
     def __add__(self, other: "Functional") -> "Functional":
         _match(self, other)
@@ -67,8 +68,10 @@ class Functional:
                 and self.values == other.values)
 
     def shifts(self) -> set[BiDegree]:
-        """Word degrees of the support."""
-        return {self.ctx.word_degree(w) for w in self.values}
+        """Word degrees of the support, computed on the first call."""
+        if self._shifts is None:
+            self._shifts = {self.ctx.word_degree(w) for w in self.values}
+        return self._shifts
 
     def shift(self) -> Optional[BiDegree]:
         s = self.shifts()
@@ -154,14 +157,15 @@ def convolution_commutes(phi: Functional, psi: Functional) -> bool:
 
 
 def _random_functional(ctx: EnvelopingAlgebra, truncation: int,
+                       words: list[tuple[Word, BiDegree]],
                        rng: random.Random) -> Functional:
-    """Small integers on a random subset of the words of one word degree."""
-    words = ctx.normal_words_up_to(truncation)
-    target = ctx.word_degree(words[rng.randrange(len(words))])
+    """Small integers on a random subset of the words of one word degree;
+    words holds every normal word up to the truncation with its degree."""
+    target = words[rng.randrange(len(words))][1]
     vals = {}
-    for w in words:
-        if ctx.word_degree(w) == target and rng.random() < 0.6:
-            vals[w] = CycloScalar.from_rational(Fraction(rng.randint(-3, 3)))
+    for w, d in words:
+        if d == target and rng.random() < 0.6:
+            vals[w] = CycloScalar.from_rational(rng.randint(-3, 3))
     return Functional(ctx, truncation, vals)
 
 
@@ -174,12 +178,14 @@ def commutativity_failures(ctx: EnvelopingAlgebra, truncation: int,
     if truncation > MAX_TRUNCATION:
         raise TruncationExceeded(
             f"truncation {truncation} above the bound {MAX_TRUNCATION}")
-    bound_trial_work(trials, len(ctx.normal_words_up_to(truncation)), "normal words")
+    words = ctx.normal_words_up_to(truncation)
+    bound_trial_work(trials, len(words), "normal words")
+    graded = [(w, ctx.word_degree(w)) for w in words]
     checked = 0
     failures = 0
     while checked < trials:
-        phi = _random_functional(ctx, truncation, rng)
-        psi = _random_functional(ctx, truncation, rng)
+        phi = _random_functional(ctx, truncation, graded, rng)
+        psi = _random_functional(ctx, truncation, graded, rng)
         if phi.shift() is None or psi.shift() is None:
             continue
         if not convolution_commutes(phi, psi):

@@ -2,9 +2,14 @@
 
 Everything downstream computes over Q(zeta8), the rationals extended by a
 primitive 8th root of unity zeta = exp(i*pi/4), represented as
-c0 + c1*zeta + c2*zeta^2 + c3*zeta^3 with rational c's and zeta^4 = -1.
-zeta^2 is the imaginary unit, so Q(i) sits inside, and zeta itself is the
-square root of i that the quaternion-like catalog algebra needs.
+(c0 + c1*zeta + c2*zeta^2 + c3*zeta^3) / d with integer c's, a positive
+integer d and zeta^4 = -1.  The form is canonical, gcd(c0, c1, c2, c3, d) =
+1 and zero is 0/1, so equal scalars have equal coordinates.  These are the
+integral coordinates over one denominator of Cohen, "A Course in
+Computational Algebraic Number Theory" (1993), section 4.2: the arithmetic is
+int arithmetic, and most catalog constants have d = 1 or 2.  zeta^2 is the
+imaginary unit, so Q(i) sits inside, and zeta itself is the square root of i
+that the quaternion-like catalog algebra needs.
 
 Degrees live in Z2 x Z2.  Three sign rules on degree pairs drive the whole
 kernel; they are returned as +-1 ints so they slot directly into coefficient
@@ -14,6 +19,7 @@ arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple, Union
 
 from .sparse import format_term, join_terms
@@ -23,43 +29,88 @@ Rational = Fraction
 RationalLike = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, "CycloScalar"]
 
-_ZERO4 = (Fraction(0), Fraction(0), Fraction(0), Fraction(0))
+_new = object.__new__
+
+
+def _scalar(c0: int, c1: int, c2: int, c3: int, d: int) -> "CycloScalar":
+    """(c0 + c1 z + c2 z^2 + c3 z^3) / d for d > 0, in lowest terms."""
+    if d != 1:
+        g = gcd(c0, c1, c2, c3, d)
+        if g != 1:
+            c0 //= g
+            c1 //= g
+            c2 //= g
+            c3 //= g
+            d //= g
+    s = _new(CycloScalar)
+    s.c = (c0, c1, c2, c3)
+    s.d = d
+    return s
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """The product of two integer coordinate vectors, reduced by z^4 = -1."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+            a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+            a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0)
+
+
+def _galois(a: tuple, k: int) -> tuple:
+    """The coordinates of zeta -> zeta^k applied to a, for odd k."""
+    out = [0, 0, 0, 0]
+    for j, cj in enumerate(a):
+        m = (j * k) % 8
+        if m < 4:
+            out[m] += cj
+        else:
+            out[m - 4] -= cj
+    return tuple(out)
 
 
 class CycloScalar:
-    """An element c0 + c1*zeta + c2*zeta^2 + c3*zeta^3 of Q(zeta8)."""
+    """An element (c0 + c1*zeta + c2*zeta^2 + c3*zeta^3) / d of Q(zeta8),
+    with int c's and d > 0 in lowest terms."""
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "d")
 
     def __init__(self, c0: RationalLike = 0, c1: RationalLike = 0,
                  c2: RationalLike = 0, c3: RationalLike = 0):
-        self.c = (Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3))
-
-    @classmethod
-    def _raw(cls, coeffs) -> "CycloScalar":
-        s = object.__new__(cls)
-        s.c = coeffs
-        return s
+        qs = [q if isinstance(q, Fraction) else Fraction(q) for q in (c0, c1, c2, c3)]
+        d = lcm(*(q.denominator for q in qs))
+        # over the lcm of reduced denominators the form is already lowest
+        self.c = tuple(q.numerator * (d // q.denominator) for q in qs)
+        self.d = d
 
     @classmethod
     def from_rational(cls, r: RationalLike) -> "CycloScalar":
-        return cls._raw((Fraction(r), Fraction(0), Fraction(0), Fraction(0)))
+        if isinstance(r, int):
+            return _scalar(int(r), 0, 0, 0, 1)
+        r = r if isinstance(r, Fraction) else Fraction(r)
+        return _scalar(r.numerator, 0, 0, 0, r.denominator)
 
     @classmethod
     def zero(cls) -> "CycloScalar":
-        return cls._raw(_ZERO4)
+        return _scalar(0, 0, 0, 0, 1)
 
     @classmethod
     def one(cls) -> "CycloScalar":
-        return cls._raw((Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
+        return _scalar(1, 0, 0, 0, 1)
 
     @classmethod
     def i(cls) -> "CycloScalar":
-        return cls._raw((Fraction(0), Fraction(0), Fraction(1), Fraction(0)))
+        return _scalar(0, 0, 1, 0, 1)
 
     @classmethod
     def zeta(cls) -> "CycloScalar":
-        return cls._raw((Fraction(0), Fraction(1), Fraction(0), Fraction(0)))
+        return _scalar(0, 1, 0, 0, 1)
+
+    def rationals(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """The four rational coordinates c_j / d."""
+        d = self.d
+        return tuple(Fraction(cj, d) for cj in self.c)
 
     def is_zero(self) -> bool:
         a = self.c
@@ -86,8 +137,12 @@ class CycloScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.c, o.c
-        return CycloScalar._raw((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
+        (a0, a1, a2, a3), d = self.c, self.d
+        (b0, b1, b2, b3), e = o.c, o.d
+        if d == e:
+            return _scalar(a0 + b0, a1 + b1, a2 + b2, a3 + b3, d)
+        return _scalar(a0 * e + b0 * d, a1 * e + b1 * d,
+                       a2 * e + b2 * d, a3 * e + b3 * d, d * e)
 
     __radd__ = __add__
 
@@ -95,8 +150,12 @@ class CycloScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.c, o.c
-        return CycloScalar._raw((a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]))
+        (a0, a1, a2, a3), d = self.c, self.d
+        (b0, b1, b2, b3), e = o.c, o.d
+        if d == e:
+            return _scalar(a0 - b0, a1 - b1, a2 - b2, a3 - b3, d)
+        return _scalar(a0 * e - b0 * d, a1 * e - b1 * d,
+                       a2 * e - b2 * d, a3 * e - b3 * d, d * e)
 
     def __rsub__(self, other: ScalarLike) -> "CycloScalar":
         o = self._coerce(other)
@@ -106,28 +165,22 @@ class CycloScalar:
 
     def __neg__(self) -> "CycloScalar":
         a = self.c
-        return CycloScalar._raw((-a[0], -a[1], -a[2], -a[3]))
+        return _scalar(-a[0], -a[1], -a[2], -a[3], self.d)
 
     def __mul__(self, other: ScalarLike) -> "CycloScalar":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         a, b = self.c, o.c
+        d = self.d * o.d
         # rational fast paths carry most of the catalog workload
         if not (a[1] or a[2] or a[3]):
             r = a[0]
-            return CycloScalar._raw((r * b[0], r * b[1], r * b[2], r * b[3]))
+            return _scalar(r * b[0], r * b[1], r * b[2], r * b[3], d)
         if not (b[1] or b[2] or b[3]):
             r = b[0]
-            return CycloScalar._raw((a[0] * r, a[1] * r, a[2] * r, a[3] * r))
-        a0, a1, a2, a3 = a
-        b0, b1, b2, b3 = b
-        return CycloScalar._raw((
-            a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
-            a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
-            a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
-            a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
-        ))
+            return _scalar(a[0] * r, a[1] * r, a[2] * r, a[3] * r, d)
+        return _scalar(*_times(a, b), d)
 
     __rmul__ = __mul__
 
@@ -135,33 +188,29 @@ class CycloScalar:
         """The automorphism zeta -> zeta^k for odd k."""
         if k % 2 == 0:
             raise ValueError("zeta -> zeta^k is an automorphism only for odd k")
-        out = [Fraction(0)] * 4
-        for j, cj in enumerate(self.c):
-            if not cj:
-                continue
-            m = (j * k) % 8
-            if m < 4:
-                out[m] += cj
-            else:
-                out[m - 4] -= cj
-        return CycloScalar._raw(tuple(out))
+        # a signed permutation of the c's keeps the form lowest
+        return _scalar(*_galois(self.c, k), self.d)
 
     def conj(self) -> "CycloScalar":
         """Complex conjugation, zeta -> zeta^7 = -zeta^3."""
         a = self.c
-        return CycloScalar._raw((a[0], -a[3], -a[2], -a[1]))
+        return _scalar(a[0], -a[3], -a[2], -a[1], self.d)
 
     def inverse(self) -> "CycloScalar":
-        # multiply the remaining Galois conjugates; the full product is the
-        # rational norm, so dividing by it stays exact
+        # multiply the remaining Galois conjugates of the numerator a; the
+        # full product is the integer norm n, so 1/(a/d) = d * cof / n
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta8)")
+        a, d = self.c, self.d
         if self.is_rational():
-            return CycloScalar._raw((1 / self.c[0], Fraction(0), Fraction(0), Fraction(0)))
-        cof = self.galois(3) * self.galois(5) * self.galois(7)
-        norm = self * cof
-        assert norm.is_rational() and norm.c[0]
-        return cof * (1 / norm.c[0])
+            n = a[0]
+            return _scalar(-d if n < 0 else d, 0, 0, 0, abs(n))
+        cof = _times(_times(_galois(a, 3), _galois(a, 5)), _galois(a, 7))
+        n, *rest = _times(a, cof)
+        assert n and not any(rest)
+        if n < 0:
+            d, n = -d, -n
+        return _scalar(d * cof[0], d * cof[1], d * cof[2], d * cof[3], n)
 
     def __truediv__(self, other: ScalarLike) -> "CycloScalar":
         o = self._coerce(other)
@@ -186,32 +235,34 @@ class CycloScalar:
             # a cheap comparison with 1 and -1, which the printer and
             # add_scaled make often
             a = self.c
-            return a[0] == other and not (a[1] or a[2] or a[3])
+            return self.d == 1 and a[0] == other and not (a[1] or a[2] or a[3])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.c == o.c
+        return self.c == o.c and self.d == o.d
 
     def __hash__(self):
-        return hash(self.c)
+        return hash((self.c, self.d))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
     def __repr__(self):
-        return f"CycloScalar{self.c}"
+        return f"CycloScalar{self.rationals()}"
 
     def __str__(self):
         return self.pretty()
 
     def pretty(self) -> str:
         """Render like '3/2', 'i', '-2*i + z8', with zeta spelled z8."""
-        return join_terms(format_term(cj, name)
+        # an int prints and compares with +-1 as its Fraction does
+        d = self.d
+        return join_terms(format_term(cj if d == 1 else Fraction(cj, d), name)
                           for cj, name in zip(self.c, (None, "z8", "i", "z8^3")) if cj)
 
     def is_one(self) -> bool:
         a = self.c
-        return a[0] == 1 and not (a[1] or a[2] or a[3])
+        return self.d == 1 and a[0] == 1 and not (a[1] or a[2] or a[3])
 
 
 def as_scalar(c: ScalarLike) -> CycloScalar:

@@ -27,7 +27,7 @@ KIND_SUPER = "super-lie-involution"
 
 
 def scalar_to_json(c: CycloScalar) -> dict[str, list[str]]:
-    return {"zeta8": [str(q) for q in c.c]}
+    return {"zeta8": [str(q) for q in c.rationals()]}
 
 
 def scalar_from_json(obj: Any) -> CycloScalar:
@@ -41,7 +41,7 @@ def scalar_from_json(obj: Any) -> CycloScalar:
         if isinstance(q, bool) or not isinstance(q, (str, int)):
             raise ValueError(f"rational component must be a string, got {q!r}")
         out.append(parse_rational(q))
-    return CycloScalar._raw(tuple(out))
+    return CycloScalar(*out)
 
 
 def _index(k: Any, space: BiGradedSpace, what: str) -> int:

@@ -52,6 +52,13 @@ def _random_functional(ctx, truncation, rng):
     return Functional(ctx, truncation, values)
 
 
+def drawn_functional(ctx, truncation, rng):
+    """hc._random_functional over the normal words up to the truncation, each
+    with its degree, as commutativity_failures draws them."""
+    words = [(w, ctx.word_degree(w)) for w in ctx.normal_words_up_to(truncation)]
+    return hc._random_functional(ctx, truncation, words, rng)
+
+
 def mixed_functional(ctx, truncation, rng):
     """Small Q(zeta8) values on a random half of the normal words of every
     degree, so that the shift is usually not defined."""
@@ -152,7 +159,7 @@ def test_convolution_matches_the_expanded_coproduct_on_the_catalog(name):
     rng = random.Random(name)
     default = _ctx(g)
     for ctx in (default, EnvelopingAlgebra(g, order=default.order[::-1])):
-        for draw in (hc._random_functional, mixed_functional):
+        for draw in (drawn_functional, mixed_functional):
             for _ in range(3):
                 phi, psi = draw(ctx, 4, rng), draw(ctx, 4, rng)
                 assert convolution(phi, psi) == expanded_convolution(phi, psi)
@@ -174,7 +181,7 @@ def test_convolution_commutes_needs_one_shift_per_functional():
 
 def convolution_table():
     """Per catalog Lie algebra, the convolution of one seeded pair of
-    hc._random_functional draws at truncation 3 for every ordered pair of
+    drawn_functional draws at truncation 3 for every ordered pair of
     occurring word degrees (phi's shift, psi's shift), as label word ->
     coefficient."""
     out = {}
@@ -183,7 +190,7 @@ def convolution_table():
         rng = random.Random(name)
         degrees = {ctx.word_degree(w) for w in ctx.normal_words_up_to(3)}
         todo = {(a, b) for a in degrees for b in degrees}
-        draw = lambda: hc._random_functional(ctx, 3, rng)
+        draw = lambda: drawn_functional(ctx, 3, rng)
         rows = {}
         while todo:
             phi, psi = draw(), draw()

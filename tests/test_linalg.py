@@ -11,8 +11,7 @@ from bigla.scalars import CycloScalar, I, ONE
 
 
 def _rand_scalar(rng):
-    return CycloScalar._raw(tuple(Fraction(rng.randint(-3, 3))
-                                  for _ in range(4)))
+    return CycloScalar(*(Fraction(rng.randint(-3, 3)) for _ in range(4)))
 
 
 def _rand_rows(rng, nrows, ncols, density=0.6):

@@ -27,7 +27,7 @@ from bigla.linear import BilinearMap, Vector
 from bigla.scalars import CycloScalar
 from bigla.uea import EnvelopingAlgebra, normal_form_random
 
-from test_hc import (closed_form_basis, elimination_basis,
+from test_hc import (closed_form_basis, drawn_functional, elimination_basis,
                      expanded_convolution, mixed_functional)
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -112,7 +112,7 @@ def test_convolution_matches_the_expanded_coproduct_on_rebased_algebras(ctx, n, 
     = (-1)^(d . d') of the grading (Scheunert, "Generalized Lie algebras", J.
     Math. Phys. 20 (1979))."""
     n = min(n, 3) if ctx.dim == 8 else n
-    phi = hc._random_functional(ctx, n, rng)
+    phi = drawn_functional(ctx, n, rng)
     psi = mixed_functional(ctx, n, rng)
     assert hc.convolution(phi, psi) == expanded_convolution(phi, psi)
     assert hc.convolution(psi, phi) == expanded_convolution(psi, phi)

@@ -27,7 +27,7 @@ scalars = st.builds(CycloScalar, rationals, rationals, rationals, rationals)
 
 def to_poly(a: CycloScalar):
     return sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * x ** i
-                          for i, c in enumerate(a.c)), x, domain=sympy.QQ)
+                          for i, c in enumerate(a.rationals())), x, domain=sympy.QQ)
 
 
 def from_poly(p) -> CycloScalar:

@@ -11,9 +11,8 @@ from bigla.scalars import (ALL_DEGREES, BiDegree, CycloScalar, D00, D01, D10,
 
 
 def _rand_scalar(rng, span=6):
-    return CycloScalar._raw(tuple(Fraction(rng.randint(-span, span),
-                                           rng.randint(1, 4))
-                                  for _ in range(4)))
+    return CycloScalar(*(Fraction(rng.randint(-span, span), rng.randint(1, 4))
+                         for _ in range(4)))
 
 
 def test_zeta_powers():

@@ -17,9 +17,8 @@ from bigla.scalars import CycloScalar, I, ONE
 def test_scalar_round_trip():
     rng = random.Random(211)
     for _ in range(30):
-        c = CycloScalar._raw(tuple(Fraction(rng.randrange(-9, 10),
-                                            rng.randrange(1, 7))
-                                   for _ in range(4)))
+        c = CycloScalar(*(Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+                          for _ in range(4)))
         assert scalar_from_json(scalar_to_json(c)) == c
     assert scalar_to_json(I) == {"zeta8": ["0", "0", "1", "0"]}
 

@@ -29,3 +29,31 @@ def test_every_traced_name_is_defined_on_its_owner():
         if not callable(owner.__dict__.get(attr)):
             missing.append(f"bigla.{layer}.{qualname}")
     assert missing == []
+
+
+def test_scalar_coordinates_are_ints_and_arithmetic_builds_no_fraction(monkeypatch):
+    """The trace reads a.c[1] or a.c[2] or a.c[3] on every traced multiply to
+    count scalars.mul_full.calls.  That read, and the self times around it,
+    stay cheap only while c holds four ints over an int denominator d and
+    the arithmetic builds no Fraction."""
+    from fractions import Fraction
+
+    from bigla.scalars import CycloScalar
+
+    values = [CycloScalar(Fraction(1, 2), 3, Fraction(-2, 3), 1),
+              CycloScalar(2, Fraction(1, 3), 0, -1), CycloScalar(Fraction(5, 4)),
+              CycloScalar(0, 0, 7), CycloScalar(-1), CycloScalar()]
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw))
+    out = []
+    for a in values:
+        out.append(-a)
+        for b in values:
+            out += [a + b, a - b, a * b, a + 1, a - 1, a * 2, 3 * a]
+    assert built == []
+    for s in values + out:
+        assert type(s.c) is tuple and len(s.c) == 4
+        assert all(type(cj) is int for cj in s.c)
+        assert type(s.d) is int and s.d > 0
