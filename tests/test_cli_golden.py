@@ -35,6 +35,12 @@ BROKEN = (
     ("broken-qmat2", "qmat2", (0, 4), {"basis": 5, "coeff": ZETA}),
 )
 
+# Rewriting commands on the broken Lie tables: (file, uea nf word, bch x, y).
+BROKEN_REWRITES = (
+    ("broken-so3", "e3,e2,e1", "e1", "e2"),
+    ("broken-qmat2-lie", "E12*q2,E21*q1", "E11", "E22"),
+)
+
 # A copy of so3-super.json whose involution flips only e2, so that the
 # six nonzero brackets leave the eigenspace of their arguments' signs.
 FLIPPED = ("flipped-so3-super", "so3-super", [1, -1, 1])
@@ -105,6 +111,12 @@ def commands() -> list[list[str]]:
         if not source.endswith(("-super", "qmat2")):
             out += [["unbraid", path], ["--json", "unbraid", path],
                     ["alpha-check", path], ["--json", "alpha-check", path]]
+    for name, word, x, y in BROKEN_REWRITES:
+        path = f"{{dir}}/{name}.json"
+        for flags in ([], ["--json"]):
+            out += [flags + ["uea", "nf", path, "--word", word],
+                    flags + ["uea", "hopf-check", path, "--max-len", "2"],
+                    flags + ["hc", "bch", path, f"--x={x}", f"--y={y}", "--n", "2"]]
     out += [["examples", "export", name] for name in sorted(catalog())]
     path = f"{{dir}}/{FLIPPED[0]}.json"
     out += [["check", path], ["--json", "check", path], ["rebraid", path]]
