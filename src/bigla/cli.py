@@ -168,12 +168,7 @@ def cmd_check(args):
 
 
 def cmd_unbraid(args):
-    g = _load_lie(args.file)
-    try:
-        s = unbraid(g)
-    except InputNotLie as exc:
-        return 1, {"ok": False, "error": str(exc)}, [f"not a Lie table: {exc}"]
-    return _output(args, s)
+    return _output(args, unbraid(_load_lie(args.file)))
 
 
 def cmd_rebraid(args):
@@ -536,6 +531,10 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         code, result, lines = args.fn(args)
+    except InputNotLie as exc:
+        # unbraid and every command that rewrites need a Lie bracket
+        code, result = 1, {"ok": False, "error": str(exc)}
+        lines = [f"not a Lie table: {exc}"]
     except (_Fail, BiglaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

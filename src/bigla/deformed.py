@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Union
 
 from .errors import DegreeOverflow, NegativePoint, TrialsExceeded
 from .scalars import CycloScalar, I, ONE, as_scalar, parse_rational
-from .sparse import add_scaled, add_term, format_term, join_terms
+from .sparse import Combination, add_term
 
 DEGREE_BOUND = 64
 
@@ -58,44 +58,29 @@ def _evaluate(coeffs: Mapping[int, CycloScalar], a: Fraction) -> CycloScalar:
     return out
 
 
-def _monomial(k: int) -> Optional[str]:
-    return None if k == 0 else ("x" if k == 1 else f"x^{k}")
-
-
-class _Poly:
+class _Poly(Combination):
     """Coefficients by power, zeros dropped; a subclass states which
     coefficients it admits (_check) and how it multiplies."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Mapping[int, Union[CycloScalar, Fraction, int]]):
-        clean: Coeffs = {}
-        for k, c in coeffs.items():
-            c = as_scalar(c)
-            if not c:
-                continue
+        super().__init__({k: as_scalar(c) for k, c in coeffs.items()})
+        for k, c in self.coeffs.items():
             self._check(k, c)
             if k < 0:
                 raise ValueError("negative powers are not polynomial")
             if k > DEGREE_BOUND:
                 raise DegreeOverflow(f"degree {k} above the bound {DEGREE_BOUND}")
-            clean[k] = c
-        self.coeffs = clean
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.coeffs == other.coeffs
 
     def evaluate(self, a: Fraction) -> CycloScalar:
         return _evaluate(self.coeffs, a)
 
-    def pretty(self) -> str:
-        return join_terms(format_term(self.coeffs[k], _monomial(k))
-                          for k in sorted(self.coeffs, reverse=True))
+    def _order(self, k: int) -> int:
+        return -k
 
-    def __repr__(self):
-        return f"{type(self).__name__}<{self.pretty()}>"
+    def _name(self, k: int) -> Optional[str]:
+        return None if k == 0 else ("x" if k == 1 else f"x^{k}")
 
 
 class EvenOddPoly(_Poly):
@@ -116,17 +101,6 @@ class EvenOddPoly(_Poly):
 
     def odd_part(self) -> Coeffs:
         return {k: c for k, c in self.coeffs.items() if k % 2 == 1}
-
-    def __add__(self, other: "EvenOddPoly") -> "EvenOddPoly":
-        out = dict(self.coeffs)
-        add_scaled(out, other.coeffs)
-        return EvenOddPoly(out)
-
-    def __sub__(self, other: "EvenOddPoly") -> "EvenOddPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "EvenOddPoly":
-        return EvenOddPoly({k: -c for k, c in self.coeffs.items()})
 
     def pointwise_mul(self, other: "EvenOddPoly") -> "EvenOddPoly":
         return EvenOddPoly(_poly_mul(self.coeffs, other.coeffs))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
-from typing import Optional
+from typing import Mapping, Optional
 
 from .errors import (AlgebraMismatch, DegreeViolation, OddInput,
                      TruncationExceeded, TruncationMismatch, TruncationTooSmall)
@@ -34,43 +34,41 @@ from .deformed import bound_trial_work
 from .linalg import Matrix
 from .linear import LinearMap, Vector
 from .scalars import BiDegree, CycloScalar, ONE, sign_deligne
-from .sparse import add_scaled, add_term
+from .sparse import Combination, add_term
 from .uea import (MAX_TRUNCATION, EnvelopingAlgebra, UEAElement, Word,
                   primitive_vector, uea_multiply)
 
 
-class Functional:
+class Functional(Combination):
     """Scalar values on normal words of length <= truncation."""
 
-    __slots__ = ("ctx", "truncation", "values", "_shifts")
+    __slots__ = ("ctx", "truncation", "_shifts")
 
     def __init__(self, ctx: EnvelopingAlgebra, truncation: int,
-                 values: dict[Word, CycloScalar]):
+                 coeffs: Mapping[Word, CycloScalar]):
         self.ctx = ctx
         self.truncation = truncation
-        self.values = {w: c for w, c in values.items() if c}
+        super().__init__(coeffs)
         self._shifts: Optional[set[BiDegree]] = None
 
-    def __add__(self, other: "Functional") -> "Functional":
-        _match(self, other)
-        vals = dict(self.values)
-        add_scaled(vals, other.values)
-        return Functional(self.ctx, self.truncation, vals)
+    def base(self) -> tuple:
+        return (self.ctx, self.truncation)
 
-    def scale(self, c: CycloScalar) -> "Functional":
-        return Functional(self.ctx, self.truncation,
-                          {w: c * v for w, v in self.values.items()})
+    def _same(self, other: "Functional"):
+        if type(other) is not Functional or other.ctx is not self.ctx:
+            raise AlgebraMismatch("functionals on different enveloping algebras")
+        if other.truncation != self.truncation:
+            raise TruncationMismatch(
+                f"truncations differ: {self.truncation} vs {other.truncation}")
 
-    def __eq__(self, other):
-        if not isinstance(other, Functional):
-            return NotImplemented
-        return (self.ctx is other.ctx and self.truncation == other.truncation
-                and self.values == other.values)
+    # printed as the combination of the words it is nonzero on
+    _order = UEAElement._order
+    _name = UEAElement._name
 
     def shifts(self) -> set[BiDegree]:
         """Word degrees of the support, computed on the first call."""
         if self._shifts is None:
-            self._shifts = {self.ctx.word_degree(w) for w in self.values}
+            self._shifts = {self.ctx.word_degree(w) for w in self.coeffs}
         return self._shifts
 
     def shift(self) -> Optional[BiDegree]:
@@ -78,18 +76,10 @@ class Functional:
         return next(iter(s)) if len(s) == 1 else None
 
 
-def _match(phi: Functional, psi: Functional):
-    if phi.ctx is not psi.ctx:
-        raise AlgebraMismatch("functionals on different enveloping algebras")
-    if phi.truncation != psi.truncation:
-        raise TruncationMismatch(
-            f"truncations differ: {phi.truncation} vs {psi.truncation}")
-
-
 def _support(f: Functional) -> list[tuple[Word, Counter, CycloScalar]]:
     """The normal words f is nonzero on, each with its letter counts and
     value; convolution reads f on nothing else."""
-    return [(u, Counter(u), c) for u, c in f.values.items()
+    return [(u, Counter(u), c) for u, c in f.coeffs.items()
             if f.ctx.is_normal(u)]
 
 
@@ -120,7 +110,7 @@ def convolution(phi: Functional, psi: Functional) -> Functional:
     slot u, it reduces mod 2 to (-1)^(deg x . deg y) over the letters x of v
     and y of u with rank x > rank y.
     """
-    _match(phi, psi)
+    phi._same(psi)
     ctx = phi.ctx
     rank, degs = ctx.rank, ctx.g.space.degrees
     right = _support(psi)
@@ -292,10 +282,7 @@ def bch_product(ctx: EnvelopingAlgebra, x: Vector, y: Vector,
                 raise OddInput("exponential inputs must be parity-even")
     z = _series_mul(_exp_series(ctx, x, n), _exp_series(ctx, y, n), n)
     log = _log_series(ctx, z, n)
-    terms: dict[Word, CycloScalar] = {}
-    for elt in log.values():
-        add_scaled(terms, elt.terms)
-    total = UEAElement(ctx, terms)
+    total = sum(log.values(), UEAElement(ctx, {}))
     return CompositionResult(total, primitive_vector(total))
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from .errors import DegreeViolation, SpaceMismatch
-from .scalars import BiDegree, CycloScalar, ONE, ScalarLike, as_scalar
-from .sparse import add_scaled, format_term, join_terms
+from .scalars import BiDegree, CycloScalar, ONE, ScalarLike
+from .sparse import Combination, add_scaled
 
 
 class BiGradedSpace:
@@ -56,46 +56,28 @@ class BiGradedSpace:
         return f"BiGradedSpace({self.name or self.labels}, dim={self.dim})"
 
 
-def _same_space(a: "Vector", b: "Vector"):
-    if a.space != b.space:
-        raise SpaceMismatch(f"{a.space!r} vs {b.space!r}")
-
-
-class Vector:
+class Vector(Combination):
     """Sparse vector over a BiGradedSpace.  Zero entries are dropped."""
 
-    __slots__ = ("space", "coeffs")
+    __slots__ = ("space",)
+
+    mismatch = SpaceMismatch
 
     def __init__(self, space: BiGradedSpace, coeffs: Mapping[int, CycloScalar]):
         self.space = space
-        self.coeffs = {k: c for k, c in coeffs.items() if c}
+        super().__init__(coeffs)
 
-    def __add__(self, other: "Vector") -> "Vector":
-        _same_space(self, other)
-        out = dict(self.coeffs)
-        add_scaled(out, other.coeffs)
-        return Vector(self.space, out)
+    def base(self) -> tuple:
+        return (self.space,)
 
-    def __sub__(self, other: "Vector") -> "Vector":
-        return self + (-other)
-
-    def __neg__(self) -> "Vector":
-        return Vector(self.space, {k: -c for k, c in self.coeffs.items()})
-
-    def scale(self, c: ScalarLike) -> "Vector":
-        c = as_scalar(c)
-        return Vector(self.space, {k: c * v for k, v in self.coeffs.items()})
+    # benchmarks/layertrace.py patches these in Vector's own __dict__
+    __add__ = Combination.__add__
+    __sub__ = Combination.__sub__
+    __neg__ = Combination.__neg__
+    scale = Combination.scale
 
     def __rmul__(self, c: ScalarLike) -> "Vector":
         return self.scale(c)
-
-    def __eq__(self, other):
-        if not isinstance(other, Vector):
-            return NotImplemented
-        return self.space == other.space and self.coeffs == other.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
 
     def coeff(self, k: int) -> CycloScalar:
         return self.coeffs.get(k, CycloScalar.zero())
@@ -113,13 +95,8 @@ class Vector:
             parts.setdefault(self.space.degrees[k], {})[k] = c
         return {d: Vector(self.space, m) for d, m in parts.items()}
 
-    def pretty(self) -> str:
-        labels = self.space.labels
-        return join_terms(format_term(self.coeffs[k], labels[k])
-                          for k in sorted(self.coeffs))
-
-    def __repr__(self):
-        return f"<{self.pretty()}>"
+    def _name(self, k: int) -> str:
+        return self.space.labels[k]
 
 
 def _checked_images(source: BiGradedSpace, target: BiGradedSpace,

@@ -70,6 +70,13 @@ def _galois(a: tuple, k: int) -> tuple:
     return tuple(out)
 
 
+def _ratio(n: int, d: int):
+    """n/d as format_term prints and compares its Fraction: an int when
+    whole, else the string 'n/d' in lowest terms, which equals no int."""
+    g = gcd(n, d)
+    return n // g if g == d else f"{n // g}/{d // g}"
+
+
 class CycloScalar:
     """An element (c0 + c1*zeta + c2*zeta^2 + c3*zeta^3) / d of Q(zeta8),
     with int c's and d > 0 in lowest terms."""
@@ -255,9 +262,8 @@ class CycloScalar:
 
     def pretty(self) -> str:
         """Render like '3/2', 'i', '-2*i + z8', with zeta spelled z8."""
-        # an int prints and compares with +-1 as its Fraction does
         d = self.d
-        return join_terms(format_term(cj if d == 1 else Fraction(cj, d), name)
+        return join_terms(format_term(_ratio(cj, d), name)
                           for cj, name in zip(self.c, (None, "z8", "i", "z8^3")) if cj)
 
     def is_one(self) -> bool:

@@ -152,6 +152,20 @@ def test_uea_nf_output(so3_file, capsys):
     assert main(["uea", "nf", so3_file, "--word", "e1,e9"]) == 2
 
 
+def test_uea_nf_refuses_long_words_before_any_rewriting(so3_file, capsys):
+    # e3^30 e1^30 once rewrote for about 14 s and then passed the recursion
+    # limit; a normal word at the bound is admitted
+    assert main(["uea", "nf", so3_file, "--word", ",".join(["e1"] * 24)]) == 0
+    assert capsys.readouterr().out == "e1" + "*e1" * 23 + "\n"
+    word = ",".join(["e3"] * 30 + ["e1"] * 30)
+    t0 = time.perf_counter()
+    assert main(["uea", "nf", so3_file, "--word", word]) == 2
+    assert time.perf_counter() - t0 < 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: word length 60 above the bound 24\n"
+
+
 def test_unbraid_rebraid_round_trip(so3_file, tmp_path, capsys):
     super_path = tmp_path / "super.json"
     back_path = tmp_path / "back.json"
@@ -183,9 +197,10 @@ def test_hopf_check(so3_file, broken_file, capsys):
     for key in ("antipode", "coassociativity", "cocommutativity", "counit",
                 "multiplicativity", "weyl"):
         assert f"{key}: ok" in out
-    # broken Jacobi shows up in the antipode of the first word that needs it
+    # a bracket that breaks Jacobi is refused at the first rewriting step
     assert main(["uea", "hopf-check", broken_file, "--max-len", "3"]) == 1
-    assert "antipode: 1 failure(s)\n  e1*e2*e3\n" in capsys.readouterr().out
+    assert capsys.readouterr().out == ("not a Lie table: so3 fails: jacobi at "
+                                       "[(0, 1, 2), (0, 2, 1), (1, 0, 2)]\n")
 
 
 def test_hopf_check_refuses_long_words_before_any_sweep(so3_file, capsys):
@@ -209,6 +224,20 @@ def test_hopf_check_bounds_the_words_not_the_flag(n, tmp_path, capsys):
     assert main(["uea", "hopf-check", str(path), "--max-len", n]) == 0
     assert time.perf_counter() - t0 < 1
     assert capsys.readouterr().out.startswith(f"words up to length {n}: 4\n")
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["pbw", "dims", "{f}", "--n", "3"], "enumeration matches the formula\n"),
+    (["hc", "hom-dim", "{f}", "--n", "3"], "at truncation 3: 1\n"),
+    (["hc", "conv-check", "{f}", "--n", "3", "--trials", "3"], "all commute\n"),
+])
+def test_commands_that_never_rewrite_never_check_the_bracket(argv, out, broken_file,
+                                                             monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("require_lie called")
+    monkeypatch.setattr("bigla.uea.require_lie", refuse)
+    assert main([a.replace("{f}", broken_file) for a in argv]) == 0
+    assert capsys.readouterr().out.endswith(out)
 
 
 def test_pbw_dims(so3_file, capsys):

@@ -71,9 +71,9 @@ def apply(phi, a):
     """phi on an element a of U(g), summed over a's normal words.  The
     oracle the equivariance checks read; a word past the truncation has no
     value, so it is refused."""
-    if any(len(w) > phi.truncation for w in a.terms):
+    if any(len(w) > phi.truncation for w in a.coeffs):
         raise TruncationExceeded(f"element longer than {phi.truncation}")
-    return sum((c * phi.values.get(w, ZERO) for w, c in a.terms.items()), ZERO)
+    return sum((c * phi.coeffs.get(w, ZERO) for w, c in a.coeffs.items()), ZERO)
 
 
 def expanded_convolution(phi, psi):
@@ -85,9 +85,9 @@ def expanded_convolution(phi, psi):
     values = {}
     for n in range(phi.truncation + 1):
         for w in ctx.normal_words(n):
-            for (u, v), c in delta_word(ctx, w).terms.items():
-                left = phi.values.get(u)
-                right = psi.values.get(v)
+            for (u, v), c in delta_word(ctx, w).coeffs.items():
+                left = phi.coeffs.get(u)
+                right = psi.coeffs.get(v)
                 if left is None or right is None:
                     continue
                 if sign_deligne(ctx.word_degree(v), ctx.word_degree(u)) != 1:
@@ -200,7 +200,7 @@ def convolution_table():
             todo.remove(shifts)
             key = " ".join(f"{d.eps1}{d.eps2}" for d in shifts)
             rows[key] = {" ".join(g.space.labels[k] for k in w): str(c)
-                         for w, c in convolution(phi, psi).values.items()}
+                         for w, c in convolution(phi, psi).coeffs.items()}
         out[name] = rows
     return out
 
@@ -220,7 +220,7 @@ def test_shift_additivity():
         if sp is None or ss is None:
             continue
         conv = convolution(phi, psi)
-        if conv.values:
+        if conv.coeffs:
             assert conv.shift() == sp + ss
 
 
@@ -259,7 +259,7 @@ def test_equivariant_basis_values(name, truncation):
     g = catalog_lie()[name]
     basis = equivariant_functionals(_ctx(g), truncation)
     got = [{" ".join(g.space.labels[k] for k in w): str(c)
-            for w, c in phi.values.items()} for phi in basis]
+            for w, c in phi.coeffs.items()} for phi in basis]
     assert got == EQUIVARIANT_BASES[(name, truncation)]
 
 
@@ -281,7 +281,7 @@ def elimination_basis(ctx, truncation):
 
 
 def closed_form_basis(ctx, truncation):
-    return [phi.values for phi in equivariant_functionals(ctx, truncation)]
+    return [phi.coeffs for phi in equivariant_functionals(ctx, truncation)]
 
 
 @pytest.mark.parametrize("name", sorted(catalog_lie()))

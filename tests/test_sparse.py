@@ -1,12 +1,17 @@
-"""Sparse combinations: the accumulation step and the term printer."""
+"""Sparse combinations: the accumulation step, the term printer and the
+one Combination class under every element type."""
 
 from fractions import Fraction
 
+import pytest
+
 from bigla.catalog import so3
-from bigla.deformed import EvenOddPoly, to_complex
+from bigla.deformed import ConjSymPoly, EvenOddPoly, to_complex
+from bigla.errors import AlgebraMismatch
+from bigla.hc import Functional
 from bigla.linear import Vector
 from bigla.scalars import CycloScalar, I, ONE
-from bigla.sparse import add_scaled, add_term, format_term, join_terms
+from bigla.sparse import Combination, add_scaled, add_term, format_term, join_terms
 from bigla.uea import EnvelopingAlgebra, TensorElement, UEAElement
 
 ONE_PLUS_I = CycloScalar(1, 0, 1, 0)
@@ -39,6 +44,7 @@ def test_printed_sums_of_every_element_type():
         (to_complex(poly), "5/2*i*x^3 + (z8 - z8^3)*x^2 - i*x + (1 + z8 - z8^3)"),
         (EvenOddPoly({0: -1}), "-1"),
         (EvenOddPoly({}), "0"),
+        (Functional(U, 2, {(): ONE, (0, 2): I}), "i*e1*e3 + 1"),
     ]
     for element, text in cases:
         assert element.pretty() == text
@@ -69,3 +75,45 @@ def test_format_term():
     assert format_term(I, ("e1", "1")) == "i*[e1 (x) 1]"
     assert join_terms([]) == "0"
     assert join_terms(["a", "-b", "2*c"]) == "a - b + 2*c"
+
+
+ELEMENT_TYPES = (Vector, UEAElement, TensorElement, Functional, EvenOddPoly,
+                 ConjSymPoly)
+
+SHARED = ("_like", "_same", "__add__", "__sub__", "__neg__",
+          "scale", "__eq__", "__bool__", "sorted_terms", "pretty", "__repr__")
+
+# the one override of the shared structure: functionals report a
+# truncation mismatch apart from an algebra mismatch
+OVERRIDES = {(Functional, "_same")}
+
+
+def test_every_element_type_is_one_combination():
+    """Each type inherits the linear structure, the printer and the
+    operand check from Combination."""
+    own = []
+    for cls in ELEMENT_TYPES:
+        assert issubclass(cls, Combination)
+        for name in SHARED:
+            if (cls, name) in OVERRIDES:
+                continue
+            if getattr(cls, name) is not getattr(Combination, name):
+                own.append(f"{cls.__name__}.{name}")
+    assert own == []
+
+
+def test_addition_refuses_operands_over_different_bases():
+    g = so3()
+    U, V = EnvelopingAlgebra(g), EnvelopingAlgebra(g)
+    t2 = TensorElement(U, 2, {((0,), ()): ONE})
+    for other in (TensorElement(V, 3, {((0,), (), ()): ONE}),
+                  TensorElement(U, 3, {((0,), (), ()): ONE}),
+                  TensorElement(V, 2, {((0,), ()): ONE})):
+        with pytest.raises(AlgebraMismatch):
+            t2 + other
+        with pytest.raises(AlgebraMismatch):
+            t2 * other
+    with pytest.raises(AlgebraMismatch):
+        EvenOddPoly({1: ONE}) + ConjSymPoly({1: I})
+    with pytest.raises(AlgebraMismatch):
+        UEAElement(U, {(0,): ONE}) - UEAElement(V, {(0,): ONE})

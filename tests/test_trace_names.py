@@ -35,7 +35,7 @@ def test_scalar_coordinates_are_ints_and_arithmetic_builds_no_fraction(monkeypat
     """The trace reads a.c[1] or a.c[2] or a.c[3] on every traced multiply to
     count scalars.mul_full.calls.  That read, and the self times around it,
     stay cheap only while c holds four ints over an int denominator d and
-    the arithmetic builds no Fraction."""
+    the arithmetic builds no Fraction; nor does printing, d = 1 or not."""
     from fractions import Fraction
 
     from bigla.scalars import CycloScalar
@@ -52,7 +52,10 @@ def test_scalar_coordinates_are_ints_and_arithmetic_builds_no_fraction(monkeypat
         out.append(-a)
         for b in values:
             out += [a + b, a - b, a * b, a + 1, a - 1, a * 2, 3 * a]
+    printed = [str(s) for s in values + out]
     assert built == []
+    assert printed[:6] == ["1/2 + 3*z8 - 2/3*i + z8^3", "2 + 1/3*z8 - z8^3", "5/4",
+                           "7*i", "-1", "0"]
     for s in values + out:
         assert type(s.c) is tuple and len(s.c) == 4
         assert all(type(cj) is int for cj in s.c)

@@ -8,8 +8,10 @@ from math import factorial
 import pytest
 
 from bigla.catalog import algebra_B, catalog_lie, odd_pair, so3, unitary_example
-from bigla.errors import AlgebraMismatch, BadBasisOrder, TruncationExceeded
-from bigla.lie import commutator_lie
+from bigla.errors import (AlgebraMismatch, BadBasisOrder, InputNotLie,
+                          TruncationExceeded)
+from bigla.lie import BiGradedLieAlgebra, commutator_lie
+from bigla.linear import BilinearMap
 from bigla.linalg import Echelon
 from bigla.scalars import MINUS_ONE, ONE, ZETA, CycloScalar
 from bigla.sparse import add_scaled, add_term
@@ -107,6 +109,22 @@ def test_normal_form_random_agrees_with_leftmost():
         assert normal_form_random(ctx, w, rng) == ctx.normal_form(w)
 
 
+def test_rewriting_refuses_a_bracket_that_breaks_jacobi():
+    # [e1,e2] = e3 + e2, kept antisymmetric, as in the CLI's broken table
+    g = so3()
+    table = dict(g.bracket.constants)
+    table[(0, 1)] = table[(0, 1)] + g.space.basis_vector(1)
+    table[(1, 0)] = table[(1, 0)] - g.space.basis_vector(1)
+    ctx = EnvelopingAlgebra(BiGradedLieAlgebra(g.space, BilinearMap(g.space, table),
+                                               name="so3"))
+    # a normal word is its own normal form and reads no bracket
+    assert normal_form(ctx, (0, 1)).coeffs == {(0, 1): ONE}
+    for rewrite in (lambda: normal_form(ctx, (1, 0)),
+                    lambda: normal_form_random(ctx, (1, 0), random.Random(0))):
+        with pytest.raises(InputNotLie, match=r"^so3 fails: jacobi at \[\(0, 1, 2\), "):
+            rewrite()
+
+
 def test_letters_are_primitive():
     ctx = _unitary_ctx()
     for k in range(ctx.dim):
@@ -136,9 +154,9 @@ def test_coassociativity_and_counit():
         assert delta_slot(t, 0) == delta_slot(t, 1)
         # (counit x id) delta = id: collect the empty-first-slot column
         recovered = ctx.element(
-            {ws[1]: c for ws, c in t.terms.items() if ws[0] == ()})
+            {ws[1]: c for ws, c in t.coeffs.items() if ws[0] == ()})
         assert recovered == a
-        assert counit(a) == a.terms.get((), 0)
+        assert counit(a) == a.coeffs.get((), 0)
 
 
 def test_coproduct_is_graded_cocommutative():
@@ -162,7 +180,7 @@ def test_antipode():
             a = _random_element(ctx, rng, n_words=2, max_len=3)
             t = delta(a)
             acc = ctx.element({})
-            for (u, v), c in t.terms.items():
+            for (u, v), c in t.coeffs.items():
                 acc = acc + (antipode(ctx.element({u: ONE}))
                              * ctx.element({v: ONE})).scale(c)
             assert acc == ctx.one().scale(counit(a))
@@ -187,7 +205,7 @@ def test_weyl_map_is_injective_up_to_length_three():
     kept = 0
     for w in words:
         img = weyl_map(ctx, sym.element({w: ONE}))
-        row = {column[term]: c for term, c in img.terms.items()}
+        row = {column[term]: c for term, c in img.coeffs.items()}
         if ech.add_row(row) is not None:
             kept += 1
     assert kept == len(words) == 20
@@ -230,7 +248,7 @@ def test_pbw_factorize_round_trip():
         rebuilt = ctx.element({})
         for even_elt, odd_word in pairs:
             lifted = ctx.element({})
-            for w, c in even_elt.terms.items():
+            for w, c in even_elt.coeffs.items():
                 parent = tuple(ctx.g.space.index(even_elt.ctx.g.space.labels[k])
                                for k in w)
                 lifted = lifted + ctx.element({parent: c})
@@ -303,7 +321,7 @@ def _antipode_reference(ctx, w):
     sign = _crossings(degs, [(i, j) for i in range(m) for j in range(i + 1, m)])
     if m % 2:
         sign = -sign
-    return ctx.element({w[::-1]: sign}).terms
+    return ctx.element({w[::-1]: sign}).coeffs
 
 
 def _weyl_reference(ctx, w):
@@ -324,8 +342,8 @@ def test_hopf_maps_match_brute_force_signs(name):
     ctx = EnvelopingAlgebra(g)
     sym = ctx.sym()
     for w in ctx.normal_words_up_to(3 if g.dim >= 8 else 4):
-        assert delta_word(ctx, w).terms == _unshuffle_reference(ctx, w), w
-        assert antipode(ctx.element({w: ONE})).terms \
+        assert delta_word(ctx, w).coeffs == _unshuffle_reference(ctx, w), w
+        assert antipode(ctx.element({w: ONE})).coeffs \
             == _antipode_reference(ctx, w), w
-        assert weyl_map(ctx, sym.element({w: ONE})).terms \
+        assert weyl_map(ctx, sym.element({w: ONE})).coeffs \
             == _weyl_reference(ctx, w), w
