@@ -378,14 +378,10 @@ def so3_group_elements() -> dict[str, Matrix]:
     }
 
 
-def so3_group_automorphism(name: str) -> LinearMap:
-    """The algebra automorphism each group element is tested against:
-    both candidates target the degree involution e1 -> e1, e2 -> -e2,
-    e3 -> -e3."""
-    sp = so3().space
-    if name not in so3_group_elements():
-        raise KeyError(f"unknown group element {name!r}")
-    return LinearMap.diagonal(sp, [1, -1, -1])
+def so3_group_automorphism() -> LinearMap:
+    """The algebra automorphism every group element is tested against, the
+    degree involution e1 -> e1, e2 -> -e2, e3 -> -e3."""
+    return LinearMap.diagonal(so3().space, [1, -1, -1])
 
 
 def catalog() -> dict[str, tuple[str, object]]:

@@ -281,7 +281,7 @@ def cmd_hc_inner_check(args):
     if args.element not in elements:
         raise _Fail(f"unknown group element {args.element!r}; "
                     f"choices: {', '.join(sorted(elements))}")
-    expected = so3_group_automorphism(args.element)
+    expected = so3_group_automorphism()
     bad = inner_automorphism_check(rep, elements[args.element], expected)
     labels = [rep.space.labels[k] for k in bad]
     ok = not bad

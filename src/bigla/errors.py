@@ -59,12 +59,6 @@ class TruncationTooSmall(BiglaError):
     pass
 
 
-class BadBasisOrder(BiglaError, ValueError):
-    # PBW factorization and the equivariant basis need every even letter
-    # ordered before every odd one
-    pass
-
-
 class OddInput(BiglaError):
     # exp/log arguments must have even parity
     pass

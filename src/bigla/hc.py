@@ -13,8 +13,7 @@ the dual of Lambda(g_1): one indicator functional per exterior word (the
 Kostant-Koszul description of a supergroup's coordinate ring; Kostant,
 "Graded manifolds, graded Lie theory, and prequantization", 1977;
 Carmeli-Caston-Fioresi, "Mathematical Foundations of Supersymmetry", 2011,
-ch. 7).  The reading needs a PBW order that puts every even letter before
-every exterior letter, as the default order of the enveloping algebra does.
+ch. 7).
 """
 
 from __future__ import annotations
@@ -190,16 +189,13 @@ def equivariant_functionals(ctx: EnvelopingAlgebra,
     w of length < truncation.
 
     Closed form, no rewriting or elimination: U(g) = U(g_0) (x) Lambda(g_1)
-    (Kostant 1977; Carmeli-Caston-Fioresi 2011, ch. 7), so under an
-    even-first PBW order every normal word is an even prefix followed by an
-    exterior suffix, and the functionals vanishing on g_0 U(g) are those
-    supported on the exterior-only words.  The basis is one indicator
-    functional, valued 1, per exterior word of length <= truncation,
-    shortest first and then in PBW order.  Raises BadBasisOrder (a
-    ValueError) when the context's order puts an exterior letter before an
-    even one.
+    (Kostant 1977; Carmeli-Caston-Fioresi 2011, ch. 7), so, as the PBW
+    order puts the even letters first, every normal word is an even prefix
+    followed by an exterior suffix, and the functionals vanishing on
+    g_0 U(g) are those supported on the exterior-only words.  The basis is
+    one indicator functional, valued 1, per exterior word of length <=
+    truncation, shortest first and then in PBW order.
     """
-    ctx.require_even_first()
     exterior = [k for k in ctx.order if ctx.exterior[k]]
     return [Functional(ctx, truncation, {w: ONE})
             for k in range(min(truncation, len(exterior)) + 1)

@@ -226,12 +226,12 @@ def check_lie(g: BiGradedLieAlgebra, sign: SignRule = sign_deligne,
     return _run_checks(_lie_checks(g, sign), only)
 
 
-def is_lie(g: BiGradedLieAlgebra, sign: SignRule = sign_deligne) -> bool:
-    return not any(check_lie(g, sign).values())
+def is_lie(g: BiGradedLieAlgebra) -> bool:
+    return not any(check_lie(g).values())
 
 
-def require_lie(g: BiGradedLieAlgebra, sign: SignRule = sign_deligne):
-    report = check_lie(g, sign)
+def require_lie(g: BiGradedLieAlgebra):
+    report = check_lie(g)
     failures = {k: v for k, v in report.items() if v}
     if failures:
         raise InputNotLie(f"{g.name or 'algebra'} fails: " +

@@ -116,9 +116,8 @@ class Matrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, n: int, m: Optional[int] = None) -> "Matrix":
-        m = n if m is None else m
-        return cls([[0] * m for _ in range(n)])
+    def zero(cls, n: int) -> "Matrix":
+        return cls([[0] * n for _ in range(n)])
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return Matrix([[a + b for a, b in zip(r1, r2)]

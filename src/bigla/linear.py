@@ -109,7 +109,7 @@ def _checked_images(source: BiGradedSpace, target: BiGradedSpace,
     """
     out = {}
     for k in range(source.dim):
-        img = images.get(k, target.zero())
+        img = images[k] if k in images else target.zero()
         if img.space != target:
             raise SpaceMismatch("image vector not in target space")
         got = img.degree()
@@ -176,7 +176,8 @@ class BilinearMap:
                 self.constants[(i, j)] = v
 
     def pair(self, i: int, j: int) -> Vector:
-        return self.constants.get((i, j), self.space.zero())
+        v = self.constants.get((i, j))
+        return self.space.zero() if v is None else v
 
     def __call__(self, a: Vector, b: Vector) -> Vector:
         if a.space != self.space or b.space != self.space:

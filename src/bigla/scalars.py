@@ -219,24 +219,6 @@ class CycloScalar:
             d, n = -d, -n
         return _scalar(d * cof[0], d * cof[1], d * cof[2], d * cof[3], n)
 
-    def __truediv__(self, other: ScalarLike) -> "CycloScalar":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __pow__(self, n: int) -> "CycloScalar":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = CycloScalar.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             # a cheap comparison with 1 and -1, which the printer and

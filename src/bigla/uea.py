@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import AlgebraMismatch, BadBasisOrder, TruncationExceeded
+from .errors import AlgebraMismatch, TruncationExceeded
 from .lie import BiGradedLieAlgebra, even_subalgebra, require_lie
 from .linear import BilinearMap, Vector
 from .scalars import BiDegree, CycloScalar, ONE, sign_deligne
@@ -43,16 +43,12 @@ def _block(d: BiDegree) -> int:
 
 
 class EnvelopingAlgebra:
-    """Rewriting context for U(g) over a fixed PBW basis order."""
+    """Rewriting context for U(g) over the block PBW order."""
 
-    def __init__(self, g: BiGradedLieAlgebra, order: Optional[Sequence[int]] = None):
+    def __init__(self, g: BiGradedLieAlgebra):
         self.g = g
         degs = g.space.degrees
-        if order is None:
-            order = sorted(range(g.dim), key=lambda k: (_block(degs[k]), k))
-        self.order = tuple(order)
-        if sorted(self.order) != list(range(g.dim)):
-            raise ValueError("order must be a permutation of the basis indices")
+        self.order = tuple(sorted(range(g.dim), key=lambda k: (_block(degs[k]), k)))
         self.rank = {k: r for r, k in enumerate(self.order)}
         # self-pairing-1 letters square to (1/2)[x,x] and never repeat
         self.exterior = tuple(degs[k].pairing(degs[k]) == 1 for k in range(g.dim))
@@ -80,14 +76,6 @@ class EnvelopingAlgebra:
             a, b = w[p], w[p + 1]
             if rank[a] > rank[b] or (a == b and exterior[a]):
                 yield p
-
-    def require_even_first(self):
-        """BadBasisOrder unless every even letter precedes every exterior
-        one.  Exterior is odd parity: eps1^2 + eps2^2 = eps1 + eps2 mod 2."""
-        flags = [self.exterior[k] for k in self.order]
-        if flags != sorted(flags):
-            raise BadBasisOrder("the PBW order puts an exterior letter before "
-                                "an even one")
 
     def is_normal(self, w: Word) -> bool:
         return next(self.violations(w), None) is None
@@ -179,7 +167,7 @@ class EnvelopingAlgebra:
             abelian = BiGradedLieAlgebra(
                 self.g.space, BilinearMap(self.g.space, {}),
                 name=f"sym({self.g.name})" if self.g.name else "sym")
-            self._sym = EnvelopingAlgebra(abelian, self.order)
+            self._sym = EnvelopingAlgebra(abelian)
         return self._sym
 
     def even_envelope(self) -> "EnvelopingAlgebra":
@@ -516,18 +504,14 @@ def pbw_dims(ctx: EnvelopingAlgebra, n_max: int) -> tuple[list[int], list[int]]:
     return counted, formula
 
 
-def pbw_factorize(ctx: EnvelopingAlgebra, a: UEAElement
-                  ) -> list[tuple[UEAElement, Word]]:
+def pbw_factorize(a: UEAElement) -> list[tuple[UEAElement, Word]]:
     """Split along U(g) = U(g+) (x) odd exterior monomials.
 
     Returns (even factor, odd word) pairs, odd words sorted; multiplying
     each even factor (included into U(g)) by its odd word and summing
-    recovers the input.  BadBasisOrder if the context order puts an odd
-    letter before an even one.
+    recovers the input.
     """
-    if a.ctx is not ctx:
-        raise AlgebraMismatch("element from a different context")
-    ctx.require_even_first()
+    ctx = a.ctx
     even_ctx = ctx.even_envelope()
     sub = even_ctx.g.space
     groups: dict[Word, dict[Word, CycloScalar]] = {}

@@ -188,7 +188,7 @@ def test_criterion_08_composition_law():
 def test_criterion_09_inner_automorphism():
     rep = so3_standard_rep()
     elements = so3_group_elements()
-    target = so3_group_automorphism("reflection-diag")
+    target = so3_group_automorphism()
     good = inner_automorphism_check(rep, elements["reflection-diag"], target)
     bad = inner_automorphism_check(rep, elements["rotation-x"], target)
     # the quarter turn rotates the plane: conjugation carries e2 to e3

@@ -105,8 +105,8 @@ def test_matrix_algebra():
     m = Matrix([[1, 2], [3, 4]])
     ident = Matrix.identity(2)
     assert m @ ident == m
-    assert m + Matrix.zero(2, 2) == m
-    assert (m - m) == Matrix.zero(2, 2)
+    assert m + Matrix.zero(2) == m
+    assert (m - m) == Matrix.zero(2)
     inv = m.inverse()
     assert m @ inv == ident
     assert inv @ m == ident

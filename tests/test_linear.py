@@ -3,7 +3,8 @@
 import pytest
 
 from bigla.errors import DegreeViolation, SpaceMismatch
-from bigla.linear import AntiLinearMap, BiGradedSpace, BilinearMap, LinearMap
+from bigla.linear import (AntiLinearMap, BiGradedSpace, BilinearMap, LinearMap,
+                          Vector)
 from bigla.scalars import D00, D10, D11, I, ONE, ZETA
 
 
@@ -92,3 +93,19 @@ def test_bilinear_map():
     bad = BilinearMap(sp, {(1, 2): sp.basis_vector(0)})
     assert bad.check_homogeneity() == [(1, 2)]
     assert m.check_homogeneity() == []
+
+
+def test_a_given_value_builds_no_zero_vector(monkeypatch):
+    """pair and the basis images of a map build the zero vector only for a
+    missing entry; PBW rewriting reads a bracket through pair at every step."""
+    sp = _space()
+    m = BilinearMap(sp, {(1, 1): sp.basis_vector(0)})
+    images = {k: sp.basis_vector(k) for k in range(sp.dim)}
+    built = []
+    init = Vector.__init__
+    monkeypatch.setattr(Vector, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    m.pair(1, 1)
+    LinearMap(sp, sp, images)
+    assert built == []
+    assert m.pair(0, 1) == sp.zero() and len(built) == 2
