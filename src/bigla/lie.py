@@ -16,7 +16,7 @@ from .errors import (AlgebraMismatch, DegreeViolation, InputNotLie, NotAssociati
                      NotClosed, NotEvenType, SpaceMismatch)
 from .linear import BiGradedSpace, BilinearMap, LinearMap, Vector
 from .scalars import BiDegree, CycloScalar, D00, D11, sign_deligne
-from .sparse import add_scaled, add_term
+from .sparse import add_scaled
 
 SignRule = Callable[[BiDegree, BiDegree], int]
 Table = Mapping[tuple[int, int], Vector]
@@ -146,33 +146,24 @@ def check_jacobi(g: BiGradedLieAlgebra, sign: SignRule = sign_deligne
     return [t for t, residual in jacobiators(g, sign) if residual]
 
 
-def _nested(table: Table, x: int, y: int, z: int) -> Coeffs:
-    """[e_x,[e_y,e_z]] as a coefficient dict."""
-    inner = table.get((y, z))
-    return _left_times(table, x, inner.coeffs) if inner else {}
-
-
 def jacobiator(g: BiGradedLieAlgebra, a: int, b: int, c: int,
-               sign: SignRule = sign_deligne,
-               nested: Optional[Mapping[tuple[int, int, int], Coeffs]] = None
-               ) -> Vector:
+               sign: SignRule = sign_deligne) -> Vector:
     """sign(a,c)[a,[b,c]] + sign(c,b)[c,[a,b]] + sign(b,a)[b,[c,a]].
 
-    nested maps (x,y,z) to [e_x,[e_y,e_z]] as a coefficient dict, absent
-    when zero; jacobiators passes the table its sweep shares.  Without it
-    the three nested brackets are computed here.  The signs are applied by
-    adding or negating.
+    The three terms are [x,[y,z]] with sign(x,z) for the three rotations
+    (x,y,z) of (a,b,c); the signs are applied by adding or negating.
     """
-    keys = ((a, b, c), (c, a, b), (b, c, a))
-    if nested is None:
-        table = g.bracket.constants
-        nested = {k: _nested(table, *k) for k in keys}
+    table = g.bracket.constants
     degs = g.space.degrees
-    signs = (sign(degs[a], degs[c]), sign(degs[c], degs[b]), sign(degs[b], degs[a]))
     out: Coeffs = {}
-    for key, s in zip(keys, signs):
-        for k, v in nested.get(key, {}).items():
-            add_term(out, k, v if s == 1 else -v)
+    for x, y, z in ((a, b, c), (c, a, b), (b, c, a)):
+        inner = table.get((y, z))
+        if inner is not None:
+            negate = sign(degs[x], degs[z]) == -1
+            for m, k in inner.coeffs.items():
+                v = table.get((x, m))
+                if v is not None:
+                    add_scaled(out, v.coeffs, -k if negate else k)
     return Vector(g.space, out)
 
 
@@ -181,22 +172,21 @@ def jacobiators(g: BiGradedLieAlgebra, sign: SignRule = sign_deligne
     """((a,b,c), jacobiator(g, a, b, c, sign)) for every basis triple, in
     lexicographic order.
 
-    Each nested bracket [e_x,[e_y,e_z]] enters three jacobiators; the sweep
-    computes it once and hands the table to jacobiator, keeping it only
-    while the sweep runs.
+    The rotation (a,b,c) -> (c,a,b) only reorders the three terms of a
+    jacobiator, for any table and either sign rule, so the sweep computes
+    one jacobiator per rotation orbit, at its smallest triple, and the
+    orbit's later triples reuse it: (n^3 + 2n)/3 calls instead of n^3.
     """
-    table = g.bracket.constants
     n = g.dim
-    nested = {}
-    for (y, z), inner in table.items():
-        for x in range(n):
-            t = _left_times(table, x, inner.coeffs)
-            if t:
-                nested[(x, y, z)] = t
+    residuals = {}
     for a in range(n):
         for b in range(n):
             for c in range(n):
-                yield (a, b, c), jacobiator(g, a, b, c, sign, nested)
+                t = (a, b, c)
+                first = min(t, (b, c, a), (c, a, b))
+                if first == t:
+                    residuals[t] = jacobiator(g, a, b, c, sign)
+                yield t, residuals[first]
 
 
 def check_homogeneity(g: BiGradedLieAlgebra) -> list[tuple[int, int]]:

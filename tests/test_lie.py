@@ -11,8 +11,8 @@ from bigla.lie import (AlgebraMorphism, BiGradedAssocAlgebra,
                        check_homogeneity, check_jacobi, check_lie,
                        check_morphism, commutator_lie, even_subalgebra,
                        is_lie, jacobiator, require_lie, subalgebra_on)
-from bigla.linear import BiGradedSpace, BilinearMap, LinearMap, Vector
-from bigla.scalars import D00, D10, I, ONE, sign_deligne, sign_super
+from bigla.linear import BiGradedSpace, BilinearMap, LinearMap
+from bigla.scalars import D00, D10, I, sign_deligne, sign_super
 
 
 def _broken_so3():

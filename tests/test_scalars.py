@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from bigla.scalars import (ALL_DEGREES, BiDegree, CycloScalar, D00, D01, D10,
-                           D11, I, ONE, ZERO, ZETA, degree, sign_deligne,
-                           sign_super, sign_unbraid)
+from bigla.scalars import (ALL_DEGREES, CycloScalar, D00, D01, D10, D11, I,
+                           ONE, ZERO, ZETA, degree, sign_deligne, sign_super,
+                           sign_unbraid)
 
 
 def _rand_scalar(rng, span=6):

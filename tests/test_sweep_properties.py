@@ -1,9 +1,11 @@
 """Property tests of the axiom sweeps against oracles built in this file.
 
-The Jacobi sweep shares each nested bracket [e_x,[e_y,e_z]] between the
-three jacobiators it enters, and the associativity check reads products off
-the structure constants.  The oracles below recompute every triple from
-scratch through BilinearMap.__call__ and Vector.scale, on random
+The Jacobi sweep computes one jacobiator per rotation orbit and hands it
+to the orbit's other triples, which is exact because the rotation
+(a,b,c) -> (c,a,b) only reorders the three terms of a jacobiator; the
+associativity check reads products off the structure constants.  The
+oracles below recompute every triple from scratch through
+BilinearMap.__call__ and Vector.scale, on random
 degree-homogeneous tables with coefficients in Q(zeta8) (not only
 rationals), under both sign rules.  The alpha identity and the round trip
 rebraid(unbraid(g)) == g are the Z2xZ2 <-> super correspondence of
@@ -15,6 +17,8 @@ from fractions import Fraction
 
 import pytest
 
+from bigla import lie
+from bigla.catalog import catalog
 from bigla.equivalence import alpha_sweep, jacobiator_alpha_check, rebraid, unbraid
 from bigla.lie import (BiGradedAssocAlgebra, BiGradedLieAlgebra, check_jacobi,
                        commutator_lie, jacobiator, jacobiators)
@@ -78,8 +82,9 @@ def _triples(n):
 @settings(max_examples=60, deadline=None)
 @given(brackets())
 def test_jacobi_sweep_matches_the_reference(g):
-    """The shared-bracket Jacobi sweep matches the graded Jacobi identity
-    recomputed per triple, the cyclic sum of eps(c, a) [a, [b, c]], under both
+    """The Jacobi sweep, one jacobiator per rotation orbit reused by the
+    orbit's other triples, matches the graded Jacobi identity recomputed per
+    triple, the cyclic sum of eps(c, a) [a, [b, c]], under both
     the Z2xZ2 and the super commutation factor (Scheunert, "Generalized Lie
     algebras", J. Math. Phys. 20 (1979); Rittenberg-Wyler, "Generalized
     superalgebras", Nucl. Phys. B 139 (1978))."""
@@ -91,6 +96,36 @@ def test_jacobi_sweep_matches_the_reference(g):
             assert residual == reference[t], (sign.__name__, t)
             assert jacobiator(g, *t, sign) == reference[t], (sign.__name__, t)
         assert check_jacobi(g, sign) == [t for t, v in reference.items() if v]
+
+
+@settings(max_examples=60, deadline=None)
+@given(brackets())
+def test_jacobiator_is_invariant_under_rotation(g):
+    """J(c,a,b) = J(a,b,c) on every homogeneous table, Lie or not, under both
+    sign rules: the rotation permutes the three terms of the cyclic sum.
+    The Jacobi sweep relies on it to compute one jacobiator per orbit."""
+    for sign in SIGNS:
+        for a, b, c in _triples(g.dim):
+            assert jacobiator(g, c, a, b, sign) == jacobiator(g, a, b, c, sign), \
+                (sign.__name__, (a, b, c))
+
+
+@pytest.mark.parametrize("name, calls", [("so3", 11), ("qmat2-lie", 176),
+                                         ("unitary2x2", 176)])
+def test_jacobi_sweep_calls_jacobiator_once_per_rotation_orbit(monkeypatch, name, calls):
+    """One sweep calls jacobiator (n^3 + 2n)/3 times: once per orbit of
+    (a,b,c) -> (c,a,b), whose n fixed points are the triples (a,a,a)."""
+    g = catalog()[name][1]()
+    assert calls == (g.dim ** 3 + 2 * g.dim) // 3
+    seen = []
+
+    def counted(*args):
+        seen.append(args[1:4])
+        return jacobiator(*args)
+
+    monkeypatch.setattr(lie, "jacobiator", counted)
+    assert len(list(jacobiators(g))) == g.dim ** 3
+    assert len(seen) == len(set(seen)) == calls
 
 
 @settings(max_examples=40, deadline=None)
