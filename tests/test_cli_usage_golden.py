@@ -47,6 +47,12 @@ ERRORS = [
     ["hc", "conv-check", "so3.json", "--trials", "many"],
     ["--seed", "x", "check", "so3.json"],
     ["--seed", "1.5", "hc", "conv-check", "so3.json"],
+    ["check", "a.json", "b.json"],
+    ["check", "so3.json", "--jacobi=1"],
+    ["hc", "bch", "so3.json", "--x", "-e1", "--y", "e2"],
+    ["examples", "export", "so3", "-o"],
+    ["--seed=x", "check", "so3.json"],
+    ["check", "so3.json", "--", "--jacobi"],
 ]
 
 
