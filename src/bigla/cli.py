@@ -15,6 +15,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import schema
 from .catalog import (catalog, so3_group_automorphism, so3_group_elements,
@@ -357,177 +358,173 @@ def cmd_examples_export(args):
     return _output(args, ctor())
 
 
-class _Subcommands(argparse._SubParsersAction):
-    """Subcommands whose parsers are built when argparse first dispatches to
-    them.  main() builds a parser per call, so a call builds only the top
-    level, the named command and, under a group, the named subcommand: two
-    or three parsers, not the whole tree.  add_parser records the help line
-    and a build function; argparse's choice checks, usage and help read
-    only the names and help lines."""
+class _Opt(NamedTuple):
+    """One option: its strings, the long one last, which also names its
+    dest.  Type None makes it a flag that stores True."""
+    flags: tuple[str, ...]
+    type: Optional[Callable[[str], Any]] = str
+    default: Any = None
+    required: bool = False
+    help: Optional[str] = None
 
-    def add_parser(self, name, *, help, build):
-        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
-        self._name_parser_map[name] = build
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        name = values[0]
-        entry = self._name_parser_map[name]
-        if not isinstance(entry, argparse.ArgumentParser):
-            self._name_parser_map[name] = sub = argparse.ArgumentParser(
-                prog=f"{self._prog_prefix} {name}")
-            entry(sub)
-        super().__call__(parser, namespace, values, option_string)
+    @property
+    def dest(self) -> str:
+        return self.flags[-1][2:].replace("-", "_")
 
 
-def _subcommands(parser, dest: str) -> _Subcommands:
-    parser.register("action", "parsers", _Subcommands)
-    return parser.add_subparsers(dest=dest, required=True)
+class _Cmd(NamedTuple):
+    words: tuple[str, ...]
+    help: str
+    fn: Callable
+    positionals: tuple[str, ...] = ()
+    options: tuple[_Opt, ...] = ()
+
+
+def _flag(name: str, help: Optional[str] = None) -> _Opt:
+    return _Opt((name,), None, False, help=help)
+
+
+def _need(name: str, help: Optional[str] = None) -> _Opt:
+    return _Opt((name,), required=True, help=help)
+
+
+# The grammar of the command line, read by _match and by build_parser.
+_GLOBAL = (_flag("--json", "machine-readable output"),
+           _Opt(("--seed",), int, 0, help="seed for randomized checks (default 0)"),
+           _flag("--timing", "append elapsed wall time to the output"))
+_FILE = ("file",)
+_OUTPUT = _Opt(("-o", "--output"))
+_GROUPS = {"uea": "enveloping algebra operations", "pbw": "basis counting",
+           "hc": "functionals on the enveloping algebra",
+           "appendix": "deformed one-variable products",
+           "examples": "shipped example algebras"}
+_COMMANDS = (
+    _Cmd(("check",), "run axiom checks on an algebra file", cmd_check, _FILE,
+         (_flag("--antisymmetry"), _flag("--jacobi"), _flag("--homogeneity"))),
+    _Cmd(("unbraid",), "twist a bi-graded table to its super companion",
+         cmd_unbraid, _FILE, (_OUTPUT,)),
+    _Cmd(("rebraid",), "invert the twist using the stored involution",
+         cmd_rebraid, _FILE, (_OUTPUT,)),
+    _Cmd(("alpha-check",), "compare Jacobi defects across the twist on all triples",
+         cmd_alpha_check, _FILE),
+    _Cmd(("uea", "nf"), "normal form of a word", cmd_uea_nf, _FILE,
+         (_need("--word", "comma-separated labels"),)),
+    _Cmd(("uea", "hopf-check"), "coproduct, counit, antipode axioms",
+         cmd_uea_hopf_check, _FILE, (_Opt(("--max-len",), _size, 3),)),
+    _Cmd(("pbw", "dims"), "normal word counts against the formula", cmd_pbw_dims,
+         _FILE, (_Opt(("--n",), _size, 4),)),
+    _Cmd(("hc", "hom-dim"), "dimension of equivariant functionals", cmd_hc_hom_dim,
+         _FILE, (_Opt(("--n",), _size, required=True),)),
+    _Cmd(("hc", "conv-check"), "convolution commutativity sweep", cmd_hc_conv_check,
+         _FILE, (_Opt(("--n",), _size, 3), _Opt(("--trials",), _size, 20))),
+    _Cmd(("hc", "bch"), "truncated log of a product of exponentials", cmd_hc_bch,
+         _FILE, (_need("--x", "vector, e.g. 'e1' or '1/2*e1,e2'"), _need("--y"),
+                 _Opt(("--n",), _size, 2))),
+    _Cmd(("hc", "inner-check"), "does conjugation implement the degree involution",
+         cmd_hc_inner_check, (), (_need("--element"),)),
+    _Cmd(("appendix", "star"), "star product of two polynomials", cmd_appendix_star,
+         (), (_need("--f"), _need("--g"))),
+    _Cmd(("appendix", "iso-check"), "untwisting isomorphism sweep",
+         cmd_appendix_iso_check, (),
+         (_Opt(("--degree",), _size, 8), _Opt(("--trials",), _size, 200))),
+    _Cmd(("appendix", "character"), "evaluation character at a point",
+         cmd_appendix_character, (), (_need("--f"), _need("--a"))),
+    _Cmd(("examples", "list"), "list names, kinds, dimensions", cmd_examples_list),
+    _Cmd(("examples", "export"), "write an example as JSON", cmd_examples_export,
+         ("name",), (_OUTPUT,)),
+)
+
+
+def _take(argv: list[str], i: int, options, values: dict) -> Optional[int]:
+    """Read the option at argv[i] into values: the index after it, or None
+    when argv[i] is not one of options, named exactly, in canonical form."""
+    name, eq, value = argv[i].partition("=")
+    opt = next((o for o in options if name in o.flags), None)
+    if opt is None or (eq and opt.type is None):
+        return None
+    if opt.type is None:
+        values[opt.dest] = True
+        return i + 1
+    if not eq:
+        i += 1
+        if i == len(argv) or argv[i].startswith("-"):
+            return None
+        value = argv[i]
+    try:
+        values[opt.dest] = opt.type(value)
+    except (ValueError, argparse.ArgumentTypeError):
+        return None
+    return i + 1
+
+
+def _match(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace build_parser() returns for a canonical argv, read from
+    the command table; None for any other argv.  Canonical: exact global
+    options, the exact command words, then the command's own exact options
+    and its positionals in any order, where no positional and no value
+    outside '--opt=value' starts with '-', every value converts, every
+    required option is given and no positional is missing or extra.  Help,
+    usage errors and every other form are left to argparse."""
+    values = {o.dest: o.default for o in _GLOBAL}
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        i = _take(argv, i, _GLOBAL, values)
+        if i is None:
+            return None
+    cmd = next((c for c in _COMMANDS if tuple(argv[i:i + len(c.words)]) == c.words), None)
+    if cmd is None:
+        return None
+    values.update(zip(("command", "subcommand"), cmd.words))
+    values.update((o.dest, o.default) for o in cmd.options if not o.required)
+    positionals = []
+    i += len(cmd.words)
+    while i < len(argv):
+        if argv[i].startswith("-"):
+            i = _take(argv, i, cmd.options, values)
+            if i is None:
+                return None
+        else:
+            positionals.append(argv[i])
+            i += 1
+    if (len(positionals) != len(cmd.positionals)
+            or any(o.dest not in values for o in cmd.options)):
+        return None
+    values.update(zip(cmd.positionals, positionals), fn=cmd.fn)
+    return argparse.Namespace(**values)
+
+
+def _add_options(parser: argparse.ArgumentParser, options) -> None:
+    for o in options:
+        kind = ({"action": "store_true"} if o.type is None else
+                {"type": o.type, "default": o.default, "required": o.required})
+        parser.add_argument(*o.flags, dest=o.dest, help=o.help, **kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    """The argument parser of the whole command table.  main() builds it
+    only for the argvs _match leaves to it: help, usage errors and the
+    non-canonical forms, which keep argparse's messages and exit code 2."""
+    top = argparse.ArgumentParser(
         prog="bigla",
         description="Exact checks and constructions for bi-graded Lie algebras.")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable output")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized checks (default 0)")
-    p.add_argument("--timing", action="store_true",
-                   help="append elapsed wall time to the output")
-    sub = _subcommands(p, "command")
-
-    def check(q):
-        q.add_argument("file")
-        q.add_argument("--antisymmetry", action="store_true")
-        q.add_argument("--jacobi", action="store_true")
-        q.add_argument("--homogeneity", action="store_true")
-        q.set_defaults(fn=cmd_check)
-    sub.add_parser("check", help="run axiom checks on an algebra file", build=check)
-
-    def braid(fn):
-        def build(q):
-            q.add_argument("file")
-            q.add_argument("-o", "--output")
-            q.set_defaults(fn=fn)
-        return build
-    sub.add_parser("unbraid", help="twist a bi-graded table to its super companion",
-                   build=braid(cmd_unbraid))
-    sub.add_parser("rebraid", help="invert the twist using the stored involution",
-                   build=braid(cmd_rebraid))
-
-    def alpha_check(q):
-        q.add_argument("file")
-        q.set_defaults(fn=cmd_alpha_check)
-    sub.add_parser("alpha-check",
-                   help="compare Jacobi defects across the twist on all triples",
-                   build=alpha_check)
-
-    def uea(group):
-        usub = _subcommands(group, "subcommand")
-
-        def nf(q):
-            q.add_argument("file")
-            q.add_argument("--word", required=True, help="comma-separated labels")
-            q.set_defaults(fn=cmd_uea_nf)
-        usub.add_parser("nf", help="normal form of a word", build=nf)
-
-        def hopf_check(q):
-            q.add_argument("file")
-            q.add_argument("--max-len", type=_size, default=3)
-            q.set_defaults(fn=cmd_uea_hopf_check)
-        usub.add_parser("hopf-check", help="coproduct, counit, antipode axioms",
-                        build=hopf_check)
-    sub.add_parser("uea", help="enveloping algebra operations", build=uea)
-
-    def pbw(group):
-        psub = _subcommands(group, "subcommand")
-
-        def dims(q):
-            q.add_argument("file")
-            q.add_argument("--n", type=_size, default=4)
-            q.set_defaults(fn=cmd_pbw_dims)
-        psub.add_parser("dims", help="normal word counts against the formula",
-                        build=dims)
-    sub.add_parser("pbw", help="basis counting", build=pbw)
-
-    def hc(group):
-        hsub = _subcommands(group, "subcommand")
-
-        def hom_dim(q):
-            q.add_argument("file")
-            q.add_argument("--n", type=_size, required=True)
-            q.set_defaults(fn=cmd_hc_hom_dim)
-        hsub.add_parser("hom-dim", help="dimension of equivariant functionals",
-                        build=hom_dim)
-
-        def conv_check(q):
-            q.add_argument("file")
-            q.add_argument("--n", type=_size, default=3)
-            q.add_argument("--trials", type=_size, default=20)
-            q.set_defaults(fn=cmd_hc_conv_check)
-        hsub.add_parser("conv-check", help="convolution commutativity sweep",
-                        build=conv_check)
-
-        def bch(q):
-            q.add_argument("file")
-            q.add_argument("--x", required=True, help="vector, e.g. 'e1' or '1/2*e1,e2'")
-            q.add_argument("--y", required=True)
-            q.add_argument("--n", type=_size, default=2)
-            q.set_defaults(fn=cmd_hc_bch)
-        hsub.add_parser("bch", help="truncated log of a product of exponentials",
-                        build=bch)
-
-        def inner_check(q):
-            q.add_argument("--element", required=True)
-            q.set_defaults(fn=cmd_hc_inner_check)
-        hsub.add_parser("inner-check",
-                        help="does conjugation implement the degree involution",
-                        build=inner_check)
-    sub.add_parser("hc", help="functionals on the enveloping algebra", build=hc)
-
-    def appendix(group):
-        asub = _subcommands(group, "subcommand")
-
-        def star(q):
-            q.add_argument("--f", required=True)
-            q.add_argument("--g", required=True)
-            q.set_defaults(fn=cmd_appendix_star)
-        asub.add_parser("star", help="star product of two polynomials", build=star)
-
-        def iso_check(q):
-            q.add_argument("--degree", type=_size, default=8)
-            q.add_argument("--trials", type=_size, default=200)
-            q.set_defaults(fn=cmd_appendix_iso_check)
-        asub.add_parser("iso-check", help="untwisting isomorphism sweep",
-                        build=iso_check)
-
-        def character(q):
-            q.add_argument("--f", required=True)
-            q.add_argument("--a", required=True)
-            q.set_defaults(fn=cmd_appendix_character)
-        asub.add_parser("character", help="evaluation character at a point",
-                        build=character)
-    sub.add_parser("appendix", help="deformed one-variable products", build=appendix)
-
-    def examples(group):
-        esub = _subcommands(group, "subcommand")
-
-        def list_(q):
-            q.set_defaults(fn=cmd_examples_list)
-        esub.add_parser("list", help="list names, kinds, dimensions", build=list_)
-
-        def export(q):
-            q.add_argument("name")
-            q.add_argument("-o", "--output")
-            q.set_defaults(fn=cmd_examples_export)
-        esub.add_parser("export", help="write an example as JSON", build=export)
-    sub.add_parser("examples", help="shipped example algebras", build=examples)
-
-    return p
+    _add_options(top, _GLOBAL)
+    subs = {(): top.add_subparsers(dest="command", required=True)}
+    for cmd in _COMMANDS:
+        group = cmd.words[:-1]
+        if group not in subs:
+            q = subs[()].add_parser(group[0], help=_GROUPS[group[0]])
+            subs[group] = q.add_subparsers(dest="subcommand", required=True)
+        q = subs[group].add_parser(cmd.words[-1], help=cmd.help)
+        for name in cmd.positionals:
+            q.add_argument(name)
+        _add_options(q, cmd.options)
+        q.set_defaults(fn=cmd.fn)
+    return top
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _match(argv) or build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         code, result, lines = args.fn(args)

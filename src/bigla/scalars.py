@@ -259,7 +259,10 @@ def as_scalar(c: ScalarLike) -> CycloScalar:
 
 def parse_rational(q: Union[str, int]) -> Fraction:
     """Fraction(q), with a zero denominator reported as a ValueError like
-    any other malformed rational."""
+    any other malformed rational.  Exponent notation is refused: Fraction
+    expands '1e9999999' into a ten-million-digit integer."""
+    if isinstance(q, str) and "e" in q.lower():
+        raise ValueError(f"exponent notation in {q!r}")
     try:
         return Fraction(q)
     except ZeroDivisionError as exc:

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import bigla
-from bigla.cli import main
+from bigla.cli import _match, build_parser, main
 from bigla.schema import dumps, scalar_to_json, to_doc
 from bigla.catalog import catalog_lie, odd_pair, so3, unitary_example
 from bigla.scalars import ONE
@@ -372,6 +372,24 @@ def test_zero_denominator_in_input_is_a_usage_error(argv, so3_file, tmp_path, ca
 
 
 @pytest.mark.parametrize("argv", [
+    ["check", "{exponent}"],
+    ["hc", "bch", "{so3}", "--x=1e9999999*e1", "--y=e2"],
+    ["appendix", "character", "--f=x^2", "--a", "1e9999999"],
+], ids=["json-coefficient", "bch-vector", "character-point"])
+def test_exponent_notation_is_a_quick_usage_error(argv, so3_file, tmp_path, capsys):
+    # Fraction would expand the exponent into ten million digits first
+    doc = to_doc(so3())
+    doc["brackets"][0]["value"][0]["coeff"] = {"zeta8": ["1e9999999", "0", "0", "0"]}
+    exponent = tmp_path / "exponent.json"
+    exponent.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    assert main([a.format(so3=so3_file, exponent=exponent) for a in argv]) == 2
+    assert time.perf_counter() - t0 < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'1e9999999'" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["pbw", "dims", "{so3}", "--n", "-1"],
     ["hc", "hom-dim", "{so3}", "--n", "-1"],
     ["hc", "conv-check", "{so3}", "--n", "-1"],
@@ -446,7 +464,20 @@ def test_output_is_deterministic_unless_timed(so3_file, capsys):
     assert "elapsed_s" in doc
 
 
-@pytest.mark.parametrize("argv,built", [
+@pytest.fixture()
+def built_parsers(monkeypatch):
+    """The prog of every ArgumentParser constructed while the test runs."""
+    init = argparse.ArgumentParser.__init__
+    built = []
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("argv,levels", [
     (["check", "{so3}"], 2),
     (["unbraid", "{so3}"], 2),
     (["rebraid", "{super}"], 2),
@@ -465,20 +496,33 @@ def test_output_is_deterministic_unless_timed(so3_file, capsys):
     (["examples", "export", "so3"], 3),
 ], ids=lambda v: " ".join(a for a in v[:2] if a[0] not in "{-")
    if isinstance(v, list) else None)
-def test_a_command_builds_only_its_own_parsers(argv, built, so3_file, tmp_path,
-                                               monkeypatch, capsys):
-    # the top level, the command and, under a group, the subcommand
+def test_a_command_builds_only_its_own_parsers(argv, levels, so3_file, tmp_path,
+                                               built_parsers, monkeypatch, capsys):
+    # a canonical argv is read from the command table and builds no parser;
+    # argparse, the reference, reads it through `levels` parsers: the top
+    # level, the group of a grouped command and the command
     super_file = str(tmp_path / "super.json")
     assert main(["unbraid", so3_file, "-o", super_file]) == 0
-    init = argparse.ArgumentParser.__init__
-    calls = []
+    argv = [a.format(so3=so3_file, super=super_file) for a in argv]
+    main(argv)
+    assert built_parsers == []
+    parse = argparse.ArgumentParser.parse_known_args
+    parsed = []
 
-    def counting_init(self, *args, **kwargs):
-        calls.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    main([a.format(so3=so3_file, super=super_file) for a in argv])
-    assert len(calls) == built, calls
+    def counting_parse(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+    assert build_parser().parse_args(argv) == _match(argv)
+    assert len(parsed) == levels, parsed
+
+
+def test_a_usage_error_builds_the_whole_parser(so3_file, built_parsers, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", so3_file, "--frobnicate"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
+    assert len(built_parsers) == 22  # top level, 5 groups, 16 commands
 
 
 @pytest.mark.parametrize("argv,code", [

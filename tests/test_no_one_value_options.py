@@ -11,15 +11,11 @@ from bigla.cli import build_parser
 
 
 def _parsers(parser):
-    """The parser and every parser below it.  A subcommand's parser is
-    built on dispatch, so the walk calls each subcommand's build function,
-    as dispatch does, on a parser of its own."""
+    """The parser and every parser below it."""
     yield parser
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            for name, build in action.choices.items():
-                sub = argparse.ArgumentParser(prog=f"{parser.prog} {name}")
-                build(sub)
+            for sub in action.choices.values():
                 yield from _parsers(sub)
 
 
