@@ -80,7 +80,7 @@ def _parse_vector(space, text: str) -> Vector:
             try:
                 c = parse_rational(coef_s.strip())
             except ValueError as exc:
-                raise _Fail(f"bad coefficient {coef_s!r}") from exc
+                raise _Fail(f"bad coefficient {coef_s!r}: {exc}") from exc
         lab = lab.strip()
         try:
             k = space.index(lab)

@@ -30,18 +30,26 @@ def scalar_to_json(c: CycloScalar) -> dict[str, list[str]]:
     return {"zeta8": [str(q) for q in c.rationals()]}
 
 
-def scalar_from_json(obj: Any) -> CycloScalar:
+def scalar_from_json(obj: Any, seen: dict) -> CycloScalar:
+    """The scalar {'zeta8': [c0, c1, c2, c3]}.  seen belongs to one load: it
+    maps each component, and each 4-tuple of components, read so far to its
+    value, so a repeated coefficient is parsed once.  Every occurrence is
+    checked before any lookup: JSON true equals and hashes like 1."""
     if not isinstance(obj, dict) or "zeta8" not in obj:
         raise ValueError(f"scalar must be {{'zeta8': [...]}}, got {obj!r}")
     comps = obj["zeta8"]
     if not isinstance(comps, list) or len(comps) != 4:
         raise ValueError("zeta8 needs exactly four components")
-    out = []
     for q in comps:
         if isinstance(q, bool) or not isinstance(q, (str, int)):
             raise ValueError(f"rational component must be a string, got {q!r}")
-        out.append(parse_rational(q))
-    return CycloScalar(*out)
+        if q not in seen:
+            seen[q] = parse_rational(q)
+    key = tuple(comps)
+    c = seen.get(key)
+    if c is None:
+        c = seen[key] = CycloScalar(*(seen[q] for q in comps))
+    return c
 
 
 def _index(k: Any, space: BiGradedSpace, what: str) -> int:
@@ -80,7 +88,7 @@ def _value_to_json(v: Vector) -> list[dict]:
             for k, c in sorted(v.coeffs.items())]
 
 
-def _value_from_json(obj: Any, space: BiGradedSpace) -> Vector:
+def _value_from_json(obj: Any, space: BiGradedSpace, seen: dict) -> Vector:
     if not isinstance(obj, list):
         raise ValueError(f"value must be a list of terms, got {obj!r}")
     coeffs = {}
@@ -88,7 +96,7 @@ def _value_from_json(obj: Any, space: BiGradedSpace) -> Vector:
         if not isinstance(term, dict) or "basis" not in term or "coeff" not in term:
             raise ValueError(f"value term needs basis and coeff: {term!r}")
         k = _index(term["basis"], space, "basis")
-        add_term(coeffs, k, scalar_from_json(term["coeff"]))
+        add_term(coeffs, k, scalar_from_json(term["coeff"], seen))
     return Vector(space, coeffs)
 
 
@@ -102,7 +110,7 @@ def _table_to_json(m: BilinearMap, upper_only: bool) -> list[dict]:
     return rows
 
 
-def _rows_from_json(rows: Any, space: BiGradedSpace, what: str
+def _rows_from_json(rows: Any, space: BiGradedSpace, what: str, seen: dict
                     ) -> dict[tuple[int, int], Vector]:
     if not isinstance(rows, list):
         raise ValueError(f"{what} table must be a list")
@@ -113,21 +121,24 @@ def _rows_from_json(rows: Any, space: BiGradedSpace, what: str
         i, j = _index(row["left"], space, what), _index(row["right"], space, what)
         if (i, j) in constants:
             raise ValueError(f"duplicate {what} entry ({i}, {j})")
-        constants[(i, j)] = _value_from_json(row["value"], space)
+        constants[(i, j)] = _value_from_json(row["value"], space, seen)
     return constants
 
 
-def _table_from_json(rows: Any, space: BiGradedSpace, sign_rule) -> BilinearMap:
-    """Read an upper-triangular table; mirror entries come from the sign rule."""
-    constants = _rows_from_json(rows, space, "bracket")
+def _table_from_json(rows: Any, space: BiGradedSpace, sign_rule, seen: dict
+                     ) -> BilinearMap:
+    """Read an upper-triangular table; mirror entries come from the sign
+    rule, [j, i] = -s [i, j] with s = +-1.  For s = -1 the mirror is the
+    stored vector itself: combinations are never changed in place."""
+    constants = _rows_from_json(rows, space, "bracket", seen)
     for (i, j) in list(constants):
         if i > j:
             raise ValueError(f"store only left <= right, got ({i}, {j})")
         if i < j:
-            s = sign_rule(space.degrees[i], space.degrees[j])
-            v = constants[(i, j)].scale(-s)
+            v = constants[(i, j)]
             if v.coeffs:
-                constants[(j, i)] = v
+                s = sign_rule(space.degrees[i], space.degrees[j])
+                constants[(j, i)] = -v if s == 1 else v
     return BilinearMap(space, constants)
 
 
@@ -153,24 +164,25 @@ def to_doc(a: Algebra) -> dict:
 def from_doc(doc: Any) -> Algebra:
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
+    seen: dict = {}
     kind = doc.get("kind")
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise ValueError("name must be a string")
     if kind == KIND_LIE:
         space = _space_from_json(doc.get("basis"), name)
-        bracket = _table_from_json(doc.get("brackets"), space, sign_deligne)
+        bracket = _table_from_json(doc.get("brackets"), space, sign_deligne, seen)
         return BiGradedLieAlgebra(space, bracket, name=name)
     if kind == KIND_ASSOC:
         space = _space_from_json(doc.get("basis"), name)
-        products = _rows_from_json(doc.get("products"), space, "product")
+        products = _rows_from_json(doc.get("products"), space, "product", seen)
         product = BilinearMap(space, products)
         unit = doc.get("unit")
-        unit_vec = _value_from_json(unit, space) if unit is not None else None
+        unit_vec = _value_from_json(unit, space, seen) if unit is not None else None
         return BiGradedAssocAlgebra(space, product, unit=unit_vec, name=name)
     if kind == KIND_SUPER:
         space = _space_from_json(doc.get("basis"), name)
-        bracket = _table_from_json(doc.get("brackets"), space, sign_super)
+        bracket = _table_from_json(doc.get("brackets"), space, sign_super, seen)
         return SuperLieAlgebraWithInvolution(
             BiGradedLieAlgebra(space, bracket, name=name), doc.get("involution"))
     raise ValueError(f"unknown kind {kind!r}")
@@ -181,7 +193,11 @@ def dumps(a: Algebra) -> str:
 
 
 def loads(text: str) -> Algebra:
-    return from_doc(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested deeper than the parser allows") from None
+    return from_doc(doc)
 
 
 def load_path(path: str) -> Algebra:

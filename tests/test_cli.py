@@ -389,6 +389,27 @@ def test_exponent_notation_is_a_quick_usage_error(argv, so3_file, tmp_path, caps
     assert err.startswith("error:") and "'1e9999999'" in err
 
 
+@pytest.mark.parametrize("coef, reason", [
+    ("1/0", "zero denominator in '1/0'"),
+    ("1e3", "exponent notation in '1e3'"),
+])
+def test_bch_coefficient_errors_keep_the_reason(coef, reason, so3_file, capsys):
+    assert main(["hc", "bch", so3_file, "--x", f"{coef}*e1", "--y", "e2"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: bad coefficient {coef!r}: {reason}\n"
+
+
+@pytest.mark.parametrize("argv", [["check", "{nested}"],
+                                  ["uea", "nf", "{nested}", "--word", "e1"]])
+def test_deeply_nested_json_is_a_one_line_usage_error(argv, tmp_path, capsys):
+    # json.loads recurses once per level and meets the interpreter's limit
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 1200 + "]" * 1200)
+    assert main([a.format(nested=path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: JSON nested deeper than the parser allows\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["pbw", "dims", "{so3}", "--n", "-1"],
     ["hc", "hom-dim", "{so3}", "--n", "-1"],

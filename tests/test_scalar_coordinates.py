@@ -111,7 +111,7 @@ def test_arithmetic_matches_fraction_coordinates(p, q, k):
         assert got.rationals() == want.c
         assert bool(got) == bool(want)
         assert got.pretty() == want.pretty()
-        assert scalar_from_json(scalar_to_json(got)) == got
+        assert scalar_from_json(scalar_to_json(got), {}) == got
         assert scalar_to_json(got) == {"zeta8": [str(x) for x in want.c]}
 
 

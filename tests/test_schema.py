@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from bigla import schema
 from bigla.catalog import algebra_B, catalog, so3, unitary_example
 from bigla.equivalence import SuperLieAlgebraWithInvolution, unbraid
 from bigla.lie import BiGradedAssocAlgebra, BiGradedLieAlgebra
 from bigla.schema import (dumps, from_doc, load_path, loads, scalar_from_json,
                           scalar_to_json, to_doc)
-from bigla.scalars import CycloScalar, I, ONE
+from bigla.scalars import CycloScalar, I, ONE, parse_rational
 
 
 def test_scalar_round_trip():
@@ -19,18 +20,60 @@ def test_scalar_round_trip():
     for _ in range(30):
         c = CycloScalar(*(Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
                           for _ in range(4)))
-        assert scalar_from_json(scalar_to_json(c)) == c
+        assert scalar_from_json(scalar_to_json(c), {}) == c
     assert scalar_to_json(I) == {"zeta8": ["0", "0", "1", "0"]}
 
 
 def test_scalar_accepts_bare_ints_rejects_bools():
-    assert scalar_from_json({"zeta8": [1, 0, 0, 0]}) == ONE
+    assert scalar_from_json({"zeta8": [1, 0, 0, 0]}, {}) == ONE
     with pytest.raises(ValueError):
-        scalar_from_json({"zeta8": [True, 0, 0, 0]})
+        scalar_from_json({"zeta8": [True, 0, 0, 0]}, {})
     with pytest.raises(ValueError):
-        scalar_from_json({"zeta8": ["1", "0", "0"]})
+        scalar_from_json({"zeta8": ["1", "0", "0"]}, {})
     with pytest.raises(ValueError):
-        scalar_from_json(["1", "0", "0", "0"])
+        scalar_from_json(["1", "0", "0", "0"], {})
+
+
+def _so3_with_terms(terms):
+    doc = to_doc(so3())
+    doc["brackets"][0]["value"] = [{"basis": 2, "coeff": {"zeta8": c}} for c in terms]
+    return doc
+
+
+def test_a_repeated_coefficient_is_checked_again():
+    # (True, 0, 0, 0) equals and hashes like (1, 0, 0, 0), so a lookup made
+    # before the type test would take it for the scalar read before it
+    with pytest.raises(ValueError, match="must be a string, got True"):
+        from_doc(_so3_with_terms([[1, 0, 0, 0], [True, 0, 0, 0]]))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("1/0", "zero denominator in '1/0'"),
+    ("x", "Invalid literal for Fraction: 'x'"),
+])
+def test_a_bad_component_after_repeats_keeps_its_message(bad, message):
+    terms = [["1", "0", "-1", "0"]] * 3 + [["1", "0", bad, "0"], [bad, "0", "0", "0"]]
+    with pytest.raises(ValueError) as exc:
+        from_doc(_so3_with_terms(terms))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", ["qmat2-lie", "unitary2x2"])
+def test_each_distinct_component_is_parsed_once_per_load(name, monkeypatch):
+    text = dumps(catalog()[name][1]())
+    distinct = {q for row in json.loads(text)["brackets"] for term in row["value"]
+                for q in term["coeff"]["zeta8"]}
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return parse_rational(q)
+
+    monkeypatch.setattr(schema, "parse_rational", counted)
+    for n in (1, 2):
+        assert dumps(loads(text)) == text
+        # nothing read in one load is kept for the next
+        assert sorted(calls) == sorted(list(distinct) * n)
 
 
 def test_lie_round_trip():

@@ -1,13 +1,18 @@
 """Property tests of the JSON schema: random tables of every kind survive a
-dump and reload byte for byte, and associative tables keep their product
-constants and unit exactly."""
+dump and reload byte for byte, associative tables keep their product
+constants and unit exactly, and the loader agrees with a reference loader
+that parses every coefficient where it stands."""
+
+import json
 
 import pytest
 
 from bigla.equivalence import SuperLieAlgebraWithInvolution
 from bigla.lie import BiGradedAssocAlgebra, BiGradedLieAlgebra
-from bigla.linear import Vector
-from bigla.schema import dumps, loads
+from bigla.linear import BiGradedSpace, BilinearMap, Vector
+from bigla.scalars import CycloScalar, degree, parse_rational, sign_deligne, sign_super
+from bigla.schema import KIND_ASSOC, KIND_LIE, KIND_SUPER, dumps, loads
+from bigla.sparse import add_term
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -60,3 +65,94 @@ def test_assoc_reload_keeps_constants_and_unit(a):
     drawn = {pair: v for pair, v in a.product.constants.items() if v}
     assert b.product.constants == drawn
     assert b.unit == a.unit
+
+
+def reference_loads(text):
+    """The loader with nothing shared between scalars: a parse_rational for
+    every component where it stands, and every mirror entry the stored
+    value times -s."""
+    doc = json.loads(text)
+    name = doc["name"]
+    space = BiGradedSpace([(b["label"], degree(*b["degree"])) for b in doc["basis"]],
+                          name=name)
+
+    def value(terms):
+        coeffs = {}
+        for t in terms:
+            c = CycloScalar(*(parse_rational(q) for q in t["coeff"]["zeta8"]))
+            add_term(coeffs, t["basis"], c)
+        return Vector(space, coeffs)
+
+    if doc["kind"] == KIND_ASSOC:
+        products = {(r["left"], r["right"]): value(r["value"]) for r in doc["products"]}
+        unit = None if doc["unit"] is None else value(doc["unit"])
+        return BiGradedAssocAlgebra(space, BilinearMap(space, products), unit=unit,
+                                    name=name)
+    sign = sign_super if doc["kind"] == KIND_SUPER else sign_deligne
+    constants = {}
+    for r in doc["brackets"]:
+        i, j = r["left"], r["right"]
+        constants[(i, j)] = v = value(r["value"])
+        if i < j:
+            constants[(j, i)] = v.scale(-sign(space.degrees[i], space.degrees[j]))
+    g = BiGradedLieAlgebra(space, BilinearMap(space, constants), name=name)
+    return g if doc["kind"] == KIND_LIE else SuperLieAlgebraWithInvolution(
+        g, doc["involution"])
+
+
+def contents(a):
+    """Kind, structure constants as coefficient dicts, and unit or involution."""
+    if isinstance(a, SuperLieAlgebraWithInvolution):
+        kind, table, extra = KIND_SUPER, a.algebra.bracket, a.involution
+    elif isinstance(a, BiGradedAssocAlgebra):
+        kind, table = KIND_ASSOC, a.product
+        extra = None if a.unit is None else a.unit.coeffs
+    else:
+        kind, table, extra = KIND_LIE, a.bracket, None
+    return kind, {p: v.coeffs for p, v in table.constants.items()}, extra
+
+
+# a few spellings of a few rationals, JSON ints among them
+components = st.sampled_from(["0", "1", "-1", "1/2", "-2/4", "3", 0, 1, -1, 2])
+
+
+@st.composite
+def repetitive_docs(draw):
+    """A table file of any kind whose coefficients all come from a pool of
+    at most four zeta8 lists, so most of them repeat."""
+    kind = draw(st.sampled_from((KIND_LIE, KIND_ASSOC, KIND_SUPER)))
+    space = draw(spaces())
+    n = space.dim
+    pool = draw(st.lists(st.lists(components, min_size=4, max_size=4),
+                         min_size=1, max_size=4))
+    values = st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(pool)),
+                      max_size=4).map(
+        lambda terms: [{"basis": k, "coeff": {"zeta8": c}} for k, c in terms])
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=n * n))
+    if kind != KIND_ASSOC:
+        pairs = [(min(p), max(p)) for p in pairs]
+    rows = [{"left": i, "right": j, "value": draw(values)}
+            for i, j in dict.fromkeys(pairs)]
+    doc = {"kind": kind, "name": "random",
+           "basis": [{"label": lab, "degree": list(d)}
+                     for lab, d in zip(space.labels, space.degrees)]}
+    if kind == KIND_ASSOC:
+        doc.update(products=rows, unit=draw(st.none() | values))
+    else:
+        doc["brackets"] = rows
+    if kind == KIND_SUPER:
+        doc["involution"] = draw(st.lists(st.sampled_from((1, -1)),
+                                          min_size=n, max_size=n))
+    return json.dumps(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(repetitive_docs())
+def test_loads_agrees_with_the_reference_loader(text):
+    """Reading a repeated coefficient from the load's lookup and building a
+    mirror entry by negation, or as the stored vector itself, give the
+    algebra that parsing everything afresh gives: [y, x] = -eps(y, x) [x, y]
+    with eps(y, x) = +-1 (Scheunert, "Generalized Lie algebras", J. Math.
+    Phys. 20 (1979))."""
+    assert contents(loads(text)) == contents(reference_loads(text))
