@@ -4,7 +4,7 @@ from .scalars import (ALL_DEGREES, BiDegree, CycloScalar, D00, D01, D10, D11,
                       I, MINUS_ONE, ONE, Rational, ZERO, ZETA, degree,
                       sign_deligne, sign_super, sign_unbraid)
 from .linear import AntiLinearMap, BiGradedSpace, BilinearMap, LinearMap, Vector
-from .linalg import Echelon, Matrix, solve_dense
+from .linalg import Matrix
 from .lie import (AlgebraMorphism, BiGradedAssocAlgebra, BiGradedLieAlgebra,
                   CartanPairReport, cartan_pair, check_antisymmetry,
                   check_homogeneity, check_jacobi, check_lie, check_morphism,

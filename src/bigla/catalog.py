@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BasisNotAdapted, DegreeViolation, NotAssociative, NotClosed, Singular
+from .errors import BasisNotAdapted, DegreeViolation, NotAssociative, NotClosed
 from .lie import (AlgebraMorphism, BiGradedAssocAlgebra, BiGradedLieAlgebra,
                   commutator_lie)
-from .linalg import Matrix, solve_dense
+from .linalg import Matrix
 from .linear import AntiLinearMap, BiGradedSpace, BilinearMap, LinearMap, Vector
 from .scalars import BiDegree, CycloScalar, D00, D01, D10, D11, I, ONE, sign_deligne
 
@@ -203,26 +203,24 @@ def _block(star: AntiLinearMap, v: Vector) -> tuple[int, int]:
     return v.degree().eps1, _star_sign(star, v)
 
 
-def _rational_coordinates(basis: Sequence[Vector], target: Vector) -> list[Fraction]:
-    """Solve target = sum r_k basis_k with rational r_k, exactly.
+def _adapted_coordinates(target: Vector) -> list[Fraction]:
+    """The rational coordinates of a 2x2 matrix over mat2_adapted_basis, in
+    its order.  Entry by entry, t11 = h1 + i u1, t22 = h2 + i u2,
+    t12 - t21 = 2 (x1 + i y2) and t12 + t21 = 2 (y1 + i x2); a zeta or
+    zeta^3 part leaves the rational span."""
+    def re_im(t: CycloScalar) -> tuple[Fraction, Fraction]:
+        re, z, im, z3 = t.rationals()
+        if z or z3:
+            raise NotClosed(f"bracket value leaves the rational span: {target!r}")
+        return re, im
 
-    Each Q(zeta8) coordinate splits into 4 rational components, giving a
-    rational linear system; the adapted basis is a rational basis of the
-    span even when it is linearly dependent over the field.
-    """
-    dim = basis[0].space.dim
-    rows = []
-    rhs = []
-    for k in range(dim):
-        coords = [b.coeff(k).rationals() for b in basis]
-        target_coords = target.coeff(k).rationals()
-        for comp in range(4):
-            rows.append([q[comp] for q in coords])
-            rhs.append(target_coords[comp])
-    try:
-        return solve_dense(rows, rhs)
-    except Singular as exc:
-        raise NotClosed(f"bracket value leaves the rational span: {target!r}") from exc
+    t11, t12, t21, t22 = (target.coeff(target.space.index(label))
+                          for label in ("E11", "E12", "E21", "E22"))
+    h1, u1 = re_im(t11)
+    h2, u2 = re_im(t22)
+    x1, y2 = (r / 2 for r in re_im(t12 - t21))
+    y1, x2 = (r / 2 for r in re_im(t12 + t21))
+    return [u1, u2, h1, h2, x1, x2, y1, y2]
 
 
 def unitary_example() -> BiGradedLieAlgebra:
@@ -234,8 +232,9 @@ def unitary_example() -> BiGradedLieAlgebra:
     Deligne pairing 0 the bracket is the commutator ab - ba; on pairing-1
     blocks it is j(ab+ba) with j = i.1 the imaginary unit element,
     carrying the sign dictated by the q-table (+j on u1/h0 pairs, -j on
-    h1-involved ones).  Structure constants come out rational because values
-    are re-expressed over the adapted basis with rational coefficients.
+    h1-involved ones).  Structure constants come out rational: each value
+    is re-expressed over the adapted basis in closed form, from the real
+    and imaginary parts of its matrix entries.
     """
     a, star = mat2_star()
     names, vectors = zip(*mat2_adapted_basis(a))
@@ -258,7 +257,7 @@ def unitary_example() -> BiGradedLieAlgebra:
                     val = -val
             if not val:
                 continue
-            coords = _rational_coordinates(vectors, val)
+            coords = _adapted_coordinates(val)
             entries = {k: CycloScalar.from_rational(r) for k, r in enumerate(coords) if r}
             constants[(p, q)] = Vector(space, entries)
     return BiGradedLieAlgebra(space, BilinearMap(space, constants), name="unitary")

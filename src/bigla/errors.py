@@ -64,7 +64,8 @@ class OddInput(BiglaError):
     pass
 
 
-class Singular(BiglaError):
+class NotOrthogonal(BiglaError):
+    # a group element g with g g^T != 1, whose inverse is then not g^T
     pass
 
 

@@ -26,7 +26,7 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Mapping, Optional
 
-from .errors import (AlgebraMismatch, DegreeViolation, OddInput,
+from .errors import (AlgebraMismatch, DegreeViolation, NotOrthogonal, OddInput,
                      TruncationExceeded, TruncationMismatch, TruncationTooSmall)
 from .catalog import MatrixRep
 from .deformed import bound_trial_work
@@ -284,8 +284,11 @@ def bch_product(ctx: EnvelopingAlgebra, x: Vector, y: Vector,
 
 def inner_automorphism_check(rep: MatrixRep, g: Matrix,
                              expected: LinearMap) -> list[int]:
-    """Indices where g rho(x) g^(-1) differs from rho(expected(x))."""
-    ginv = g.inverse()
+    """Indices where g rho(x) g^(-1) differs from rho(expected(x)).  g must
+    be orthogonal, which makes it invertible with g^(-1) = g^T."""
+    ginv = g.transpose()
+    if g @ ginv != Matrix.identity(g.nrows):
+        raise NotOrthogonal("group element is not orthogonal: g g^T != 1")
     bad = []
     for k in sorted(rep.images):
         lhs = g @ rep.images[k] @ ginv

@@ -1,27 +1,19 @@
-"""Exact elimination: one incremental echelon form.
+"""Exact elimination: one incremental echelon form, and small dense matrices.
 
-Works over any field whose elements support +, -, *, inverse()/division and
-truthiness for zero tests, which here means CycloScalar or Fraction.  Rows
-are sparse dicts keyed by integer column.  Its callers are small dense
-systems: solve_dense (re-expressing the unitary2x2 brackets over the
-adapted basis), Matrix.inverse (hc inner-check) and the tests' elimination
-oracle for the equivariant basis.  Both feed it augmented rows and read
-the answer off the reduced pivot rows.
+Echelon works over CycloScalar, on sparse rows keyed by integer column.  No
+command reaches it: it is the tests' elimination oracle for the equivariant
+basis and the unitary2x2 coordinates, and the benchmark's layer trace
+patches it by name.  Matrix holds the catalog representations; it never
+inverts, since the one inverse the library needs, of an orthogonal group
+element, is its transpose.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from .errors import Singular
 from .scalars import ONE, CycloScalar, as_scalar
 from .sparse import add_scaled
-
-
-def _inv(x):
-    if isinstance(x, CycloScalar):
-        return x.inverse()
-    return 1 / x
 
 
 class Echelon:
@@ -38,7 +30,7 @@ class Echelon:
             lead = min(row)
             piv = self.pivots.get(lead)
             if piv is None:
-                inv = _inv(row[lead])
+                inv = row[lead].inverse()
                 self.pivots[lead] = {k: inv * v for k, v in row.items()}
                 return lead
             add_scaled(row, piv, -row[lead])
@@ -77,22 +69,6 @@ class Echelon:
         return basis
 
 
-def solve_dense(matrix: Sequence[Sequence], rhs: Sequence):
-    """Solve a square-or-tall exact system; raises Singular if inconsistent
-    or underdetermined.  Entries are Fractions or CycloScalars."""
-    ncols = len(matrix[0]) if matrix else 0
-    ech = Echelon()
-    for row, b in zip(matrix, rhs, strict=True):
-        ech.add_row(dict(enumerate((*row, b))))
-    if ncols in ech.pivots:
-        raise Singular("inconsistent linear system")
-    if ech.rank < ncols:
-        raise Singular("underdetermined linear system")
-    ech.back_substitute()
-    # a coordinate missing from its sparse row is a zero of the rhs's field
-    return [ech.pivots[c].get(ncols, 0 * rhs[0]) for c in range(ncols)]
-
-
 class Matrix:
     """Small dense matrix over Q(zeta8) for the catalog representations."""
 
@@ -120,12 +96,12 @@ class Matrix:
         return cls([[0] * n for _ in range(n)])
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix([[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)])
+        return Matrix([[a + b for a, b in zip(r1, r2, strict=True)]
+                       for r1, r2 in zip(self.rows, other.rows, strict=True)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix([[a - b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.rows, other.rows)])
+        return Matrix([[a - b for a, b in zip(r1, r2, strict=True)]
+                       for r1, r2 in zip(self.rows, other.rows, strict=True)])
 
     def scale(self, c) -> "Matrix":
         c = as_scalar(c)
@@ -142,18 +118,8 @@ class Matrix:
             return NotImplemented
         return self.rows == other.rows
 
-    def inverse(self) -> "Matrix":
-        n = self.nrows
-        if n != self.ncols:
-            raise Singular("only square matrices invert")
-        ech = Echelon()
-        for i, row in enumerate(self.rows):
-            ech.add_row({**dict(enumerate(row)), n + i: ONE})
-        if any(c not in ech.pivots for c in range(n)):
-            raise Singular("matrix is singular")
-        ech.back_substitute()
-        return Matrix([[ech.pivots[c].get(n + j, 0) for j in range(n)]
-                       for c in range(n)])
+    def transpose(self) -> "Matrix":
+        return Matrix(list(zip(*self.rows)))
 
     def __repr__(self):
         return "Matrix([" + ", ".join(

@@ -193,7 +193,7 @@ def test_criterion_09_inner_automorphism():
     bad = inner_automorphism_check(rep, elements["rotation-x"], target)
     # the quarter turn rotates the plane: conjugation carries e2 to e3
     rot = elements["rotation-x"]
-    moved = rot @ rep.images[1] @ rot.inverse()
+    moved = rot @ rep.images[1] @ rot.transpose()
     discrepancy = moved == rep.images[2]
     _report(9, "reflection implements the degree involution, the quarter "
                "turn sends e2 to e3 instead",

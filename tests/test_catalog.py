@@ -1,20 +1,23 @@
 """The shipped algebras, their representations, and the unitary embedding."""
 
+import importlib
+
 import pytest
 
-from bigla.catalog import (MatrixRep, algebra_B, algebra_B_rep, catalog,
-                           catalog_lie, check_assoc_rep, check_lie_rep,
-                           m2_superalgebra, mat2_star, so3,
+from bigla.catalog import (MatrixRep, _adapted_coordinates, algebra_B,
+                           algebra_B_rep, catalog, catalog_lie,
+                           check_assoc_rep, check_lie_rep,
+                           m2_superalgebra, mat2_adapted_basis, mat2_star, so3,
                            so3_group_automorphism, so3_group_elements,
                            so3_standard_rep, tilde_extension,
                            unitary_embedding, unitary_example,
                            upper_triangular3)
-from bigla.errors import DegreeViolation, NotAssociative
+from bigla.errors import DegreeViolation, NotAssociative, NotClosed
 from bigla.lie import (BiGradedAssocAlgebra, check_lie, check_morphism,
                        is_lie)
-from bigla.linalg import Matrix
-from bigla.linear import BiGradedSpace, BilinearMap
-from bigla.scalars import D00, D01, D10, D11, I
+from bigla.linalg import Echelon, Matrix
+from bigla.linear import BiGradedSpace, BilinearMap, Vector
+from bigla.scalars import D00, D01, D10, D11, I, ONE, ZERO, ZETA, CycloScalar
 
 
 def test_catalog_names():
@@ -107,6 +110,51 @@ def test_unitary_bracket_oracles():
     assert x1y1.coeff(i("h1")) == 2
     assert x1y1.coeff(i("h2")) == -2
     assert set(x1y1.coeffs) == {i("h1"), i("h2")}
+
+
+def eliminated_coordinates(basis, target):
+    """Rational r with target = sum r_k basis_k, by elimination: each
+    Q(zeta8) entry splits into its four rational components, one equation
+    each, with the right-hand side in the last column."""
+    ncols = len(basis)
+    ech = Echelon()
+    for k in range(target.space.dim):
+        parts = [b.coeff(k).rationals() for b in basis] + [target.coeff(k).rationals()]
+        for comp in range(4):
+            ech.add_row({c: CycloScalar.from_rational(q[comp]) for c, q in enumerate(parts)})
+    if ncols in ech.pivots or ech.rank < ncols:
+        return None  # outside the rational span, or not a unique answer
+    ech.back_substitute()
+    return [ech.pivots[c].get(ncols, ZERO) for c in range(ncols)]
+
+
+def test_closed_form_coordinates_match_the_elimination(monkeypatch):
+    # `bigla.catalog` as an attribute is the catalog() function
+    module = importlib.import_module("bigla.catalog")
+    seen = []
+
+    def recording(target):
+        seen.append((target, _adapted_coordinates(target)))
+        return seen[-1][1]
+    monkeypatch.setattr(module, "_adapted_coordinates", recording)
+    unitary_example()
+    basis = [v for _, v in mat2_adapted_basis(m2_superalgebra())]
+    assert len(seen) == 40
+    for target, coords in seen:
+        assert coords == eliminated_coordinates(basis, target), target
+        assert sum((v.scale(r) for v, r in zip(basis, coords)),
+                   Vector(target.space, {})) == target
+
+
+def test_closed_form_coordinates_refuse_a_zeta_part():
+    a = m2_superalgebra()
+    basis = [v for _, v in mat2_adapted_basis(a)]
+    e12 = a.space.basis_vector(a.space.index("E12"))
+    for c in (ZETA, ONE + ZETA * ZETA * ZETA):
+        target = e12.scale(c)
+        assert eliminated_coordinates(basis, target) is None
+        with pytest.raises(NotClosed, match="leaves the rational span"):
+            _adapted_coordinates(target)
 
 
 def test_unitary_embedding_is_a_morphism():

@@ -13,7 +13,8 @@ import pytest
 import bigla
 from bigla.cli import _match, build_parser, main
 from bigla.schema import dumps, scalar_to_json, to_doc
-from bigla.catalog import catalog_lie, odd_pair, so3, unitary_example
+from bigla.catalog import catalog, catalog_lie, odd_pair, so3, unitary_example
+from bigla.linalg import Echelon
 from bigla.scalars import ONE
 
 
@@ -179,6 +180,41 @@ def test_unbraid_rebraid_round_trip(so3_file, tmp_path, capsys):
 def test_unbraid_rejects_non_lie(broken_file, capsys):
     assert main(["unbraid", broken_file]) == 1
     assert "not a Lie table" in capsys.readouterr().out
+
+
+def test_no_command_reaches_elimination(tmp_path, monkeypatch, capsys):
+    # elimination is the tests' oracle: the catalog and the inner check,
+    # its last runtime callers, must finish with the same codes without it
+    def refuse(self, row):
+        raise AssertionError("a command reached Echelon.add_row")
+    monkeypatch.setattr(Echelon, "add_row", refuse)
+    for name in catalog():
+        assert main(["examples", "export", name, "-o", str(tmp_path / name)]) == 0
+    assert main(["hc", "inner-check", "--element", "reflection-diag"]) == 0
+    assert main(["hc", "inner-check", "--element", "rotation-x"]) == 1
+
+
+@pytest.mark.parametrize("argv,kind", [
+    (["uea", "nf", "{file}", "--word", "e2,e1"], "bigraded-lie"),
+    (["uea", "hopf-check", "{file}"], "bigraded-lie"),
+    (["pbw", "dims", "{file}"], "bigraded-lie"),
+    (["hc", "hom-dim", "{file}", "--n", "2"], "bigraded-lie"),
+    (["hc", "conv-check", "{file}"], "bigraded-lie"),
+    (["hc", "bch", "{file}", "--x", "e1", "--y", "e1"], "bigraded-lie"),
+    (["alpha-check", "{file}"], "bigraded-lie"),
+    (["unbraid", "{file}"], "bigraded-lie"),
+    (["rebraid", "{file}"], "super-lie-involution"),
+], ids=lambda v: " ".join(a for a in v[:2] if a[0] not in "{-")
+   if isinstance(v, list) else None)
+def test_a_file_of_the_wrong_kind_exits_2(argv, kind, so3_file, tmp_path, capsys):
+    # a Lie command gets the super companion of so3, rebraid gets so3 itself
+    path = so3_file
+    if kind == "bigraded-lie":
+        path = str(tmp_path / "so3-super.json")
+        assert main(["unbraid", so3_file, "-o", path]) == 0
+        capsys.readouterr()
+    assert main([a.format(file=path) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: expected kind {kind}\n")
 
 
 def test_alpha_check(so3_file, broken_file, capsys):

@@ -17,8 +17,8 @@ from bigla import hc
 from bigla.catalog import (algebra_B, catalog_lie, odd_pair, so3,
                            so3_group_automorphism, so3_group_elements,
                            so3_standard_rep, unitary_example)
-from bigla.errors import (AlgebraMismatch, DegreeViolation, OddInput,
-                          Singular, TruncationExceeded, TruncationMismatch,
+from bigla.errors import (AlgebraMismatch, DegreeViolation, NotOrthogonal,
+                          OddInput, TruncationExceeded, TruncationMismatch,
                           TruncationTooSmall)
 from bigla.hc import (Functional, _series_mul, bch_product, convolution,
                       convolution_commutes, equivariant_functionals,
@@ -380,12 +380,17 @@ def test_inner_automorphism_check():
     elements = so3_group_elements()
     target = so3_group_automorphism()
     assert inner_automorphism_check(rep, elements["reflection-diag"], target) == []
-    bad = inner_automorphism_check(rep, elements["rotation-x"], target)
-    assert bad != []
     # the quarter turn fixes the first axis, so only e2, e3 move wrongly
-    assert 0 not in bad
-    with pytest.raises(Singular):
-        inner_automorphism_check(rep, Matrix.zero(3), target)
+    assert inner_automorphism_check(rep, elements["rotation-x"], target) == [1, 2]
+
+
+@pytest.mark.parametrize("g", [
+    Matrix.zero(3),                                  # singular
+    Matrix([[2, 0, 0], [0, 1, 0], [0, 0, 1]]),       # invertible, not orthogonal
+], ids=["zero", "diag-2-1-1"])
+def test_inner_automorphism_check_refuses_a_non_orthogonal_element(g):
+    with pytest.raises(NotOrthogonal):
+        inner_automorphism_check(so3_standard_rep(), g, so3_group_automorphism())
 
 
 if __name__ == "__main__":

@@ -22,9 +22,9 @@ import pytest
 from bigla import hc
 from bigla.catalog import catalog_lie
 from bigla.lie import BiGradedLieAlgebra, check_lie, subalgebra_on
-from bigla.linalg import Matrix
+from bigla.linalg import Echelon, Matrix
 from bigla.linear import BilinearMap, Vector
-from bigla.scalars import CycloScalar
+from bigla.scalars import ONE, ZERO, CycloScalar
 from bigla.uea import EnvelopingAlgebra, normal_form_random
 
 from test_hc import (closed_form_basis, drawn_functional, elimination_basis,
@@ -55,10 +55,23 @@ def block_matrices(draw, n):
     return unipotent(True) @ diag @ unipotent(False)
 
 
+def inverse_rows(m):
+    """Rows of m^(-1), read off the reduced echelon form of [m | 1]."""
+    n = m.nrows
+    ech = Echelon()
+    for i, row in enumerate(m.rows):
+        ech.add_row({**dict(enumerate(row)), n + i: ONE})
+    ech.back_substitute()
+    inv = Matrix([[ech.pivots.get(c, {}).get(n + j, ZERO) for j in range(n)]
+                  for c in range(n)])
+    assert m @ inv == Matrix.identity(n)
+    return inv.rows
+
+
 def rebased(g, change):
     """g in the basis f_k = sum_i change[i][k] e_i."""
     n = g.dim
-    inv = change.inverse().rows
+    inv = inverse_rows(change)
     f = [Vector(g.space, {i: change.rows[i][k] for i in range(n)}) for k in range(n)]
     constants = {}
     for a in range(n):
