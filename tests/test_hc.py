@@ -1,7 +1,8 @@
 """Functionals, convolution, the equivariant basis, and the composition law.
 
 The recorded convolution values live in ``convolution_golden.json`` next to
-this file.  To record them again, after a deliberate change of values, run
+this file, and the functionals conv-check draws in ``draw_stream_golden.json``.
+To record both again, after a deliberate change of values, run
 
     PYTHONPATH=src python3 tests/test_hc.py
 """
@@ -33,6 +34,8 @@ from bigla.uea import EnvelopingAlgebra, delta_word
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "convolution_golden.json")
+DRAW_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           "draw_stream_golden.json")
 
 
 def _ctx(g):
@@ -207,6 +210,45 @@ def convolution_table():
 def test_convolution_values_are_frozen():
     with open(GOLDEN) as fh:
         assert convolution_table() == json.load(fh)
+
+
+def draw_stream_table():
+    """Per algebra and seed, the pairs of functionals commutativity_failures
+    hands to convolution_commutes in two trials at truncation 4, each as
+    label word -> value; convolution_commutes is replaced by a recorder that
+    calls it."""
+    checked = hc.convolution_commutes
+    out = {}
+    for name in ("qmat2-lie", "so3"):
+        g = catalog_lie()[name]
+
+        def label(f):
+            return {" ".join(g.space.labels[k] for k in w): str(c)
+                    for w, c in f.coeffs.items()}
+
+        out[name] = {}
+        for seed in range(5):
+            pairs = []
+
+            def record(phi, psi):
+                pairs.append([label(phi), label(psi)])
+                return checked(phi, psi)
+
+            hc.convolution_commutes = record
+            try:
+                failures = hc.commutativity_failures(_ctx(g), 4, 2,
+                                                     random.Random(seed))
+            finally:
+                hc.convolution_commutes = checked
+            assert failures == 0
+            out[name][str(seed)] = pairs
+    return out
+
+
+def test_conv_check_draws_are_frozen():
+    """The same seeds draw the same functionals, in the same order."""
+    with open(DRAW_GOLDEN) as fh:
+        assert draw_stream_table() == json.load(fh)
 
 
 def test_shift_additivity():
@@ -394,6 +436,8 @@ def test_inner_automorphism_check_refuses_a_non_orthogonal_element(g):
 
 
 if __name__ == "__main__":
-    with open(GOLDEN, "w") as fh:
-        json.dump(convolution_table(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    for path, table in ((GOLDEN, convolution_table),
+                        (DRAW_GOLDEN, draw_stream_table)):
+        with open(path, "w") as fh:
+            json.dump(table(), fh, indent=1, sort_keys=True)
+            fh.write("\n")
