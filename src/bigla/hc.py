@@ -38,10 +38,14 @@ from .uea import (MAX_TRUNCATION, EnvelopingAlgebra, UEAElement, Word,
                   primitive_vector, uea_multiply)
 
 
+# a supported word with its letter counts and value
+SupportRecord = tuple[Word, Counter, CycloScalar]
+
+
 class Functional(Combination):
     """Scalar values on normal words of length <= truncation."""
 
-    __slots__ = ("ctx", "truncation", "_shifts")
+    __slots__ = ("ctx", "truncation", "_shifts", "_by_length")
 
     def __init__(self, ctx: EnvelopingAlgebra, truncation: int,
                  coeffs: Mapping[Word, CycloScalar]):
@@ -49,6 +53,7 @@ class Functional(Combination):
         self.truncation = truncation
         super().__init__(coeffs)
         self._shifts: Optional[set[BiDegree]] = None
+        self._by_length: Optional[list[list[SupportRecord]]] = None
 
     def base(self) -> tuple:
         return (self.ctx, self.truncation)
@@ -74,12 +79,19 @@ class Functional(Combination):
         s = self.shifts()
         return next(iter(s)) if len(s) == 1 else None
 
-
-def _support(f: Functional) -> list[tuple[Word, Counter, CycloScalar]]:
-    """The normal words f is nonzero on, each with its letter counts and
-    value; convolution reads f on nothing else."""
-    return [(u, Counter(u), c) for u, c in f.coeffs.items()
-            if f.ctx.is_normal(u)]
+    def support_by_length(self) -> list[list[SupportRecord]]:
+        """The normal words of length <= truncation the functional is
+        nonzero on, each with its letter counts and value, bucketed by
+        length and computed on the first call; convolution reads the
+        functional on nothing else."""
+        if self._by_length is None:
+            buckets: list[list[SupportRecord]] = [
+                [] for _ in range(self.truncation + 1)]
+            for u, c in self.coeffs.items():
+                if len(u) <= self.truncation and self.ctx.is_normal(u):
+                    buckets[len(u)].append((u, Counter(u), c))
+            self._by_length = buckets
+        return self._by_length
 
 
 def _unshuffles(ctx: EnvelopingAlgebra, u_count: Counter,
@@ -98,7 +110,8 @@ def _unshuffles(ctx: EnvelopingAlgebra, u_count: Counter,
 
 def convolution(phi: Functional, psi: Functional) -> Functional:
     """(phi * psi)(w) = sum over Delta(w) = sum c u (x) v of the signed
-    product c phi(u) psi(v), summed over the pairs of supported words.
+    product c phi(u) psi(v), summed over the pairs of supported words whose
+    lengths sum to at most the truncation.
 
     Delta(w) of a normal word w is a sum over the unshuffles of w, since
     every subword of a normal word is normal.  So phi(u) psi(v) reaches only
@@ -112,23 +125,24 @@ def convolution(phi: Functional, psi: Functional) -> Functional:
     phi._same(psi)
     ctx = phi.ctx
     rank, degs = ctx.rank, ctx.g.space.degrees
-    right = _support(psi)
+    right = psi.support_by_length()
     values: dict[Word, CycloScalar] = {}
-    for u, u_count, a in _support(phi):
-        room = phi.truncation - len(u)
-        for v, v_count, b in right:
-            if len(v) > room:
-                continue
-            n = _unshuffles(ctx, u_count, v_count)
-            if not n:
-                continue
-            c = a * b
-            if n != 1:
-                c = c * n
-            if sum(degs[x].pairing(degs[y]) for x in v for y in u
-                   if rank[x] > rank[y]) % 2:
-                c = -c
-            add_term(values, tuple(sorted(u + v, key=rank.__getitem__)), c)
+    for length, left in enumerate(phi.support_by_length()):
+        # psi's words v with len(u) + len(v) <= truncation
+        fitting = [rec for bucket in right[:phi.truncation - length + 1]
+                   for rec in bucket]
+        for u, u_count, a in left:
+            for v, v_count, b in fitting:
+                n = _unshuffles(ctx, u_count, v_count)
+                if not n:
+                    continue
+                c = a * b
+                if n != 1:
+                    c = c * n
+                if sum(degs[x].pairing(degs[y]) for x in v for y in u
+                       if rank[x] > rank[y]) % 2:
+                    c = -c
+                add_term(values, tuple(sorted(u + v, key=rank.__getitem__)), c)
     return Functional(ctx, phi.truncation, values)
 
 
@@ -146,14 +160,17 @@ def convolution_commutes(phi: Functional, psi: Functional) -> bool:
 
 
 def _random_functional(ctx: EnvelopingAlgebra, truncation: int,
-                       words: list[tuple[Word, BiDegree]],
+                       degrees: list[BiDegree],
+                       by_degree: Mapping[BiDegree, list[Word]],
                        rng: random.Random) -> Functional:
-    """Small integers on a random subset of the words of one word degree;
-    words holds every normal word up to the truncation with its degree."""
-    target = words[rng.randrange(len(words))][1]
+    """Small integers on a random subset of the words of one word degree.
+    degrees holds the degree of every normal word up to the truncation, so
+    a degree is drawn in proportion to its words, and by_degree the words
+    of each degree in enumeration order."""
+    target = degrees[rng.randrange(len(degrees))]
     vals = {}
-    for w, d in words:
-        if d == target and rng.random() < 0.6:
+    for w in by_degree[target]:
+        if rng.random() < 0.6:
             vals[w] = CycloScalar.from_rational(rng.randint(-3, 3))
     return Functional(ctx, truncation, vals)
 
@@ -169,12 +186,15 @@ def commutativity_failures(ctx: EnvelopingAlgebra, truncation: int,
             f"truncation {truncation} above the bound {MAX_TRUNCATION}")
     words = ctx.normal_words_up_to(truncation)
     bound_trial_work(trials, len(words), "normal words")
-    graded = [(w, ctx.word_degree(w)) for w in words]
+    degrees = list(words.values())
+    by_degree: dict[BiDegree, list[Word]] = {}
+    for w, d in words.items():
+        by_degree.setdefault(d, []).append(w)
     checked = 0
     failures = 0
     while checked < trials:
-        phi = _random_functional(ctx, truncation, graded, rng)
-        psi = _random_functional(ctx, truncation, graded, rng)
+        phi = _random_functional(ctx, truncation, degrees, by_degree, rng)
+        psi = _random_functional(ctx, truncation, degrees, by_degree, rng)
         if phi.shift() is None or psi.shift() is None:
             continue
         if not convolution_commutes(phi, psi):

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .errors import AlgebraMismatch, TruncationExceeded
 from .lie import BiGradedLieAlgebra, even_subalgebra, require_lie
 from .linear import BilinearMap, Vector
-from .scalars import BiDegree, CycloScalar, ONE, sign_deligne
+from .scalars import ALL_DEGREES, D00, BiDegree, CycloScalar, ONE, sign_deligne
 from .sparse import Combination, add_scaled, add_term
 
 Word = tuple[int, ...]
@@ -150,15 +150,29 @@ class EnvelopingAlgebra:
                 prefix.pop()
         yield from extend([], 0, length)
 
-    def normal_words_up_to(self, n: int) -> list[Word]:
-        """Normal words of length <= n, shortest first.  A prefix of a normal
-        word is normal, so the first empty length ends the enumeration."""
-        out: list[Word] = []
-        for m in range(n + 1):
-            level = list(self.normal_words(m))
+    def normal_words_up_to(self, n: int) -> dict[Word, BiDegree]:
+        """Normal words of length <= n, shortest first and each length in the
+        order of normal_words, mapped to their word degrees.
+
+        A prefix of a normal word is normal, so each length extends the
+        words of the one before, and the first empty length ends the
+        enumeration.  Two whole lengths are held at once, so the streaming
+        normal_words stays for counting long words.
+        """
+        degs = self.g.space.degrees
+        # per rank: the letter, the degree a word has once it is appended,
+        # and the lowest rank that may follow it
+        steps = [(k, {d: d + degs[k] for d in ALL_DEGREES},
+                  r + 1 if self.exterior[k] else r)
+                 for r, k in enumerate(self.order)]
+        out = {(): D00}
+        level = [((), D00, 0)]
+        for _ in range(n):
+            level = [(w + (k,), after[d], nxt) for w, d, low in level
+                     for k, after, nxt in steps[low:]]
             if not level:
                 break
-            out += level
+            out.update((w, d) for w, d, _ in level)
         return out
 
     def sym(self) -> "EnvelopingAlgebra":

@@ -11,6 +11,7 @@ import json
 import os
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -45,7 +46,7 @@ def _ctx(g):
 def _random_functional(ctx, truncation, rng):
     """Small integers on each word, kept within one degree-shift class so
     that shift() is defined."""
-    words = ctx.normal_words_up_to(truncation)
+    words = list(ctx.normal_words_up_to(truncation))
     target = ctx.word_degree(rng.choice(words))
     values = {}
     for w in words:
@@ -56,10 +57,14 @@ def _random_functional(ctx, truncation, rng):
 
 
 def drawn_functional(ctx, truncation, rng):
-    """hc._random_functional over the normal words up to the truncation, each
-    with its degree, as commutativity_failures draws them."""
-    words = [(w, ctx.word_degree(w)) for w in ctx.normal_words_up_to(truncation)]
-    return hc._random_functional(ctx, truncation, words, rng)
+    """hc._random_functional over the normal words up to the truncation,
+    grouped by degree, as commutativity_failures draws them."""
+    words = ctx.normal_words_up_to(truncation)
+    by_degree = {}
+    for w, d in words.items():
+        by_degree.setdefault(d, []).append(w)
+    return hc._random_functional(ctx, truncation, list(words.values()),
+                                 by_degree, rng)
 
 
 def mixed_functional(ctx, truncation, rng):
@@ -77,6 +82,19 @@ def apply(phi, a):
     if any(len(w) > phi.truncation for w in a.coeffs):
         raise TruncationExceeded(f"element longer than {phi.truncation}")
     return sum((c * phi.coeffs.get(w, ZERO) for w, c in a.coeffs.items()), ZERO)
+
+
+def stray_functional(ctx, truncation, rng):
+    """A drawn functional that is also nonzero on words convolution never
+    reads: the first normal words one letter past the truncation, and a
+    word out of PBW order, such as (2, 0) on so3."""
+    phi = drawn_functional(ctx, truncation, rng)
+    stray = list(islice(ctx.normal_words(truncation + 1), 3))
+    stray.append((ctx.order[-1], ctx.order[0]))
+    values = dict(phi.coeffs)
+    for w in stray:
+        values[w] = CycloScalar.from_rational(rng.randrange(1, 4))
+    return Functional(ctx, truncation, values)
 
 
 def expanded_convolution(phi, psi):
@@ -157,14 +175,34 @@ def test_convolution_commutes_across_catalog():
 def test_convolution_matches_the_expanded_coproduct_on_the_catalog(name):
     """Seeded homogeneous and inhomogeneous pairs at truncation 4, on the
     algebra and on its reversed basis, whose PBW order is reversed inside
-    each degree block."""
+    each degree block, and pairs with values on words convolution ignores."""
     g = catalog_lie()[name]
     rng = random.Random(name)
     for ctx in (_ctx(g), _ctx(subalgebra_on(g, range(g.dim)[::-1]))):
-        for draw in (drawn_functional, mixed_functional):
+        for draw in (drawn_functional, mixed_functional, stray_functional):
             for _ in range(3):
                 phi, psi = draw(ctx, 4, rng), draw(ctx, 4, rng)
                 assert convolution(phi, psi) == expanded_convolution(phi, psi)
+
+
+def test_convolution_commutes_reads_each_support_once():
+    """One convolution_commutes call tests each supported word for
+    normality once, though it convolves both ways."""
+    g = catalog_lie()["qmat2-lie"]
+    ctx = _ctx(g)
+    rng = random.Random(7)
+    phi, psi = drawn_functional(ctx, 4, rng), drawn_functional(ctx, 4, rng)
+    assert phi.shift() is not None and psi.shift() is not None
+    tested = []
+    is_normal = ctx.is_normal
+
+    def counted(w):
+        tested.append(w)
+        return is_normal(w)
+
+    ctx.is_normal = counted
+    assert convolution_commutes(phi, psi)
+    assert len(tested) == len(phi.coeffs) + len(psi.coeffs)
 
 
 def test_convolution_commutes_needs_one_shift_per_functional():
@@ -309,7 +347,7 @@ def elimination_basis(ctx, truncation):
     one row phi(normal_form(u w)) = 0 per even letter u and normal word w
     shorter than the truncation, one column per normal word.  Each
     functional is a dict word -> coefficient, in nullspace order."""
-    words = ctx.normal_words_up_to(truncation)
+    words = list(ctx.normal_words_up_to(truncation))
     col = {w: j for j, w in enumerate(words)}
     even = [k for k in range(ctx.dim) if ctx.g.space.degrees[k].parity == 0]
     ech = Echelon()

@@ -14,10 +14,11 @@ from bigla.linear import BilinearMap
 from bigla.linalg import Echelon
 from bigla.scalars import MINUS_ONE, ONE, ZETA, CycloScalar
 from bigla.sparse import add_scaled, add_term
-from bigla.uea import (EnvelopingAlgebra, TensorElement, antipode, counit,
-                       delta, delta_slot, delta_word, normal_form,
-                       normal_form_random, pbw_dims, pbw_factorize,
-                       primitive_vector, uea_multiply, weyl_map)
+from bigla.uea import (MAX_TRUNCATION, EnvelopingAlgebra, TensorElement,
+                       antipode, counit, delta, delta_slot, delta_word,
+                       normal_form, normal_form_random, pbw_dims,
+                       pbw_factorize, primitive_vector, uea_multiply,
+                       weyl_map)
 
 
 def _so3_ctx():
@@ -268,6 +269,20 @@ def test_pbw_order_puts_every_even_letter_first(name):
         ctx = EnvelopingAlgebra(h)
         flags = [ctx.exterior[k] for k in ctx.order]
         assert flags == sorted(flags)
+
+
+@pytest.mark.parametrize("name", sorted(catalog_lie()))
+def test_level_built_words_match_the_streaming_enumeration(name):
+    """normal_words_up_to(n), built length by length, is normal_words(m)
+    for m <= n in order, each word with its word_degree, past
+    MAX_TRUNCATION and on the reversed basis as well."""
+    g = catalog_lie()[name]
+    for h in (g, subalgebra_on(g, range(g.dim)[::-1])):
+        ctx = EnvelopingAlgebra(h)
+        for n in range(MAX_TRUNCATION + 2):
+            streamed = [(w, ctx.word_degree(w))
+                        for m in range(n + 1) for w in ctx.normal_words(m)]
+            assert list(ctx.normal_words_up_to(n).items()) == streamed, n
 
 
 def test_tensor_koszul_sign():
