@@ -41,6 +41,14 @@ BROKEN_REWRITES = (
     ("broken-qmat2-lie", "E12*q2,E21*q1", "E11", "E22"),
 )
 
+# hc bch on a broken Lie table where the order or the inputs leave no
+# bracket to read: (file, x, y, order).
+BROKEN_BCH = (
+    ("broken-so3", "e1", "e1", "2"),
+    ("broken-so3", "e1", "e2", "1"),
+    ("broken-so3", "e1", "e2", "0"),
+)
+
 # A copy of so3-super.json whose involution flips only e2, so that the
 # six nonzero brackets leave the eigenspace of their arguments' signs.
 FLIPPED = ("flipped-so3-super", "so3-super", [1, -1, 1])
@@ -117,6 +125,8 @@ def commands() -> list[list[str]]:
             out += [flags + ["uea", "nf", path, "--word", word],
                     flags + ["uea", "hopf-check", path, "--max-len", "2"],
                     flags + ["hc", "bch", path, f"--x={x}", f"--y={y}", "--n", "2"]]
+    out += [["hc", "bch", f"{{dir}}/{name}.json", f"--x={x}", f"--y={y}", "--n", n]
+            for name, x, y, n in BROKEN_BCH]
     out += [["examples", "export", name] for name in sorted(catalog())]
     path = f"{{dir}}/{FLIPPED[0]}.json"
     out += [["check", path], ["--json", "check", path], ["rebraid", path]]
