@@ -14,20 +14,19 @@ from .equivalence import (AlphaCheckResult, SuperLieAlgebraWithInvolution,
                           SuperMorphism, alpha_sweep, cartan_sign_flip,
                           involution_from_bidegree, jacobiator_alpha_check,
                           morphism_transfer, rebraid, twist, unbraid)
-from .catalog import (MatrixRep, algebra_B, algebra_B_rep, catalog,
-                      catalog_lie, check_assoc_rep, check_lie_rep,
-                      m2_superalgebra, mat2_adapted_basis, mat2_star, odd_pair,
-                      so3, so3_group_automorphism, so3_group_elements,
+from .catalog import (MatrixRep, algebra_B, algebra_B_rep, catalog_lie,
+                      check_assoc_rep, check_lie_rep, m2_superalgebra,
+                      mat2_adapted_basis, mat2_star, odd_pair, so3,
+                      so3_group_automorphism, so3_group_elements,
                       so3_standard_rep, so12, tilde_extension,
                       unitary_embedding, unitary_example, upper_triangular3)
 from .uea import (MAX_TRUNCATION, EnvelopingAlgebra, TensorElement,
                   UEAElement, antipode, counit, delta, delta_slot, delta_word,
                   hopf_failures, normal_form, normal_form_random, pbw_dims,
-                  pbw_factorize, primitive_vector, uea_multiply, weyl_map)
-from .hc import (CompositionResult, Functional, bch_product,
-                 commutativity_failures, convolution, convolution_commutes,
-                 equivariant_functionals, equivariant_hom_basis,
-                 inner_automorphism_check)
+                  pbw_factorize, uea_multiply, weyl_map)
+from .hc import (Functional, bch_product, commutativity_failures, convolution,
+                 convolution_commutes, equivariant_functionals,
+                 equivariant_hom_basis, inner_automorphism_check)
 from .deformed import (ConjSymPoly, DistinguisherCertificate, EvenOddPoly,
                        character_at, parse_poly, star_product,
                        star_vs_pointwise_distinguisher, to_complex,

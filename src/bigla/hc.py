@@ -3,8 +3,9 @@
 A functional assigns a scalar to every normal word up to a truncation
 length.  Convolution pushes the coproduct through a pair of functionals
 with the crossing sign, read off the two supports without expanding any
-coproduct, and the truncated exp/log composition recovers the first-order
-composition law on even vectors.
+coproduct.  The composition law on even vectors, log(exp(x) exp(y)), is
+read off brackets in g by Varadarajan's recursion; the truncated exp/log
+series in U(g) that it equals is kept in the tests as their oracle.
 
 Equivariant functionals are read off in closed form.  For the
 Harish-Chandra pair (g_0, g), U(g) is free as a left U(g_0)-module on the
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -30,12 +30,12 @@ from .errors import (AlgebraMismatch, DegreeViolation, NotOrthogonal, OddInput,
                      TruncationExceeded, TruncationMismatch, TruncationTooSmall)
 from .catalog import MatrixRep
 from .deformed import bound_trial_work
+from .lie import BiGradedLieAlgebra, require_lie
 from .linalg import Matrix
 from .linear import LinearMap, Vector
 from .scalars import BiDegree, CycloScalar, ONE, sign_deligne
 from .sparse import Combination, add_term
-from .uea import (MAX_TRUNCATION, EnvelopingAlgebra, UEAElement, Word,
-                  primitive_vector, uea_multiply)
+from .uea import MAX_TRUNCATION, EnvelopingAlgebra, UEAElement, Word
 
 
 # a supported word with its letter counts and value
@@ -233,73 +233,54 @@ def equivariant_hom_basis(ctx: EnvelopingAlgebra,
     return equivariant_functionals(ctx, truncation)
 
 
-# truncated exponential composition
+# the composition law on even vectors
 
-TSeries = dict[int, UEAElement]
-
-
-def _series_mul(a: TSeries, b: TSeries, n: int) -> TSeries:
-    out: TSeries = {}
-    for i, u in a.items():
-        for j, v in b.items():
-            if i + j > n:
-                continue
-            add_term(out, i + j, uea_multiply(u, v))
-    return out
+def _bernoulli(m: int) -> list[Fraction]:
+    """B_0 .. B_m, with B_1 = -1/2."""
+    b = [Fraction(1)]
+    for k in range(1, m + 1):
+        b.append(-sum(comb(k + 1, j) * b[j] for j in range(k)) / (k + 1))
+    return b
 
 
-def _exp_series(ctx: EnvelopingAlgebra, x: Vector, n: int) -> TSeries:
-    xe = ctx.from_vector(x)
-    out: TSeries = {0: ctx.one()}
-    power = ctx.one()
-    for k in range(1, n + 1):
-        power = uea_multiply(power, xe)
-        out[k] = power.scale(Fraction(1, factorial(k)))
-    return out
+def bch_product(g: BiGradedLieAlgebra, x: Vector, y: Vector, n: int) -> Vector:
+    """log(exp(x) exp(y)) to order n, Z_1 + ... + Z_n, from brackets in g.
 
+    Inputs must be parity-even.  Every even degree pairs to 0 with every
+    other, so the even part is an ordinary Lie algebra and the classical
+    recursion applies (Varadarajan, "Lie Groups, Lie Algebras, and Their
+    Representations", 1984, 2.15): Z_1 = x + y and
 
-def _log_series(ctx: EnvelopingAlgebra, z: TSeries, n: int) -> TSeries:
-    u = {k: v for k, v in z.items() if k > 0}
-    out: TSeries = {}
-    power: TSeries = {0: ctx.one()}
-    for k in range(1, n + 1):
-        power = _series_mul(power, u, n)
-        sign = Fraction((-1) ** (k + 1), k)
-        for t, elt in power.items():
-            add_term(out, t, elt.scale(sign))
-    return out
+        (m+1) Z_(m+1) = 1/2 [x - y, Z_m]
+                        + sum over 1 <= p <= m/2 of B_2p/(2p)! S(2p, m),
 
-
-@dataclass
-class CompositionResult:
-    log: UEAElement
-    vector: Optional[Vector] = field(default=None)
-
-    @property
-    def primitive(self) -> bool:
-        return self.vector is not None
-
-
-def bch_product(ctx: EnvelopingAlgebra, x: Vector, y: Vector,
-                n: int) -> CompositionResult:
-    """log(exp(x) exp(y)) to order n in the letter-count grading.
-
-    Inputs must be parity-even so the exponentials are group-like; the
-    result collects the homogeneous orders into one element, primitive by
-    the composition theorem.
+    where S(q, m) sums [Z_k1, [Z_k2, ..., [Z_kq, x + y]]] over k1 + ... +
+    kq = m, so S(0, 0) = x + y, S(0, m) = 0 for m > 0 and S(q, m) = sum over
+    k of [Z_k, S(q - 1, m - k)].
     """
     if n > MAX_TRUNCATION:
         raise TruncationExceeded(f"order {n} above the bound {MAX_TRUNCATION}")
     for v in (x, y):
-        if v.space != ctx.g.space:
+        if v.space != g.space:
             raise AlgebraMismatch("vector is not over this algebra's space")
         for d in v.homogeneous_parts():
             if d.parity != 0:
                 raise OddInput("exponential inputs must be parity-even")
-    z = _series_mul(_exp_series(ctx, x, n), _exp_series(ctx, y, n), n)
-    log = _log_series(ctx, z, n)
-    total = sum(log.values(), UEAElement(ctx, {}))
-    return CompositionResult(total, primitive_vector(total))
+    require_lie(g)
+    br = g.bracket_of
+    zero, s, half_diff = g.space.zero(), x + y, (x - y).scale(Fraction(1, 2))
+    bern = _bernoulli(n)
+    z = [zero, s]
+    nested = {(0, 0): s}
+    for m in range(1, n):
+        for q in range(1, m + 1):
+            nested[q, m] = sum((br(z[k], nested.get((q - 1, m - k), zero))
+                                for k in range(1, m - q + 2)), zero)
+        zm = br(half_diff, z[m])
+        for q in range(2, m + 1, 2):
+            zm += nested[q, m].scale(bern[q] / factorial(q))
+        z.append(zm.scale(Fraction(1, m + 1)))
+    return sum(z[1:n + 1], zero)
 
 
 def inner_automorphism_check(rep: MatrixRep, g: Matrix,

@@ -19,13 +19,14 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import AlgebraMismatch, TruncationExceeded
 from .lie import BiGradedLieAlgebra, even_subalgebra, require_lie
-from .linear import BilinearMap, Vector
+from .linear import BilinearMap
 from .scalars import ALL_DEGREES, D00, BiDegree, CycloScalar, ONE, sign_deligne
 from .sparse import Combination, add_scaled, add_term
 
 Word = tuple[int, ...]
 
-# longest word weyl_map symmetrizes and highest order bch_product expands
+# longest word weyl_map symmetrizes, largest truncation conv-check samples,
+# and highest order of the bracket series bch_product sums
 MAX_TRUNCATION = 6
 
 # most normal words, plus one per degree, that pbw_dims enumerates
@@ -126,11 +127,6 @@ class EnvelopingAlgebra:
 
     def one(self) -> "UEAElement":
         return UEAElement(self, {(): ONE})
-
-    def from_vector(self, v: Vector) -> "UEAElement":
-        if v.space != self.g.space:
-            raise AlgebraMismatch("vector is not over this algebra's space")
-        return UEAElement(self, {(k,): c for k, c in v.coeffs.items()})
 
     def word_from_labels(self, labels: Iterable[str]) -> Word:
         return tuple(self.g.space.index(lab) for lab in labels)
@@ -237,13 +233,6 @@ def uea_multiply(a: UEAElement, b: UEAElement) -> UEAElement:
         for v, cv in b.coeffs.items():
             add_scaled(out, a.ctx.normal_form(u + v), cu * cv)
     return UEAElement(a.ctx, out)
-
-
-def primitive_vector(a: UEAElement) -> Optional[Vector]:
-    """The underlying Lie-algebra vector if every word is a single letter."""
-    if any(len(w) != 1 for w in a.coeffs):
-        return None
-    return Vector(a.ctx.g.space, {w[0]: c for w, c in a.coeffs.items()})
 
 
 # randomized-pivot rewriting, for confluence certification

@@ -25,6 +25,8 @@ from bigla.linear import BilinearMap, Vector
 from bigla.scalars import CycloScalar, I, ONE
 from bigla.uea import EnvelopingAlgebra, hopf_failures, normal_form_random, pbw_dims
 
+from test_hc import primitive_vector, series_log
+
 
 def _report(number: int, title: str, ok: bool):
     print(f"criterion {number:02d} {'PASS' if ok else 'FAIL'}: {title}")
@@ -163,8 +165,10 @@ def test_criterion_07_equivariant_functionals():
 def test_criterion_08_composition_law():
     g = so3()
     ctx = EnvelopingAlgebra(g)
-    res = bch_product(ctx, g.space.basis_vector(0), g.space.basis_vector(1), 2)
-    ok = res.log.pretty() == "e1 + e2 + 1/2*e3" and res.primitive
+    e1, e2 = g.space.basis_vector(0), g.space.basis_vector(1)
+    log = bch_product(g, e1, e2, 2)
+    ok = (log.pretty() == "e1 + e2 + 1/2*e3"
+          and primitive_vector(series_log(ctx, e1, e2, 2)) == log)
     rng = random.Random(4096)
     gu = unitary_example()
     ctxu = EnvelopingAlgebra(gu)
@@ -174,15 +178,16 @@ def test_criterion_08_composition_law():
                              for k in range(3)})
         y = Vector(g.space, {k: CycloScalar.from_rational(rng.randrange(-2, 3))
                              for k in range(3)})
-        ok = ok and bch_product(ctx, x, y, 4).primitive
+        ok = ok and primitive_vector(series_log(ctx, x, y, 4)) == bch_product(g, x, y, 4)
     for _ in range(10):
         x = Vector(gu.space, {k: CycloScalar.from_rational(rng.randrange(-2, 3))
                               for k in even})
         y = Vector(gu.space, {k: CycloScalar.from_rational(rng.randrange(-2, 3))
                               for k in even})
-        ok = ok and bch_product(ctxu, x, y, 4).primitive
-    _report(8, "order-2 composition oracle and primitivity at order 4 for "
-               "20 seeded even pairs", ok)
+        ok = ok and (primitive_vector(series_log(ctxu, x, y, 4))
+                     == bch_product(gu, x, y, 4))
+    _report(8, "order-2 composition oracle, and the bracket series equal to "
+               "the primitive U(g) log at order 4 for 20 seeded even pairs", ok)
 
 
 def test_criterion_09_inner_automorphism():

@@ -1,7 +1,5 @@
 """The shipped algebras, their representations, and the unitary embedding."""
 
-import importlib
-
 import pytest
 
 from bigla.catalog import (MatrixRep, _adapted_coordinates, algebra_B,
@@ -129,14 +127,12 @@ def eliminated_coordinates(basis, target):
 
 
 def test_closed_form_coordinates_match_the_elimination(monkeypatch):
-    # `bigla.catalog` as an attribute is the catalog() function
-    module = importlib.import_module("bigla.catalog")
     seen = []
 
     def recording(target):
         seen.append((target, _adapted_coordinates(target)))
         return seen[-1][1]
-    monkeypatch.setattr(module, "_adapted_coordinates", recording)
+    monkeypatch.setattr("bigla.catalog._adapted_coordinates", recording)
     unitary_example()
     basis = [v for _, v in mat2_adapted_basis(m2_superalgebra())]
     assert len(seen) == 40

@@ -15,7 +15,10 @@ from bigla.cli import _match, build_parser, main
 from bigla.schema import dumps, scalar_to_json, to_doc
 from bigla.catalog import catalog, catalog_lie, odd_pair, so3, unitary_example
 from bigla.linalg import Echelon
-from bigla.scalars import ONE
+from bigla.scalars import ONE, ZETA
+from bigla.uea import EnvelopingAlgebra
+
+from test_cli_golden import GOLDEN, NF_BCH
 
 
 @pytest.fixture()
@@ -333,6 +336,49 @@ def test_conv_check_expands_no_coproduct(tmp_path, monkeypatch, capsys):
     path.write_text(dumps(catalog_lie()["qmat2-lie"]))
     assert main(["hc", "conv-check", str(path), "--n", "6", "--trials", "3"]) == 0
     assert "all commute" in capsys.readouterr().out
+
+
+def test_bch_rewrites_nothing(tmp_path, monkeypatch, capsys):
+    """hc bch sums brackets in g: with PBW rewriting made to raise, the bch
+    commands of the golden recording print their recorded bytes."""
+    def refuse(*args):
+        raise AssertionError("hc bch reached PBW rewriting")
+    monkeypatch.setattr(EnvelopingAlgebra, "_rewrite_at", refuse)
+    monkeypatch.setattr(EnvelopingAlgebra, "normal_form", refuse)
+    with open(GOLDEN) as fh:
+        recorded = {tuple(r["argv"]): r for r in json.load(fh)}
+    for name, (_, pairs) in NF_BCH.items():
+        (tmp_path / f"{name}.json").write_text(dumps(catalog_lie()[name]))
+        for x, y, n in pairs:
+            for flags in ([], ["--json"]):
+                argv = flags + ["hc", "bch", f"{{dir}}/{name}.json",
+                                f"--x={x}", f"--y={y}", "--n", n]
+                code = main([a.replace("{dir}", str(tmp_path)) for a in argv])
+                out = capsys.readouterr().out.replace(str(tmp_path), "{dir}")
+                want = recorded[tuple(argv)]
+                assert (code, out) == (want["code"], want["stdout"]), argv
+
+
+def test_bch_guards_come_before_the_lie_check(broken_file, tmp_path, capsys):
+    """On tables that fail Jacobi, an order above the bound and an odd input
+    are refused as usage errors before the table is checked; then the table
+    is refused even where no bracket would be read."""
+    assert main(["hc", "bch", broken_file, "--x", "e1", "--y", "e2", "--n", "7"]) == 2
+    assert capsys.readouterr() == ("", "error: order 7 above the bound 6\n")
+    doc = to_doc(catalog_lie()["qmat2-lie"])
+    row = next(r for r in doc["brackets"] if (r["left"], r["right"]) == (0, 4))
+    row["value"].append({"basis": 5, "coeff": scalar_to_json(ZETA)})
+    path = str(tmp_path / "broken-qmat2-lie.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["hc", "bch", path, "--x", "E12*q1", "--y", "E11"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: exponential inputs must be parity-even\n")
+    assert main(["hc", "bch", path, "--x", "E11", "--y", "E11", "--n", "0"]) == 1
+    assert capsys.readouterr().out.startswith("not a Lie table: ")
+    assert main(["hc", "bch", broken_file, "--x", "e1", "--y", "e1", "--n", "2"]) == 1
+    assert capsys.readouterr().out == ("not a Lie table: so3 fails: jacobi at "
+                                       "[(0, 1, 2), (0, 2, 1), (1, 0, 2)]\n")
 
 
 def test_bch(so3_file, capsys):

@@ -42,7 +42,8 @@ BROKEN_REWRITES = (
 )
 
 # hc bch on a broken Lie table where the order or the inputs leave no
-# bracket to read: (file, x, y, order).
+# bracket to read, so only the up-front Lie check refuses the table:
+# (file, x, y, order).
 BROKEN_BCH = (
     ("broken-so3", "e1", "e1", "2"),
     ("broken-so3", "e1", "e2", "1"),

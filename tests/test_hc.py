@@ -12,6 +12,7 @@ import os
 import random
 from fractions import Fraction
 from itertools import islice
+from math import factorial
 
 import pytest
 
@@ -22,7 +23,7 @@ from bigla.catalog import (algebra_B, catalog_lie, odd_pair, so3,
 from bigla.errors import (AlgebraMismatch, DegreeViolation, NotOrthogonal,
                           OddInput, TruncationExceeded, TruncationMismatch,
                           TruncationTooSmall)
-from bigla.hc import (Functional, _series_mul, bch_product, convolution,
+from bigla.hc import (Functional, bch_product, convolution,
                       convolution_commutes, equivariant_functionals,
                       equivariant_hom_basis, inner_automorphism_check)
 from bigla.lie import commutator_lie, subalgebra_on
@@ -30,7 +31,7 @@ from bigla.linalg import Echelon, Matrix
 from bigla.linear import Vector
 from bigla.scalars import CycloScalar, ONE, ZERO, sign_deligne
 from bigla.sparse import add_term
-from bigla.uea import EnvelopingAlgebra, delta_word
+from bigla.uea import EnvelopingAlgebra, UEAElement, delta_word, uea_multiply
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -396,6 +397,65 @@ def test_truncation_too_small_guard():
     assert equivariant_functionals(_ctx(g), 0)
 
 
+# The truncated exp and log series in U(g), by PBW rewriting: the oracle
+# for hc.bch_product.  For even x, y, exp(x) exp(y) is group-like, so its
+# log is primitive, a combination of single letters (the composition
+# theorem for Hopf algebras), and equals the bracket series in g.
+
+def _series_mul(a, b, n):
+    """The product of two series, each a dict order -> element of U(g),
+    dropping the orders above n."""
+    out = {}
+    for i, u in a.items():
+        for j, v in b.items():
+            if i + j <= n:
+                add_term(out, i + j, uea_multiply(u, v))
+    return out
+
+
+def _exp_series(ctx, x, n):
+    xe = UEAElement(ctx, {(k,): c for k, c in x.coeffs.items()})
+    out = {0: ctx.one()}
+    power = ctx.one()
+    for k in range(1, n + 1):
+        power = uea_multiply(power, xe)
+        out[k] = power.scale(Fraction(1, factorial(k)))
+    return out
+
+
+def _log_series(ctx, z, n):
+    u = {k: v for k, v in z.items() if k > 0}
+    out = {}
+    power = {0: ctx.one()}
+    for k in range(1, n + 1):
+        power = _series_mul(power, u, n)
+        sign = Fraction((-1) ** (k + 1), k)
+        for t, elt in power.items():
+            add_term(out, t, elt.scale(sign))
+    return out
+
+
+def series_log(ctx, x, y, n):
+    """log(exp(x) exp(y)) to order n in the letter-count grading, as an
+    element of U(g)."""
+    z = _series_mul(_exp_series(ctx, x, n), _exp_series(ctx, y, n), n)
+    return sum(_log_series(ctx, z, n).values(), UEAElement(ctx, {}))
+
+
+def primitive_vector(a):
+    """The vector of g an element of U(g) is, if every word is a single
+    letter; None otherwise."""
+    if any(len(w) != 1 for w in a.coeffs):
+        return None
+    return Vector(a.ctx.g.space, {w[0]: c for w, c in a.coeffs.items()})
+
+
+def even_vector(g, rng):
+    even = [k for k in range(g.dim) if g.space.degrees[k].parity == 0]
+    return Vector(g.space, {k: CycloScalar.from_rational(rng.randrange(-2, 3))
+                            for k in even})
+
+
 def test_series_product_drops_long_words():
     ctx = _ctx(so3())
     e1 = ctx.element({(0,): ONE})
@@ -403,15 +463,23 @@ def test_series_product_drops_long_words():
     assert _series_mul({0: ctx.one(), 1: e1}, {1: e1}, 2) == {1: e1, 2: e1 * e1}
 
 
+def test_primitive_vector_reads_single_letters():
+    ctx = _ctx(unitary_example())
+    for k in range(ctx.dim):
+        x = ctx.element({(k,): ONE})
+        assert primitive_vector(x) == ctx.g.space.basis_vector(k)
+    assert primitive_vector(ctx.element({(0, 1): ONE})) is None
+
+
 def test_bch_oracle():
     g = so3()
-    ctx = _ctx(g)
     e1 = g.space.basis_vector(0)
     e2 = g.space.basis_vector(1)
-    res = bch_product(ctx, e1, e2, 2)
-    assert res.log.pretty() == "e1 + e2 + 1/2*e3"
-    assert res.primitive
-    assert res.vector.coeff(2) == Fraction(1, 2)
+    log = bch_product(g, e1, e2, 2)
+    assert log.pretty() == "e1 + e2 + 1/2*e3"
+    assert log.coeff(2) == Fraction(1, 2)
+    assert primitive_vector(series_log(_ctx(g), e1, e2, 2)) == log
+    assert bch_product(g, e1, e2, 0) == g.space.zero()
 
 
 def test_bch_first_order_is_the_sum():
@@ -423,36 +491,32 @@ def test_bch_first_order_is_the_sum():
                              for k in range(3)})
         y = Vector(g.space, {k: CycloScalar.from_rational(rng.randrange(-2, 3))
                              for k in range(3)})
-        res = bch_product(ctx, x, y, 1)
-        assert res.primitive
-        assert res.vector == x + y
+        assert bch_product(g, x, y, 1) == x + y
+        assert primitive_vector(series_log(ctx, x, y, 1)) == x + y
 
 
 def test_bch_stays_primitive_at_higher_order():
     rng = random.Random(61)
     g = unitary_example()
     ctx = _ctx(g)
-    even = [k for k in range(g.dim) if g.space.degrees[k].parity == 0]
     for _ in range(5):
-        x = Vector(g.space, {k: CycloScalar.from_rational(rng.randrange(-2, 3))
-                             for k in even})
-        y = Vector(g.space, {k: CycloScalar.from_rational(rng.randrange(-2, 3))
-                             for k in even})
-        assert bch_product(ctx, x, y, 4).primitive
+        x, y = even_vector(g, rng), even_vector(g, rng)
+        log = primitive_vector(series_log(ctx, x, y, 4))
+        assert log is not None
+        assert bch_product(g, x, y, 4) == log
 
 
 def test_bch_input_guards():
     g = unitary_example()
-    ctx = _ctx(g)
     x1 = g.space.basis_vector(g.space.index("x1"))
     u1 = g.space.basis_vector(g.space.index("u1"))
     with pytest.raises(OddInput):
-        bch_product(ctx, x1, u1, 2)
+        bch_product(g, x1, u1, 2)
     with pytest.raises(TruncationExceeded):
-        bch_product(ctx, u1, u1, 9)
+        bch_product(g, u1, u1, 9)
     other = so3()
     with pytest.raises(AlgebraMismatch):
-        bch_product(ctx, other.space.basis_vector(0), u1, 2)
+        bch_product(g, other.space.basis_vector(0), u1, 2)
 
 
 def test_inner_automorphism_check():

@@ -10,7 +10,8 @@ On the same algebras and orders, hc.convolution, which reads the two
 functionals' supports, is compared with the expansion of Delta(w) over every
 normal word w of tests/test_hc.py (the PBW coproduct is dual to the shuffle
 product; Kostant, "Graded manifolds, graded Lie theory, and prequantization",
-1977).
+1977).  On the same algebras, hc.bch_product, which sums brackets in g, is
+compared with the truncated exp and log series in U(g) of tests/test_hc.py.
 
 Leftmost rewriting is compared with rewriting at random positions: the PBW
 rewriting system is confluent, so every strategy reaches the same normal
@@ -25,10 +26,11 @@ from bigla.lie import BiGradedLieAlgebra, check_lie, subalgebra_on
 from bigla.linalg import Echelon, Matrix
 from bigla.linear import BilinearMap, Vector
 from bigla.scalars import ONE, ZERO, CycloScalar
-from bigla.uea import EnvelopingAlgebra, normal_form_random
+from bigla.uea import MAX_TRUNCATION, EnvelopingAlgebra, normal_form_random
 
 from test_hc import (closed_form_basis, drawn_functional, elimination_basis,
-                     expanded_convolution, mixed_functional)
+                     expanded_convolution, mixed_functional, primitive_vector,
+                     series_log)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -127,6 +129,31 @@ def test_convolution_matches_the_expanded_coproduct_on_rebased_algebras(ctx, n, 
     psi = mixed_functional(ctx, n, rng)
     assert hc.convolution(phi, psi) == expanded_convolution(phi, psi)
     assert hc.convolution(psi, phi) == expanded_convolution(psi, phi)
+
+
+@st.composite
+def even_pairs(draw):
+    """A rebased Lie algebra and two random vectors of its even part."""
+    ctx = draw(rebased_lie_algebras())
+    space = ctx.g.space
+    even = [k for k in range(space.dim) if space.degrees[k].parity == 0]
+    x, y = (Vector(space, {k: draw(scalars) for k in even}) for _ in range(2))
+    return ctx, x, y
+
+
+@settings(max_examples=15, deadline=None)
+@given(even_pairs())
+def test_bch_matches_the_series_log_on_rebased_algebras(case):
+    """The bracket series of hc.bch_product equals log(exp(x) exp(y)) in
+    U(g) at every order, and that log is primitive. This certifies
+    Varadarajan's recursion for the Baker-Campbell-Hausdorff series
+    ("Lie Groups, Lie Algebras, and Their Representations", 1984, 2.15) on
+    the even part, where every degree pairs to 0 with every other."""
+    ctx, x, y = case
+    for n in range(MAX_TRUNCATION + 1):
+        log = primitive_vector(series_log(ctx, x, y, n))
+        assert log is not None, n
+        assert hc.bch_product(ctx.g, x, y, n) == log, n
 
 
 @st.composite

@@ -17,8 +17,7 @@ from bigla.sparse import add_scaled, add_term
 from bigla.uea import (MAX_TRUNCATION, EnvelopingAlgebra, TensorElement,
                        antipode, counit, delta, delta_slot, delta_word,
                        normal_form, normal_form_random, pbw_dims,
-                       pbw_factorize, primitive_vector, uea_multiply,
-                       weyl_map)
+                       pbw_factorize, uea_multiply, weyl_map)
 
 
 def _so3_ctx():
@@ -135,8 +134,6 @@ def test_letters_are_primitive():
         left = TensorElement(ctx, 2, {((k,), ()): ONE})
         right = TensorElement(ctx, 2, {((), (k,)): ONE})
         assert delta(x) == left + right
-        assert primitive_vector(x) == ctx.g.space.basis_vector(k)
-    assert primitive_vector(ctx.element({(0, 1): ONE})) is None
 
 
 def test_delta_is_multiplicative():
