@@ -9,7 +9,7 @@ from .lie import (AlgebraMorphism, BiGradedAssocAlgebra, BiGradedLieAlgebra,
                   CartanPairReport, cartan_pair, check_antisymmetry,
                   check_homogeneity, check_jacobi, check_lie, check_morphism,
                   commutator_lie, even_subalgebra, is_lie, jacobiator,
-                  jacobiators, require_lie, subalgebra_on)
+                  require_lie, subalgebra_on)
 from .equivalence import (AlphaCheckResult, SuperLieAlgebraWithInvolution,
                           SuperMorphism, alpha_sweep, cartan_sign_flip,
                           involution_from_bidegree, jacobiator_alpha_check,

@@ -17,14 +17,15 @@ is what jacobiator_alpha_check certifies.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Collection
 
 from .errors import AlgebraMismatch, NotEvenType
 from .lie import (AlgebraMorphism, BiGradedLieAlgebra, check_morphism, jacobiator,
-                  _lie_checks, _run_checks, jacobiators, require_lie)
+                  _lie_checks, _residuals, _rotations, _run_checks, require_lie)
 from .linear import BiGradedSpace, BilinearMap, LinearMap, Vector
-from .scalars import BiDegree, D00, D11, sign_super, sign_unbraid
+from .scalars import BiDegree, D00, D11, sign_deligne, sign_super, sign_unbraid
 
 
 @dataclass
@@ -150,12 +151,34 @@ def _alpha_sign(degs, a: int, b: int, c: int) -> int:
 
 def alpha_sweep(g: BiGradedLieAlgebra
                 ) -> dict[tuple[int, int, int], AlphaCheckResult]:
-    """jacobiator_alpha_check on every basis triple, in lexicographic order,
-    from one Jacobi sweep of g and one of its twist."""
+    """jacobiator_alpha_check on every basis triple where the jacobiator of
+    g or of its twist is nonzero, in lexicographic order; on every other
+    triple both vanish and the identity holds.
+
+    alpha and both jacobiators are invariant under the rotation
+    (a,b,c) -> (c,a,b), so the three triples of an orbit share one result.
+    """
+    bi = _residuals(g, sign_deligne)
+    sup = _residuals(twist(g), sign_super)
+    zero = g.space.zero()
     degs = g.space.degrees
-    return {t: AlphaCheckResult(_alpha_sign(degs, *t), bi, sup)
-            for (t, bi), (_, sup) in zip(jacobiators(g),
-                                         jacobiators(twist(g), sign_super))}
+    out = {}
+    for t in bi.keys() | sup.keys():
+        result = AlphaCheckResult(_alpha_sign(degs, *t), bi.get(t, zero),
+                                  sup.get(t, zero))
+        for r in _rotations(t):
+            out[r] = result
+    return dict(sorted(out.items()))
+
+
+def alpha_sign_counts(g: BiGradedLieAlgebra) -> tuple[int, int]:
+    """How many basis triples have alpha sign +1 and how many -1, counted
+    over the classes of degree triples weighted by their multiplicities."""
+    mult = Counter(g.space.degrees)
+    plus = sum(mult[a] * mult[b] * mult[c]
+               for a in mult for b in mult for c in mult
+               if _alpha_sign((a, b, c), 0, 1, 2) == 1)
+    return plus, g.dim ** 3 - plus
 
 
 @dataclass

@@ -10,7 +10,7 @@ super algebras the unbraiding functor produces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Collection, Mapping, Optional, Sequence
 
 from .errors import (AlgebraMismatch, DegreeViolation, InputNotLie, NotAssociative,
                      NotClosed, NotEvenType, SpaceMismatch)
@@ -143,7 +143,13 @@ def check_antisymmetry(g: BiGradedLieAlgebra, sign: SignRule = sign_deligne
 def check_jacobi(g: BiGradedLieAlgebra, sign: SignRule = sign_deligne
                  ) -> list[tuple[int, int, int]]:
     """Triples (a,b,c) violating the sign-twisted cyclic Jacobi identity."""
-    return [t for t, residual in jacobiators(g, sign) if residual]
+    return sorted(r for t in _residuals(g, sign) for r in _rotations(t))
+
+
+def _rotations(t: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
+    """The orbit of (a,b,c) under the rotation (a,b,c) -> (c,a,b)."""
+    a, b, c = t
+    return (t,) if a == b == c else (t, (c, a, b), (b, c, a))
 
 
 def jacobiator(g: BiGradedLieAlgebra, a: int, b: int, c: int,
@@ -167,26 +173,32 @@ def jacobiator(g: BiGradedLieAlgebra, a: int, b: int, c: int,
     return Vector(g.space, out)
 
 
-def jacobiators(g: BiGradedLieAlgebra, sign: SignRule = sign_deligne
-                ) -> Iterator[tuple[tuple[int, int, int], Vector]]:
-    """((a,b,c), jacobiator(g, a, b, c, sign)) for every basis triple, in
-    lexicographic order.
+def _residuals(g: BiGradedLieAlgebra, sign: SignRule
+               ) -> dict[tuple[int, int, int], Vector]:
+    """The nonzero jacobiators, one per rotation orbit, keyed by the orbit's
+    smallest triple.
 
     The rotation (a,b,c) -> (c,a,b) only reorders the three terms of a
-    jacobiator, for any table and either sign rule, so the sweep computes
-    one jacobiator per rotation orbit, at its smallest triple, and the
-    orbit's later triples reuse it: (n^3 + 2n)/3 calls instead of n^3.
+    jacobiator, for any table and either sign rule, so one triple stands
+    for its orbit.  A term [x,[y,z]] is nonzero only if [y,z] has a term
+    e_m and (x,m) is in the table, so only the orbits of such (x,y,z) are
+    computed; every other jacobiator is zero.
     """
-    n = g.dim
-    residuals = {}
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                t = (a, b, c)
-                first = min(t, (b, c, a), (c, a, b))
-                if first == t:
-                    residuals[t] = jacobiator(g, a, b, c, sign)
-                yield t, residuals[first]
+    table = g.bracket.constants
+    left: dict[int, list[int]] = {}
+    for x, m in table:
+        left.setdefault(m, []).append(x)
+    reached = set()
+    for (y, z), inner in table.items():
+        for m in inner.coeffs:
+            for x in left.get(m, ()):
+                reached.add(min((x, y, z), (y, z, x), (z, x, y)))
+    out = {}
+    for t in reached:
+        residual = jacobiator(g, *t, sign)
+        if residual:
+            out[t] = residual
+    return out
 
 
 def check_homogeneity(g: BiGradedLieAlgebra) -> list[tuple[int, int]]:

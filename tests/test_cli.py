@@ -230,6 +230,24 @@ def test_alpha_check(so3_file, broken_file, capsys):
     assert "twist transfer identity: ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", sorted(catalog_lie()))
+def test_alpha_check_counts_every_triple_by_its_sign(tmp_path, capsys, name):
+    # the counts come from degree classes; count the n^3 triples one by one
+    g = catalog_lie()[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(dumps(g))
+    degs = g.space.degrees
+    minus = sum((degs[a].eps1 * degs[b].eps2 + degs[b].eps1 * degs[c].eps2
+                 + degs[c].eps1 * degs[a].eps2) % 2
+                for a in range(g.dim) for b in range(g.dim) for c in range(g.dim))
+    assert main(["--json", "alpha-check", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["triples"], doc["alpha_plus"], doc["alpha_minus"]) == \
+        (g.dim ** 3, g.dim ** 3 - minus, minus)
+    if name == "so3":
+        assert (doc["alpha_plus"], doc["alpha_minus"]) == (7, 20)
+
+
 def test_hopf_check(so3_file, broken_file, capsys):
     assert main(["uea", "hopf-check", so3_file, "--max-len", "2"]) == 0
     out = capsys.readouterr().out

@@ -148,19 +148,50 @@ def test_alpha_identity_needs_homogeneity():
     assert not alpha_sweep(crooked)[(x2, x1, x1)].identity_holds
 
 
+def test_alpha_sweep_keeps_the_orbits_only_the_twist_reaches():
+    """Two nested terms that cancel in g can add up in its twist once a
+    bracket value leaves its degree, so the sweep takes the union of the
+    orbits of both sides."""
+    g = unitary_example()
+    sp = g.space
+    e = sp.basis_vector
+    x1, x2, y1, u1, u2 = (sp.index(lab) for lab in ("x1", "x2", "y1", "u1", "u2"))
+    # J(x2,x1,x1) = -[x2,[x1,x1]] - [x1,[x1,x2]] = -u1 + u1 in g; in the
+    # twist [x2,y1] changes sign and [x1,u2] = -u1 (degree (1,0) expected)
+    # does not, and the super signs leave 2 u1
+    crooked = BiGradedLieAlgebra(sp, BilinearMap(sp, {
+        (x1, x1): e(y1), (x2, y1): e(u1), (x1, x2): e(u2), (x1, u2): -e(u1)}))
+    n = sp.dim
+    expected = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)
+                if not jacobiator_alpha_check(crooked, a, b, c).identity_holds]
+    assert expected == sorted([(x2, x1, x1), (x1, x2, x1), (x1, x1, x2)])
+    sweep = alpha_sweep(crooked)
+    assert [t for t, r in sweep.items() if not r.identity_holds] == expected
+    for t in expected:
+        assert not sweep[t].residual_bi
+        assert sweep[t].residual_super == e(u1).scale(2)
+
+
 def test_alpha_sweep_agrees_with_the_per_triple_check():
-    # the sweep twists the table once; each triple must see the same result
-    # as a check that twists it afresh
+    # the sweep twists the table once and keeps the triples where either
+    # jacobiator is nonzero; each must see the same result as a check that
+    # twists it afresh, and every other triple has two zero jacobiators
     rng = random.Random(5)
     for g in (so3(), _random_homogeneous_bracket(unitary_example().space, rng)):
         n = g.dim
         sweep = alpha_sweep(g)
-        assert list(sweep) == [(a, b, c) for a in range(n) for b in range(n)
-                               for c in range(n)]
-        for (a, b, c), r in sweep.items():
-            single = jacobiator_alpha_check(g, a, b, c)
+        kept = []
+        for t in [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]:
+            single = jacobiator_alpha_check(g, *t)
+            if t not in sweep:
+                assert not single.residual_bi and not single.residual_super, t
+                continue
+            kept.append(t)
+            r = sweep[t]
             assert (r.alpha_sign, r.residual_bi, r.residual_super) == \
                 (single.alpha_sign, single.residual_bi, single.residual_super)
+        assert list(sweep) == kept
+        assert bool(kept) == (not is_lie(g))
 
 
 def test_involution_from_bidegree_is_automorphism():

@@ -1,33 +1,38 @@
 """Property tests of the axiom sweeps against oracles built in this file.
 
-The Jacobi sweep computes one jacobiator per rotation orbit and hands it
-to the orbit's other triples, which is exact because the rotation
-(a,b,c) -> (c,a,b) only reorders the three terms of a jacobiator; the
+The Jacobi sweep computes one jacobiator per rotation orbit that a nested
+bracket reaches: the rotation (a,b,c) -> (c,a,b) only reorders the three
+terms of a jacobiator, and a term [x,[y,z]] is zero unless [y,z] has a
+term e_m with (x,m) in the table.  The
 associativity check reads products off the structure constants.  The
 oracles below recompute every triple from scratch through
-BilinearMap.__call__ and Vector.scale, on random
-degree-homogeneous tables with coefficients in Q(zeta8) (not only
-rationals), under both sign rules.  The alpha identity and the round trip
-rebraid(unbraid(g)) == g are the Z2xZ2 <-> super correspondence of
-Scheunert, "Generalized Lie algebras", J. Math. Phys. 20 (1979), and
-Rittenberg-Wyler, "Generalized superalgebras", Nucl. Phys. B 139 (1978).
+BilinearMap.__call__ and Vector.scale, or call jacobiator on each of the
+n^3 triples, on random degree-homogeneous tables with coefficients in
+Q(zeta8) (not only rationals) and on catalog tables with one structure
+constant perturbed, under both sign rules.  The alpha identity and the
+round trip rebraid(unbraid(g)) == g are the Z2xZ2 <-> super
+correspondence of Scheunert, "Generalized Lie algebras", J. Math. Phys. 20
+(1979), and Rittenberg-Wyler, "Generalized superalgebras", Nucl. Phys. B
+139 (1978).
 """
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from bigla import lie
 from bigla.catalog import catalog
-from bigla.equivalence import alpha_sweep, jacobiator_alpha_check, rebraid, unbraid
+from bigla.equivalence import (alpha_sweep, jacobiator_alpha_check, rebraid, twist,
+                               unbraid)
 from bigla.lie import (BiGradedAssocAlgebra, BiGradedLieAlgebra, check_jacobi,
-                       commutator_lie, jacobiator, jacobiators)
+                       commutator_lie, jacobiator)
 from bigla.linear import BiGradedSpace, BilinearMap, Vector
-from bigla.scalars import ALL_DEGREES, CycloScalar, sign_deligne, sign_super
+from bigla.scalars import ALL_DEGREES, ONE, CycloScalar, sign_deligne, sign_super
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
-given, settings = hypothesis.given, hypothesis.settings
+given, settings, example = hypothesis.given, hypothesis.settings, hypothesis.example
 
 SIGNS = (sign_deligne, sign_super)
 
@@ -79,22 +84,29 @@ def _triples(n):
     return [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
 
 
+def _every_triple(g, sign):
+    """The jacobiator of every basis triple, one jacobiator call each, in
+    lexicographic order."""
+    return {t: jacobiator(g, *t, sign) for t in _triples(g.dim)}
+
+
+def _alpha(degs, a, b, c):
+    return (degs[a].eps1 * degs[b].eps2 + degs[b].eps1 * degs[c].eps2
+            + degs[c].eps1 * degs[a].eps2) % 2
+
+
 @settings(max_examples=60, deadline=None)
 @given(brackets())
 def test_jacobi_sweep_matches_the_reference(g):
-    """The Jacobi sweep, one jacobiator per rotation orbit reused by the
-    orbit's other triples, matches the graded Jacobi identity recomputed per
-    triple, the cyclic sum of eps(c, a) [a, [b, c]], under both
+    """The Jacobi sweep, one jacobiator per reached rotation orbit, flags
+    exactly the triples on which the graded Jacobi identity recomputed per
+    triple, the cyclic sum of eps(c, a) [a, [b, c]], fails, under both
     the Z2xZ2 and the super commutation factor (Scheunert, "Generalized Lie
     algebras", J. Math. Phys. 20 (1979); Rittenberg-Wyler, "Generalized
     superalgebras", Nucl. Phys. B 139 (1978))."""
     for sign in SIGNS:
         reference = {t: _reference_jacobiator(g, *t, sign) for t in _triples(g.dim)}
-        swept = list(jacobiators(g, sign))
-        assert [t for t, _ in swept] == list(reference)
-        for t, residual in swept:
-            assert residual == reference[t], (sign.__name__, t)
-            assert jacobiator(g, *t, sign) == reference[t], (sign.__name__, t)
+        assert _every_triple(g, sign) == reference, sign.__name__
         assert check_jacobi(g, sign) == [t for t, v in reference.items() if v]
 
 
@@ -110,13 +122,28 @@ def test_jacobiator_is_invariant_under_rotation(g):
                 (sign.__name__, (a, b, c))
 
 
-@pytest.mark.parametrize("name, calls", [("so3", 11), ("qmat2-lie", 176),
-                                         ("unitary2x2", 176)])
-def test_jacobi_sweep_calls_jacobiator_once_per_rotation_orbit(monkeypatch, name, calls):
-    """One sweep calls jacobiator (n^3 + 2n)/3 times: once per orbit of
-    (a,b,c) -> (c,a,b), whose n fixed points are the triples (a,a,a)."""
+def _reached_orbits(g):
+    """The rotation orbits, by their smallest triple, with a rotation
+    (x,y,z) whose [y,z] has a term e_m with (x,m) in the table, found by
+    visiting every triple."""
+    table = g.bracket.constants
+    reached = set()
+    for x, y, z in _triples(g.dim):
+        inner = table.get((y, z))
+        if inner is not None and any((x, m) in table for m in inner.coeffs):
+            reached.add(min((x, y, z), (y, z, x), (z, x, y)))
+    return reached
+
+
+@pytest.mark.parametrize("name, calls", [("so3", 6), ("qalgebra-lie", 4),
+                                         ("qmat2-lie", 112), ("unitary2x2", 120),
+                                         ("odd-pair", 0)])
+def test_sweep_calls_jacobiator_once_per_reached_orbit(monkeypatch, name, calls):
+    """One sweep calls jacobiator once per rotation orbit that a nested
+    bracket reaches, at the orbit's smallest triple, and never twice; the
+    twisted table under the super sign has the same nonzero entries, so its
+    sweep reaches the same orbits."""
     g = catalog()[name][1]()
-    assert calls == (g.dim ** 3 + 2 * g.dim) // 3
     seen = []
 
     def counted(*args):
@@ -124,26 +151,96 @@ def test_jacobi_sweep_calls_jacobiator_once_per_rotation_orbit(monkeypatch, name
         return jacobiator(*args)
 
     monkeypatch.setattr(lie, "jacobiator", counted)
-    assert len(list(jacobiators(g))) == g.dim ** 3
-    assert len(seen) == len(set(seen)) == calls
+    for table, sign in ((g, sign_deligne), (twist(g), sign_super)):
+        seen.clear()
+        assert check_jacobi(table, sign) == []
+        assert len(seen) == len(set(seen)) == calls, sign.__name__
+        assert set(seen) == _reached_orbits(g)
 
 
 @settings(max_examples=40, deadline=None)
 @given(brackets())
 def test_alpha_sweep_matches_the_per_triple_check(g):
-    """The alpha sweep matches the per-triple check, and on every homogeneous
-    table, Lie or not, the unbraiding twist multiplies each jacobiator by
-    (-1)^alpha: the Z2xZ2 <-> super correspondence of Rittenberg-Wyler,
-    "Generalized superalgebras", Nucl. Phys. B 139 (1978), and Scheunert,
-    "Generalized Lie algebras", J. Math. Phys. 20 (1979)."""
+    """The alpha sweep holds the per-triple check on exactly the triples
+    where a jacobiator of g or of its twist is nonzero; on the rest both
+    vanish. On every homogeneous table, Lie or not, the unbraiding twist
+    multiplies each jacobiator by (-1)^alpha: the Z2xZ2 <-> super
+    correspondence of Rittenberg-Wyler, "Generalized superalgebras", Nucl.
+    Phys. B 139 (1978), and Scheunert, "Generalized Lie algebras", J. Math.
+    Phys. 20 (1979)."""
     sweep = alpha_sweep(g)
-    assert list(sweep) == _triples(g.dim)
-    for t, r in sweep.items():
+    nonzero = []
+    for t in _triples(g.dim):
         single = jacobiator_alpha_check(g, *t)
-        assert (r.alpha_sign, r.residual_bi, r.residual_super) == \
-            (single.alpha_sign, single.residual_bi, single.residual_super), t
+        if single.residual_bi or single.residual_super:
+            nonzero.append(t)
+            r = sweep[t]
+            assert (r.alpha_sign, r.residual_bi, r.residual_super) == \
+                (single.alpha_sign, single.residual_bi, single.residual_super), t
         # a homogeneous table satisfies the alpha identity, Lie or not
-        assert r.identity_holds, t
+        assert single.identity_holds, t
+    assert list(sweep) == nonzero
+
+
+LIE_NAMES = ("so3", "so12", "qalgebra-lie", "qmat2-lie", "unitary2x2", "odd-pair")
+
+
+@cache
+def _catalog_table(name):
+    return catalog()[name][1]()
+
+
+@st.composite
+def perturbations(draw):
+    """A catalog Lie table and one structure constant to add to it:
+    (name, i, j, k, c) adds c e_k to [e_i, e_j] and leaves [e_j, e_i] alone.
+    Half the draws keep the table degree-homogeneous."""
+    name = draw(st.sampled_from(LIE_NAMES))
+    space = _catalog_table(name).space
+    labels = space.labels
+    i, j = draw(st.sampled_from(labels)), draw(st.sampled_from(labels))
+    target = space.degrees[space.index(i)] + space.degrees[space.index(j)]
+    homogeneous = [labels[k] for k in space.component(target)]
+    k = draw(st.sampled_from(homogeneous) if homogeneous and draw(st.booleans())
+             else st.sampled_from(labels))
+    return name, i, j, k, draw(nonzero_scalars)
+
+
+def _perturbed(name, i, j, k, c):
+    g = _catalog_table(name)
+    space = g.space
+    pair = (space.index(i), space.index(j))
+    constants = dict(g.bracket.constants)
+    constants[pair] = g.bracket.pair(*pair) + Vector(space, {space.index(k): c})
+    return BiGradedLieAlgebra(space, BilinearMap(space, constants), name=name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(perturbations())
+# [x,x] = E11 with sign(x,x) = -1: J(x,x,x) = 3 sign(x,x) [x,[x,x]] = 3x,
+# one nested term counted three times
+@example(("qmat2-lie", "E12*q1", "E12*q1", "E11", ONE))
+def test_sweeps_match_every_triple_on_perturbed_catalog_tables(drawn):
+    """On a catalog Lie table with one structure constant changed, the Jacobi
+    sweep under both sign rules and the alpha sweep's failures match the
+    per-triple reference over all n^3 triples, residuals included. A change
+    out of degree breaks the alpha identity, which needs homogeneous
+    brackets (Scheunert, "Generalized Lie algebras", J. Math. Phys. 20
+    (1979))."""
+    g = _perturbed(*drawn)
+    for table, sign in ((g, sign_deligne), (g, sign_super), (twist(g), sign_super)):
+        every = _every_triple(table, sign)
+        assert check_jacobi(table, sign) == [t for t, v in every.items() if v], \
+            sign.__name__
+    bi = _every_triple(g, sign_deligne)
+    sup = _every_triple(twist(g), sign_super)
+    degs = g.space.degrees
+    failures = [t for t in _triples(g.dim)
+                if bi[t] != (-sup[t] if _alpha(degs, *t) else sup[t])]
+    sweep = alpha_sweep(g)
+    assert [t for t, r in sweep.items() if not r.identity_holds] == failures
+    assert [(t, r.residual_bi, r.residual_super) for t, r in sweep.items()] == \
+        [(t, bi[t], sup[t]) for t in _triples(g.dim) if bi[t] or sup[t]]
 
 
 @settings(max_examples=60, deadline=None)
