@@ -26,8 +26,9 @@ DEGREE_BOUND = 64
 # trial, here (degree + 1)^2 coefficient products and in
 # hc.commutativity_failures the normal words up to the truncation.  Per
 # unit of size a tiny trial costs the most: the largest admitted sweep,
-# conv-check at truncation 0 with 60000 trials, took 9.1 s on a shared
-# 2-core host, and iso-check at degree 32 with 55 trials 1.3 s.
+# conv-check at truncation 0 with 60000 trials, took 2.4-4.3 s on a shared
+# 2-core host, against 0.13-0.20 s at truncation 6 with 46 trials, and
+# iso-check at degree 32 with 55 trials 0.11-0.21 s.
 MAX_TRIAL_WORK = 6 * 10 ** 4
 
 Coeffs = dict[int, CycloScalar]

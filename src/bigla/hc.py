@@ -3,7 +3,7 @@
 A functional assigns a scalar to every normal word up to a truncation
 length.  Convolution pushes the coproduct through a pair of functionals
 with the crossing sign, read off the two supports without expanding any
-coproduct.  The composition law on even vectors, log(exp(x) exp(y)), is
+coproduct and summed on ints, one scalar per word of the result.  The composition law on even vectors, log(exp(x) exp(y)), is
 read off brackets in g by Varadarajan's recursion; the truncated exp/log
 series in U(g) that it equals is kept in the tests as their oracle.
 
@@ -20,11 +20,11 @@ ch. 7).
 from __future__ import annotations
 
 import random
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Mapping, Optional
+from weakref import WeakKeyDictionary
 
 from .errors import (AlgebraMismatch, DegreeViolation, NotOrthogonal, OddInput,
                      TruncationExceeded, TruncationMismatch, TruncationTooSmall)
@@ -34,12 +34,13 @@ from .lie import BiGradedLieAlgebra, require_lie
 from .linalg import Matrix
 from .linear import LinearMap, Vector
 from .scalars import BiDegree, CycloScalar, ONE, sign_deligne
-from .sparse import Combination, add_term
+from .sparse import Combination
 from .uea import MAX_TRUNCATION, EnvelopingAlgebra, UEAElement, Word
 
 
-# a supported word with its letter counts and value
-SupportRecord = tuple[Word, Counter, CycloScalar]
+# a supported word as convolution reads it (Functional.support_by_length):
+# key, ext, other, odd and below bit fields, and (power of zeta, int) terms
+SupportRecord = tuple[int, int, int, int, int, tuple[tuple[int, int], ...]]
 
 
 class Functional(Combination):
@@ -53,7 +54,7 @@ class Functional(Combination):
         self.truncation = truncation
         super().__init__(coeffs)
         self._shifts: Optional[set[BiDegree]] = None
-        self._by_length: Optional[list[list[SupportRecord]]] = None
+        self._by_length: Optional[tuple[int, list[list[SupportRecord]]]] = None
 
     def base(self) -> tuple:
         return (self.ctx, self.truncation)
@@ -79,32 +80,91 @@ class Functional(Combination):
         s = self.shifts()
         return next(iter(s)) if len(s) == 1 else None
 
-    def support_by_length(self) -> list[list[SupportRecord]]:
-        """The normal words of length <= truncation the functional is
-        nonzero on, each with its letter counts and value, bucketed by
-        length and computed on the first call; convolution reads the
-        functional on nothing else."""
+    def support_by_length(self) -> tuple[int, list[list[SupportRecord]]]:
+        """The common denominator of the values on the normal words of
+        length <= truncation the functional is nonzero on, and one record
+        per such word, bucketed by length and computed on the first call;
+        convolution reads the functional on nothing else.
+
+        For a word u the record holds, per PBW rank r:
+        - key: the count of the rank-r letter in the field of _count_width
+          bits at r, so the key of u v sorted by rank is key u + key v;
+        - ext and other: bit r set when u has the rank-r letter and it is,
+          or is not, exterior;
+        - odd: in 2 bits at 2r, the degree code of the rank-r letter when
+          u has it an odd number of times, else 0;
+        - below: in 2 bits at 2r, the XOR of the codes of u's letters of
+          rank < r, the degree code of that prefix of u;
+        and terms: the pairs (p, a) with a != 0 for which the value is the
+        sum of a zeta^p over the common denominator.
+        """
         if self._by_length is None:
-            buckets: list[list[SupportRecord]] = [
-                [] for _ in range(self.truncation + 1)]
-            for u, c in self.coeffs.items():
-                if len(u) <= self.truncation and self.ctx.is_normal(u):
-                    buckets[len(u)].append((u, Counter(u), c))
-            self._by_length = buckets
+            ctx, n = self.ctx, self.truncation
+            fields, exterior, _ = _layout(ctx, _count_width(n))
+            normal = {u: c for u, c in self.coeffs.items()
+                      if len(u) <= n and ctx.is_normal(u)}
+            den = lcm(*(c.d for c in normal.values()))
+            buckets: list[list[SupportRecord]] = [[] for _ in range(n + 1)]
+            for u, c in normal.items():
+                key = present = odd = below = 0
+                for x in u:
+                    at_key, at_bit, at_rank, above = fields[x]
+                    key += at_key
+                    present |= at_bit
+                    odd ^= at_rank
+                    below ^= above
+                scale = den // c.d
+                if c.is_rational():
+                    terms = ((0, c.c[0] * scale),)
+                else:
+                    terms = tuple((p, cp * scale) for p, cp in enumerate(c.c) if cp)
+                buckets[len(u)].append((key, present & exterior,
+                                        present & ~exterior, odd, below, terms))
+            self._by_length = (den, buckets)
         return self._by_length
 
 
-def _unshuffles(ctx: EnvelopingAlgebra, u_count: Counter,
-                v_count: Counter) -> int:
-    """The number of unshuffles of w = u v sorted by rank that give (u, v),
-    prod_k C(mult_w(k), mult_u(k)); 0 when an exterior letter sits in both,
-    because w is then not normal."""
+# per context and count width, what _layout returns
+_LAYOUTS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _layout(ctx: EnvelopingAlgebra, width: int) -> tuple[list, int, list]:
+    """The record layout of a context's letters at one count width, built
+    once: per letter its count key, presence bit, code at its rank and
+    code at every higher rank; the presence bits of the exterior letters;
+    and per rank the shift of its count field and its letter."""
+    by_width = _LAYOUTS.setdefault(ctx, {})
+    if width not in by_width:
+        ones = (4 ** ctx.dim - 1) // 3
+        fields: list = [()] * ctx.dim
+        for r, k in enumerate(ctx.order):
+            code, higher = ctx.codes[k], 2 * r + 2
+            fields[k] = (1 << width * r, 1 << r, code << 2 * r,
+                         code * (ones >> higher << higher))
+        exterior = sum(1 << r for r, k in enumerate(ctx.order)
+                       if ctx.exterior[k])
+        by_width[width] = (fields, exterior,
+                           [(width * r, k) for r, k in enumerate(ctx.order)])
+    return by_width[width]
+
+
+def _count_width(truncation: int) -> int:
+    """Bits per rank in a count key: enough for a count of truncation, the
+    most any word convolution builds can hold, so that keys add without
+    carrying into the next rank."""
+    return max(1, truncation.bit_length())
+
+
+def _unshuffles(u_key: int, v_key: int, shared: int, width: int) -> int:
+    """prod over the ranks r set in shared of C(u_r + v_r, v_r), with u_r
+    and v_r the count fields of rank r in the two keys."""
+    mask = (1 << width) - 1
     n = 1
-    for k, m in v_count.items():
-        if k in u_count:
-            if ctx.exterior[k]:
-                return 0
-            n *= comb(u_count[k] + m, m)
+    while shared:
+        at = width * ((shared & -shared).bit_length() - 1)
+        a, b = u_key >> at & mask, v_key >> at & mask
+        n *= comb(a + b, b)
+        shared &= shared - 1
     return n
 
 
@@ -115,35 +175,64 @@ def convolution(phi: Functional, psi: Functional) -> Functional:
 
     Delta(w) of a normal word w is a sum over the unshuffles of w, since
     every subword of a normal word is normal.  So phi(u) psi(v) reaches only
-    w = u v sorted by rank, when that w is normal, once per unshuffle giving
-    (u, v).  Those differ only in how a repeated letter is split; repeated
-    letters sit next to each other in w and pair to 0 with themselves, so
-    all carry one sign.  With the sign of moving psi's slot v past the left
-    slot u, it reduces mod 2 to (-1)^(deg x . deg y) over the letters x of v
-    and y of u with rank x > rank y.
+    w = u v sorted by rank, when that w is normal (no exterior letter sits
+    in both), once per unshuffle giving (u, v): prod over the letters of
+    C(mult_w, mult_v).  Those differ only in how a repeated letter is split;
+    repeated letters sit next to each other in w and pair to 0 with
+    themselves, so all carry one sign.  With the sign of moving psi's slot v
+    past the left slot u, it reduces mod 2 to (-1)^(deg x . deg y) over the
+    letters x of v and y of u with rank x > rank y.  The Deligne pairing is
+    bilinear over Z2, so that sum is sum over ranks r of mult_v(r) deg x_r .
+    deg(u's letters below r), the parity of the shared bits of v's odd mask
+    and u's below mask (support_by_length).
+
+    The pairs are summed on ints: per power of zeta and count key, over the
+    product of the two common denominators, with zeta^4 = -1 folded in
+    once, and one scalar is built per word of the result.
     """
     phi._same(psi)
-    ctx = phi.ctx
-    rank, degs = ctx.rank, ctx.g.space.degrees
-    right = psi.support_by_length()
-    values: dict[Word, CycloScalar] = {}
-    for length, left in enumerate(phi.support_by_length()):
+    ctx, n = phi.ctx, phi.truncation
+    width = _count_width(n)
+    den_phi, left_buckets = phi.support_by_length()
+    den_psi, right = psi.support_by_length()
+    # acc[p][key]: the coefficient of zeta^p, p = 0..6, on the word of key
+    acc: list[dict[int, int]] = [{} for _ in range(7)]
+    for length, left in enumerate(left_buckets):
         # psi's words v with len(u) + len(v) <= truncation
-        fitting = [rec for bucket in right[:phi.truncation - length + 1]
-                   for rec in bucket]
-        for u, u_count, a in left:
-            for v, v_count, b in fitting:
-                n = _unshuffles(ctx, u_count, v_count)
-                if not n:
+        fitting = [rec for bucket in right[:n - length + 1] for rec in bucket]
+        for u_key, u_ext, u_other, _, u_below, u_terms in left:
+            for v_key, v_ext, v_other, v_odd, _, v_terms in fitting:
+                if u_ext & v_ext:
                     continue
-                c = a * b
-                if n != 1:
-                    c = c * n
-                if sum(degs[x].pairing(degs[y]) for x in v for y in u
-                       if rank[x] > rank[y]) % 2:
-                    c = -c
-                add_term(values, tuple(sorted(u + v, key=rank.__getitem__)), c)
-    return Functional(ctx, phi.truncation, values)
+                shared = u_other & v_other
+                m = _unshuffles(u_key, v_key, shared, width) if shared else 1
+                if (v_odd & u_below).bit_count() & 1:
+                    m = -m
+                key = u_key + v_key
+                for p, a in u_terms:
+                    ma = m * a
+                    for q, b in v_terms:
+                        row = acc[p + q]
+                        row[key] = row.get(key, 0) + ma * b
+    for p in (4, 5, 6):
+        low = acc[p - 4]
+        for key, c in acc[p].items():
+            low[key] = low.get(key, 0) - c
+    den = den_phi * den_psi
+    mask = (1 << width) - 1
+    letters = _layout(ctx, width)[2]
+    values: dict[Word, CycloScalar] = {}
+    r0, r1, r2, r3 = acc[:4]
+    for key in r0.keys() | r1.keys() | r2.keys() | r3.keys():
+        c0, c1, c2, c3 = r0.get(key, 0), r1.get(key, 0), r2.get(key, 0), r3.get(key, 0)
+        if c0 or c1 or c2 or c3:
+            w: list[int] = []
+            for at, k in letters:
+                count = key >> at & mask
+                if count:
+                    w += (k,) * count
+            values[tuple(w)] = CycloScalar.from_coordinates(c0, c1, c2, c3, den)
+    return Functional(ctx, n, values)
 
 
 def convolution_commutes(phi: Functional, psi: Functional) -> bool:
@@ -156,7 +245,11 @@ def convolution_commutes(phi: Functional, psi: Functional) -> bool:
     lhs = convolution(phi, psi)
     rhs = convolution(psi, phi)
     s = sign_deligne(phi.shift(), psi.shift())
-    return lhs == (rhs if s == 1 else rhs.scale(-ONE))
+    return lhs == (rhs if s == 1 else -rhs)
+
+
+# the values a random functional draws, -3..3, at index value + 3
+_SMALL_VALUES = tuple(CycloScalar.from_rational(v) for v in range(-3, 4))
 
 
 def _random_functional(ctx: EnvelopingAlgebra, truncation: int,
@@ -171,7 +264,7 @@ def _random_functional(ctx: EnvelopingAlgebra, truncation: int,
     vals = {}
     for w in by_degree[target]:
         if rng.random() < 0.6:
-            vals[w] = CycloScalar.from_rational(rng.randint(-3, 3))
+            vals[w] = _SMALL_VALUES[rng.randint(-3, 3) + 3]
     return Functional(ctx, truncation, vals)
 
 

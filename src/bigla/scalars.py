@@ -99,6 +99,13 @@ class CycloScalar:
         return _scalar(r.numerator, 0, 0, 0, r.denominator)
 
     @classmethod
+    def from_coordinates(cls, c0: int, c1: int, c2: int, c3: int,
+                         d: int) -> "CycloScalar":
+        """(c0 + c1 zeta + c2 zeta^2 + c3 zeta^3) / d from int coordinates
+        and a positive int denominator, brought to lowest terms."""
+        return _scalar(c0, c1, c2, c3, d)
+
+    @classmethod
     def zero(cls) -> "CycloScalar":
         return _scalar(0, 0, 0, 0, 1)
 

@@ -4,7 +4,9 @@ Words are tuples of basis indices.  The PBW order puts letters of degree
 (0,0) first, then (1,1), then (1,0), then (0,1), each block in file order;
 letters of the last two blocks square to (1/2)[x,x] and may not repeat in a
 normal word.  Rewriting is leftmost-innermost with a per-context memo, so
-repeated products and coproducts amortize.
+repeated products and coproducts amortize.  Inside the context a degree is
+a 2-bit code, so a word's degree is an XOR and every crossing sign is read
+from one 4 x 4 pairing table; BiDegree stays at the interface.
 
 The symmetric algebra is the enveloping algebra of the same space with the
 zero bracket, which makes the Weyl symmetrization a map between two
@@ -20,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .errors import AlgebraMismatch, TruncationExceeded
 from .lie import BiGradedLieAlgebra, even_subalgebra, require_lie
 from .linear import BilinearMap
-from .scalars import ALL_DEGREES, D00, BiDegree, CycloScalar, ONE, sign_deligne
+from .scalars import BiDegree, CycloScalar, ONE
 from .sparse import Combination, add_scaled, add_term
 
 Word = tuple[int, ...]
@@ -38,9 +40,14 @@ MAX_WORD = 24
 
 HALF = CycloScalar(Fraction(1, 2))
 
+# a degree (eps1, eps2) as the 2-bit code 2*eps1 + eps2: the sum of degrees
+# is the XOR of codes and the Deligne pairing the parity of their shared bits
+DEGREE_OF_CODE = tuple(BiDegree(c >> 1, c & 1) for c in range(4))
+PAIRING = tuple(tuple((a & b).bit_count() % 2 for b in range(4))
+                for a in range(4))
 
-def _block(d: BiDegree) -> int:
-    return {(0, 0): 0, (1, 1): 1, (1, 0): 2, (0, 1): 3}[(d.eps1, d.eps2)]
+# the PBW block of each code: (0,0) first, then (1,1), (1,0) and (0,1)
+_BLOCK = (0, 3, 2, 1)
 
 
 class EnvelopingAlgebra:
@@ -49,7 +56,8 @@ class EnvelopingAlgebra:
     def __init__(self, g: BiGradedLieAlgebra):
         self.g = g
         degs = g.space.degrees
-        self.order = tuple(sorted(range(g.dim), key=lambda k: (_block(degs[k]), k)))
+        codes = self.codes = tuple(2 * d.eps1 + d.eps2 for d in degs)
+        self.order = tuple(sorted(range(g.dim), key=lambda k: (_BLOCK[codes[k]], k)))
         self.rank = {k: r for r, k in enumerate(self.order)}
         # self-pairing-1 letters square to (1/2)[x,x] and never repeat
         self.exterior = tuple(degs[k].pairing(degs[k]) == 1 for k in range(g.dim))
@@ -62,13 +70,16 @@ class EnvelopingAlgebra:
     def dim(self) -> int:
         return self.g.dim
 
-    def word_degree(self, w: Word) -> BiDegree:
-        e1 = e2 = 0
+    def word_code(self, w: Word) -> int:
+        """The code of a word's degree, the XOR of its letters' codes."""
+        codes = self.codes
+        c = 0
         for k in w:
-            d = self.g.space.degrees[k]
-            e1 += d.eps1
-            e2 += d.eps2
-        return BiDegree(e1 % 2, e2 % 2)
+            c ^= codes[k]
+        return c
+
+    def word_degree(self, w: Word) -> BiDegree:
+        return DEGREE_OF_CODE[self.word_code(w)]
 
     def violations(self, w: Word) -> Iterator[int]:
         """Positions p, left to right, where w[p] w[p+1] breaks the PBW order."""
@@ -97,9 +108,9 @@ class EnvelopingAlgebra:
             for k, c in self.g.basis_bracket(a, a).coeffs.items():
                 add_scaled(out, nf(head + (k,) + tail), HALF * c)
             return out
-        degs = self.g.space.degrees
+        codes = self.codes
         swapped = nf(head + (b, a) + tail)
-        if sign_deligne(degs[a], degs[b]) == 1:
+        if not PAIRING[codes[a]][codes[b]]:
             out = dict(swapped)
         else:
             out = {word: -c for word, c in swapped.items()}
@@ -155,20 +166,18 @@ class EnvelopingAlgebra:
         enumeration.  Two whole lengths are held at once, so the streaming
         normal_words stays for counting long words.
         """
-        degs = self.g.space.degrees
-        # per rank: the letter, the degree a word has once it is appended,
-        # and the lowest rank that may follow it
-        steps = [(k, {d: d + degs[k] for d in ALL_DEGREES},
-                  r + 1 if self.exterior[k] else r)
+        # per rank: the letter, its degree code and the lowest rank that
+        # may follow it
+        steps = [(k, self.codes[k], r + 1 if self.exterior[k] else r)
                  for r, k in enumerate(self.order)]
-        out = {(): D00}
-        level = [((), D00, 0)]
+        out = {(): DEGREE_OF_CODE[0]}
+        level = [((), 0, 0)]
         for _ in range(n):
-            level = [(w + (k,), after[d], nxt) for w, d, low in level
-                     for k, after, nxt in steps[low:]]
+            level = [(w + (k,), c ^ ck, nxt) for w, c, low in level
+                     for k, ck, nxt in steps[low:]]
             if not level:
                 break
-            out.update((w, d) for w, d, _ in level)
+            out.update((w, DEGREE_OF_CODE[c]) for w, c, _ in level)
         return out
 
     def sym(self) -> "EnvelopingAlgebra":
@@ -275,15 +284,17 @@ class TensorElement(Combination):
         self._same(other)
         ctx = self.ctx
         out: dict[tuple[Word, ...], CycloScalar] = {}
+        code = ctx.word_code
         for us, cu in self.coeffs.items():
-            udegs = [ctx.word_degree(u) for u in us]
+            ucodes = [code(u) for u in us]
             for vs, cv in other.coeffs.items():
-                sign = 1
+                # the parity of the pairings of each v_i with the later u_j
+                odd = 0
                 for i in range(self.nslots):
-                    dv = ctx.word_degree(vs[i])
+                    row = PAIRING[code(vs[i])]
                     for j in range(i + 1, self.nslots):
-                        sign *= sign_deligne(dv, udegs[j])
-                coeff = cu * cv if sign == 1 else -(cu * cv)
+                        odd ^= row[ucodes[j]]
+                coeff = -(cu * cv) if odd else cu * cv
                 slot_expansions = [ctx.normal_form(us[i] + vs[i])
                                    for i in range(self.nslots)]
                 _spread(out, slot_expansions, coeff)
@@ -295,8 +306,8 @@ class TensorElement(Combination):
         ctx = self.ctx
         out: dict[tuple[Word, ...], CycloScalar] = {}
         for (u, v), c in self.coeffs.items():
-            s = sign_deligne(ctx.word_degree(u), ctx.word_degree(v))
-            add_term(out, (v, u), c if s == 1 else -c)
+            odd = PAIRING[ctx.word_code(u)][ctx.word_code(v)]
+            add_term(out, (v, u), -c if odd else c)
         return TensorElement(ctx, 2, out)
 
     def _order(self, ws: tuple[Word, ...]):
@@ -323,7 +334,7 @@ def _crossed(ctx: EnvelopingAlgebra, x: int, u: Word,
     """c times the sign of moving the letter x past the word u,
     (-1)^(deg x . deg u): the one crossing rule of the coproduct, the
     antipode and the symmetrization."""
-    return -c if ctx.g.space.degrees[x].pairing(ctx.word_degree(u)) else c
+    return -c if PAIRING[ctx.codes[x]][ctx.word_code(u)] else c
 
 
 def delta_word(ctx: EnvelopingAlgebra, w: Word) -> TensorElement:

@@ -12,7 +12,7 @@ import os
 import random
 from fractions import Fraction
 from itertools import islice
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -204,6 +204,45 @@ def test_convolution_commutes_reads_each_support_once():
     ctx.is_normal = counted
     assert convolution_commutes(phi, psi)
     assert len(tested) == len(phi.coeffs) + len(psi.coeffs)
+
+
+def test_count_keys_are_wide_enough_for_the_truncation():
+    """delta_(e1^8) * delta_(e1^9) at truncation 17 is C(17, 8) delta_(e1^17):
+    the count 17 needs five bits, so a four-bit field would carry into the
+    next rank."""
+    ctx = _ctx(so3())
+    e1 = ctx.g.space.index("e1")
+    phi = Functional(ctx, 17, {(e1,) * 8: ONE})
+    psi = Functional(ctx, 17, {(e1,) * 9: ONE})
+    assert convolution(phi, psi) == Functional(
+        ctx, 17, {(e1,) * 17: CycloScalar.from_rational(comb(17, 8))})
+
+
+def test_convolution_sums_pairs_without_scalar_arithmetic():
+    """The pair loop of a convolution of two drawn qmat2-lie functionals
+    runs on ints: no CycloScalar is added or multiplied."""
+    ctx = _ctx(catalog_lie()["qmat2-lie"])
+    rng = random.Random(7)
+    phi, psi = drawn_functional(ctx, 4, rng), drawn_functional(ctx, 4, rng)
+    calls = []
+    saved = {name: getattr(CycloScalar, name)
+             for name in ("__add__", "__radd__", "__mul__", "__rmul__")}
+
+    def counted(name):
+        def op(*args):
+            calls.append(name)
+            return saved[name](*args)
+        return op
+
+    try:
+        for name in saved:
+            setattr(CycloScalar, name, counted(name))
+        out = convolution(phi, psi)
+    finally:
+        for name, op in saved.items():
+            setattr(CycloScalar, name, op)
+    assert out and out == expanded_convolution(phi, psi)
+    assert calls == []
 
 
 def test_convolution_commutes_needs_one_shift_per_functional():

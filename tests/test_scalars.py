@@ -8,6 +8,7 @@ import pytest
 from bigla.scalars import (ALL_DEGREES, CycloScalar, D00, D01, D10, D11, I,
                            ONE, ZERO, ZETA, degree, sign_deligne, sign_super,
                            sign_unbraid)
+from bigla.uea import DEGREE_OF_CODE, PAIRING
 
 
 def _rand_scalar(rng, span=6):
@@ -133,6 +134,10 @@ def test_sign_rules():
             ss = sign_super(d1, d2)
             assert sd in (1, -1) and ss in (1, -1)
             assert sd == sign_deligne(d2, d1)
+            # the enveloping algebra's table on 2-bit degree codes
+            codes = DEGREE_OF_CODE.index(d1), DEGREE_OF_CODE.index(d2)
+            assert PAIRING[codes[0]][codes[1]] == d1.pairing(d2)
+            assert sd == (-1) ** d1.pairing(d2)
             # the unbraiding signs tie the two rules together
             assert sd == ss * sign_unbraid(d1, d2) * sign_unbraid(d2, d1)
     assert sign_deligne(D10, D10) == -1

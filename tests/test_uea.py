@@ -12,11 +12,11 @@ from bigla.errors import AlgebraMismatch, InputNotLie, TruncationExceeded
 from bigla.lie import BiGradedLieAlgebra, commutator_lie, subalgebra_on
 from bigla.linear import BilinearMap
 from bigla.linalg import Echelon
-from bigla.scalars import MINUS_ONE, ONE, ZETA, CycloScalar
+from bigla.scalars import D00, MINUS_ONE, ONE, ZETA, CycloScalar
 from bigla.sparse import add_scaled, add_term
-from bigla.uea import (MAX_TRUNCATION, EnvelopingAlgebra, TensorElement,
-                       antipode, counit, delta, delta_slot, delta_word,
-                       normal_form, normal_form_random, pbw_dims,
+from bigla.uea import (DEGREE_OF_CODE, MAX_TRUNCATION, EnvelopingAlgebra,
+                       TensorElement, antipode, counit, delta, delta_slot,
+                       delta_word, normal_form, normal_form_random, pbw_dims,
                        pbw_factorize, uea_multiply, weyl_map)
 
 
@@ -26,6 +26,15 @@ def _so3_ctx():
 
 def _unitary_ctx():
     return EnvelopingAlgebra(unitary_example())
+
+
+def _degree_sum(ctx, w):
+    """The degree of a word as the BiDegree sum of its letters' degrees,
+    the oracle for the 2-bit codes."""
+    d = D00
+    for k in w:
+        d = d + ctx.g.space.degrees[k]
+    return d
 
 
 def _random_element(ctx, rng, n_words=3, max_len=3):
@@ -271,15 +280,29 @@ def test_pbw_order_puts_every_even_letter_first(name):
 @pytest.mark.parametrize("name", sorted(catalog_lie()))
 def test_level_built_words_match_the_streaming_enumeration(name):
     """normal_words_up_to(n), built length by length, is normal_words(m)
-    for m <= n in order, each word with its word_degree, past
-    MAX_TRUNCATION and on the reversed basis as well."""
+    for m <= n in order, each word with the BiDegree sum of its letters'
+    degrees, past MAX_TRUNCATION and on the reversed basis as well."""
     g = catalog_lie()[name]
     for h in (g, subalgebra_on(g, range(g.dim)[::-1])):
         ctx = EnvelopingAlgebra(h)
         for n in range(MAX_TRUNCATION + 2):
-            streamed = [(w, ctx.word_degree(w))
+            streamed = [(w, _degree_sum(ctx, w))
                         for m in range(n + 1) for w in ctx.normal_words(m)]
             assert list(ctx.normal_words_up_to(n).items()) == streamed, n
+
+
+@pytest.mark.parametrize("name", sorted(catalog_lie()))
+def test_word_degree_codes_match_the_bidegree_sum(name):
+    """Each letter's code names its degree, and word_degree, an XOR of
+    codes, is the BiDegree sum on random raw words, in or out of PBW order
+    and with repeated exterior letters."""
+    g = catalog_lie()[name]
+    ctx = EnvelopingAlgebra(g)
+    assert [DEGREE_OF_CODE[c] for c in ctx.codes] == list(g.space.degrees)
+    rng = random.Random(name)
+    for _ in range(200):
+        w = tuple(rng.randrange(g.dim) for _ in range(rng.randrange(9)))
+        assert ctx.word_degree(w) == _degree_sum(ctx, w), w
 
 
 def test_tensor_koszul_sign():
