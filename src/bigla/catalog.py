@@ -309,12 +309,12 @@ class MatrixRep:
 
 
 def check_lie_rep(g: BiGradedLieAlgebra, rep: MatrixRep) -> list[tuple[int, int]]:
-    """Pairs where rho[a,b] != rho(a)rho(b) - (-1)^(eps.eps) rho(b)rho(a)."""
+    """Pairs where rho[a,b] != rho(a)rho(b) - sign(a,b) rho(b)rho(a), g's rule."""
     bad = []
     degs = g.space.degrees
     for i in range(g.dim):
         for j in range(g.dim):
-            s = sign_deligne(degs[i], degs[j])
+            s = g.sign(degs[i], degs[j])
             lhs = rep.of_vector(g.basis_bracket(i, j))
             rhs = rep.images[i] @ rep.images[j] - (rep.images[j] @ rep.images[i]).scale(s)
             if lhs != rhs:

@@ -29,7 +29,7 @@ from .hc import (bch_product, commutativity_failures, equivariant_hom_basis,
                  inner_automorphism_check)
 from .lie import BiGradedAssocAlgebra, BiGradedLieAlgebra, check_lie
 from .linear import Vector
-from .scalars import CycloScalar, parse_rational, sign_deligne
+from .scalars import CycloScalar, parse_rational
 from .sparse import add_term
 from .uea import EnvelopingAlgebra, hopf_failures, normal_form, pbw_dims, word_name
 
@@ -141,7 +141,7 @@ def cmd_check(args):
         kind = schema.KIND_SUPER
         a = a.algebra
     else:
-        report = check_lie(a, sign_deligne, selected)
+        report = check_lie(a, selected)
         kind = schema.KIND_LIE
 
     result = {"file": args.file, "kind": kind, "name": a.name, "checks": {}}

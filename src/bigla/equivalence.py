@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from typing import Collection
 
 from .errors import AlgebraMismatch, NotEvenType
-from .lie import (AlgebraMorphism, BiGradedLieAlgebra, check_morphism, jacobiator,
-                  _lie_checks, _residuals, _rotations, _run_checks, require_lie)
+from .lie import (AlgebraMorphism, BiGradedLieAlgebra, check_lie, check_morphism,
+                  jacobiator, _residuals, _rotations, require_lie)
 from .linear import BiGradedSpace, BilinearMap, LinearMap, Vector
-from .scalars import BiDegree, D00, D11, sign_deligne, sign_super, sign_unbraid
+from .scalars import BiDegree, D00, D11, sign_super, sign_unbraid
 
 
 @dataclass
@@ -38,6 +38,8 @@ class SuperLieAlgebraWithInvolution:
     involution: tuple[int, ...]
 
     def __post_init__(self):
+        if self.algebra.sign is not sign_super:
+            raise ValueError("a super Lie algebra needs the super sign rule")
         signs = self.involution
         if (not isinstance(signs, (list, tuple)) or len(signs) != self.dim
                 or any(isinstance(s, bool) or s not in (1, -1) for s in signs)):
@@ -53,11 +55,12 @@ class SuperLieAlgebraWithInvolution:
         return self.algebra.dim
 
     def check(self, only: Collection[str] = ()) -> dict[str, list]:
-        """Violations per super Lie axiom and of the involution; only names
-        the checks to run (all when empty)."""
-        checks = _lie_checks(self.algebra, sign_super)
-        checks["involution"] = lambda: _involution_defects(self.algebra, self.involution)
-        return _run_checks(checks, only)
+        """Violations per Lie axiom, under the algebra's own sign rule, and
+        of the involution; only names the checks to run (all when empty)."""
+        report = check_lie(self.algebra, only)
+        if not only or "involution" in only:
+            report["involution"] = _involution_defects(self.algebra, self.involution)
+        return report
 
 
 def _involution_defects(g: BiGradedLieAlgebra, signs: tuple[int, ...]) -> list:
@@ -75,13 +78,14 @@ def involution_from_bidegree(g: BiGradedLieAlgebra) -> tuple[int, ...]:
 
 
 def twist(g: BiGradedLieAlgebra) -> BiGradedLieAlgebra:
-    """The same table with [a,b] scaled by (-1)^(eps1(a) eps2(b)), unchecked."""
+    """The same table with [a,b] scaled by (-1)^(eps1(a) eps2(b)), unchecked,
+    under the super sign rule."""
     degs = g.space.degrees
     constants = {}
     for (i, j), v in g.bracket.constants.items():
         constants[(i, j)] = v.scale(sign_unbraid(degs[i], degs[j]))
     return BiGradedLieAlgebra(g.space, BilinearMap(g.space, constants),
-                              name=f"{g.name}~s" if g.name else "")
+                              name=f"{g.name}~s" if g.name else "", sign=sign_super)
 
 
 def unbraid(g: BiGradedLieAlgebra) -> SuperLieAlgebraWithInvolution:
@@ -138,7 +142,7 @@ def jacobiator_alpha_check(g: BiGradedLieAlgebra, a: int, b: int, c: int
     return AlphaCheckResult(
         alpha_sign=_alpha_sign(g.space.degrees, a, b, c),
         residual_bi=jacobiator(g, a, b, c),
-        residual_super=jacobiator(twist(g), a, b, c, sign_super),
+        residual_super=jacobiator(twist(g), a, b, c),
     )
 
 
@@ -158,8 +162,8 @@ def alpha_sweep(g: BiGradedLieAlgebra
     alpha and both jacobiators are invariant under the rotation
     (a,b,c) -> (c,a,b), so the three triples of an orbit share one result.
     """
-    bi = _residuals(g, sign_deligne)
-    sup = _residuals(twist(g), sign_super)
+    bi = _residuals(g)
+    sup = _residuals(twist(g))
     zero = g.space.zero()
     degs = g.space.degrees
     out = {}

@@ -2,9 +2,9 @@
 
 The axiom checkers are diagnostics: they return sorted lists of violations
 (empty means pass) rather than raising, so a CLI can render them and tests
-can assert on exact residuals.  The sign rule is a parameter; the same
-checkers validate Deligne-braided algebras and, with the parity sign, the
-super algebras the unbraiding functor produces.
+can assert on exact residuals.  A Lie table carries its sign rule: the
+Deligne rule by default, the parity rule for the super algebras the
+unbraiding functor produces, and every checker judges a table by its own.
 """
 
 from __future__ import annotations
@@ -35,12 +35,14 @@ def _left_times(table: Table, x: int, coeffs: Coeffs) -> Coeffs:
 
 
 class BiGradedLieAlgebra:
-    def __init__(self, space: BiGradedSpace, bracket: BilinearMap, name: str = ""):
+    def __init__(self, space: BiGradedSpace, bracket: BilinearMap, name: str = "",
+                 sign: SignRule = sign_deligne):
         if bracket.space != space:
             raise SpaceMismatch("bracket not defined on the algebra's space")
         self.space = space
         self.bracket = bracket
         self.name = name or space.name
+        self.sign = sign
 
     @property
     def dim(self) -> int:
@@ -118,9 +120,8 @@ class AlgebraMorphism:
             raise AlgebraMismatch("morphism map does not connect the given algebras")
 
 
-def check_antisymmetry(g: BiGradedLieAlgebra, sign: SignRule = sign_deligne
-                       ) -> list[tuple[int, int]]:
-    """Pairs (i,j), i <= j, violating [a,b] = -sign(a,b)[b,a].
+def check_antisymmetry(g: BiGradedLieAlgebra) -> list[tuple[int, int]]:
+    """Pairs (i,j), i <= j, violating [a,b] = -sign(a,b)[b,a] under g's rule.
 
     For i = j with sign +1 this forces [x,x] = 0; with sign -1 the relation
     is vacuous and the self-bracket is unconstrained.
@@ -130,7 +131,7 @@ def check_antisymmetry(g: BiGradedLieAlgebra, sign: SignRule = sign_deligne
     n = g.dim
     for i in range(n):
         for j in range(i, n):
-            s = sign(degs[i], degs[j])
+            s = g.sign(degs[i], degs[j])
             if i == j:
                 if s == 1 and g.basis_bracket(i, i):
                     bad.append((i, i))
@@ -140,10 +141,10 @@ def check_antisymmetry(g: BiGradedLieAlgebra, sign: SignRule = sign_deligne
     return bad
 
 
-def check_jacobi(g: BiGradedLieAlgebra, sign: SignRule = sign_deligne
-                 ) -> list[tuple[int, int, int]]:
-    """Triples (a,b,c) violating the sign-twisted cyclic Jacobi identity."""
-    return sorted(r for t in _residuals(g, sign) for r in _rotations(t))
+def check_jacobi(g: BiGradedLieAlgebra) -> list[tuple[int, int, int]]:
+    """Triples (a,b,c) violating the cyclic Jacobi identity twisted by g's
+    sign rule."""
+    return sorted(r for t in _residuals(g) for r in _rotations(t))
 
 
 def _rotations(t: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
@@ -152,9 +153,9 @@ def _rotations(t: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
     return (t,) if a == b == c else (t, (c, a, b), (b, c, a))
 
 
-def jacobiator(g: BiGradedLieAlgebra, a: int, b: int, c: int,
-               sign: SignRule = sign_deligne) -> Vector:
-    """sign(a,c)[a,[b,c]] + sign(c,b)[c,[a,b]] + sign(b,a)[b,[c,a]].
+def jacobiator(g: BiGradedLieAlgebra, a: int, b: int, c: int) -> Vector:
+    """sign(a,c)[a,[b,c]] + sign(c,b)[c,[a,b]] + sign(b,a)[b,[c,a]], with
+    g's sign rule.
 
     The three terms are [x,[y,z]] with sign(x,z) for the three rotations
     (x,y,z) of (a,b,c); the signs are applied by adding or negating.
@@ -165,7 +166,7 @@ def jacobiator(g: BiGradedLieAlgebra, a: int, b: int, c: int,
     for x, y, z in ((a, b, c), (c, a, b), (b, c, a)):
         inner = table.get((y, z))
         if inner is not None:
-            negate = sign(degs[x], degs[z]) == -1
+            negate = g.sign(degs[x], degs[z]) == -1
             for m, k in inner.coeffs.items():
                 v = table.get((x, m))
                 if v is not None:
@@ -173,8 +174,7 @@ def jacobiator(g: BiGradedLieAlgebra, a: int, b: int, c: int,
     return Vector(g.space, out)
 
 
-def _residuals(g: BiGradedLieAlgebra, sign: SignRule
-               ) -> dict[tuple[int, int, int], Vector]:
+def _residuals(g: BiGradedLieAlgebra) -> dict[tuple[int, int, int], Vector]:
     """The nonzero jacobiators, one per rotation orbit, keyed by the orbit's
     smallest triple.
 
@@ -195,7 +195,7 @@ def _residuals(g: BiGradedLieAlgebra, sign: SignRule
                 reached.add(min((x, y, z), (y, z, x), (z, x, y)))
     out = {}
     for t in reached:
-        residual = jacobiator(g, *t, sign)
+        residual = jacobiator(g, *t)
         if residual:
             out[t] = residual
     return out
@@ -205,27 +205,13 @@ def check_homogeneity(g: BiGradedLieAlgebra) -> list[tuple[int, int]]:
     return g.bracket.check_homogeneity()
 
 
-def _lie_checks(g: BiGradedLieAlgebra, sign: SignRule = sign_deligne
-                ) -> dict[str, Callable[[], list]]:
-    """The three Lie axiom checks, by name, not yet run."""
-    return {
-        "homogeneity": lambda: check_homogeneity(g),
-        "antisymmetry": lambda: check_antisymmetry(g, sign),
-        "jacobi": lambda: check_jacobi(g, sign),
-    }
-
-
-def _run_checks(checks: Mapping[str, Callable[[], list]],
-                only: Collection[str] = ()) -> dict[str, list]:
-    """Run the checks named in only, or all of them when only is empty."""
-    return {name: run() for name, run in checks.items() if not only or name in only}
-
-
-def check_lie(g: BiGradedLieAlgebra, sign: SignRule = sign_deligne,
-              only: Collection[str] = ()) -> dict[str, list]:
-    """Violations per Lie axiom; only names the axioms to check (all when
-    empty)."""
-    return _run_checks(_lie_checks(g, sign), only)
+def check_lie(g: BiGradedLieAlgebra, only: Collection[str] = ()) -> dict[str, list]:
+    """Violations per Lie axiom under g's sign rule; only names the axioms
+    to check (all when empty).  The checkers are looked up on each call, so
+    a patched module global is the one that runs."""
+    checks = {"homogeneity": check_homogeneity, "antisymmetry": check_antisymmetry,
+              "jacobi": check_jacobi}
+    return {name: run(g) for name, run in checks.items() if not only or name in only}
 
 
 def is_lie(g: BiGradedLieAlgebra) -> bool:
@@ -278,7 +264,8 @@ def subalgebra_on(g: BiGradedLieAlgebra, indices: Sequence[int],
                 raise NotClosed(
                     f"[{g.space.labels[i]},{g.space.labels[j]}] leaves the span")
             constants[(pi, pj)] = Vector(sub, {pos[k]: c for k, c in v.coeffs.items()})
-    return BiGradedLieAlgebra(sub, BilinearMap(sub, constants), name=sub.name)
+    return BiGradedLieAlgebra(sub, BilinearMap(sub, constants), name=sub.name,
+                              sign=g.sign)
 
 
 def even_subalgebra(g: BiGradedLieAlgebra) -> BiGradedLieAlgebra:

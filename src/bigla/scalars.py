@@ -241,7 +241,7 @@ class CycloScalar:
         return hash((self.c, self.d))
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return self.c != (0, 0, 0, 0)
 
     def __repr__(self):
         return f"CycloScalar{self.rationals()}"

@@ -143,7 +143,8 @@ def _table_from_json(rows: Any, space: BiGradedSpace, sign_rule, seen: dict
 
 
 def to_doc(a: Algebra) -> dict:
-    if isinstance(a, BiGradedLieAlgebra):
+    # a Lie file reloads with Deligne mirrors: a super table needs its involution
+    if isinstance(a, BiGradedLieAlgebra) and a.sign is sign_deligne:
         return {"kind": KIND_LIE, "name": a.name,
                 "basis": _space_to_json(a.space),
                 "brackets": _table_to_json(a.bracket, upper_only=True)}
@@ -169,10 +170,14 @@ def from_doc(doc: Any) -> Algebra:
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise ValueError("name must be a string")
-    if kind == KIND_LIE:
+    if kind in (KIND_LIE, KIND_SUPER):
+        sign = sign_super if kind == KIND_SUPER else sign_deligne
         space = _space_from_json(doc.get("basis"), name)
-        bracket = _table_from_json(doc.get("brackets"), space, sign_deligne, seen)
-        return BiGradedLieAlgebra(space, bracket, name=name)
+        bracket = _table_from_json(doc.get("brackets"), space, sign, seen)
+        g = BiGradedLieAlgebra(space, bracket, name=name, sign=sign)
+        if kind == KIND_LIE:
+            return g
+        return SuperLieAlgebraWithInvolution(g, doc.get("involution"))
     if kind == KIND_ASSOC:
         space = _space_from_json(doc.get("basis"), name)
         products = _rows_from_json(doc.get("products"), space, "product", seen)
@@ -180,11 +185,6 @@ def from_doc(doc: Any) -> Algebra:
         unit = doc.get("unit")
         unit_vec = _value_from_json(unit, space, seen) if unit is not None else None
         return BiGradedAssocAlgebra(space, product, unit=unit_vec, name=name)
-    if kind == KIND_SUPER:
-        space = _space_from_json(doc.get("basis"), name)
-        bracket = _table_from_json(doc.get("brackets"), space, sign_super, seen)
-        return SuperLieAlgebraWithInvolution(
-            BiGradedLieAlgebra(space, bracket, name=name), doc.get("involution"))
     raise ValueError(f"unknown kind {kind!r}")
 
 

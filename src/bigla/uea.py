@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .errors import AlgebraMismatch, TruncationExceeded
 from .lie import BiGradedLieAlgebra, even_subalgebra, require_lie
 from .linear import BilinearMap
-from .scalars import BiDegree, CycloScalar, ONE
+from .scalars import BiDegree, CycloScalar, ONE, sign_deligne
 from .sparse import Combination, add_scaled, add_term
 
 Word = tuple[int, ...]
@@ -54,6 +54,10 @@ class EnvelopingAlgebra:
     """Rewriting context for U(g) over the block PBW order."""
 
     def __init__(self, g: BiGradedLieAlgebra):
+        # rewriting reads the Deligne signs from PAIRING
+        if g.sign is not sign_deligne:
+            raise AlgebraMismatch(f"{g.name or 'algebra'}: the enveloping algebra "
+                                  "needs the Deligne sign rule")
         self.g = g
         degs = g.space.degrees
         codes = self.codes = tuple(2 * d.eps1 + d.eps2 for d in degs)

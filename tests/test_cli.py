@@ -113,8 +113,10 @@ def test_check_skips_the_jacobi_sweep_it_does_not_print(so3_file, tmp_path,
     for module in (bigla.lie, bigla.equivalence):
         if hasattr(module, "check_jacobi"):
             monkeypatch.setattr(module, "check_jacobi", refuse)
-    with pytest.raises(_JacobiRan):
-        main(["check", so3_file])
+    # an unflagged check of either kind reaches the patched checker
+    for path in (so3_file, super_file):
+        with pytest.raises(_JacobiRan):
+            main(["check", path])
     for argv, out in zip(runs, expected):
         assert main(["check"] + argv) == 0, argv
         assert capsys.readouterr().out == out, argv

@@ -56,8 +56,11 @@ def test_round_trip_on_catalog():
 
 def test_unbraid_output_is_super_lie():
     for name, ctor in _lie_entries():
-        report = unbraid(ctor()).check()
+        s = unbraid(ctor())
+        report = s.check()
         assert all(v == [] for v in report.values()), (name, report)
+        # the twisted table carries the super rule, so is_lie judges it by that
+        assert is_lie(s.algebra), name
 
 
 def test_super_check_runs_only_the_named_checks():
@@ -73,6 +76,10 @@ def test_involution_must_list_signs():
         with pytest.raises(ValueError, match="involution must list"):
             SuperLieAlgebraWithInvolution(s.algebra, broken)
     assert SuperLieAlgebraWithInvolution(s.algebra, [1, -1, 1]).involution == (1, -1, 1)
+    # the wrapper's check reads the algebra's rule, so a Deligne table is refused
+    g = unitary_example()
+    with pytest.raises(ValueError, match="super sign rule"):
+        SuperLieAlgebraWithInvolution(g, involution_from_bidegree(g))
 
 
 def test_alpha_identity_on_catalog_triples():

@@ -13,6 +13,7 @@ import pytest
 
 from bigla.equivalence import SuperLieAlgebraWithInvolution
 from bigla.linear import LinearMap
+from bigla.scalars import sign_super
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -23,7 +24,7 @@ from test_schema_properties import lie_tables  # noqa: E402
 
 @st.composite
 def tables_and_signs(draw):
-    g = draw(lie_tables())
+    g = draw(lie_tables(sign_super))
     return g, draw(st.lists(st.sampled_from((1, -1)), min_size=g.dim, max_size=g.dim))
 
 

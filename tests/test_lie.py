@@ -1,9 +1,10 @@
-"""Bracket axioms under pluggable sign rules, and the commutator functor."""
+"""Bracket axioms under each table's own sign rule, and the commutator functor."""
 
 import pytest
 
-from bigla.catalog import (algebra_B, m2_superalgebra, odd_pair, so3, so12,
-                           unitary_example, upper_triangular3)
+from bigla.catalog import (algebra_B, catalog_lie, m2_superalgebra, odd_pair, so3,
+                           so12, unitary_example, upper_triangular3)
+from bigla.equivalence import unbraid
 from bigla.errors import (DegreeViolation, InputNotLie, NotAssociative,
                           NotClosed, NotEvenType)
 from bigla.lie import (AlgebraMorphism, BiGradedAssocAlgebra,
@@ -12,7 +13,7 @@ from bigla.lie import (AlgebraMorphism, BiGradedAssocAlgebra,
                        check_morphism, commutator_lie, even_subalgebra,
                        is_lie, jacobiator, require_lie, subalgebra_on)
 from bigla.linear import BiGradedSpace, BilinearMap, LinearMap
-from bigla.scalars import D00, D10, I, sign_deligne, sign_super
+from bigla.scalars import D00, D10, I, sign_super
 
 
 def _broken_so3():
@@ -63,22 +64,23 @@ def test_antisymmetry_diagonal_rule():
     # a self-pairing-odd letter may have [x,x] != 0; an even one may not
     sp = BiGradedSpace([("x", D10)])
     g = BiGradedLieAlgebra(sp, BilinearMap(sp, {(0, 0): sp.basis_vector(0).scale(0)}))
-    assert check_antisymmetry(g, sign_deligne) == []
+    assert check_antisymmetry(g) == []
     sp2 = BiGradedSpace([("h", D00), ("x", D10)])
     with_sq = BiGradedLieAlgebra(
         sp2, BilinearMap(sp2, {(1, 1): sp2.basis_vector(0).scale(2)}))
-    assert check_antisymmetry(with_sq, sign_deligne) == []
+    assert check_antisymmetry(with_sq) == []
     bad = BiGradedLieAlgebra(
         sp2, BilinearMap(sp2, {(0, 0): sp2.basis_vector(0)}))
-    assert (0, 0) in check_antisymmetry(bad, sign_deligne)
+    assert (0, 0) in check_antisymmetry(bad)
 
 
 def test_sign_rule_changes_verdict():
     # odd-pair brackets [x,x] = [y,y] = 0 under Deligne; under the super rule
     # the diagonal is still unconstrained for parity-1 letters
     g = odd_pair()
-    assert check_antisymmetry(g, sign_deligne) == []
-    assert check_antisymmetry(g, sign_super) == []
+    assert check_antisymmetry(g) == []
+    assert check_antisymmetry(
+        BiGradedLieAlgebra(g.space, g.bracket, sign=sign_super)) == []
     # so12 fails the super-sign Jacobi only after unbraiding fixes the signs,
     # but it is Deligne-Lie as shipped
     assert check_lie(so12()) == {"homogeneity": [], "antisymmetry": [],
@@ -125,6 +127,11 @@ def test_subalgebras():
         subalgebra_on(so3(), [0, 1])  # [e1,e2] = e3 escapes
     sub = subalgebra_on(so3(), [0])
     assert sub.dim == 1
+    # a super table keeps its rule, and is Lie only under it
+    s = unbraid(catalog_lie()["qmat2-lie"]).algebra
+    sub = subalgebra_on(s, range(s.dim)[::-1])
+    assert sub.sign is sign_super
+    assert is_lie(sub)
 
 
 def test_cartan_pair():

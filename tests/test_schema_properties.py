@@ -22,9 +22,10 @@ from test_sweep_properties import homogeneous_tables, scalars, spaces  # noqa: E
 
 
 @st.composite
-def lie_tables(draw):
+def lie_tables(draw, sign=sign_deligne):
     space = draw(spaces())
-    return BiGradedLieAlgebra(space, draw(homogeneous_tables(space)), name="random")
+    return BiGradedLieAlgebra(space, draw(homogeneous_tables(space)), name="random",
+                              sign=sign)
 
 
 @st.composite
@@ -37,7 +38,7 @@ def assoc_tables(draw):
 
 @st.composite
 def super_tables(draw):
-    g = draw(lie_tables())
+    g = draw(lie_tables(sign_super))
     signs = draw(st.lists(st.sampled_from((1, -1)), min_size=g.dim, max_size=g.dim))
     return SuperLieAlgebraWithInvolution(g, signs)
 
@@ -95,7 +96,7 @@ def reference_loads(text):
         constants[(i, j)] = v = value(r["value"])
         if i < j:
             constants[(j, i)] = v.scale(-sign(space.degrees[i], space.degrees[j]))
-    g = BiGradedLieAlgebra(space, BilinearMap(space, constants), name=name)
+    g = BiGradedLieAlgebra(space, BilinearMap(space, constants), name=name, sign=sign)
     return g if doc["kind"] == KIND_LIE else SuperLieAlgebraWithInvolution(
         g, doc["involution"])
 

@@ -9,7 +9,7 @@ oracles below recompute every triple from scratch through
 BilinearMap.__call__ and Vector.scale, or call jacobiator on each of the
 n^3 triples, on random degree-homogeneous tables with coefficients in
 Q(zeta8) (not only rationals) and on catalog tables with one structure
-constant perturbed, under both sign rules.  The alpha identity and the
+constant perturbed, each table under both sign rules.  The alpha identity and the
 round trip rebraid(unbraid(g)) == g are the Z2xZ2 <-> super
 correspondence of Scheunert, "Generalized Lie algebras", J. Math. Phys. 20
 (1979), and Rittenberg-Wyler, "Generalized superalgebras", Nucl. Phys. B
@@ -71,7 +71,13 @@ def brackets(draw):
     return BiGradedLieAlgebra(space, draw(homogeneous_tables(space)), name="random")
 
 
-def _reference_jacobiator(g, a, b, c, sign):
+def _with_sign(g, sign):
+    """g's table under the given sign rule."""
+    return BiGradedLieAlgebra(g.space, g.bracket, name=g.name, sign=sign)
+
+
+def _reference_jacobiator(g, a, b, c):
+    sign = g.sign
     degs = g.space.degrees
     e = g.space.basis_vector
     br = g.bracket
@@ -84,10 +90,10 @@ def _triples(n):
     return [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
 
 
-def _every_triple(g, sign):
+def _every_triple(g):
     """The jacobiator of every basis triple, one jacobiator call each, in
     lexicographic order."""
-    return {t: jacobiator(g, *t, sign) for t in _triples(g.dim)}
+    return {t: jacobiator(g, *t) for t in _triples(g.dim)}
 
 
 def _alpha(degs, a, b, c):
@@ -104,10 +110,10 @@ def test_jacobi_sweep_matches_the_reference(g):
     the Z2xZ2 and the super commutation factor (Scheunert, "Generalized Lie
     algebras", J. Math. Phys. 20 (1979); Rittenberg-Wyler, "Generalized
     superalgebras", Nucl. Phys. B 139 (1978))."""
-    for sign in SIGNS:
-        reference = {t: _reference_jacobiator(g, *t, sign) for t in _triples(g.dim)}
-        assert _every_triple(g, sign) == reference, sign.__name__
-        assert check_jacobi(g, sign) == [t for t, v in reference.items() if v]
+    for h in (_with_sign(g, sign) for sign in SIGNS):
+        reference = {t: _reference_jacobiator(h, *t) for t in _triples(h.dim)}
+        assert _every_triple(h) == reference, h.sign.__name__
+        assert check_jacobi(h) == [t for t, v in reference.items() if v]
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,10 +122,10 @@ def test_jacobiator_is_invariant_under_rotation(g):
     """J(c,a,b) = J(a,b,c) on every homogeneous table, Lie or not, under both
     sign rules: the rotation permutes the three terms of the cyclic sum.
     The Jacobi sweep relies on it to compute one jacobiator per orbit."""
-    for sign in SIGNS:
-        for a, b, c in _triples(g.dim):
-            assert jacobiator(g, c, a, b, sign) == jacobiator(g, a, b, c, sign), \
-                (sign.__name__, (a, b, c))
+    for h in (_with_sign(g, sign) for sign in SIGNS):
+        for a, b, c in _triples(h.dim):
+            assert jacobiator(h, c, a, b) == jacobiator(h, a, b, c), \
+                (h.sign.__name__, (a, b, c))
 
 
 def _reached_orbits(g):
@@ -141,8 +147,8 @@ def _reached_orbits(g):
 def test_sweep_calls_jacobiator_once_per_reached_orbit(monkeypatch, name, calls):
     """One sweep calls jacobiator once per rotation orbit that a nested
     bracket reaches, at the orbit's smallest triple, and never twice; the
-    twisted table under the super sign has the same nonzero entries, so its
-    sweep reaches the same orbits."""
+    twisted table, under the super sign, has the same nonzero entries, so
+    its sweep reaches the same orbits."""
     g = catalog()[name][1]()
     seen = []
 
@@ -151,10 +157,10 @@ def test_sweep_calls_jacobiator_once_per_reached_orbit(monkeypatch, name, calls)
         return jacobiator(*args)
 
     monkeypatch.setattr(lie, "jacobiator", counted)
-    for table, sign in ((g, sign_deligne), (twist(g), sign_super)):
+    for table in (g, twist(g)):
         seen.clear()
-        assert check_jacobi(table, sign) == []
-        assert len(seen) == len(set(seen)) == calls, sign.__name__
+        assert check_jacobi(table) == []
+        assert len(seen) == len(set(seen)) == calls, table.sign.__name__
         assert set(seen) == _reached_orbits(g)
 
 
@@ -228,12 +234,12 @@ def test_sweeps_match_every_triple_on_perturbed_catalog_tables(drawn):
     brackets (Scheunert, "Generalized Lie algebras", J. Math. Phys. 20
     (1979))."""
     g = _perturbed(*drawn)
-    for table, sign in ((g, sign_deligne), (g, sign_super), (twist(g), sign_super)):
-        every = _every_triple(table, sign)
-        assert check_jacobi(table, sign) == [t for t, v in every.items() if v], \
-            sign.__name__
-    bi = _every_triple(g, sign_deligne)
-    sup = _every_triple(twist(g), sign_super)
+    for table in (g, _with_sign(g, sign_super), twist(g)):
+        every = _every_triple(table)
+        assert check_jacobi(table) == [t for t, v in every.items() if v], \
+            table.sign.__name__
+    bi = _every_triple(g)
+    sup = _every_triple(twist(g))
     degs = g.space.degrees
     failures = [t for t in _triples(g.dim)
                 if bi[t] != (-sup[t] if _alpha(degs, *t) else sup[t])]

@@ -8,6 +8,7 @@ from math import factorial
 import pytest
 
 from bigla.catalog import algebra_B, catalog_lie, odd_pair, so3, unitary_example
+from bigla.equivalence import unbraid
 from bigla.errors import AlgebraMismatch, InputNotLie, TruncationExceeded
 from bigla.lie import BiGradedLieAlgebra, commutator_lie, subalgebra_on
 from bigla.linear import BilinearMap
@@ -134,6 +135,10 @@ def test_rewriting_refuses_a_bracket_that_breaks_jacobi():
                     lambda: normal_form_random(ctx, (1, 0), random.Random(0))):
         with pytest.raises(InputNotLie, match=r"^so3 fails: jacobi at \[\(0, 1, 2\), "):
             rewrite()
+    # the rewriting signs are Deligne's: a super table is refused before any
+    # rewriting, where y*x would otherwise become x*y and not -x*y
+    with pytest.raises(AlgebraMismatch, match="Deligne sign rule"):
+        EnvelopingAlgebra(unbraid(odd_pair()).algebra)
 
 
 def test_letters_are_primitive():
