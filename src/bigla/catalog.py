@@ -19,7 +19,8 @@ from .lie import (AlgebraMorphism, BiGradedAssocAlgebra, BiGradedLieAlgebra,
                   commutator_lie)
 from .linalg import Matrix
 from .linear import AntiLinearMap, BiGradedSpace, BilinearMap, LinearMap, Vector
-from .scalars import BiDegree, CycloScalar, D00, D01, D10, D11, I, ONE, sign_deligne
+from .scalars import (BiDegree, CycloScalar, D00, D01, D10, D11, I, ONE, ZETA,
+                      sign_deligne)
 
 
 def _rotation(name: str, sign: int) -> BiGradedLieAlgebra:
@@ -345,7 +346,7 @@ def algebra_B_rep() -> MatrixRep:
     """4x4 blocks over the 2x2 cells lam1 = z8.Id, lam2 = z8.[[0,1],[-1,0]]:
     q1 = offdiag(lam1), q2 = offdiag(lam2), q3 = diag(lam1 lam2)."""
     b = algebra_B()
-    z = CycloScalar.zeta()
+    z = ZETA
     zero = CycloScalar.zero()
     q1 = Matrix([[zero, zero, z, zero],
                  [zero, zero, zero, z],

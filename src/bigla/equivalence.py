@@ -25,7 +25,7 @@ from .errors import AlgebraMismatch, NotEvenType
 from .lie import (AlgebraMorphism, BiGradedLieAlgebra, check_lie, check_morphism,
                   jacobiator, _residuals, _rotations, require_lie)
 from .linear import BiGradedSpace, BilinearMap, LinearMap, Vector
-from .scalars import BiDegree, D00, D11, sign_super, sign_unbraid
+from .scalars import BiDegree, D00, D11, sign_deligne, sign_super, sign_unbraid
 
 
 @dataclass
@@ -79,7 +79,11 @@ def involution_from_bidegree(g: BiGradedLieAlgebra) -> tuple[int, ...]:
 
 def twist(g: BiGradedLieAlgebra) -> BiGradedLieAlgebra:
     """The same table with [a,b] scaled by (-1)^(eps1(a) eps2(b)), unchecked,
-    under the super sign rule."""
+    under the super sign rule.  The input must carry the Deligne rule: the
+    twist of a super table is no super companion."""
+    if g.sign is not sign_deligne:
+        raise AlgebraMismatch(f"{g.name or 'algebra'}: the twist needs the "
+                              "Deligne sign rule")
     degs = g.space.degrees
     constants = {}
     for (i, j), v in g.bracket.constants.items():
@@ -92,7 +96,8 @@ def unbraid(g: BiGradedLieAlgebra) -> SuperLieAlgebraWithInvolution:
     """Twist a bi-graded Lie algebra into its super companion.
 
     [a,b]_s = (-1)^(eps1(a) eps2(b)) [a,b], with sigma = (-1)^eps2 attached.
-    Raises InputNotLie if g fails its own axioms.
+    Raises InputNotLie if g fails its own axioms and AlgebraMismatch if it
+    already carries the super sign rule.
     """
     require_lie(g)
     return SuperLieAlgebraWithInvolution(twist(g), involution_from_bidegree(g))

@@ -109,26 +109,10 @@ class CycloScalar:
     def zero(cls) -> "CycloScalar":
         return _scalar(0, 0, 0, 0, 1)
 
-    @classmethod
-    def one(cls) -> "CycloScalar":
-        return _scalar(1, 0, 0, 0, 1)
-
-    @classmethod
-    def i(cls) -> "CycloScalar":
-        return _scalar(0, 0, 1, 0, 1)
-
-    @classmethod
-    def zeta(cls) -> "CycloScalar":
-        return _scalar(0, 1, 0, 0, 1)
-
     def rationals(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         """The four rational coordinates c_j / d."""
         d = self.d
         return tuple(Fraction(cj, d) for cj in self.c)
-
-    def is_zero(self) -> bool:
-        a = self.c
-        return not (a[0] or a[1] or a[2] or a[3])
 
     def is_rational(self) -> bool:
         a = self.c
@@ -213,7 +197,7 @@ class CycloScalar:
     def inverse(self) -> "CycloScalar":
         # multiply the remaining Galois conjugates of the numerator a; the
         # full product is the integer norm n, so 1/(a/d) = d * cof / n
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("inverse of zero in Q(zeta8)")
         a, d = self.c, self.d
         if self.is_rational():
@@ -277,9 +261,9 @@ def parse_rational(q: Union[str, int]) -> Fraction:
 
 
 ZERO = CycloScalar.zero()
-ONE = CycloScalar.one()
-I = CycloScalar.i()
-ZETA = CycloScalar.zeta()
+ONE = _scalar(1, 0, 0, 0, 1)
+I = _scalar(0, 0, 1, 0, 1)
+ZETA = _scalar(0, 1, 0, 0, 1)
 MINUS_ONE = CycloScalar.from_rational(-1)
 
 

@@ -34,8 +34,8 @@ MAX_TRUNCATION = 6
 # most normal words, plus one per degree, that pbw_dims enumerates
 MAX_PBW_WORDS = 10 ** 6
 
-# longest raw word normal_form rewrites: so3's e3^12 e1^12 takes 2.5-5.7 s
-# on a shared 2-core host, and e3^30 e1^30 passes the recursion limit
+# longest raw word normal_form rewrites: so3's e3^12 e1^12 fills 13767 memo
+# entries, and e3^30 e1^30 passes the recursion limit
 MAX_WORD = 24
 
 HALF = CycloScalar(Fraction(1, 2))
@@ -65,6 +65,10 @@ class EnvelopingAlgebra:
         self.rank = {k: r for r, k in enumerate(self.order)}
         # self-pairing-1 letters square to (1/2)[x,x] and never repeat
         self.exterior = tuple(degs[k].pairing(degs[k]) == 1 for k in range(g.dim))
+        # the PBW step rule, one entry per rank: the letter, its degree code
+        # and the lowest rank that may follow it
+        self.steps = tuple((k, codes[k], r + 1 if self.exterior[k] else r)
+                           for r, k in enumerate(self.order))
         self._nf_memo: dict[Word, dict[Word, CycloScalar]] = {}
         self._lie_checked = False
         self._sym: Optional[EnvelopingAlgebra] = None
@@ -146,34 +150,15 @@ class EnvelopingAlgebra:
     def word_from_labels(self, labels: Iterable[str]) -> Word:
         return tuple(self.g.space.index(lab) for lab in labels)
 
-    # normal word enumeration, for PBW counting and functional truncation
-
-    def normal_words(self, length: int) -> Iterator[Word]:
-        def extend(prefix: list[int], min_rank: int, remaining: int) -> Iterator[Word]:
-            if remaining == 0:
-                yield tuple(prefix)
-                return
-            for r in range(min_rank, self.dim):
-                k = self.order[r]
-                prefix.append(k)
-                yield from extend(prefix, r + 1 if self.exterior[k] else r,
-                                  remaining - 1)
-                prefix.pop()
-        yield from extend([], 0, length)
-
     def normal_words_up_to(self, n: int) -> dict[Word, BiDegree]:
-        """Normal words of length <= n, shortest first and each length in the
-        order of normal_words, mapped to their word degrees.
+        """Normal words of length <= n, shortest first and each length in
+        lexicographic order of ranks, mapped to their word degrees.
 
         A prefix of a normal word is normal, so each length extends the
-        words of the one before, and the first empty length ends the
-        enumeration.  Two whole lengths are held at once, so the streaming
-        normal_words stays for counting long words.
+        words of the one before by the step table, and the first empty
+        length ends the enumeration.
         """
-        # per rank: the letter, its degree code and the lowest rank that
-        # may follow it
-        steps = [(k, self.codes[k], r + 1 if self.exterior[k] else r)
-                 for r, k in enumerate(self.order)]
+        steps = self.steps
         out = {(): DEGREE_OF_CODE[0]}
         level = [((), 0, 0)]
         for _ in range(n):
@@ -437,11 +422,12 @@ def hopf_failures(U: EnvelopingAlgebra, max_len: int
     max_len.  'weyl' is the coalgebra-morphism property of weyl_map.
 
     A normal word longer than MAX_TRUNCATION, which weyl_map refuses, is
-    refused before any sweep; as a prefix of a normal word is normal,
-    there is one exactly when there is one of length MAX_TRUNCATION + 1.
+    refused before any sweep.  There is one exactly when some letter may
+    repeat or more than MAX_TRUNCATION letters may not.
     """
     fails: dict[str, list[tuple[Word, ...]]] = {key: [] for key in HOPF_AXIOMS}
-    if max_len > MAX_TRUNCATION and next(U.normal_words(MAX_TRUNCATION + 1), None):
+    has_longer = not all(U.exterior) or sum(U.exterior) > MAX_TRUNCATION
+    if max_len > MAX_TRUNCATION and has_longer:
         raise TruncationExceeded(
             f"word length {MAX_TRUNCATION + 1} above the bound {MAX_TRUNCATION}")
     words = U.normal_words_up_to(max_len)
@@ -518,7 +504,14 @@ def pbw_dims(ctx: EnvelopingAlgebra, n_max: int) -> tuple[list[int], list[int]]:
         raise TruncationExceeded(
             f"degrees 0..{n_max} and their normal words number more "
             f"than {MAX_PBW_WORDS}")
-    counted = [sum(1 for _ in ctx.normal_words(n)) for n in range(n_max + 1)]
+    # walk the step table level by level, keeping per word only the lowest
+    # rank that may follow it
+    steps = ctx.steps
+    counted = [1]
+    level = [0]
+    for _ in range(n_max):
+        level = [nxt for low in level for _, _, nxt in steps[low:]]
+        counted.append(len(level))
     return counted, formula
 
 

@@ -339,6 +339,24 @@ def test_pbw_dims_is_bounded_before_enumerating(algebra, n, tmp_path, capsys):
                        "more than 1000000\n")
 
 
+LINE = {"basis": [{"degree": [0, 0], "label": "x"}], "brackets": [],
+        "kind": "bigraded-lie", "name": "line"}
+
+
+@pytest.mark.parametrize("doc,n", [(LINE, "1100"),
+                                   (to_doc(catalog_lie()["qalgebra-lie"]), "706")])
+def test_pbw_dims_counts_long_words_without_recursion(doc, n, tmp_path, capsys):
+    # one polynomial letter has one normal word per degree, and 706 is the
+    # largest degree the bound admits on qalgebra-lie: the count walks the
+    # step table level by level, so neither depth nor length costs a frame
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    assert main(["pbw", "dims", str(path), "--n", n]) == 0
+    assert time.perf_counter() - t0 < 5
+    assert capsys.readouterr().out.endswith("enumeration matches the formula\n")
+
+
 def test_conv_check(so3_file, capsys):
     assert main(["--seed", "3", "hc", "conv-check", so3_file,
                  "--n", "2", "--trials", "5"]) == 0

@@ -8,7 +8,7 @@ from bigla.catalog import catalog, odd_pair, so3, so12, unitary_example
 from bigla.equivalence import (SuperLieAlgebraWithInvolution, alpha_sweep,
                                cartan_sign_flip, involution_from_bidegree,
                                jacobiator_alpha_check, morphism_transfer, rebraid,
-                               unbraid)
+                               twist, unbraid)
 from bigla.errors import AlgebraMismatch, DegreeViolation, InputNotLie, NotEvenType
 from bigla.lie import AlgebraMorphism, BiGradedLieAlgebra, is_lie
 from bigla.linear import BilinearMap, LinearMap
@@ -199,6 +199,19 @@ def test_alpha_sweep_agrees_with_the_per_triple_check():
                 (single.alpha_sign, single.residual_bi, single.residual_super)
         assert list(sweep) == kept
         assert bool(kept) == (not is_lie(g))
+
+
+@pytest.mark.parametrize("name", ["qalgebra-lie", "qmat2-lie", "unitary2x2"])
+def test_a_super_table_is_refused_by_the_twist(name):
+    """The twist and the alpha identity read Deligne tables.  A table that
+    already carries the super rule would twist into another super table
+    (6, 144 and 144 spurious alpha failures on these three), so every
+    entry point refuses it, as EnvelopingAlgebra does."""
+    sup = unbraid(catalog()[name][1]()).algebra
+    for call in (twist, unbraid, alpha_sweep,
+                 lambda g: jacobiator_alpha_check(g, 0, 0, 0)):
+        with pytest.raises(AlgebraMismatch, match="needs the Deligne sign rule"):
+            call(sup)
 
 
 def test_involution_from_bidegree_is_automorphism():

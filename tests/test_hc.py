@@ -11,7 +11,6 @@ import json
 import os
 import random
 from fractions import Fraction
-from itertools import islice
 from math import comb, factorial
 
 import pytest
@@ -90,7 +89,8 @@ def stray_functional(ctx, truncation, rng):
     reads: the first normal words one letter past the truncation, and a
     word out of PBW order, such as (2, 0) on so3."""
     phi = drawn_functional(ctx, truncation, rng)
-    stray = list(islice(ctx.normal_words(truncation + 1), 3))
+    stray = [w for w in ctx.normal_words_up_to(truncation + 1)
+             if len(w) == truncation + 1][:3]
     stray.append((ctx.order[-1], ctx.order[0]))
     values = dict(phi.coeffs)
     for w in stray:
@@ -105,16 +105,15 @@ def expanded_convolution(phi, psi):
     which reads the two supports instead."""
     ctx = phi.ctx
     values = {}
-    for n in range(phi.truncation + 1):
-        for w in ctx.normal_words(n):
-            for (u, v), c in delta_word(ctx, w).coeffs.items():
-                left = phi.coeffs.get(u)
-                right = psi.coeffs.get(v)
-                if left is None or right is None:
-                    continue
-                if sign_deligne(ctx.word_degree(v), ctx.word_degree(u)) != 1:
-                    c = -c
-                add_term(values, w, c * left * right)
+    for w in ctx.normal_words_up_to(phi.truncation):
+        for (u, v), c in delta_word(ctx, w).coeffs.items():
+            left = phi.coeffs.get(u)
+            right = psi.coeffs.get(v)
+            if left is None or right is None:
+                continue
+            if sign_deligne(ctx.word_degree(v), ctx.word_degree(u)) != 1:
+                c = -c
+            add_term(values, w, c * left * right)
     return Functional(ctx, phi.truncation, values)
 
 

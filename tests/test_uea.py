@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 import pytest
@@ -86,13 +86,12 @@ def test_exterior_letters_never_repeat():
     ctx = _unitary_ctx()
     x1 = ctx.g.space.index("x1")
     assert ctx.exterior[x1]
-    for n in range(4):
-        for w in ctx.normal_words(n):
-            seen = set()
-            for k in w:
-                if ctx.exterior[k]:
-                    assert k not in seen
-                    seen.add(k)
+    for w in ctx.normal_words_up_to(3):
+        seen = set()
+        for k in w:
+            if ctx.exterior[k]:
+                assert k not in seen
+                seen.add(k)
 
 
 def test_reversed_order_is_still_confluent():
@@ -284,16 +283,23 @@ def test_pbw_order_puts_every_even_letter_first(name):
 
 @pytest.mark.parametrize("name", sorted(catalog_lie()))
 def test_level_built_words_match_the_streaming_enumeration(name):
-    """normal_words_up_to(n), built length by length, is normal_words(m)
-    for m <= n in order, each word with the BiDegree sum of its letters'
-    degrees, past MAX_TRUNCATION and on the reversed basis as well."""
+    """normal_words_up_to(n), walked length by length on the step table, is
+    the stream of every raw word of length <= n over ctx.order filtered by
+    the rewriting rule's is_normal, which reads no step table: shortest
+    first, each length in lexicographic order of ranks, each word with the
+    BiDegree sum of its letters' degrees.  Lengths run while dim^m stays
+    near 10^5, past MAX_TRUNCATION on the smaller tables, and on the
+    reversed basis as well."""
     g = catalog_lie()[name]
+    longest = max(m for m in range(1, 20) if g.dim ** m <= 10 ** 5)
+    assert longest > MAX_TRUNCATION or g.dim == 8
     for h in (g, subalgebra_on(g, range(g.dim)[::-1])):
         ctx = EnvelopingAlgebra(h)
-        for n in range(MAX_TRUNCATION + 2):
-            streamed = [(w, _degree_sum(ctx, w))
-                        for m in range(n + 1) for w in ctx.normal_words(m)]
-            assert list(ctx.normal_words_up_to(n).items()) == streamed, n
+        filtered = [(w, _degree_sum(ctx, w)) for m in range(longest + 1)
+                    for w in product(ctx.order, repeat=m) if ctx.is_normal(w)]
+        for n in range(longest + 1):
+            assert list(ctx.normal_words_up_to(n).items()) == \
+                [(w, d) for w, d in filtered if len(w) <= n], n
 
 
 @pytest.mark.parametrize("name", sorted(catalog_lie()))
