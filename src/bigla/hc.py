@@ -3,7 +3,9 @@
 A functional assigns a scalar to every normal word up to a truncation
 length.  Convolution pushes the coproduct through a pair of functionals
 with the crossing sign, read off the two supports without expanding any
-coproduct and summed on ints, one scalar per word of the result.  The composition law on even vectors, log(exp(x) exp(y)), is
+coproduct and summed on ints, one scalar per word of the result; the
+commutativity verdict compares the int sums of both orders and builds no
+scalar.  The composition law on even vectors, log(exp(x) exp(y)), is
 read off brackets in g by Varadarajan's recursion; the truncated exp/log
 series in U(g) that it equals is kept in the tests as their oracle.
 
@@ -24,7 +26,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, lcm
 from typing import Mapping, Optional
-from weakref import WeakKeyDictionary
 
 from .errors import (AlgebraMismatch, DegreeViolation, NotOrthogonal, OddInput,
                      TruncationExceeded, TruncationMismatch, TruncationTooSmall)
@@ -124,16 +125,13 @@ class Functional(Combination):
         return self._by_length
 
 
-# per context and count width, what _layout returns
-_LAYOUTS: WeakKeyDictionary = WeakKeyDictionary()
-
-
 def _layout(ctx: EnvelopingAlgebra, width: int) -> tuple[list, int, list]:
     """The record layout of a context's letters at one count width, built
-    once: per letter its count key, presence bit, code at its rank and
-    code at every higher rank; the presence bits of the exterior letters;
-    and per rank the shift of its count field and its letter."""
-    by_width = _LAYOUTS.setdefault(ctx, {})
+    once and kept on the context: per letter its count key, presence bit,
+    code at its rank and code at every higher rank; the presence bits of
+    the exterior letters; and per rank the shift of its count field and
+    its letter."""
+    by_width = ctx._layouts
     if width not in by_width:
         ones = (4 ** ctx.dim - 1) // 3
         fields: list = [()] * ctx.dim
@@ -168,30 +166,13 @@ def _unshuffles(u_key: int, v_key: int, shared: int, width: int) -> int:
     return n
 
 
-def convolution(phi: Functional, psi: Functional) -> Functional:
-    """(phi * psi)(w) = sum over Delta(w) = sum c u (x) v of the signed
-    product c phi(u) psi(v), summed over the pairs of supported words whose
-    lengths sum to at most the truncation.
-
-    Delta(w) of a normal word w is a sum over the unshuffles of w, since
-    every subword of a normal word is normal.  So phi(u) psi(v) reaches only
-    w = u v sorted by rank, when that w is normal (no exterior letter sits
-    in both), once per unshuffle giving (u, v): prod over the letters of
-    C(mult_w, mult_v).  Those differ only in how a repeated letter is split;
-    repeated letters sit next to each other in w and pair to 0 with
-    themselves, so all carry one sign.  With the sign of moving psi's slot v
-    past the left slot u, it reduces mod 2 to (-1)^(deg x . deg y) over the
-    letters x of v and y of u with rank x > rank y.  The Deligne pairing is
-    bilinear over Z2, so that sum is sum over ranks r of mult_v(r) deg x_r .
-    deg(u's letters below r), the parity of the shared bits of v's odd mask
-    and u's below mask (support_by_length).
-
-    The pairs are summed on ints: per power of zeta and count key, over the
-    product of the two common denominators, with zeta^4 = -1 folded in
-    once, and one scalar is built per word of the result.
-    """
+def _accumulate(phi: Functional, psi: Functional
+                ) -> tuple[int, list[dict[int, int]]]:
+    """The pair loop of convolution: the common denominator and, per power
+    zeta^p for p = 0..3, the int coefficient of zeta^p on the word of each
+    count key, with zeta^4 = -1 folded in.  A key may hold 0."""
     phi._same(psi)
-    ctx, n = phi.ctx, phi.truncation
+    n = phi.truncation
     width = _count_width(n)
     den_phi, left_buckets = phi.support_by_length()
     den_psi, right = psi.support_by_length()
@@ -218,11 +199,37 @@ def convolution(phi: Functional, psi: Functional) -> Functional:
         low = acc[p - 4]
         for key, c in acc[p].items():
             low[key] = low.get(key, 0) - c
-    den = den_phi * den_psi
+    return den_phi * den_psi, acc[:4]
+
+
+def convolution(phi: Functional, psi: Functional) -> Functional:
+    """(phi * psi)(w) = sum over Delta(w) = sum c u (x) v of the signed
+    product c phi(u) psi(v), summed over the pairs of supported words whose
+    lengths sum to at most the truncation.
+
+    Delta(w) of a normal word w is a sum over the unshuffles of w, since
+    every subword of a normal word is normal.  So phi(u) psi(v) reaches only
+    w = u v sorted by rank, when that w is normal (no exterior letter sits
+    in both), once per unshuffle giving (u, v): prod over the letters of
+    C(mult_w, mult_v).  Those differ only in how a repeated letter is split;
+    repeated letters sit next to each other in w and pair to 0 with
+    themselves, so all carry one sign.  With the sign of moving psi's slot v
+    past the left slot u, it reduces mod 2 to (-1)^(deg x . deg y) over the
+    letters x of v and y of u with rank x > rank y.  The Deligne pairing is
+    bilinear over Z2, so that sum is sum over ranks r of mult_v(r) deg x_r .
+    deg(u's letters below r), the parity of the shared bits of v's odd mask
+    and u's below mask (support_by_length).
+
+    The pairs are summed on ints by _accumulate: per power of zeta and
+    count key, over the product of the two common denominators.  Then each
+    key is decoded into its word and one scalar is built per word.
+    """
+    den, (r0, r1, r2, r3) = _accumulate(phi, psi)
+    ctx, n = phi.ctx, phi.truncation
+    width = _count_width(n)
     mask = (1 << width) - 1
     letters = _layout(ctx, width)[2]
     values: dict[Word, CycloScalar] = {}
-    r0, r1, r2, r3 = acc[:4]
     for key in r0.keys() | r1.keys() | r2.keys() | r3.keys():
         c0, c1, c2, c3 = r0.get(key, 0), r1.get(key, 0), r2.get(key, 0), r3.get(key, 0)
         if c0 or c1 or c2 or c3:
@@ -236,16 +243,25 @@ def convolution(phi: Functional, psi: Functional) -> Functional:
 
 
 def convolution_commutes(phi: Functional, psi: Functional) -> bool:
-    """Deligne commutativity for homogeneous-shift functionals.  Raises
-    DegreeViolation when either support spans other than one word degree."""
+    """Deligne commutativity for homogeneous-shift functionals: phi * psi
+    = s psi * phi with s the Deligne sign of the two shifts.  Raises
+    DegreeViolation when either support spans other than one word degree.
+
+    Both directions are accumulated over the same common denominator, so
+    the verdict compares their int rows key by key, a missing key read as
+    0, and builds no word and no scalar."""
     for name, f in (("first", phi), ("second", psi)):
         if f.shift() is None:
             raise DegreeViolation(
                 f"the {name} functional has {len(f.shifts())} shifts, not one")
-    lhs = convolution(phi, psi)
-    rhs = convolution(psi, phi)
+    _, lhs = _accumulate(phi, psi)
+    _, rhs = _accumulate(psi, phi)
     s = sign_deligne(phi.shift(), psi.shift())
-    return lhs == (rhs if s == 1 else -rhs)
+    for left, right in zip(lhs, rhs):
+        for key in left.keys() | right.keys():
+            if left.get(key, 0) != s * right.get(key, 0):
+                return False
+    return True
 
 
 # the values a random functional draws, -3..3, at index value + 3

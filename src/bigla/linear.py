@@ -170,7 +170,7 @@ class BilinearMap:
         self.space = space
         self.constants: dict[tuple[int, int], Vector] = {}
         for (i, j), v in constants.items():
-            if v.space != space:
+            if v.space is not space and v.space != space:
                 raise SpaceMismatch("structure constant vector not in the space")
             if v:
                 self.constants[(i, j)] = v

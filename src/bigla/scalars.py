@@ -248,12 +248,20 @@ def as_scalar(c: ScalarLike) -> CycloScalar:
     return c if isinstance(c, CycloScalar) else CycloScalar.from_rational(c)
 
 
-def parse_rational(q: Union[str, int]) -> Fraction:
+def parse_rational(q: Union[str, int]) -> RationalLike:
     """Fraction(q), with a zero denominator reported as a ValueError like
     any other malformed rational.  Exponent notation is refused: Fraction
-    expands '1e9999999' into a ten-million-digit integer."""
-    if isinstance(q, str) and "e" in q.lower():
-        raise ValueError(f"exponent notation in {q!r}")
+    expands '1e9999999' into a ten-million-digit integer.  An int, and a
+    whole number spelled as an optional '-' and ASCII digits, come back as
+    an int, read without Fraction's pattern match."""
+    if type(q) is int:
+        return q
+    if isinstance(q, str):
+        digits = q[1:] if q.startswith("-") else q
+        if digits.isdigit() and digits.isascii():
+            return int(q)
+        if "e" in q.lower():
+            raise ValueError(f"exponent notation in {q!r}")
     try:
         return Fraction(q)
     except ZeroDivisionError as exc:

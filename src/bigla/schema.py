@@ -30,31 +30,43 @@ def scalar_to_json(c: CycloScalar) -> dict[str, list[str]]:
     return {"zeta8": [str(q) for q in c.rationals()]}
 
 
+# the component types a JSON scalar may spell, matched by exact type
+_COMPONENT_TYPES = frozenset((str, int))
+
+
 def scalar_from_json(obj: Any, seen: dict) -> CycloScalar:
     """The scalar {'zeta8': [c0, c1, c2, c3]}.  seen belongs to one load: it
     maps each component, and each 4-tuple of components, read so far to its
-    value, so a repeated coefficient is parsed once.  Every occurrence is
-    checked before any lookup: JSON true equals and hashes like 1."""
+    value, so a repeated coefficient is parsed once.  Only a 4-tuple of
+    exact str and int components is looked up: JSON true and 1.0 equal and
+    hash like 1, so they take every check and fail it."""
     if not isinstance(obj, dict) or "zeta8" not in obj:
         raise ValueError(f"scalar must be {{'zeta8': [...]}}, got {obj!r}")
     comps = obj["zeta8"]
     if not isinstance(comps, list) or len(comps) != 4:
         raise ValueError("zeta8 needs exactly four components")
+    key = tuple(comps)
+    if _COMPONENT_TYPES.issuperset(map(type, key)):
+        c = seen.get(key)
+        if c is not None:
+            return c
     for q in comps:
         if isinstance(q, bool) or not isinstance(q, (str, int)):
             raise ValueError(f"rational component must be a string, got {q!r}")
         if q not in seen:
             seen[q] = parse_rational(q)
-    key = tuple(comps)
-    c = seen.get(key)
-    if c is None:
-        c = seen[key] = CycloScalar(*(seen[q] for q in comps))
+    c0, c1, c2, c3 = (seen[q] for q in comps)
+    if type(c0) is int and type(c1) is int and type(c2) is int and type(c3) is int:
+        c = CycloScalar.from_coordinates(c0, c1, c2, c3, 1)
+    else:
+        c = CycloScalar(c0, c1, c2, c3)
+    seen[key] = c
     return c
 
 
-def _index(k: Any, space: BiGradedSpace, what: str) -> int:
+def _index(k: Any, dim: int, what: str) -> int:
     # JSON true and 1.0 are not indices, though Python counts True as an int
-    if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < space.dim:
+    if type(k) is not int or not 0 <= k < dim:
         raise ValueError(f"{what} index {k!r} out of range")
     return k
 
@@ -92,10 +104,11 @@ def _value_from_json(obj: Any, space: BiGradedSpace, seen: dict) -> Vector:
     if not isinstance(obj, list):
         raise ValueError(f"value must be a list of terms, got {obj!r}")
     coeffs = {}
+    dim = space.dim
     for term in obj:
         if not isinstance(term, dict) or "basis" not in term or "coeff" not in term:
             raise ValueError(f"value term needs basis and coeff: {term!r}")
-        k = _index(term["basis"], space, "basis")
+        k = _index(term["basis"], dim, "basis")
         add_term(coeffs, k, scalar_from_json(term["coeff"], seen))
     return Vector(space, coeffs)
 
@@ -115,10 +128,11 @@ def _rows_from_json(rows: Any, space: BiGradedSpace, what: str, seen: dict
     if not isinstance(rows, list):
         raise ValueError(f"{what} table must be a list")
     constants: dict[tuple[int, int], Vector] = {}
+    dim = space.dim
     for row in rows:
         if not isinstance(row, dict) or not {"left", "right", "value"} <= row.keys():
             raise ValueError(f"{what} row needs left, right, value: {row!r}")
-        i, j = _index(row["left"], space, what), _index(row["right"], space, what)
+        i, j = _index(row["left"], dim, what), _index(row["right"], dim, what)
         if (i, j) in constants:
             raise ValueError(f"duplicate {what} entry ({i}, {j})")
         constants[(i, j)] = _value_from_json(row["value"], space, seen)
@@ -129,16 +143,25 @@ def _table_from_json(rows: Any, space: BiGradedSpace, sign_rule, seen: dict
                      ) -> BilinearMap:
     """Read an upper-triangular table; mirror entries come from the sign
     rule, [j, i] = -s [i, j] with s = +-1.  For s = -1 the mirror is the
-    stored vector itself: combinations are never changed in place."""
+    stored vector itself: combinations are never changed in place.  For
+    s = 1 each distinct coefficient is negated once."""
     constants = _rows_from_json(rows, space, "bracket", seen)
+    negated: dict[CycloScalar, CycloScalar] = {}
     for (i, j) in list(constants):
         if i > j:
             raise ValueError(f"store only left <= right, got ({i}, {j})")
         if i < j:
             v = constants[(i, j)]
             if v.coeffs:
-                s = sign_rule(space.degrees[i], space.degrees[j])
-                constants[(j, i)] = -v if s == 1 else v
+                if sign_rule(space.degrees[i], space.degrees[j]) == 1:
+                    mirror = {}
+                    for k, c in v.coeffs.items():
+                        m = negated.get(c)
+                        if m is None:
+                            m = negated[c] = -c
+                        mirror[k] = m
+                    v = Vector(space, mirror)
+                constants[(j, i)] = v
     return BilinearMap(space, constants)
 
 

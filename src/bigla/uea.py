@@ -16,6 +16,7 @@ instances of the same machinery.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import comb, factorial
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -70,6 +71,8 @@ class EnvelopingAlgebra:
         self.steps = tuple((k, codes[k], r + 1 if self.exterior[k] else r)
                            for r, k in enumerate(self.order))
         self._nf_memo: dict[Word, dict[Word, CycloScalar]] = {}
+        # per count width, the letter layout of hc's convolution records
+        self._layouts: dict[int, tuple] = {}
         self._lie_checked = False
         self._sym: Optional[EnvelopingAlgebra] = None
         self._even: Optional[EnvelopingAlgebra] = None
@@ -500,6 +503,11 @@ def pbw_dims(ctx: EnvelopingAlgebra, n_max: int) -> tuple[list[int], list[int]]:
             total += comb(d_ext, k) * polys
         formula.append(total)
         steps += total
+        if not total:
+            # only a table with no polynomial letter has an empty degree,
+            # and then every later degree is empty too
+            formula.extend(repeat(0, n_max - n))
+            break
     if steps > MAX_PBW_WORDS:
         raise TruncationExceeded(
             f"degrees 0..{n_max} and their normal words number more "
@@ -512,6 +520,9 @@ def pbw_dims(ctx: EnvelopingAlgebra, n_max: int) -> tuple[list[int], list[int]]:
     for _ in range(n_max):
         level = [nxt for low in level for _, _, nxt in steps[low:]]
         counted.append(len(level))
+        if not level:
+            counted.extend(repeat(0, n_max + 1 - len(counted)))
+            break
     return counted, formula
 
 

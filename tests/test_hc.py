@@ -244,6 +244,89 @@ def test_convolution_sums_pairs_without_scalar_arithmetic():
     assert calls == []
 
 
+def _drawn_pair(ctx, truncation, rng):
+    """Two drawn functionals with one shift each, as commutativity_failures
+    keeps them, the second scaled by (1 + zeta)/2 so that the values carry
+    a denominator and odd powers of zeta."""
+    while True:
+        phi = drawn_functional(ctx, truncation, rng)
+        psi = drawn_functional(ctx, truncation, rng)
+        if phi.shift() is not None and psi.shift() is not None:
+            return phi, psi.scale(CycloScalar(Fraction(1, 2), Fraction(1, 2)))
+
+
+def test_convolution_commutes_builds_no_scalar():
+    """Once the support records are built, the verdict on drawn qmat2-lie
+    pairs is reached on ints: no CycloScalar is added, negated, multiplied
+    or built from coordinates."""
+    ctx = _ctx(catalog_lie()["qmat2-lie"])
+    rng = random.Random(7)
+    pairs = [_drawn_pair(ctx, 4, rng) for _ in range(6)]
+    for phi, psi in pairs:
+        phi.support_by_length(), psi.support_by_length()
+    calls = []
+    saved = {name: CycloScalar.__dict__[name]
+             for name in ("__add__", "__radd__", "__sub__", "__neg__", "__mul__",
+                          "__rmul__", "from_coordinates")}
+
+    def counted(name):
+        def op(*args):
+            calls.append(name)
+            return saved[name](*args)
+        return op
+
+    def built(cls, *args):
+        calls.append("from_coordinates")
+        return saved["from_coordinates"].__func__(cls, *args)
+
+    try:
+        for name in saved:
+            setattr(CycloScalar, name, counted(name))
+        CycloScalar.from_coordinates = classmethod(built)
+        verdicts = [convolution_commutes(phi, psi) for phi, psi in pairs]
+    finally:
+        for name, op in saved.items():
+            setattr(CycloScalar, name, op)
+    assert calls == []
+    assert verdicts == [True] * len(pairs)
+    assert all(convolution(phi, psi) for phi, psi in pairs)
+
+
+def test_convolution_commutes_reads_the_deligne_sign(monkeypatch):
+    """With the sign of the two shifts negated, a pair whose convolution is
+    nonzero no longer commutes."""
+    ctx = _ctx(catalog_lie()["qmat2-lie"])
+    rng = random.Random(7)
+    phi, psi = _drawn_pair(ctx, 4, rng)
+    assert convolution(phi, psi)
+    assert convolution_commutes(phi, psi)
+    monkeypatch.setattr(hc, "sign_deligne", lambda d1, d2: -sign_deligne(d1, d2))
+    assert not convolution_commutes(phi, psi)
+
+
+@pytest.mark.parametrize("name", sorted(catalog_lie()))
+def test_convolution_commutes_agrees_with_the_convolved_functionals(name, monkeypatch):
+    """The int verdict is convolution(phi, psi) == s convolution(psi, phi)
+    on seeded drawn pairs, on the algebra and on its reversed basis, with
+    the Deligne sign s of the shifts and with -s, so that both verdicts
+    occur."""
+    g = catalog_lie()[name]
+    rng = random.Random(name)
+    seen = set()
+    for ctx in (_ctx(g), _ctx(subalgebra_on(g, range(g.dim)[::-1]))):
+        for _ in range(4):
+            phi, psi = _drawn_pair(ctx, 3, rng)
+            lhs, rhs = convolution(phi, psi), convolution(psi, phi)
+            for flip in (1, -1):
+                monkeypatch.setattr(hc, "sign_deligne",
+                                    lambda d1, d2: flip * sign_deligne(d1, d2))
+                s = flip * sign_deligne(phi.shift(), psi.shift())
+                verdict = convolution_commutes(phi, psi)
+                assert verdict == (lhs == (rhs if s == 1 else -rhs))
+                seen.add(verdict)
+    assert seen == {True, False}
+
+
 def test_convolution_commutes_needs_one_shift_per_functional():
     ctx = _ctx(unitary_example())
     one = Functional(ctx, 2, {(): ONE})

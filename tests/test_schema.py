@@ -47,6 +47,38 @@ def test_a_repeated_coefficient_is_checked_again():
         from_doc(_so3_with_terms([[1, 0, 0, 0], [True, 0, 0, 0]]))
 
 
+def test_a_repeated_float_coefficient_is_checked_again():
+    # (1.0, 0, 0, 0) too equals and hashes like (1, 0, 0, 0)
+    with pytest.raises(ValueError, match="must be a string, got 1.0$"):
+        from_doc(_so3_with_terms([[1, 0, 0, 0], [1.0, 0, 0, 0]]))
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", 0), ("-0", 0), ("007", 7), ("+1", 1), (" 1 ", 1), ("1_000", 1000),
+    ("\u0663", 3), ("1/2", Fraction(1, 2)), ("-2/4", Fraction(-1, 2)),
+])
+def test_parse_rational_values(text, value):
+    """Whole numbers in ASCII digits are read by int, every other spelling
+    by Fraction; both give what Fraction(text) gives."""
+    assert parse_rational(text) == value == Fraction(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("--1", "Invalid literal for Fraction: '--1'"),
+    ("-", "Invalid literal for Fraction: '-'"),
+    ("", "Invalid literal for Fraction: ''"),
+    # a digit to str.isdigit, but not to int or Fraction
+    ("\u00b2", "Invalid literal for Fraction: '\u00b2'"),
+    ("-\u00b2", "Invalid literal for Fraction: '-\u00b2'"),
+    ("1e3", "exponent notation in '1e3'"),
+    ("1/0", "zero denominator in '1/0'"),
+])
+def test_parse_rational_messages(text, message):
+    with pytest.raises(ValueError) as exc:
+        parse_rational(text)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("bad, message", [
     ("1/0", "zero denominator in '1/0'"),
     ("x", "Invalid literal for Fraction: 'x'"),

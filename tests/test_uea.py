@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -242,6 +242,23 @@ def test_pbw_dims_oracles():
     assert counted == formula == [1, 8, 32, 88]
     counted, formula = pbw_dims(EnvelopingAlgebra(odd_pair()), 3)
     assert counted == formula == [1, 2, 1, 0]
+
+
+def test_pbw_dims_stop_at_the_first_empty_degree(monkeypatch):
+    """odd-pair has no polynomial letter and no normal word past degree 2:
+    at the largest admitted degree the formula is summed for degrees 0..3
+    only, and every later degree is read as 0."""
+    sums = []
+
+    def counted(n, k):
+        sums.append((n, k))
+        return comb(n, k)
+
+    monkeypatch.setattr("bigla.uea.comb", counted)
+    n_max = 999995
+    counted_words, formula = pbw_dims(EnvelopingAlgebra(odd_pair()), n_max)
+    assert counted_words == formula == [1, 2, 1] + [0] * (n_max - 2)
+    assert len(sums) < 20
 
 
 def test_pbw_dims_hold_across_catalog():
