@@ -3,11 +3,16 @@
 A functional assigns a scalar to every normal word up to a truncation
 length.  Convolution pushes the coproduct through a pair of functionals
 with the crossing sign, read off the two supports without expanding any
-coproduct and summed on ints, one scalar per word of the result; the
-commutativity verdict compares the int sums of both orders and builds no
-scalar.  The composition law on even vectors, log(exp(x) exp(y)), is
-read off brackets in g by Varadarajan's recursion; the truncated exp/log
-series in U(g) that it equals is kept in the tests as their oracle.
+coproduct and summed on ints, one scalar per word of the result.  The
+commutativity verdict sums phi * psi - s psi * phi in one pass over the
+pairs and builds no scalar: a pair (u, v) enters both orders at one word
+with one count, signed sigma(u, v) and sigma(v, u), and for words sharing
+no exterior letter sigma(u, v) sigma(v, u) = (-1)^(deg u . deg v), the
+Deligne sign s of homogeneous functionals' shifts, so every such pair
+adds 0 unless a sign is wrong.  The composition law on even vectors,
+log(exp(x) exp(y)), is read off brackets in g by Varadarajan's
+recursion; the truncated exp/log series in U(g) that it equals is kept in
+the tests as their oracle.
 
 Equivariant functionals are read off in closed form.  For the
 Harish-Chandra pair (g_0, g), U(g) is free as a left U(g_0)-module on the
@@ -82,10 +87,13 @@ class Functional(Combination):
         return next(iter(s)) if len(s) == 1 else None
 
     def support_by_length(self) -> tuple[int, list[list[SupportRecord]]]:
-        """The common denominator of the values on the normal words of
-        length <= truncation the functional is nonzero on, and one record
-        per such word, bucketed by length and computed on the first call;
-        convolution reads the functional on nothing else.
+        """The common denominator of the functional's values, and one
+        record per normal word of length <= truncation it is nonzero on,
+        bucketed by length and computed on the first call; convolution
+        reads the functional on nothing else.  A word is read letter by
+        letter and dropped at its first letter of lower rank than the one
+        before, or at an exterior letter it already holds: the rule of
+        EnvelopingAlgebra.violations.
 
         For a word u the record holds, per PBW rank r:
         - key: the count of the rank-r letter in the field of _count_width
@@ -102,25 +110,29 @@ class Functional(Combination):
         if self._by_length is None:
             ctx, n = self.ctx, self.truncation
             fields, exterior, _ = _layout(ctx, _count_width(n))
-            normal = {u: c for u, c in self.coeffs.items()
-                      if len(u) <= n and ctx.is_normal(u)}
-            den = lcm(*(c.d for c in normal.values()))
+            den = lcm(*(c.d for c in self.coeffs.values()))
             buckets: list[list[SupportRecord]] = [[] for _ in range(n + 1)]
-            for u, c in normal.items():
-                key = present = odd = below = 0
+            for u, c in self.coeffs.items():
+                if len(u) > n:
+                    continue
+                key = present = odd = below = last = 0
                 for x in u:
                     at_key, at_bit, at_rank, above = fields[x]
+                    if at_bit < last or at_bit & present & exterior:
+                        break
+                    last = at_bit
                     key += at_key
                     present |= at_bit
                     odd ^= at_rank
                     below ^= above
-                scale = den // c.d
-                if c.is_rational():
-                    terms = ((0, c.c[0] * scale),)
                 else:
-                    terms = tuple((p, cp * scale) for p, cp in enumerate(c.c) if cp)
-                buckets[len(u)].append((key, present & exterior,
-                                        present & ~exterior, odd, below, terms))
+                    scale = den // c.d
+                    if c.is_rational():
+                        terms = ((0, c.c[0] * scale),)
+                    else:
+                        terms = tuple((p, cp * scale) for p, cp in enumerate(c.c) if cp)
+                    buckets[len(u)].append((key, present & exterior,
+                                            present & ~exterior, odd, below, terms))
             self._by_length = (den, buckets)
         return self._by_length
 
@@ -166,11 +178,20 @@ def _unshuffles(u_key: int, v_key: int, shared: int, width: int) -> int:
     return n
 
 
-def _accumulate(phi: Functional, psi: Functional
+def _accumulate(phi: Functional, psi: Functional, s: int
                 ) -> tuple[int, list[dict[int, int]]]:
-    """The pair loop of convolution: the common denominator and, per power
-    zeta^p for p = 0..3, the int coefficient of zeta^p on the word of each
-    count key, with zeta^4 = -1 folded in.  A key may hold 0."""
+    """The pair loop of phi * psi - s psi * phi: the common denominator and,
+    per power zeta^p for p = 0..3, the int coefficient of zeta^p on the word
+    of each count key, with zeta^4 = -1 folded in.  A key may hold 0.
+
+    A pair (u, v) of supported words reaches the same key with the same
+    unshuffle count m in both orders, so it adds (sigma(u, v) - s sigma(v,
+    u)) m phi(u) psi(v), where sigma(u, v) = (-1)^popcount(v odd & u below)
+    is the crossing sign of convolution.  When u and v share no exterior
+    letter, sigma(u, v) sigma(v, u) = (-1)^(deg u . deg v), the Deligne sign
+    of their degrees; for homogeneous functionals and s that sign, every
+    such pair agrees and adds 0, and is skipped before any count or update.
+    s = 0 gives phi * psi."""
     phi._same(psi)
     n = phi.truncation
     width = _count_width(n)
@@ -181,14 +202,16 @@ def _accumulate(phi: Functional, psi: Functional
     for length, left in enumerate(left_buckets):
         # psi's words v with len(u) + len(v) <= truncation
         fitting = [rec for bucket in right[:n - length + 1] for rec in bucket]
-        for u_key, u_ext, u_other, _, u_below, u_terms in left:
-            for v_key, v_ext, v_other, v_odd, _, v_terms in fitting:
+        for u_key, u_ext, u_other, u_odd, u_below, u_terms in left:
+            for v_key, v_ext, v_other, v_odd, v_below, v_terms in fitting:
                 if u_ext & v_ext:
                     continue
+                f = -1 if (v_odd & u_below).bit_count() & 1 else 1
+                f -= -s if (u_odd & v_below).bit_count() & 1 else s
+                if not f:
+                    continue
                 shared = u_other & v_other
-                m = _unshuffles(u_key, v_key, shared, width) if shared else 1
-                if (v_odd & u_below).bit_count() & 1:
-                    m = -m
+                m = f * _unshuffles(u_key, v_key, shared, width) if shared else f
                 key = u_key + v_key
                 for p, a in u_terms:
                     ma = m * a
@@ -224,7 +247,7 @@ def convolution(phi: Functional, psi: Functional) -> Functional:
     count key, over the product of the two common denominators.  Then each
     key is decoded into its word and one scalar is built per word.
     """
-    den, (r0, r1, r2, r3) = _accumulate(phi, psi)
+    den, (r0, r1, r2, r3) = _accumulate(phi, psi, 0)
     ctx, n = phi.ctx, phi.truncation
     width = _count_width(n)
     mask = (1 << width) - 1
@@ -247,24 +270,23 @@ def convolution_commutes(phi: Functional, psi: Functional) -> bool:
     = s psi * phi with s the Deligne sign of the two shifts.  Raises
     DegreeViolation when either support spans other than one word degree.
 
-    Both directions are accumulated over the same common denominator, so
-    the verdict compares their int rows key by key, a missing key read as
-    0, and builds no word and no scalar."""
+    Both orders share their count keys and their common denominator, so
+    the verdict is that every int row of phi * psi - s psi * phi is 0, and
+    it builds no word and no scalar.  That difference is accumulated in one
+    pass (_accumulate), where a pair adds (sigma(u, v) - s sigma(v, u)) times
+    its term.  For words u, v of the two shifts sharing no exterior letter,
+    sigma(u, v) sigma(v, u) = (-1)^(deg u . deg v) = s, so the two orders
+    agree and the pair adds 0; only a pair whose crossing signs break that
+    identity reaches the rows."""
     for name, f in (("first", phi), ("second", psi)):
         if f.shift() is None:
             raise DegreeViolation(
                 f"the {name} functional has {len(f.shifts())} shifts, not one")
-    _, lhs = _accumulate(phi, psi)
-    _, rhs = _accumulate(psi, phi)
-    s = sign_deligne(phi.shift(), psi.shift())
-    for left, right in zip(lhs, rhs):
-        for key in left.keys() | right.keys():
-            if left.get(key, 0) != s * right.get(key, 0):
-                return False
-    return True
+    _, rows = _accumulate(phi, psi, sign_deligne(phi.shift(), psi.shift()))
+    return not any(any(row.values()) for row in rows)
 
 
-# the values a random functional draws, -3..3, at index value + 3
+# the values a random functional draws, -3..3, one rng.choice each
 _SMALL_VALUES = tuple(CycloScalar.from_rational(v) for v in range(-3, 4))
 
 
@@ -280,7 +302,7 @@ def _random_functional(ctx: EnvelopingAlgebra, truncation: int,
     vals = {}
     for w in by_degree[target]:
         if rng.random() < 0.6:
-            vals[w] = _SMALL_VALUES[rng.randint(-3, 3) + 3]
+            vals[w] = rng.choice(_SMALL_VALUES)
     return Functional(ctx, truncation, vals)
 
 

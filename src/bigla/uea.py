@@ -100,9 +100,6 @@ class EnvelopingAlgebra:
             if rank[a] > rank[b] or (a == b and exterior[a]):
                 yield p
 
-    def is_normal(self, w: Word) -> bool:
-        return next(self.violations(w), None) is None
-
     def _rewrite_at(self, w: Word, p: int, nf) -> dict[Word, CycloScalar]:
         """One rewriting step at position p, the resulting words normalized
         by nf.  Both rewriting strategies share this step.  It is the only

@@ -43,6 +43,12 @@ def _ctx(g):
     return EnvelopingAlgebra(g)
 
 
+def _is_normal(ctx, w):
+    """w is in PBW order: ctx.violations, the rewriting rule, finds no
+    position to rewrite."""
+    return next(ctx.violations(w), None) is None
+
+
 def _random_functional(ctx, truncation, rng):
     """Small integers on each word, kept within one degree-shift class so
     that shift() is defined."""
@@ -185,24 +191,26 @@ def test_convolution_matches_the_expanded_coproduct_on_the_catalog(name):
                 assert convolution(phi, psi) == expanded_convolution(phi, psi)
 
 
-def test_convolution_commutes_reads_each_support_once():
-    """One convolution_commutes call tests each supported word for
-    normality once, though it convolves both ways."""
+def test_convolution_commutes_reads_each_support_once(monkeypatch):
+    """One convolution_commutes call builds each functional's support
+    records once, though it reads both orders of the pair: every build
+    lays out the letters through hc._layout, and none other does."""
     g = catalog_lie()["qmat2-lie"]
     ctx = _ctx(g)
     rng = random.Random(7)
     phi, psi = drawn_functional(ctx, 4, rng), drawn_functional(ctx, 4, rng)
     assert phi.shift() is not None and psi.shift() is not None
-    tested = []
-    is_normal = ctx.is_normal
+    builds = []
+    layout = hc._layout
 
-    def counted(w):
-        tested.append(w)
-        return is_normal(w)
+    def counted(*args):
+        builds.append(args)
+        return layout(*args)
 
-    ctx.is_normal = counted
+    monkeypatch.setattr(hc, "_layout", counted)
     assert convolution_commutes(phi, psi)
-    assert len(tested) == len(phi.coeffs) + len(psi.coeffs)
+    assert len(builds) == 2
+    assert phi._by_length is not None and psi._by_length is not None
 
 
 def test_count_keys_are_wide_enough_for_the_truncation():
@@ -324,6 +332,129 @@ def test_convolution_commutes_agrees_with_the_convolved_functionals(name, monkey
                 verdict = convolution_commutes(phi, psi)
                 assert verdict == (lhs == (rhs if s == 1 else -rhs))
                 seen.add(verdict)
+    assert seen == {True, False}
+
+
+def _nonzero(rows):
+    return [{key: c for key, c in row.items() if c} for row in rows]
+
+
+def two_order_rows(phi, psi, s):
+    """The int rows of phi * psi - s psi * phi from the two orders
+    accumulated apart, as (s = 0) each convolution sums them, and the
+    verdict that compares them key by key, a missing key read as 0.  The
+    oracle for the signed pass."""
+    _, lhs = hc._accumulate(phi, psi, 0)
+    _, rhs = hc._accumulate(psi, phi, 0)
+    verdict = all(left.get(key, 0) == s * right.get(key, 0)
+                  for left, right in zip(lhs, rhs)
+                  for key in left.keys() | right.keys())
+    rows = [{key: left.get(key, 0) - s * right.get(key, 0)
+             for key in left.keys() | right.keys()}
+            for left, right in zip(lhs, rhs)]
+    return _nonzero(rows), verdict
+
+
+@pytest.mark.parametrize("name", sorted(catalog_lie()))
+def test_signed_pass_matches_the_two_orders(name, monkeypatch):
+    """The one signed pass gives the rows of the two orders accumulated
+    apart, and convolution_commutes their verdict, on drawn, mixed and
+    stray functionals, on the algebra and on its reversed basis, with the
+    Deligne sign s of the shifts and with -s."""
+    g = catalog_lie()[name]
+    rng = random.Random(name)
+    seen = set()
+    for ctx in (_ctx(g), _ctx(subalgebra_on(g, range(g.dim)[::-1]))):
+        for draw in (drawn_functional, mixed_functional, stray_functional):
+            for _ in range(3):
+                phi, psi = draw(ctx, 4, rng), draw(ctx, 4, rng)
+                shifted = phi.shift() is not None and psi.shift() is not None
+                s = sign_deligne(phi.shift(), psi.shift()) if shifted else 1
+                for flip in (1, -1):
+                    rows, verdict = two_order_rows(phi, psi, flip * s)
+                    signed = _nonzero(hc._accumulate(phi, psi, flip * s)[1])
+                    assert signed == rows
+                    assert (not any(signed)) == verdict
+                    if shifted:
+                        monkeypatch.setattr(
+                            hc, "sign_deligne",
+                            lambda d1, d2: flip * sign_deligne(d1, d2))
+                        assert convolution_commutes(phi, psi) == verdict
+                        monkeypatch.undo()
+                    seen.add(verdict)
+    assert seen == {True, False}
+
+
+def test_signed_pass_reads_both_crossing_signs():
+    """Every pair of a commuting drawn qmat2-lie pair is skipped, yet the
+    skip tests each pair's own signs: with one bit of one record's below
+    mask flipped, the crossing sign of the pairs reading that bit breaks
+    and the verdict becomes False."""
+    ctx = _ctx(catalog_lie()["qmat2-lie"])
+    rng = random.Random(7)
+    phi, psi = _drawn_pair(ctx, 4, rng)
+    assert convolution(phi, psi) and convolution_commutes(phi, psi)
+    assert not any(hc._accumulate(phi, psi, sign_deligne(phi.shift(),
+                                                          psi.shift()))[1])
+    n = phi.truncation
+    _, left = phi.support_by_length()
+    _, right = psi.support_by_length()
+    # a record u of phi and a bit of the odd mask of some v of psi that
+    # convolves with u: flipping that bit of u's below flips sigma(u, v)
+    length, i, bit = next((length, i, v[3] & -v[3])
+                          for length, bucket in enumerate(left)
+                          for i, u in enumerate(bucket)
+                          for fitting in right[:n - length + 1] for v in fitting
+                          if v[3] and not u[1] & v[1])
+    record = left[length][i]
+    left[length][i] = record[:4] + (record[4] ^ bit,) + record[5:]
+    assert not convolution_commutes(phi, psi)
+
+
+def _ignored_words(ctx, phi):
+    """Three words of phi's shift that convolution never reads: a normal
+    word of two letters or more reversed, out of PBW order; a word in PBW
+    order but for one exterior letter x written twice, x x; and a normal
+    word one letter past the truncation."""
+    n, d = phi.truncation, phi.shift()
+    degree = ctx.word_degree
+    reversed_word = next(w[::-1] for w in ctx.normal_words_up_to(n)
+                         if degree(w) == d and len(set(w)) > 1)
+    x = next(k for k in ctx.order if ctx.exterior[k])
+    base = next(w for w in ctx.normal_words_up_to(n - 2)
+                if degree(w) == d and x not in w)
+    squared = tuple(sorted(base + (x, x), key=ctx.rank.__getitem__))
+    past = next(w for w in ctx.normal_words_up_to(n + 1)
+                if len(w) == n + 1 and degree(w) == d)
+    return reversed_word, squared, past
+
+
+@pytest.mark.parametrize("name", ["qalgebra-lie", "qmat2-lie", "unitary2x2"])
+def test_records_drop_the_words_convolution_ignores(name, monkeypatch):
+    """A functional also valued on an out-of-order word, on x x with x
+    exterior and on a word past the truncation convolves, both ways, to the
+    functional without them, and reaches the same verdict, with the Deligne
+    sign and with its negation.  The catalog Lie algebras with an exterior
+    letter, but odd-pair, whose words stop at length 2."""
+    ctx = _ctx(catalog_lie()[name])
+    rng = random.Random(name)
+    seen = set()
+    for _ in range(3):
+        phi, psi = _drawn_pair(ctx, 4, rng)
+        words = _ignored_words(ctx, phi)
+        assert [_is_normal(ctx, w) for w in words] == [False, False, True]
+        assert len(words[2]) == phi.truncation + 1
+        stray = Functional(ctx, phi.truncation, {
+            **phi.coeffs, **{w: CycloScalar.from_rational(2) for w in words}})
+        assert stray.shift() == phi.shift()
+        assert convolution(stray, psi) == convolution(phi, psi)
+        assert convolution(psi, stray) == convolution(psi, phi)
+        for flip in (1, -1):
+            monkeypatch.setattr(hc, "sign_deligne",
+                                lambda d1, d2: flip * sign_deligne(d1, d2))
+            verdict = convolution_commutes(phi, psi)
+            assert convolution_commutes(stray, psi) == verdict
+            seen.add(verdict)
     assert seen == {True, False}
 
 
