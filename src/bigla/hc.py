@@ -77,9 +77,10 @@ class Functional(Combination):
     _name = UEAElement._name
 
     def shifts(self) -> set[BiDegree]:
-        """Word degrees of the support, computed on the first call."""
-        if self._shifts is None:
-            self._shifts = {self.ctx.word_degree(w) for w in self.coeffs}
+        """Word degrees of the words convolution reads: the normal words of
+        length <= truncation the functional is nonzero on, collected while
+        support_by_length builds their records."""
+        self.support_by_length()
         return self._shifts
 
     def shift(self) -> Optional[BiDegree]:
@@ -90,9 +91,10 @@ class Functional(Combination):
         """The common denominator of the functional's values, and one
         record per normal word of length <= truncation it is nonzero on,
         bucketed by length and computed on the first call; convolution
-        reads the functional on nothing else.  A word is read letter by
-        letter and dropped at its first letter of lower rank than the one
-        before, or at an exterior letter it already holds: the rule of
+        reads the functional on nothing else, and the word degrees of these
+        words are its shifts.  A word is read letter by letter and dropped
+        at its first letter of lower rank than the one before, or at an
+        exterior letter it already holds: the rule of
         EnvelopingAlgebra.violations.
 
         For a word u the record holds, per PBW rank r:
@@ -112,6 +114,7 @@ class Functional(Combination):
             fields, exterior, _ = _layout(ctx, _count_width(n))
             den = lcm(*(c.d for c in self.coeffs.values()))
             buckets: list[list[SupportRecord]] = [[] for _ in range(n + 1)]
+            shifts, word_degree = set(), ctx.word_degree
             for u, c in self.coeffs.items():
                 if len(u) > n:
                     continue
@@ -133,6 +136,8 @@ class Functional(Combination):
                         terms = tuple((p, cp * scale) for p, cp in enumerate(c.c) if cp)
                     buckets[len(u)].append((key, present & exterior,
                                             present & ~exterior, odd, below, terms))
+                    shifts.add(word_degree(u))
+            self._shifts = shifts
             self._by_length = (den, buckets)
         return self._by_length
 

@@ -10,12 +10,13 @@ unbraiding functor produces, and every checker judges a table by its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Callable, Collection, Mapping, Optional, Sequence
 
 from .errors import (AlgebraMismatch, DegreeViolation, InputNotLie, NotAssociative,
                      NotClosed, NotEvenType, SpaceMismatch)
 from .linear import BiGradedSpace, BilinearMap, LinearMap, Vector
-from .scalars import BiDegree, CycloScalar, D00, D11, sign_deligne
+from .scalars import BiDegree, CycloScalar, D00, D11, _times, sign_deligne
 from .sparse import add_scaled
 
 SignRule = Callable[[BiDegree, BiDegree], int]
@@ -23,15 +24,34 @@ Table = Mapping[tuple[int, int], Vector]
 Coeffs = dict[int, CycloScalar]
 
 
-def _left_times(table: Table, x: int, coeffs: Coeffs) -> Coeffs:
-    """e_x * v, read off a structure table; v and the result are
-    coefficient dicts."""
-    out: Coeffs = {}
-    for m, c in coeffs.items():
-        v = table.get((x, m))
-        if v is not None:
-            add_scaled(out, v.coeffs, c)
-    return out
+# one structure constant as int coordinates over a table's common
+# denominator: (l, (a0, a1, a2, a3)) stands for the term a / d e_l
+IntTerm = tuple[int, tuple[int, int, int, int]]
+
+
+def _int_rows(table: Table) -> tuple[int, dict[tuple[int, int], list[IntTerm]]]:
+    """The constants over one denominator d, the lcm of their denominators:
+    d and, per pair (x, m), the terms (l, a) of e_x e_m, with a the int
+    coordinates of the constant times d // its denominator.  The integral
+    coordinates over one denominator of Cohen, "A Course in Computational
+    Algebraic Number Theory" (1993), section 4.2."""
+    d = lcm(*(c.d for v in table.values() for c in v.coeffs.values()))
+    return d, {pair: [(l, c.c if c.d == d else tuple(a * (d // c.d) for a in c.c))
+                      for l, c in v.coeffs.items()]
+               for pair, v in table.items()}
+
+
+def _add_times(acc: dict, key, w: int, a: tuple, b: tuple):
+    """acc[key] += w a b in place, on the int coordinates of a and b."""
+    p0, p1, p2, p3 = _times(a, b)
+    r = acc.get(key)
+    if r is None:
+        acc[key] = [w * p0, w * p1, w * p2, w * p3]
+    else:
+        r[0] += w * p0
+        r[1] += w * p1
+        r[2] += w * p2
+        r[3] += w * p3
 
 
 class BiGradedLieAlgebra:
@@ -76,24 +96,31 @@ class BiGradedAssocAlgebra:
         return self.product(a, b)
 
     def check_associativity(self) -> list[tuple[int, int, int]]:
-        """Triples (i,j,k), in order, where (e_i e_j) e_k != e_i (e_j e_k)."""
-        table = self.product.constants
-        bad = []
-        n = self.space.dim
-        for i in range(n):
-            for j in range(n):
-                ij = table.get((i, j))
-                for k in range(n):
-                    left: Coeffs = {}
-                    for m, c in (ij.coeffs.items() if ij else ()):
-                        v = table.get((m, k))
-                        if v is not None:
-                            add_scaled(left, v.coeffs, c)
-                    jk = table.get((j, k))
-                    right = _left_times(table, i, jk.coeffs) if jk else {}
-                    if left != right:
-                        bad.append((i, j, k))
-        return bad
+        """Triples (i,j,k), in order, where (e_i e_j) e_k != e_i (e_j e_k).
+
+        Both sides are summed on the int rows (_int_rows), keyed by (i, j,
+        k, l) for their term e_l: (e_i e_j) e_k adds from the walk (i, j)
+        -> e_m -> (m, k), and e_i (e_j e_k) subtracts from the walk (j, k)
+        -> e_m -> (i, m).  A triple fails where a key holds nonzero ints.
+        """
+        _, rows = _int_rows(self.product.constants)
+        right: dict[int, list[int]] = {}
+        left: dict[int, list[int]] = {}
+        for x, m in rows:
+            right.setdefault(x, []).append(m)
+            left.setdefault(m, []).append(x)
+        acc: dict[tuple[int, int, int, int], list[int]] = {}
+        for (i, j), ij in rows.items():
+            for m, a in ij:
+                for k in right.get(m, ()):
+                    for l, b in rows[(m, k)]:
+                        _add_times(acc, (i, j, k, l), 1, a, b)
+        for (j, k), jk in rows.items():
+            for m, a in jk:
+                for i in left.get(m, ()):
+                    for l, b in rows[(i, m)]:
+                        _add_times(acc, (i, j, k, l), -1, a, b)
+        return sorted({key[:3] for key, r in acc.items() if any(r)})
 
     def check_unit(self) -> list[int]:
         if self.unit is None:
@@ -158,7 +185,9 @@ def jacobiator(g: BiGradedLieAlgebra, a: int, b: int, c: int) -> Vector:
     g's sign rule.
 
     The three terms are [x,[y,z]] with sign(x,z) for the three rotations
-    (x,y,z) of (a,b,c); the signs are applied by adding or negating.
+    (x,y,z) of (a,b,c); the signs are applied by adding or negating.  It is
+    the per-triple oracle of the Jacobi sweep (_residuals), which sums the
+    same terms on ints, and the residual jacobiator_alpha_check reports.
     """
     table = g.bracket.constants
     degs = g.space.degrees
@@ -180,25 +209,35 @@ def _residuals(g: BiGradedLieAlgebra) -> dict[tuple[int, int, int], Vector]:
 
     The rotation (a,b,c) -> (c,a,b) only reorders the three terms of a
     jacobiator, for any table and either sign rule, so one triple stands
-    for its orbit.  A term [x,[y,z]] is nonzero only if [y,z] has a term
-    e_m and (x,m) is in the table, so only the orbits of such (x,y,z) are
-    computed; every other jacobiator is zero.
+    for its orbit: the twisted cyclic sum of Scheunert, "Generalized Lie
+    algebras", J. Math. Phys. 20 (1979), taken term by term.  A term
+    [x,[y,z]] is nonzero only if [y,z] has a term e_m and (x,m) is in the
+    table, so one walk (y,z) -> e_m -> x over the int rows (_int_rows)
+    visits every nonzero term once.  It adds sign(x,z) k v to its orbit's
+    coefficient of e_l, for each term k e_m of [y,z] and v e_l of [x,m],
+    over the square of the common denominator.  An orbit (a,a,a) is one
+    triple whose jacobiator holds its one term three times.
     """
-    table = g.bracket.constants
+    d, rows = _int_rows(g.bracket.constants)
+    degs = g.space.degrees
+    sign = [[g.sign(p, q) for q in degs] for p in degs]
     left: dict[int, list[int]] = {}
-    for x, m in table:
+    for x, m in rows:
         left.setdefault(m, []).append(x)
-    reached = set()
-    for (y, z), inner in table.items():
-        for m in inner.coeffs:
+    acc: dict[tuple[tuple[int, int, int], int], list[int]] = {}
+    for (y, z), inner in rows.items():
+        for m, k in inner:
             for x in left.get(m, ()):
-                reached.add(min((x, y, z), (y, z, x), (z, x, y)))
-    out = {}
-    for t in reached:
-        residual = jacobiator(g, *t)
-        if residual:
-            out[t] = residual
-    return out
+                t = min((x, y, z), (y, z, x), (z, x, y))
+                w = sign[x][z] * 3 if x == y == z else sign[x][z]
+                for l, v in rows[(x, m)]:
+                    _add_times(acc, (t, l), w, k, v)
+    coeffs: dict[tuple[int, int, int], Coeffs] = {}
+    den = d * d
+    for (t, l), r in acc.items():
+        if any(r):
+            coeffs.setdefault(t, {})[l] = CycloScalar.from_coordinates(*r, den)
+    return {t: Vector(g.space, c) for t, c in coeffs.items()}
 
 
 def check_homogeneity(g: BiGradedLieAlgebra) -> list[tuple[int, int]]:

@@ -193,13 +193,13 @@ def test_convolution_matches_the_expanded_coproduct_on_the_catalog(name):
 
 def test_convolution_commutes_reads_each_support_once(monkeypatch):
     """One convolution_commutes call builds each functional's support
-    records once, though it reads both orders of the pair: every build
-    lays out the letters through hc._layout, and none other does."""
+    records once, though it reads both shifts and both orders of the pair:
+    every build lays out the letters through hc._layout, and none other
+    does."""
     g = catalog_lie()["qmat2-lie"]
     ctx = _ctx(g)
     rng = random.Random(7)
     phi, psi = drawn_functional(ctx, 4, rng), drawn_functional(ctx, 4, rng)
-    assert phi.shift() is not None and psi.shift() is not None
     builds = []
     layout = hc._layout
 
@@ -470,6 +470,21 @@ def test_convolution_commutes_needs_one_shift_per_functional():
                        match="^the first functional has 0 shifts, not one$"):
         convolution_commutes(zero, one)
     assert convolution_commutes(one, one)
+
+
+def test_shifts_ignore_the_words_convolution_ignores():
+    """A value on an out-of-order word leaves the shifts alone: on qmat2-lie
+    the functional 1 + e_2 e_0, with e_2 e_0 out of PBW order, convolves like
+    the unit, so it commutes with every homogeneous functional."""
+    ctx = _ctx(catalog_lie()["qmat2-lie"])
+    assert not _is_normal(ctx, (2, 0))
+    unit = Functional(ctx, 2, {(): ONE})
+    stray = Functional(ctx, 2, {(): ONE, (2, 0): ONE})
+    assert stray.shifts() == unit.shifts() == {ctx.word_degree(())}
+    psi = drawn_functional(ctx, 2, random.Random(3))
+    assert convolution(stray, psi) == convolution(unit, psi) == psi
+    assert convolution_commutes(stray, psi) and convolution_commutes(psi, stray)
+    assert convolution_commutes(stray, stray)
 
 
 def convolution_table():

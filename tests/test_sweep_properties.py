@@ -1,11 +1,11 @@
 """Property tests of the axiom sweeps against oracles built in this file.
 
-The Jacobi sweep computes one jacobiator per rotation orbit that a nested
-bracket reaches: the rotation (a,b,c) -> (c,a,b) only reorders the three
-terms of a jacobiator, and a term [x,[y,z]] is zero unless [y,z] has a
-term e_m with (x,m) in the table.  The
-associativity check reads products off the structure constants.  The
-oracles below recompute every triple from scratch through
+The Jacobi sweep sums, on int coordinates over one denominator, the terms
+of each rotation orbit that a nested bracket reaches: the rotation (a,b,c)
+-> (c,a,b) only reorders the three terms of a jacobiator, and a term
+[x,[y,z]] is zero unless [y,z] has a term e_m with (x,m) in the table.  It
+calls no jacobiator and makes no scalar product.  The associativity check
+sums both bracketings on the same int rows.  The oracles below recompute every triple from scratch through
 BilinearMap.__call__ and Vector.scale, or call jacobiator on each of the
 n^3 triples, on random degree-homogeneous tables with coefficients in
 Q(zeta8) (not only rationals) and on catalog tables with one structure
@@ -104,7 +104,7 @@ def _alpha(degs, a, b, c):
 @settings(max_examples=60, deadline=None)
 @given(brackets())
 def test_jacobi_sweep_matches_the_reference(g):
-    """The Jacobi sweep, one jacobiator per reached rotation orbit, flags
+    """The Jacobi sweep, one int sum per reached rotation orbit, flags
     exactly the triples on which the graded Jacobi identity recomputed per
     triple, the cyclic sum of eps(c, a) [a, [b, c]], fails, under both
     the Z2xZ2 and the super commutation factor (Scheunert, "Generalized Lie
@@ -121,7 +121,7 @@ def test_jacobi_sweep_matches_the_reference(g):
 def test_jacobiator_is_invariant_under_rotation(g):
     """J(c,a,b) = J(a,b,c) on every homogeneous table, Lie or not, under both
     sign rules: the rotation permutes the three terms of the cyclic sum.
-    The Jacobi sweep relies on it to compute one jacobiator per orbit."""
+    The Jacobi sweep relies on it to sum one residual per orbit."""
     for h in (_with_sign(g, sign) for sign in SIGNS):
         for a, b, c in _triples(h.dim):
             assert jacobiator(h, c, a, b) == jacobiator(h, a, b, c), \
@@ -141,27 +141,40 @@ def _reached_orbits(g):
     return reached
 
 
-@pytest.mark.parametrize("name, calls", [("so3", 6), ("qalgebra-lie", 4),
-                                         ("qmat2-lie", 112), ("unitary2x2", 120),
-                                         ("odd-pair", 0)])
-def test_sweep_calls_jacobiator_once_per_reached_orbit(monkeypatch, name, calls):
-    """One sweep calls jacobiator once per rotation orbit that a nested
-    bracket reaches, at the orbit's smallest triple, and never twice; the
-    twisted table, under the super sign, has the same nonzero entries, so
-    its sweep reaches the same orbits."""
+@pytest.mark.parametrize("name", ["so3", "so12", "qalgebra-lie", "qmat2-lie",
+                                  "unitary2x2", "odd-pair"])
+def test_sweep_makes_no_jacobiator_call_and_no_scalar_arithmetic(monkeypatch, name):
+    """The Jacobi sweep of a catalog Lie table and of its twist sums on the
+    int rows: it calls neither jacobiator nor any CycloScalar product or
+    sum, and it builds no scalar where every residual is zero."""
     g = catalog()[name][1]()
-    seen = []
+    tables = (g, twist(g))
+    calls = []
 
-    def counted(*args):
-        seen.append(args[1:4])
-        return jacobiator(*args)
+    def counted(op):
+        def run(*args):
+            calls.append(op)
+            return op(*args)
+        return run
 
-    monkeypatch.setattr(lie, "jacobiator", counted)
-    for table in (g, twist(g)):
-        seen.clear()
-        assert check_jacobi(table) == []
-        assert len(seen) == len(set(seen)) == calls, table.sign.__name__
-        assert set(seen) == _reached_orbits(g)
+    monkeypatch.setattr(lie, "jacobiator", counted(jacobiator))
+    for op in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__"):
+        monkeypatch.setattr(CycloScalar, op, counted(getattr(CycloScalar, op)))
+    monkeypatch.setattr(CycloScalar, "from_coordinates",
+                        counted(CycloScalar.from_coordinates))
+    for table in tables:
+        assert check_jacobi(table) == [], table.sign.__name__
+    assert calls == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(brackets())
+def test_residual_orbits_are_reached(g):
+    """Every orbit the sweep reports nonzero has a rotation (x,y,z) whose
+    [y,z] has a term e_m with (x,m) in the table: the sweep's walk misses
+    no orbit that holds a nonzero term."""
+    for h in (_with_sign(g, sign) for sign in SIGNS):
+        assert set(lie._residuals(h)) <= _reached_orbits(h), h.sign.__name__
 
 
 @settings(max_examples=40, deadline=None)
