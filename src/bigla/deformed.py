@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .errors import DegreeOverflow, NegativePoint, TrialsExceeded
-from .scalars import CycloScalar, I, ONE, as_scalar, parse_rational
+from .scalars import CycloScalar, I, ONE, _times, as_scalar, parse_rational
 from .sparse import Combination, add_term
 
 DEGREE_BOUND = 64
@@ -27,11 +27,19 @@ DEGREE_BOUND = 64
 # hc.commutativity_failures the normal words up to the truncation.  Per
 # unit of size a tiny trial costs the most: the largest admitted sweep,
 # conv-check at truncation 0 with 60000 trials, took 2.4-4.3 s on a shared
-# 2-core host, against 0.13-0.20 s at truncation 6 with 46 trials, and
-# iso-check at degree 32 with 55 trials 0.11-0.21 s.
+# 2-core host, against 0.13-0.20 s at truncation 6 with 46 trials.  The
+# untwisting sweep decides on ints and costs about its draws: iso-check at
+# degree 32 with 55 trials took 2.6-4.5 ms in process, and at degree 0
+# with 60000 trials 0.14-0.18 s.
 MAX_TRIAL_WORK = 6 * 10 ** 4
 
 Coeffs = dict[int, CycloScalar]
+
+# to_complex's factor on x^k as coordinates over zeta_8, by the parity of
+# k: 1 on even powers, i = zeta^2 on odd ones
+_UNTWIST = ((1, 0, 0, 0), (0, 0, 1, 0))
+# the star product's sign on x^i x^j, by the parities of i and j
+_TWIST = ((1, 1), (1, -1))
 
 
 def _poly_mul(a: Coeffs, b: Coeffs, twisted: bool = False) -> Coeffs:
@@ -162,20 +170,48 @@ def untwisting_failures(degree: int, trials: int, rng: random.Random) -> int:
     which to_complex fails to turn the star product into the pointwise
     one.  Refused before any draw if the products can pass DEGREE_BOUND or
     the (degree + 1)^2 coefficient products of all trials pass
-    MAX_TRIAL_WORK."""
+    MAX_TRIAL_WORK.
+
+    Each trial decides on ints in one signed pass: to_complex(f * h) -
+    to_complex(f) to_complex(h) adds defect(i, j) f_i h_j to the
+    coordinates of x^(i+j), with defect(i, j) = u(i + j) tau(i, j) - u(i)
+    u(j) for to_complex's factor u and the star sign tau, and the pair
+    fails when some power's coordinates are nonzero.  The defect depends
+    only on the parities of i and j and is 0 on all four, so every pair is
+    skipped before any product and a trial costs its draws.  star_product
+    and to_complex are the oracle."""
     if 2 * degree > DEGREE_BOUND:
         raise DegreeOverflow(f"degree {degree} products reach degree {2 * degree}, "
                              f"above the bound {DEGREE_BOUND}")
     bound_trial_work(trials, (degree + 1) ** 2, "coefficient products")
+    defects = []
+    for p in (0, 1):
+        for q in (0, 1):
+            d = [_TWIST[p][q] * c - e for c, e in
+                 zip(_UNTWIST[(p + q) & 1], _times(_UNTWIST[p], _UNTWIST[q]))]
+            if any(d):
+                defects.append((p, q, d))
 
-    def rand_poly():
-        return EvenOddPoly({k: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                            for k in range(degree + 1) if rng.random() < 0.7})
+    def draw() -> tuple[list, list]:
+        """(power, coefficient times 6) pairs of a random polynomial, split
+        by the parity of the power; 6 is the lcm of every denominator drawn."""
+        parts: tuple[list, list] = ([], [])
+        for k in range(degree + 1):
+            if rng.random() < 0.7:
+                parts[k & 1].append((k, rng.randint(-4, 4) * 6 // rng.randint(1, 3)))
+        return parts
 
     failures = 0
     for _ in range(trials):
-        f, h = rand_poly(), rand_poly()
-        if to_complex(star_product(f, h)) != to_complex(f) * to_complex(h):
+        f, h = draw(), draw()
+        rows: dict[int, list[int]] = {}
+        for p, q, d in defects:
+            for i, a in f[p]:
+                for j, b in h[q]:
+                    ab = a * b
+                    rows[i + j] = [r + c * ab for r, c in
+                                   zip(rows.get(i + j, (0, 0, 0, 0)), d)]
+        if any(any(row) for row in rows.values()):
             failures += 1
     return failures
 

@@ -19,6 +19,7 @@ from bigla.scalars import ONE, ZETA
 from bigla.uea import EnvelopingAlgebra
 
 from test_cli_golden import GOLDEN, NF_BCH
+from test_deformed import MUTATIONS
 
 
 @pytest.fixture()
@@ -464,6 +465,17 @@ def test_appendix_iso_check(capsys):
     out = capsys.readouterr().out
     assert "untwisting is multiplicative" in out
     assert "products differ" in out
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_appendix_iso_check_reports_failures(mutation, monkeypatch, capsys):
+    name, value, _ = MUTATIONS[mutation]
+    monkeypatch.setattr(f"bigla.deformed.{name}", value)
+    assert main(["--seed", "8", "appendix", "iso-check",
+                 "--degree", "8", "--trials", "200"]) == 1
+    assert capsys.readouterr().out == (
+        "191 multiplicativity FAILURES\n"
+        "star square of x: -x^2 vs pointwise x^2 (products differ)\n")
 
 
 def test_appendix_character(capsys):

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from bigla.deformed import (ConjSymPoly, DEGREE_BOUND, EvenOddPoly,
+from bigla import deformed
+from bigla.deformed import (ConjSymPoly, DEGREE_BOUND, EvenOddPoly, MAX_TRIAL_WORK,
                             character_at, parse_poly, star_product,
-                            star_vs_pointwise_distinguisher, to_complex)
+                            star_vs_pointwise_distinguisher, to_complex,
+                            untwisting_failures)
 from bigla.errors import DegreeOverflow, NegativePoint
 from bigla.scalars import CycloScalar, I, ONE, ZETA
 
@@ -59,6 +61,67 @@ def test_untwisting_is_an_isomorphism():
         # evaluating the untwisted polynomial is the evaluation character
         for a in (Fraction(0), Fraction(2)):
             assert to_complex(f).evaluate(a) == character_at(f, a)[0]
+
+
+def _untwisted(f, h):
+    return to_complex(star_product(f, h)) == to_complex(f) * to_complex(h)
+
+
+def _oracle_failures(degree, trials, rng, multiplicative=_untwisted):
+    """The untwisting sweep on the object path: the same draws as
+    EvenOddPolys; a pair fails when multiplicative(f, h) is false."""
+    def rand_poly():
+        return EvenOddPoly({k: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                            for k in range(degree + 1) if rng.random() < 0.7})
+
+    failures = 0
+    for _ in range(trials):
+        f, h = rand_poly(), rand_poly()
+        if not multiplicative(f, h):
+            failures += 1
+    return failures
+
+
+def _same_sweep(degree, trials, seed, multiplicative=_untwisted):
+    """Run the int sweep and the oracle on one seed; their failure counts,
+    after checking that both leave the generator in the same state."""
+    fast, slow = random.Random(seed), random.Random(seed)
+    got = untwisting_failures(degree, trials, fast)
+    want = _oracle_failures(degree, trials, slow, multiplicative)
+    assert fast.getstate() == slow.getstate(), (degree, trials, seed)
+    return got, want
+
+
+def test_int_sweep_matches_the_object_path():
+    for degree in range(33):
+        trials = min(12, MAX_TRIAL_WORK // (degree + 1) ** 2)
+        for seed in (degree, 1000 + degree):
+            got, want = _same_sweep(degree, trials, seed)
+            assert got == want == 0, (degree, seed)
+    assert _same_sweep(0, 500, 7) == (0, 0)
+
+
+# each mutation with the object path that makes the same mistake: the star
+# product without its odd x odd sign is the pointwise one; to_complex
+# without its factor i on odd powers is the identity
+MUTATIONS = {
+    "no-odd-sign": ("_TWIST", ((1, 1), (1, 1)),
+                    lambda f, h: to_complex(f.pointwise_mul(h))
+                    == to_complex(f) * to_complex(h)),
+    "no-factor-i": ("_UNTWIST", ((1, 0, 0, 0), (1, 0, 0, 0)),
+                    lambda f, h: star_product(f, h) == f.pointwise_mul(h)),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_int_sweep_sees_a_broken_untwisting(mutation, monkeypatch):
+    name, value, multiplicative = MUTATIONS[mutation]
+    monkeypatch.setattr(deformed, name, value)
+    got, want = _same_sweep(8, 200, 8, multiplicative)
+    assert got == want and got > 150
+    for degree, seed in ((1, 3), (2, 5), (5, 11), (17, 13), (32, 17)):
+        got, want = _same_sweep(degree, 10, seed, multiplicative)
+        assert got == want, (degree, seed)
 
 
 def test_characters_are_multiplicative():
