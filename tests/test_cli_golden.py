@@ -131,6 +131,15 @@ def commands() -> list[list[str]]:
     out += [["examples", "export", name] for name in sorted(catalog())]
     path = f"{{dir}}/{FLIPPED[0]}.json"
     out += [["check", path], ["--json", "check", path], ["rebraid", path]]
+    # --json results of the commands that write a table or evaluate a
+    # polynomial, whose human output prints only part of what they compute
+    for name in LIE:
+        out += [["--json", "unbraid", f"{{dir}}/{name}.json"],
+                ["--json", "rebraid", f"{{dir}}/{name}-super.json"]]
+    out += [["--json", "examples", "export", "so3"],
+            ["--json", "appendix", "star", "--f", "1+x", "--g", "1-x"],
+            ["--json", "appendix", "character", "--f", "x^2+1", "--a", "2"],
+            ["--json", "appendix", "iso-check", "--degree", "8", "--trials", "200"]]
     return out
 
 
