@@ -103,26 +103,30 @@ def _size(text: str) -> int:
 
 def _output(args, a):
     """Write an algebra file to args.output, or make it the command's output."""
-    text = schema.dumps(a)
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text)
+            fh.write(schema.dumps(a))
         return 0, {"ok": True, "written": args.output}, [f"wrote {args.output}"]
-    return 0, schema.to_doc(a), [text.rstrip("\n")]
-
-
-def _emit(args, result: dict, lines: list[str], elapsed: float):
-    if args.timing:
-        result["elapsed_s"] = round(elapsed, 3)
-        lines = lines + [f"elapsed: {elapsed:.3f}s"]
     if args.json:
+        return 0, schema.to_doc(a), []
+    return 0, None, [schema.dumps(a).rstrip("\n")]
+
+
+def _emit(args, result: Optional[dict], lines: list[str], elapsed: float):
+    if args.json:
+        if args.timing:
+            result["elapsed_s"] = round(elapsed, 3)
         print(json.dumps(result, indent=2, sort_keys=True))
     else:
+        if args.timing:
+            lines = lines + [f"elapsed: {elapsed:.3f}s"]
         for line in lines:
             print(line)
 
 
-# command handlers, each returns (exit code, json result, human lines)
+# command handlers, each returns (exit code, json result, human lines); a
+# handler whose result costs work beyond its lines builds it only under
+# --json and returns None for it otherwise
 
 def cmd_check(args):
     a = _load(args.file)
@@ -298,25 +302,25 @@ def cmd_appendix_star(args):
         out = star_product(f, h)
     except (ValueError, BiglaError) as exc:
         raise _Fail(str(exc)) from exc
-    result = {"f": f.pretty(), "g": h.pretty(), "star": out.pretty(),
-              "pointwise": f.pointwise_mul(h).pretty()}
-    return 0, result, [out.pretty()]
+    star = out.pretty()
+    result = ({"f": f.pretty(), "g": h.pretty(), "star": star,
+               "pointwise": f.pointwise_mul(h).pretty()} if args.json else None)
+    return 0, result, [star]
 
 
 def cmd_appendix_iso_check(args):
     failures = untwisting_failures(args.degree, args.trials, random.Random(args.seed))
     cert = star_vs_pointwise_distinguisher(3)
     ok = failures == 0 and cert.separates
+    star, pointwise = cert.star_square.pretty(), cert.pointwise_square.pretty()
     result = {"trials": args.trials, "degree": args.degree,
               "failures": failures,
-              "distinguisher": {"star_square": cert.star_square.pretty(),
-                                "pointwise_square": cert.pointwise_square.pretty(),
+              "distinguisher": {"star_square": star, "pointwise_square": pointwise,
                                 "separates": cert.separates},
-              "ok": ok}
+              "ok": ok} if args.json else None
     lines = [f"untwisting is multiplicative on {args.trials} random pairs"
              if failures == 0 else f"{failures} multiplicativity FAILURES",
-             f"star square of x: {cert.star_square.pretty()} vs pointwise "
-             f"{cert.pointwise_square.pretty()} "
+             f"star square of x: {star} vs pointwise {pointwise} "
              + ("(products differ)" if cert.separates else "(no separation!)")]
     return (0 if ok else 1), result, lines
 
@@ -328,9 +332,10 @@ def cmd_appendix_character(args):
     except ValueError as exc:
         raise _Fail(str(exc)) from exc
     value, tag = character_at(f, a)
-    result = {"f": f.pretty(), "a": str(a), "value": value.pretty(),
-              "residue": tag}
-    return 0, result, [f"character at {a}: {value.pretty()}  [{tag}]"]
+    text = value.pretty()
+    result = ({"f": f.pretty(), "a": str(a), "value": text, "residue": tag}
+              if args.json else None)
+    return 0, result, [f"character at {a}: {text}  [{tag}]"]
 
 
 def cmd_examples_list(args):

@@ -15,6 +15,8 @@ from .errors import DegreeViolation, SpaceMismatch
 from .scalars import BiDegree, CycloScalar, ONE, ScalarLike
 from .sparse import Combination, add_scaled
 
+_new = object.__new__
+
 
 class BiGradedSpace:
     def __init__(self, basis: Sequence[tuple[str, BiDegree]], name: str = ""):
@@ -66,6 +68,15 @@ class Vector(Combination):
     def __init__(self, space: BiGradedSpace, coeffs: Mapping[int, CycloScalar]):
         self.space = space
         super().__init__(coeffs)
+
+    @classmethod
+    def of_nonzero(cls, space: BiGradedSpace, coeffs: dict[int, CycloScalar]) -> "Vector":
+        """The vector with coeffs, a dict that holds no zero and that the
+        caller hands over: it is kept as it is, not filtered or copied."""
+        v = _new(cls)
+        v.space = space
+        v.coeffs = coeffs
+        return v
 
     def base(self) -> tuple:
         return (self.space,)
@@ -172,7 +183,7 @@ class BilinearMap:
         for (i, j), v in constants.items():
             if v.space is not space and v.space != space:
                 raise SpaceMismatch("structure constant vector not in the space")
-            if v:
+            if v.coeffs:
                 self.constants[(i, j)] = v
 
     def pair(self, i: int, j: int) -> Vector:

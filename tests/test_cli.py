@@ -11,9 +11,12 @@ import time
 import pytest
 
 import bigla
+from bigla import schema
 from bigla.cli import _match, build_parser, main
 from bigla.schema import dumps, scalar_to_json, to_doc
 from bigla.catalog import catalog, catalog_lie, odd_pair, so3, unitary_example
+from bigla.deformed import EvenOddPoly
+from bigla.equivalence import unbraid
 from bigla.linalg import Echelon
 from bigla.scalars import ONE, ZETA
 from bigla.uea import EnvelopingAlgebra
@@ -695,3 +698,86 @@ def test_a_closed_stdout_ends_quietly_with_the_command_code(argv, code):
         os.close(write_end)
     assert proc.stderr == b""
     assert proc.returncode == code
+
+
+def test_a_utf8_file_loads_under_an_ascii_locale(tmp_path):
+    """JSON interchange is UTF-8 (RFC 8259, section 8.1): a file loads the
+    same whatever encoding the locale names."""
+    doc = to_doc(so3())
+    doc["basis"][0]["label"] = "\u00e9"
+    path = tmp_path / "accent.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(bigla.__file__).parent.parent),
+               LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    proc = subprocess.run([sys.executable, "-m", "bigla.cli", "check", str(path)],
+                          capture_output=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == b"antisymmetry: ok\nhomogeneity: ok\njacobi: ok\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["unbraid", "{dir}/so3.json"],
+    ["rebraid", "{dir}/so3-super.json"],
+    ["examples", "export", "so3", "-o", "{dir}/out.json"],
+], ids=["unbraid", "rebraid", "export-o"])
+def test_a_table_in_human_output_builds_no_document(argv, tmp_path, monkeypatch,
+                                                    capsys):
+    """A table printed or written as text is written straight from the
+    algebra: no document dict, no json.dumps."""
+    sup = dumps(unbraid(so3()))
+    (tmp_path / "so3.json").write_text(dumps(so3()))
+    (tmp_path / "so3-super.json").write_text(sup)
+    calls = []
+    for owner, name in ((schema, "to_doc"), (json, "dumps")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name, **kw:
+                            calls.append(_name) or _real(*a, **kw))
+    assert main([a.format(dir=tmp_path) for a in argv]) == 0
+    out = capsys.readouterr().out
+    assert calls == []
+    if argv[0] == "examples":
+        assert out == f"wrote {tmp_path}/out.json\n"
+        assert (tmp_path / "out.json").read_text() == dumps(so3())
+    else:
+        assert out == (sup if argv[0] == "unbraid" else dumps(so3()))
+
+
+@pytest.mark.parametrize("argv, counts", [
+    (["appendix", "star", "--f", "1+x", "--g", "1-x"],
+     {"polynomial": 1, "scalar": 2, "pointwise": 0}),
+    # the distinguisher's certificate holds the pointwise square of x
+    (["appendix", "iso-check", "--degree", "3", "--trials", "2"],
+     {"polynomial": 2, "scalar": 2, "pointwise": 1}),
+    (["appendix", "character", "--f", "x^2+1", "--a", "2"],
+     {"polynomial": 0, "scalar": 1, "pointwise": 0}),
+], ids=["star", "iso-check", "character"])
+def test_appendix_human_output_renders_each_string_once(argv, counts, monkeypatch,
+                                                         capsys):
+    """The appendix commands print one or two values: they render those once
+    and build the --json result, with its extra strings and the pointwise
+    product, only under --json.  A polynomial prints each coefficient
+    through the scalar printer."""
+    calls = dict.fromkeys(counts, 0)
+    for owner, name, key in ((EvenOddPoly, "pretty", "polynomial"),
+                             (bigla.scalars.CycloScalar, "pretty", "scalar"),
+                             (EvenOddPoly, "pointwise_mul", "pointwise")):
+        real = getattr(owner, name)
+
+        def counted(*a, _real=real, _key=key):
+            calls[_key] += 1
+            return _real(*a)
+        monkeypatch.setattr(owner, name, counted)
+    assert main(argv) == 0
+    assert calls == counts
+
+
+def test_timing_extends_results_built_only_under_json(so3_file, capsys):
+    assert main(["--timing", "unbraid", so3_file]) == 0
+    text, last = capsys.readouterr().out.rsplit("elapsed: ", 1)
+    assert text == dumps(unbraid(so3()))
+    assert last.endswith("s\n")
+    for argv in (["unbraid", so3_file], ["appendix", "star", "--f", "x", "--g", "x"]):
+        assert main(["--json", "--timing", *argv]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "elapsed_s" in doc
+        assert ("kind" in doc) if argv[0] == "unbraid" else (doc["star"] == "-x^2")

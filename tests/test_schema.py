@@ -274,3 +274,56 @@ def test_dumps_is_stable_and_file_round_trips(tmp_path):
     target = tmp_path / "so3.json"
     target.write_text(dumps(so3()))
     assert dumps(load_path(str(target))) == text
+
+
+MISPLACED = {"left": 1, "right": 0, "value": []}
+
+
+@pytest.mark.parametrize("rows, message", [
+    # a malformed row anywhere in the table is reported before a row that
+    # stores left > right
+    ([MISPLACED, {"left": 0, "right": 1}],
+     "bracket row needs left, right, value: {'left': 0, 'right': 1}"),
+    ([MISPLACED, {"left": 0, "right": 3, "value": []}], "bracket index 3 out of range"),
+    ([MISPLACED, {"left": 0, "right": 1, "value": [{"basis": 3, "coeff": {}}]}],
+     "basis index 3 out of range"),
+    ([MISPLACED, {"left": 2, "right": 1, "value": {}}],
+     "value must be a list of terms, got {}"),
+    ([MISPLACED, {"left": 0, "right": 1, "value": []},
+      {"left": 0, "right": 1, "value": []}], "duplicate bracket entry (0, 1)"),
+    ([MISPLACED, MISPLACED], "duplicate bracket entry (1, 0)"),
+    ([MISPLACED, {"left": 0, "right": 2, "value": [
+        {"basis": 1, "coeff": {"zeta8": ["1/0", "0", "0", "0"]}}]}],
+     "zero denominator in '1/0'"),
+    # with no malformed row, the first misplaced row is named, also when an
+    # earlier row stores its mirror
+    ([{"left": 0, "right": 1, "value": []}, {"left": 2, "right": 0, "value": []},
+      MISPLACED], "store only left <= right, got (2, 0)"),
+    ([{"left": 0, "right": 1, "value": [{"basis": 2, "coeff": {"zeta8": [1, 0, 0, 0]}}]},
+      MISPLACED], "store only left <= right, got (1, 0)"),
+], ids=["row-keys", "row-index", "basis-index", "value-type", "duplicate",
+        "duplicate-misplaced", "zero-denominator", "first-misplaced", "mirror-stored"])
+def test_which_fault_a_bracket_table_reports(rows, message):
+    doc = to_doc(so3())
+    doc["brackets"] = rows
+    with pytest.raises(ValueError) as exc:
+        from_doc(doc)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("component", [["1"], {"q": "1"}, None, 1.5, True])
+def test_a_component_of_the_wrong_type_is_refused_after_a_repeat(component):
+    # a list or an object cannot be looked up among the coefficients read
+    # so far; true and 1.5 can, and must still fail the type test
+    terms = [["1", "0", "0", "0"], [1, 0, 0, 0], [component, 0, 0, 0]]
+    with pytest.raises(ValueError) as exc:
+        from_doc(_so3_with_terms(terms))
+    assert str(exc.value) == f"rational component must be a string, got {component!r}"
+
+
+def test_load_path_reads_utf8_bytes(tmp_path):
+    doc = to_doc(so3())
+    doc["basis"][0]["label"] = "é"
+    path = tmp_path / "accent.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    assert load_path(str(path)).space.labels[0] == "é"

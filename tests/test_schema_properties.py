@@ -1,17 +1,21 @@
-"""Property tests of the JSON schema: random tables of every kind survive a
-dump and reload byte for byte, associative tables keep their product
-constants and unit exactly, and the loader agrees with a reference loader
-that parses every coefficient where it stands."""
+"""Property tests of the JSON schema: dumps writes, byte for byte, the
+document the old dict builder below describes; random tables of every kind
+survive a dump and reload byte for byte, associative tables keep their
+product constants and unit exactly, and the loader agrees with a reference
+loader that parses every coefficient where it stands."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from bigla.equivalence import SuperLieAlgebraWithInvolution
+from bigla.catalog import catalog
+from bigla.equivalence import SuperLieAlgebraWithInvolution, unbraid
 from bigla.lie import BiGradedAssocAlgebra, BiGradedLieAlgebra
 from bigla.linear import BiGradedSpace, BilinearMap, Vector
-from bigla.scalars import CycloScalar, degree, parse_rational, sign_deligne, sign_super
-from bigla.schema import KIND_ASSOC, KIND_LIE, KIND_SUPER, dumps, loads
+from bigla.scalars import (ALL_DEGREES, CycloScalar, degree, parse_rational,
+                           sign_deligne, sign_super)
+from bigla.schema import KIND_ASSOC, KIND_LIE, KIND_SUPER, dumps, loads, to_doc
 from bigla.sparse import add_term
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -21,19 +25,79 @@ given, settings = hypothesis.given, hypothesis.settings
 from test_sweep_properties import homogeneous_tables, scalars, spaces  # noqa: E402
 
 
+def oracle_scalar(c):
+    return {"zeta8": [str(q) for q in c.rationals()]}
+
+
+def oracle_value(v):
+    return [{"basis": k, "coeff": oracle_scalar(c)} for k, c in sorted(v.coeffs.items())]
+
+
+def oracle_table(m, upper_only):
+    return [{"left": i, "right": j, "value": oracle_value(v)}
+            for (i, j), v in sorted(m.constants.items())
+            if v.coeffs and not (upper_only and i > j)]
+
+
+def oracle_doc(a):
+    """The document of a as a dict, built from Fraction coordinates: the
+    format dumps writes as text, json.dumps(doc, indent=2, sort_keys=True)."""
+    basis = [{"label": lab, "degree": [d.eps1, d.eps2]}
+             for lab, d in zip(a.space.labels, a.space.degrees)]
+    if isinstance(a, SuperLieAlgebraWithInvolution):
+        return {"kind": KIND_SUPER, "name": a.algebra.name, "basis": basis,
+                "brackets": oracle_table(a.algebra.bracket, True),
+                "involution": list(a.involution)}
+    if isinstance(a, BiGradedAssocAlgebra):
+        return {"kind": KIND_ASSOC, "name": a.name, "basis": basis,
+                "products": oracle_table(a.product, False),
+                "unit": None if a.unit is None else oracle_value(a.unit)}
+    assert a.sign is sign_deligne
+    return {"kind": KIND_LIE, "name": a.name, "basis": basis,
+            "brackets": oracle_table(a.bracket, True)}
+
+
+# characters JSON escapes or that ensure_ascii spells as \u escapes: a
+# quote, a backslash, control characters, non-ASCII inside and outside the BMP
+awkward = st.text(st.sampled_from('x"\\/\u00e9\u2603\U0001f600\n\t \x7f'), max_size=5)
+# the loader takes labels without commas or edge spaces, and any name
+labels = awkward.map(str.strip).filter(bool)
+
+
+@st.composite
+def awkward_spaces(draw):
+    degrees = draw(st.lists(st.sampled_from(ALL_DEGREES), min_size=1, max_size=4))
+    names = draw(st.lists(labels, min_size=len(degrees), max_size=len(degrees),
+                          unique=True))
+    return BiGradedSpace(list(zip(names, degrees)))
+
+
+# coordinates over denominators above 1, with numerators of several digits,
+# as well as the small ones
+wide_rationals = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 60))
+coefficients = scalars | st.builds(CycloScalar, wide_rationals, wide_rationals,
+                                   wide_rationals, wide_rationals)
+
+
+def tables(space):
+    return st.just(BilinearMap(space, {})) | homogeneous_tables(space, coefficients)
+
+
 @st.composite
 def lie_tables(draw, sign=sign_deligne):
-    space = draw(spaces())
-    return BiGradedLieAlgebra(space, draw(homogeneous_tables(space)), name="random",
-                              sign=sign)
+    space = draw(awkward_spaces())
+    return BiGradedLieAlgebra(space, draw(tables(space)), name=draw(awkward), sign=sign)
 
 
 @st.composite
 def assoc_tables(draw):
-    space = draw(spaces())
-    unit = draw(st.none() | st.dictionaries(st.integers(0, space.dim - 1), scalars)
-                .map(lambda coeffs: Vector(space, coeffs)))
-    return BiGradedAssocAlgebra(space, draw(homogeneous_tables(space)), unit=unit)
+    space = draw(awkward_spaces())
+    nonzero = st.dictionaries(st.integers(0, space.dim - 1), coefficients.filter(bool),
+                              min_size=1)
+    unit = draw(st.none() | st.just(space.zero())
+                | nonzero.map(lambda coeffs: Vector(space, coeffs)))
+    return BiGradedAssocAlgebra(space, draw(tables(space)), unit=unit,
+                                name=draw(awkward))
 
 
 @st.composite
@@ -43,8 +107,39 @@ def super_tables(draw):
     return SuperLieAlgebraWithInvolution(g, signs)
 
 
+any_tables = st.one_of(lie_tables(), assoc_tables(), super_tables())
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_tables)
+def test_dumps_writes_the_oracle_document(a):
+    """dumps writes the text straight from the table and the scalars' int
+    coordinates; json.dumps of the dict built from Fraction coordinates is
+    the same text, and to_doc reads it back to that dict."""
+    doc = oracle_doc(a)
+    assert dumps(a) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert to_doc(a) == doc
+
+
+def test_dumps_writes_the_oracle_document_of_every_catalog_file():
+    written = [make() for kind, make in catalog().values()]
+    written += [unbraid(make()) for kind, make in catalog().values() if kind == "lie"]
+    for a in written:
+        assert dumps(a) == json.dumps(oracle_doc(a), indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(lie_tables(sign_super))
+def test_a_bare_super_rule_table_is_not_written(g):
+    # its mirror entries would come back with the Deligne rule on reload
+    with pytest.raises(TypeError, match="^cannot serialize BiGradedLieAlgebra$"):
+        dumps(g)
+    with pytest.raises(TypeError, match="^cannot serialize BiGradedLieAlgebra$"):
+        to_doc(g)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(lie_tables(), assoc_tables(), super_tables()))
+@given(any_tables)
 def test_dump_load_dump_is_the_identity(a):
     """A table of every kind reloads to one that dumps to the same bytes. A
     file keeps the entries with left <= right and the reload fills in the rest
@@ -53,6 +148,7 @@ def test_dump_load_dump_is_the_identity(a):
     20 (1979))."""
     text = dumps(a)
     assert dumps(loads(text)) == text
+    assert dumps(loads(text.encode("utf-8"))) == text
 
 
 @settings(max_examples=60, deadline=None)

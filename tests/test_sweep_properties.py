@@ -48,9 +48,10 @@ def spaces(draw, max_dim=4):
 
 
 @st.composite
-def homogeneous_tables(draw, space):
+def homogeneous_tables(draw, space, coefficients=scalars):
     """Constants on random basis pairs, each value a combination of the basis
-    vectors of degree deg(i) + deg(j); neither Lie nor associative."""
+    vectors of degree deg(i) + deg(j) with coefficients drawn from
+    coefficients; neither Lie nor associative."""
     n = space.dim
     degrees = space.degrees
     constants = {}
@@ -59,7 +60,7 @@ def homogeneous_tables(draw, space):
     for i, j in pairs:
         allowed = space.component(degrees[i] + degrees[j])
         if allowed:
-            coeffs = draw(st.dictionaries(st.sampled_from(allowed), scalars,
+            coeffs = draw(st.dictionaries(st.sampled_from(allowed), coefficients,
                                           max_size=len(allowed)))
             constants[(i, j)] = Vector(space, coeffs)
     return BilinearMap(space, constants)
