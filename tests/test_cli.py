@@ -18,7 +18,7 @@ from bigla.catalog import catalog, catalog_lie, odd_pair, so3, unitary_example
 from bigla.deformed import EvenOddPoly
 from bigla.equivalence import unbraid
 from bigla.linalg import Echelon
-from bigla.scalars import ONE, ZETA
+from bigla.scalars import ONE, ZETA, CycloScalar
 from bigla.uea import EnvelopingAlgebra
 
 from test_cli_golden import GOLDEN, NF_BCH
@@ -759,7 +759,7 @@ def test_appendix_human_output_renders_each_string_once(argv, counts, monkeypatc
     through the scalar printer."""
     calls = dict.fromkeys(counts, 0)
     for owner, name, key in ((EvenOddPoly, "pretty", "polynomial"),
-                             (bigla.scalars.CycloScalar, "pretty", "scalar"),
+                             (CycloScalar, "pretty", "scalar"),
                              (EvenOddPoly, "pointwise_mul", "pointwise")):
         real = getattr(owner, name)
 
