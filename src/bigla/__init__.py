@@ -5,25 +5,20 @@ from .scalars import (ALL_DEGREES, BiDegree, CycloScalar, D00, D01, D10, D11,
                       sign_deligne, sign_super, sign_unbraid)
 from .linear import AntiLinearMap, BiGradedSpace, BilinearMap, LinearMap, Vector
 from .linalg import Matrix
-from .lie import (AlgebraMorphism, BiGradedAssocAlgebra, BiGradedLieAlgebra,
-                  CartanPairReport, cartan_pair, check_antisymmetry,
-                  check_homogeneity, check_jacobi, check_lie, check_morphism,
-                  commutator_lie, even_subalgebra, is_lie, jacobiator,
-                  require_lie, subalgebra_on)
+from .lie import (BiGradedAssocAlgebra, BiGradedLieAlgebra, check_antisymmetry,
+                  check_homogeneity, check_jacobi, check_lie, commutator_lie,
+                  jacobiator, require_lie)
 from .equivalence import (AlphaCheckResult, SuperLieAlgebraWithInvolution,
-                          SuperMorphism, alpha_sweep, cartan_sign_flip,
-                          involution_from_bidegree, jacobiator_alpha_check,
-                          morphism_transfer, rebraid, twist, unbraid)
-from .catalog import (MatrixRep, algebra_B, algebra_B_rep, catalog_lie,
-                      check_assoc_rep, check_lie_rep, m2_superalgebra,
-                      mat2_adapted_basis, mat2_star, odd_pair, so3,
-                      so3_group_automorphism, so3_group_elements,
-                      so3_standard_rep, so12, tilde_extension,
-                      unitary_embedding, unitary_example, upper_triangular3)
+                          alpha_sweep, involution_from_bidegree,
+                          jacobiator_alpha_check, rebraid, twist, unbraid)
+from .catalog import (MatrixRep, algebra_B, m2_superalgebra, mat2_adapted_basis,
+                      mat2_star, odd_pair, so3, so3_group_automorphism,
+                      so3_group_elements, so3_standard_rep, so12,
+                      tilde_extension, unitary_example, upper_triangular3)
 from .uea import (MAX_TRUNCATION, EnvelopingAlgebra, TensorElement,
                   UEAElement, antipode, counit, delta, delta_slot, delta_word,
                   hopf_failures, normal_form, normal_form_random, pbw_dims,
-                  pbw_factorize, uea_multiply, weyl_map)
+                  uea_multiply, weyl_map)
 from .hc import (Functional, bch_product, commutativity_failures, convolution,
                  convolution_commutes, equivariant_functionals,
                  equivariant_hom_basis, inner_automorphism_check)

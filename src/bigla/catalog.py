@@ -1,8 +1,8 @@
 """Worked algebras: rotation algebras, the quaternion-like commutative
 algebra on generators q1,q2,q3, its tilde extension of a Z2-graded algebra,
 and the bi-graded Lie algebra of a 2x2 matrix algebra with a star operation,
-together with matrix representations and the embedding that proves the
-unitary bracket satisfies Jacobi.
+together with the standard representation of so3 and the group elements
+whose conjugation ``hc inner-check`` tests.
 
 Conventions used throughout: q1^2 = i, q2^2 = -i, q3^2 = 1, q1q2 = q3,
 q1q3 = i q2, q2q3 = -i q1, all commuting; i is zeta8^2.
@@ -15,12 +15,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import BasisNotAdapted, DegreeViolation, NotAssociative, NotClosed
-from .lie import (AlgebraMorphism, BiGradedAssocAlgebra, BiGradedLieAlgebra,
-                  commutator_lie)
+from .lie import BiGradedAssocAlgebra, BiGradedLieAlgebra, commutator_lie
 from .linalg import Matrix
 from .linear import AntiLinearMap, BiGradedSpace, BilinearMap, LinearMap, Vector
-from .scalars import (BiDegree, CycloScalar, D00, D01, D10, D11, I, ONE, ZETA,
-                      sign_deligne)
+from .scalars import BiDegree, CycloScalar, D00, D01, D10, D11, I, ONE, sign_deligne
 
 
 def _rotation(name: str, sign: int) -> BiGradedLieAlgebra:
@@ -264,33 +262,12 @@ def unitary_example() -> BiGradedLieAlgebra:
     return BiGradedLieAlgebra(space, BilinearMap(space, constants), name="unitary")
 
 
-def unitary_embedding() -> AlgebraMorphism:
-    """The block-tagged inclusion of the unitary algebra into the commutator
-    algebra of the tilde extension: u0 lands plainly, u1 via q1, h1 via q2,
-    h0 via q3.  check_morphism on the result certifies the case-table
-    bracket satisfies Jacobi by transport."""
-    a, star = mat2_star()
-    source = unitary_example()
-    target = commutator_lie(tilde_extension(a))
-    tspace = target.space
-    images = {}
-    for p, (_, v) in enumerate(mat2_adapted_basis(a)):
-        q = _BLOCK_Q[_block(star, v)]
-        entries = {}
-        for k, c in v.coeffs.items():
-            entries[tspace.index(a.space.labels[k] + _QSUFFIX[q])] = c
-        images[p] = Vector(tspace, entries)
-    phi = LinearMap(source.space, tspace, images)
-    return AlgebraMorphism(source, target, phi)
-
-
 @dataclass
 class MatrixRep:
     """Matrices attached to basis elements of a fixed space."""
 
     space: BiGradedSpace
     images: dict[int, Matrix]
-    name: str = ""
     dimension: int = field(init=False)
 
     def __post_init__(self):
@@ -309,29 +286,6 @@ class MatrixRep:
         return out
 
 
-def check_lie_rep(g: BiGradedLieAlgebra, rep: MatrixRep) -> list[tuple[int, int]]:
-    """Pairs where rho[a,b] != rho(a)rho(b) - sign(a,b) rho(b)rho(a), g's rule."""
-    bad = []
-    degs = g.space.degrees
-    for i in range(g.dim):
-        for j in range(g.dim):
-            s = g.sign(degs[i], degs[j])
-            lhs = rep.of_vector(g.basis_bracket(i, j))
-            rhs = rep.images[i] @ rep.images[j] - (rep.images[j] @ rep.images[i]).scale(s)
-            if lhs != rhs:
-                bad.append((i, j))
-    return bad
-
-
-def check_assoc_rep(a: BiGradedAssocAlgebra, rep: MatrixRep) -> list[tuple[int, int]]:
-    bad = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            if rep.of_vector(a.product.pair(i, j)) != rep.images[i] @ rep.images[j]:
-                bad.append((i, j))
-    return bad
-
-
 def so3_standard_rep() -> MatrixRep:
     g = so3()
     images = {
@@ -339,29 +293,7 @@ def so3_standard_rep() -> MatrixRep:
         1: Matrix([[0, 0, 1], [0, 0, 0], [-1, 0, 0]]),
         2: Matrix([[0, -1, 0], [1, 0, 0], [0, 0, 0]]),
     }
-    return MatrixRep(g.space, images, name="so3-std")
-
-
-def algebra_B_rep() -> MatrixRep:
-    """4x4 blocks over the 2x2 cells lam1 = z8.Id, lam2 = z8.[[0,1],[-1,0]]:
-    q1 = offdiag(lam1), q2 = offdiag(lam2), q3 = diag(lam1 lam2)."""
-    b = algebra_B()
-    z = ZETA
-    zero = CycloScalar.zero()
-    q1 = Matrix([[zero, zero, z, zero],
-                 [zero, zero, zero, z],
-                 [z, zero, zero, zero],
-                 [zero, z, zero, zero]])
-    q2 = Matrix([[zero, zero, zero, z],
-                 [zero, zero, -z, zero],
-                 [zero, z, zero, zero],
-                 [-z, zero, zero, zero]])
-    q3 = Matrix([[zero, I, zero, zero],
-                 [-I, zero, zero, zero],
-                 [zero, zero, zero, I],
-                 [zero, zero, -I, zero]])
-    images = {0: Matrix.identity(4), 1: q1, 2: q2, 3: q3}
-    return MatrixRep(b.space, images, name="qalgebra-4x4")
+    return MatrixRep(g.space, images)
 
 
 def so3_group_elements() -> dict[str, Matrix]:
@@ -398,11 +330,3 @@ def catalog() -> dict[str, tuple[str, object]]:
         "odd-pair": ("lie", odd_pair),
         "triangular3": ("assoc", upper_triangular3),
     }
-
-
-def catalog_lie() -> dict[str, BiGradedLieAlgebra]:
-    out = {}
-    for name, (kind, make) in catalog().items():
-        if kind == "lie":
-            out[name] = make()
-    return out

@@ -107,13 +107,15 @@ def _output(args, a):
         with open(args.output, "w") as fh:
             fh.write(schema.dumps(a))
         return 0, {"ok": True, "written": args.output}, [f"wrote {args.output}"]
-    if args.json:
+    if args.json and args.timing:
+        # the document takes elapsed_s; without it the file text is the JSON
         return 0, schema.to_doc(a), []
     return 0, None, [schema.dumps(a).rstrip("\n")]
 
 
 def _emit(args, result: Optional[dict], lines: list[str], elapsed: float):
-    if args.json:
+    # a file command's text is its --json output as it stands (_output)
+    if args.json and result is not None:
         if args.timing:
             result["elapsed_s"] = round(elapsed, 3)
         print(json.dumps(result, indent=2, sort_keys=True))

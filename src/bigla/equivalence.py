@@ -21,11 +21,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Collection
 
-from .errors import AlgebraMismatch, NotEvenType
-from .lie import (AlgebraMorphism, BiGradedLieAlgebra, check_lie, check_morphism,
-                  jacobiator, _residuals, _rotations, require_lie)
-from .linear import BiGradedSpace, BilinearMap, LinearMap, Vector
-from .scalars import BiDegree, D00, D11, sign_deligne, sign_super, sign_unbraid
+from .errors import AlgebraMismatch
+from .lie import (BiGradedLieAlgebra, check_lie, jacobiator, _residuals, _rotations,
+                  require_lie)
+from .linear import BiGradedSpace, BilinearMap, Vector
+from .scalars import BiDegree, sign_deligne, sign_super, sign_unbraid
 
 
 @dataclass
@@ -188,43 +188,3 @@ def alpha_sign_counts(g: BiGradedLieAlgebra) -> tuple[int, int]:
                for a in mult for b in mult for c in mult
                if _alpha_sign((a, b, c), 0, 1, 2) == 1)
     return plus, g.dim ** 3 - plus
-
-
-@dataclass
-class SuperMorphism:
-    source: SuperLieAlgebraWithInvolution
-    target: SuperLieAlgebraWithInvolution
-    map: LinearMap
-
-
-def morphism_transfer(phi: AlgebraMorphism) -> SuperMorphism:
-    """View a bi-graded morphism as a morphism of the unbraided algebras.
-
-    The twist signs depend only on degrees, which phi preserves, so the same
-    linear map intertwines the twisted brackets and the involutions: both
-    involutions are (-1)^eps2 of the degree, and a LinearMap is
-    degree-preserving.  The super bracket property is checked, not assumed:
-    AlgebraMismatch if it fails.
-    """
-    src = unbraid(phi.source)
-    tgt = unbraid(phi.target)
-    bad = check_morphism(AlgebraMorphism(src.algebra, tgt.algebra, phi.map))
-    if bad:
-        raise AlgebraMismatch(f"transferred map fails the super bracket at {bad[:5]}")
-    return SuperMorphism(src, tgt, phi.map)
-
-
-def cartan_sign_flip(g: BiGradedLieAlgebra) -> BiGradedLieAlgebra:
-    """Negate the g11 x g11 brackets of an algebra concentrated in degrees
-    (0,0) and (1,1).  Sends so3 to so12 and is its own inverse."""
-    for d in g.space.degrees:
-        if d not in (D00, D11):
-            raise NotEvenType("sign flip needs an algebra of even type")
-    degs = g.space.degrees
-    constants = {}
-    for (i, j), v in g.bracket.constants.items():
-        if degs[i] == D11 and degs[j] == D11:
-            v = -v
-        constants[(i, j)] = v
-    return BiGradedLieAlgebra(g.space, BilinearMap(g.space, constants),
-                              name=f"{g.name}-flip" if g.name else "")

@@ -1,8 +1,8 @@
 """Exception types shared across the kernel.
 
-Checks that *diagnose* (antisymmetry, Jacobi, homogeneity, morphism) return
-reports instead of raising; these exceptions are reserved for malformed or
-out-of-contract inputs, where no useful partial answer exists.
+Checks that *diagnose* (antisymmetry, Jacobi, homogeneity, associativity)
+return reports instead of raising; these exceptions are reserved for
+malformed or out-of-contract inputs, where no useful partial answer exists.
 """
 
 
@@ -26,11 +26,6 @@ class NotAssociative(BiglaError):
 
 class NotClosed(BiglaError):
     # restricting to a subset of the basis does not close under the bracket
-    pass
-
-
-class NotEvenType(BiglaError):
-    # operation needs an algebra concentrated in degrees (0,0) and (1,1)
     pass
 
 

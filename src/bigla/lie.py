@@ -9,14 +9,12 @@ unbraiding functor produces, and every checker judges a table by its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
-from typing import Callable, Collection, Mapping, Optional, Sequence
+from typing import Callable, Collection, Mapping, Optional
 
-from .errors import (AlgebraMismatch, DegreeViolation, InputNotLie, NotAssociative,
-                     NotClosed, NotEvenType, SpaceMismatch)
-from .linear import BiGradedSpace, BilinearMap, LinearMap, Vector
-from .scalars import BiDegree, CycloScalar, D00, D11, _times, sign_deligne
+from .errors import DegreeViolation, InputNotLie, NotAssociative, SpaceMismatch
+from .linear import BiGradedSpace, BilinearMap, Vector
+from .scalars import BiDegree, CycloScalar, _times, sign_deligne
 from .sparse import add_scaled
 
 SignRule = Callable[[BiDegree, BiDegree], int]
@@ -136,17 +134,6 @@ class BiGradedAssocAlgebra:
         return f"BiGradedAssocAlgebra({self.name or self.space.labels}, dim={self.dim})"
 
 
-@dataclass
-class AlgebraMorphism:
-    source: BiGradedLieAlgebra
-    target: BiGradedLieAlgebra
-    map: LinearMap
-
-    def __post_init__(self):
-        if self.map.source != self.source.space or self.map.target != self.target.space:
-            raise AlgebraMismatch("morphism map does not connect the given algebras")
-
-
 def check_antisymmetry(g: BiGradedLieAlgebra) -> list[tuple[int, int]]:
     """Pairs (i,j), i <= j, violating [a,b] = -sign(a,b)[b,a] under g's rule.
 
@@ -253,10 +240,6 @@ def check_lie(g: BiGradedLieAlgebra, only: Collection[str] = ()) -> dict[str, li
     return {name: run(g) for name, run in checks.items() if not only or name in only}
 
 
-def is_lie(g: BiGradedLieAlgebra) -> bool:
-    return not any(check_lie(g).values())
-
-
 def require_lie(g: BiGradedLieAlgebra):
     report = check_lie(g)
     failures = {k: v for k, v in report.items() if v}
@@ -284,75 +267,3 @@ def commutator_lie(a: BiGradedAssocAlgebra) -> BiGradedLieAlgebra:
                 constants[(i, j)] = v
     return BiGradedLieAlgebra(a.space, BilinearMap(a.space, constants),
                               name=f"[{a.name}]" if a.name else "")
-
-
-def subalgebra_on(g: BiGradedLieAlgebra, indices: Sequence[int],
-                  name: str = "") -> BiGradedLieAlgebra:
-    """Restrict to the span of the given basis indices; NotClosed if brackets leave it."""
-    kept = list(indices)
-    pos = {k: p for p, k in enumerate(kept)}
-    sub = BiGradedSpace([(g.space.labels[k], g.space.degrees[k]) for k in kept],
-                        name=name or f"{g.name}-sub")
-    constants = {}
-    for pi, i in enumerate(kept):
-        for pj, j in enumerate(kept):
-            v = g.basis_bracket(i, j)
-            if not v:
-                continue
-            if not set(v.coeffs) <= set(pos):
-                raise NotClosed(
-                    f"[{g.space.labels[i]},{g.space.labels[j]}] leaves the span")
-            constants[(pi, pj)] = Vector(sub, {pos[k]: c for k, c in v.coeffs.items()})
-    return BiGradedLieAlgebra(sub, BilinearMap(sub, constants), name=sub.name,
-                              sign=g.sign)
-
-
-def even_subalgebra(g: BiGradedLieAlgebra) -> BiGradedLieAlgebra:
-    """The parity-0 part g_00 + g_11, a Lie subalgebra since the bracket
-    has degree (0,0)."""
-    kept = [k for k, d in enumerate(g.space.degrees) if d.parity == 0]
-    return subalgebra_on(g, kept, name=f"{g.name}+" if g.name else "even")
-
-
-@dataclass
-class CartanPairReport:
-    g00: list[int]
-    g11: list[int]
-    violations: list[str]
-
-
-def cartan_pair(g: BiGradedLieAlgebra) -> CartanPairReport:
-    """Split an algebra concentrated in degrees (0,0) and (1,1) into (k, p)
-    and verify [k,k] <= k, [k,p] <= p, [p,p] <= k."""
-    for d in g.space.degrees:
-        if d not in (D00, D11):
-            raise NotEvenType("algebra has components outside degrees (0,0), (1,1)")
-    g00 = g.space.component(D00)
-    g11 = g.space.component(D11)
-    violations = []
-    blocks = {(0, 0): set(g00), (0, 1): set(g11), (1, 0): set(g11), (1, 1): set(g00)}
-    tags = {k: 0 for k in g00}
-    tags.update({k: 1 for k in g11})
-    for i in range(g.dim):
-        for j in range(g.dim):
-            v = g.basis_bracket(i, j)
-            if not v:
-                continue
-            allowed = blocks[(tags[i], tags[j])]
-            if not set(v.coeffs) <= allowed:
-                violations.append(
-                    f"[{g.space.labels[i]},{g.space.labels[j]}] leaves its block")
-    return CartanPairReport(g00, g11, violations)
-
-
-def check_morphism(phi: AlgebraMorphism) -> list[tuple[int, int]]:
-    """Basis pairs where phi[a,b] != [phi a, phi b]."""
-    bad = []
-    n = phi.source.dim
-    for i in range(n):
-        for j in range(n):
-            lhs = phi.map(phi.source.basis_bracket(i, j))
-            rhs = phi.target.bracket_of(phi.map.images[i], phi.map.images[j])
-            if lhs != rhs:
-                bad.append((i, j))
-    return bad

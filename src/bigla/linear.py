@@ -37,9 +37,6 @@ class BiGradedSpace:
             raise KeyError(f"no basis element {label!r} in {self.name or 'space'}")
         return self._index[label]
 
-    def component(self, deg: BiDegree) -> list[int]:
-        return [k for k, d in enumerate(self.degrees) if d == deg]
-
     def basis_vector(self, k: int) -> "Vector":
         return Vector(self, {k: ONE})
 

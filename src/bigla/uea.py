@@ -21,7 +21,7 @@ from math import comb, factorial
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import AlgebraMismatch, TruncationExceeded
-from .lie import BiGradedLieAlgebra, even_subalgebra, require_lie
+from .lie import BiGradedLieAlgebra, require_lie
 from .linear import BilinearMap
 from .scalars import BiDegree, CycloScalar, ONE, sign_deligne
 from .sparse import Combination, add_scaled, add_term
@@ -75,7 +75,6 @@ class EnvelopingAlgebra:
         self._layouts: dict[int, tuple] = {}
         self._lie_checked = False
         self._sym: Optional[EnvelopingAlgebra] = None
-        self._even: Optional[EnvelopingAlgebra] = None
 
     @property
     def dim(self) -> int:
@@ -177,12 +176,6 @@ class EnvelopingAlgebra:
                 name=f"sym({self.g.name})" if self.g.name else "sym")
             self._sym = EnvelopingAlgebra(abelian)
         return self._sym
-
-    def even_envelope(self) -> "EnvelopingAlgebra":
-        """Enveloping algebra of the parity-zero subalgebra."""
-        if self._even is None:
-            self._even = EnvelopingAlgebra(even_subalgebra(self.g))
-        return self._even
 
 
 def word_name(labels: Sequence[str], w: Word) -> str:
@@ -521,23 +514,3 @@ def pbw_dims(ctx: EnvelopingAlgebra, n_max: int) -> tuple[list[int], list[int]]:
             counted.extend(repeat(0, n_max + 1 - len(counted)))
             break
     return counted, formula
-
-
-def pbw_factorize(a: UEAElement) -> list[tuple[UEAElement, Word]]:
-    """Split along U(g) = U(g+) (x) odd exterior monomials.
-
-    Returns (even factor, odd word) pairs, odd words sorted; multiplying
-    each even factor (included into U(g)) by its odd word and summing
-    recovers the input.
-    """
-    ctx = a.ctx
-    even_ctx = ctx.even_envelope()
-    sub = even_ctx.g.space
-    groups: dict[Word, dict[Word, CycloScalar]] = {}
-    for w, c in a.coeffs.items():
-        cut = next((p for p, k in enumerate(w)
-                    if ctx.g.space.degrees[k].parity == 1), len(w))
-        even_word = tuple(sub.index(ctx.g.space.labels[k]) for k in w[:cut])
-        groups.setdefault(w[cut:], {})[even_word] = c
-    return [(even_ctx.element(terms), odd)
-            for odd, terms in sorted(groups.items())]

@@ -14,13 +14,14 @@ import bigla
 from bigla import schema
 from bigla.cli import _match, build_parser, main
 from bigla.schema import dumps, scalar_to_json, to_doc
-from bigla.catalog import catalog, catalog_lie, odd_pair, so3, unitary_example
+from bigla.catalog import catalog, odd_pair, so3, unitary_example
 from bigla.deformed import EvenOddPoly
 from bigla.equivalence import unbraid
 from bigla.linalg import Echelon
 from bigla.scalars import ONE, ZETA, CycloScalar
 from bigla.uea import EnvelopingAlgebra
 
+from test_catalog import catalog_lie
 from test_cli_golden import GOLDEN, NF_BCH
 from test_deformed import MUTATIONS
 
@@ -73,6 +74,18 @@ def test_check_passes_on_catalog_file(so3_file, capsys):
     assert "antisymmetry: ok" in out
     assert "jacobi: ok" in out
     assert "homogeneity: ok" in out
+
+
+def test_a_byte_order_mark_is_ignored(so3_file, tmp_path, capsys):
+    """Files are read as bytes and decoded as UTF-8, so a leading byte-order
+    mark changes nothing."""
+    assert main(["check", so3_file]) == 0
+    plain = capsys.readouterr()
+    marked = tmp_path / "so3-bom.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + pathlib.Path(so3_file).read_bytes())
+    assert main(["check", str(marked)]) == 0
+    assert capsys.readouterr() == plain
+    assert plain.out.count(": ok\n") == 3
 
 
 def test_check_reports_violations(broken_file, capsys):

@@ -16,21 +16,23 @@ from math import comb, factorial
 import pytest
 
 from bigla import hc
-from bigla.catalog import (algebra_B, catalog_lie, odd_pair, so3,
-                           so3_group_automorphism, so3_group_elements,
-                           so3_standard_rep, unitary_example)
+from bigla.catalog import (algebra_B, odd_pair, so3, so3_group_automorphism,
+                           so3_group_elements, so3_standard_rep, unitary_example)
 from bigla.errors import (AlgebraMismatch, DegreeViolation, NotOrthogonal,
                           OddInput, TruncationExceeded, TruncationMismatch,
                           TruncationTooSmall)
 from bigla.hc import (Functional, bch_product, convolution,
                       convolution_commutes, equivariant_functionals,
                       equivariant_hom_basis, inner_automorphism_check)
-from bigla.lie import commutator_lie, subalgebra_on
+from bigla.lie import commutator_lie
 from bigla.linalg import Echelon, Matrix
 from bigla.linear import Vector
 from bigla.scalars import CycloScalar, ONE, ZERO, sign_deligne
 from bigla.sparse import add_term
 from bigla.uea import EnvelopingAlgebra, UEAElement, delta_word, uea_multiply
+
+from test_catalog import catalog_lie
+from test_lie import reordered
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -184,7 +186,7 @@ def test_convolution_matches_the_expanded_coproduct_on_the_catalog(name):
     each degree block, and pairs with values on words convolution ignores."""
     g = catalog_lie()[name]
     rng = random.Random(name)
-    for ctx in (_ctx(g), _ctx(subalgebra_on(g, range(g.dim)[::-1]))):
+    for ctx in (_ctx(g), _ctx(reordered(g, range(g.dim)[::-1]))):
         for draw in (drawn_functional, mixed_functional, stray_functional):
             for _ in range(3):
                 phi, psi = draw(ctx, 4, rng), draw(ctx, 4, rng)
@@ -321,7 +323,7 @@ def test_convolution_commutes_agrees_with_the_convolved_functionals(name, monkey
     g = catalog_lie()[name]
     rng = random.Random(name)
     seen = set()
-    for ctx in (_ctx(g), _ctx(subalgebra_on(g, range(g.dim)[::-1]))):
+    for ctx in (_ctx(g), _ctx(reordered(g, range(g.dim)[::-1]))):
         for _ in range(4):
             phi, psi = _drawn_pair(ctx, 3, rng)
             lhs, rhs = convolution(phi, psi), convolution(psi, phi)
@@ -364,7 +366,7 @@ def test_signed_pass_matches_the_two_orders(name, monkeypatch):
     g = catalog_lie()[name]
     rng = random.Random(name)
     seen = set()
-    for ctx in (_ctx(g), _ctx(subalgebra_on(g, range(g.dim)[::-1]))):
+    for ctx in (_ctx(g), _ctx(reordered(g, range(g.dim)[::-1]))):
         for draw in (drawn_functional, mixed_functional, stray_functional):
             for _ in range(3):
                 phi, psi = draw(ctx, 4, rng), draw(ctx, 4, rng)

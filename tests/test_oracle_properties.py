@@ -21,16 +21,17 @@ form (Bergman, "The diamond lemma for ring theory", Adv. Math. 29, 1978).
 import pytest
 
 from bigla import hc
-from bigla.catalog import catalog_lie
-from bigla.lie import BiGradedLieAlgebra, check_lie, subalgebra_on
+from bigla.lie import BiGradedLieAlgebra, check_lie
 from bigla.linalg import Echelon, Matrix
 from bigla.linear import BilinearMap, Vector
 from bigla.scalars import ONE, ZERO, CycloScalar
 from bigla.uea import MAX_TRUNCATION, EnvelopingAlgebra, normal_form_random
 
+from test_catalog import catalog_lie
 from test_hc import (closed_form_basis, drawn_functional, elimination_basis,
                      expanded_convolution, mixed_functional, primitive_vector,
                      series_log)
+from test_lie import reordered
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -94,13 +95,13 @@ def rebased_lie_algebras(draw):
     n = g.dim
     rows = [[0] * n for _ in range(n)]
     for d in sorted(set(g.space.degrees)):
-        block = g.space.component(d)
+        block = [k for k, e in enumerate(g.space.degrees) if e == d]
         m = draw(block_matrices(len(block)))
         for r, i in enumerate(block):
             for c, j in enumerate(block):
                 rows[i][j] = m.rows[r][c]
     h = rebased(g, Matrix(rows))
-    return EnvelopingAlgebra(subalgebra_on(h, draw(st.permutations(range(n)))))
+    return EnvelopingAlgebra(reordered(h, draw(st.permutations(range(n)))))
 
 
 @settings(max_examples=25, deadline=None)

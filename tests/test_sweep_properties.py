@@ -58,7 +58,7 @@ def homogeneous_tables(draw, space, coefficients=scalars):
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           unique=True, max_size=n * n))
     for i, j in pairs:
-        allowed = space.component(degrees[i] + degrees[j])
+        allowed = [k for k, d in enumerate(degrees) if d == degrees[i] + degrees[j]]
         if allowed:
             coeffs = draw(st.dictionaries(st.sampled_from(allowed), coefficients,
                                           max_size=len(allowed)))
@@ -220,7 +220,7 @@ def perturbations(draw):
     labels = space.labels
     i, j = draw(st.sampled_from(labels)), draw(st.sampled_from(labels))
     target = space.degrees[space.index(i)] + space.degrees[space.index(j)]
-    homogeneous = [labels[k] for k in space.component(target)]
+    homogeneous = [labels[k] for k, d in enumerate(space.degrees) if d == target]
     k = draw(st.sampled_from(homogeneous) if homogeneous and draw(st.booleans())
              else st.sampled_from(labels))
     return name, i, j, k, draw(nonzero_scalars)

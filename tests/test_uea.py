@@ -7,10 +7,10 @@ from math import comb, factorial
 
 import pytest
 
-from bigla.catalog import algebra_B, catalog_lie, odd_pair, so3, unitary_example
+from bigla.catalog import algebra_B, odd_pair, so3, unitary_example
 from bigla.equivalence import unbraid
 from bigla.errors import AlgebraMismatch, InputNotLie, TruncationExceeded
-from bigla.lie import BiGradedLieAlgebra, commutator_lie, subalgebra_on
+from bigla.lie import BiGradedLieAlgebra, commutator_lie
 from bigla.linear import BilinearMap
 from bigla.linalg import Echelon
 from bigla.scalars import D00, MINUS_ONE, ONE, ZETA, CycloScalar
@@ -18,7 +18,10 @@ from bigla.sparse import add_scaled, add_term
 from bigla.uea import (DEGREE_OF_CODE, MAX_TRUNCATION, EnvelopingAlgebra,
                        TensorElement, antipode, counit, delta, delta_slot,
                        delta_word, normal_form, normal_form_random, pbw_dims,
-                       pbw_factorize, uea_multiply, weyl_map)
+                       weyl_map)
+
+from test_catalog import catalog_lie
+from test_lie import reordered
 
 
 def _so3_ctx():
@@ -106,7 +109,7 @@ def test_reversed_order_is_still_confluent():
     counts cannot depend on the choice."""
     g = unitary_example()
     default = EnvelopingAlgebra(g)
-    reversed_ctx = EnvelopingAlgebra(subalgebra_on(g, range(g.dim)[::-1]))
+    reversed_ctx = EnvelopingAlgebra(reordered(g, range(g.dim)[::-1]))
     # read back in g's indices, the reversed context's order is another one
     assert default.order != tuple(g.dim - 1 - k for k in reversed_ctx.order)
     assert pbw_dims(default, 3)[0] == pbw_dims(reversed_ctx, 3)[0]
@@ -274,31 +277,24 @@ def test_pbw_dims_hold_across_catalog():
 
 
 def test_pbw_factorize_round_trip():
+    """U(g) = U(g_0) (x) Lambda(g_1) on the PBW basis: every normal word of
+    the unitary algebra is a word in its parity-0 letters times a word of
+    distinct parity-1 letters, and the two factors multiply back to it."""
     ctx = _unitary_ctx()
-    rng = random.Random(31)
-    labels = ctx.g.space.labels
-    for _ in range(8):
-        a = _random_element(ctx, rng, n_words=3, max_len=3)
-        a = uea_multiply(a, ctx.one())  # normalize the words first
-        pairs = pbw_factorize(a)
-        rebuilt = ctx.element({})
-        for even_elt, odd_word in pairs:
-            lifted = ctx.element({})
-            for w, c in even_elt.coeffs.items():
-                parent = tuple(ctx.g.space.index(even_elt.ctx.g.space.labels[k])
-                               for k in w)
-                lifted = lifted + ctx.element({parent: c})
-            rebuilt = rebuilt + lifted * ctx.element({odd_word: ONE})
-        assert rebuilt == a
-        for _, odd_word in pairs:
-            assert all(ctx.g.space.degrees[k].parity == 1 for k in odd_word)
+    degs = ctx.g.space.degrees
+    for w in ctx.normal_words_up_to(4):
+        cut = next((p for p, k in enumerate(w) if degs[k].parity == 1), len(w))
+        odd = w[cut:]
+        assert all(degs[k].parity == 1 for k in odd) and len(set(odd)) == len(odd)
+        assert ctx.element({w[:cut]: ONE}) * ctx.element({odd: ONE}) == \
+            ctx.element({w: ONE})
 
 
 @pytest.mark.parametrize("name", sorted(catalog_lie()))
 def test_pbw_order_puts_every_even_letter_first(name):
     """The block order is even-first by construction, in any basis order."""
     g = catalog_lie()[name]
-    for h in (g, subalgebra_on(g, range(g.dim)[::-1])):
+    for h in (g, reordered(g, range(g.dim)[::-1])):
         ctx = EnvelopingAlgebra(h)
         flags = [ctx.exterior[k] for k in ctx.order]
         assert flags == sorted(flags)
@@ -316,7 +312,7 @@ def test_level_built_words_match_the_streaming_enumeration(name):
     g = catalog_lie()[name]
     longest = max(m for m in range(1, 20) if g.dim ** m <= 10 ** 5)
     assert longest > MAX_TRUNCATION or g.dim == 8
-    for h in (g, subalgebra_on(g, range(g.dim)[::-1])):
+    for h in (g, reordered(g, range(g.dim)[::-1])):
         ctx = EnvelopingAlgebra(h)
         filtered = [(w, _degree_sum(ctx, w)) for m in range(longest + 1)
                     for w in product(ctx.order, repeat=m) if _is_normal(ctx, w)]
