@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import BasisNotAdapted, DegreeViolation, NotAssociative, NotClosed
+from .errors import BiglaError
 from .lie import BiGradedAssocAlgebra, BiGradedLieAlgebra, commutator_lie
 from .linalg import Matrix
 from .linear import AntiLinearMap, BiGradedSpace, BilinearMap, LinearMap, Vector
@@ -81,10 +81,10 @@ def tilde_extension(c: BiGradedAssocAlgebra) -> BiGradedAssocAlgebra:
     """
     for d in c.space.degrees:
         if d.eps2 != 0:
-            raise DegreeViolation("tilde extension expects Z2 grading, degrees (p,0)")
+            raise BiglaError("tilde extension expects Z2 grading, degrees (p,0)")
     bad = c.check_associativity()
     if bad:
-        raise NotAssociative(f"input algebra fails associativity at {bad[:5]}")
+        raise BiglaError(f"input algebra fails associativity at {bad[:5]}")
 
     even = [k for k, d in enumerate(c.space.degrees) if d.eps1 == 0]
     odd = [k for k, d in enumerate(c.space.degrees) if d.eps1 == 1]
@@ -194,7 +194,7 @@ def _star_sign(star: AntiLinearMap, v: Vector) -> int:
         return 1
     if sv == -v:
         return -1
-    raise BasisNotAdapted(f"{v!r} is not a +-1 eigenvector of star")
+    raise BiglaError(f"{v!r} is not a +-1 eigenvector of star")
 
 
 def _block(star: AntiLinearMap, v: Vector) -> tuple[int, int]:
@@ -210,7 +210,7 @@ def _adapted_coordinates(target: Vector) -> list[Fraction]:
     def re_im(t: CycloScalar) -> tuple[Fraction, Fraction]:
         re, z, im, z3 = t.rationals()
         if z or z3:
-            raise NotClosed(f"bracket value leaves the rational span: {target!r}")
+            raise BiglaError(f"bracket value leaves the rational span: {target!r}")
         return re, im
 
     t11, t12, t21, t22 = (target.coeff(target.space.index(label))

@@ -34,23 +34,19 @@ from .sparse import add_term
 from .uea import EnvelopingAlgebra, hopf_failures, normal_form, pbw_dims, word_name
 
 
-class _Fail(Exception):
-    """Malformed input or bad usage: exit code 2."""
-
-
 def _load(path: str):
     try:
         return schema.load_path(path)
     except OSError as exc:
-        raise _Fail(f"cannot read {path}: {exc}") from exc
+        raise BiglaError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
-        raise _Fail(f"{path}: {exc}") from exc
+        raise BiglaError(f"{path}: {exc}") from exc
 
 
 def _load_lie(path: str) -> BiGradedLieAlgebra:
     a = _load(path)
     if not isinstance(a, BiGradedLieAlgebra):
-        raise _Fail(f"{path}: expected kind {schema.KIND_LIE}")
+        raise BiglaError(f"{path}: expected kind {schema.KIND_LIE}")
     return a
 
 
@@ -62,7 +58,7 @@ def _parse_word(U: EnvelopingAlgebra, text: str):
     try:
         return U.word_from_labels(lab.strip() for lab in text.split(","))
     except KeyError as exc:
-        raise _Fail(f"unknown basis label in word: {exc}") from exc
+        raise BiglaError(f"unknown basis label in word: {exc}") from exc
 
 
 def _parse_vector(space, text: str) -> Vector:
@@ -72,7 +68,7 @@ def _parse_vector(space, text: str) -> Vector:
     for term in text.split(","):
         term = term.strip()
         if not term:
-            raise _Fail(f"empty term in vector {text!r}")
+            raise BiglaError(f"empty term in vector {text!r}")
         coef_s, star, lab = term.partition("*")
         if term in space.labels or not star:
             c, lab = Fraction(1), term
@@ -80,12 +76,12 @@ def _parse_vector(space, text: str) -> Vector:
             try:
                 c = parse_rational(coef_s.strip())
             except ValueError as exc:
-                raise _Fail(f"bad coefficient {coef_s!r}: {exc}") from exc
+                raise BiglaError(f"bad coefficient {coef_s!r}: {exc}") from exc
         lab = lab.strip()
         try:
             k = space.index(lab)
         except KeyError as exc:
-            raise _Fail(str(exc)) from exc
+            raise BiglaError(str(exc)) from exc
         add_term(coeffs, k, CycloScalar.from_rational(c))
     return Vector(space, coeffs)
 
@@ -136,7 +132,7 @@ def cmd_check(args):
                 if getattr(args, w)]
     if isinstance(a, BiGradedAssocAlgebra):
         if selected and selected != ["homogeneity"]:
-            raise _Fail("only --homogeneity applies to an associative table")
+            raise BiglaError("only --homogeneity applies to an associative table")
         report = {"homogeneity": a.product.check_homogeneity()}
         if not selected:
             report["associativity"] = a.check_associativity()
@@ -181,7 +177,7 @@ def cmd_unbraid(args):
 def cmd_rebraid(args):
     a = _load(args.file)
     if not isinstance(a, SuperLieAlgebraWithInvolution):
-        raise _Fail(f"{args.file}: expected kind {schema.KIND_SUPER}")
+        raise BiglaError(f"{args.file}: expected kind {schema.KIND_SUPER}")
     return _output(args, rebraid(a))
 
 
@@ -216,12 +212,11 @@ def cmd_uea_nf(args):
 
 def cmd_uea_hopf_check(args):
     g = _load_lie(args.file)
-    U = EnvelopingAlgebra(g)
     labels = g.space.labels
+    nwords, found = hopf_failures(EnvelopingAlgebra(g), args.max_len)
     fails = {key: [" | ".join(word_name(labels, w) for w in entry) for entry in bad]
-             for key, bad in hopf_failures(U, args.max_len).items()}
+             for key, bad in found.items()}
     ok = not any(fails.values())
-    nwords = len(U.normal_words_up_to(args.max_len))
     result = {"file": args.file, "max_len": args.max_len, "words": nwords,
               "failures": fails, "ok": ok}
     lines = [f"words up to length {args.max_len}: {nwords}"]
@@ -282,8 +277,8 @@ def cmd_hc_inner_check(args):
     rep = so3_standard_rep()
     elements = so3_group_elements()
     if args.element not in elements:
-        raise _Fail(f"unknown group element {args.element!r}; "
-                    f"choices: {', '.join(sorted(elements))}")
+        raise BiglaError(f"unknown group element {args.element!r}; "
+                         f"choices: {', '.join(sorted(elements))}")
     expected = so3_group_automorphism()
     bad = inner_automorphism_check(rep, elements[args.element], expected)
     labels = [rep.space.labels[k] for k in bad]
@@ -302,8 +297,8 @@ def cmd_appendix_star(args):
         f = parse_poly(args.f)
         h = parse_poly(args.g)
         out = star_product(f, h)
-    except (ValueError, BiglaError) as exc:
-        raise _Fail(str(exc)) from exc
+    except ValueError as exc:
+        raise BiglaError(str(exc)) from exc
     star = out.pretty()
     result = ({"f": f.pretty(), "g": h.pretty(), "star": star,
                "pointwise": f.pointwise_mul(h).pretty()} if args.json else None)
@@ -332,7 +327,7 @@ def cmd_appendix_character(args):
         f = parse_poly(args.f)
         a = parse_rational(args.a)
     except ValueError as exc:
-        raise _Fail(str(exc)) from exc
+        raise BiglaError(str(exc)) from exc
     value, tag = character_at(f, a)
     text = value.pretty()
     result = ({"f": f.pretty(), "a": str(a), "value": text, "residue": tag}
@@ -355,8 +350,8 @@ def cmd_examples_list(args):
 def cmd_examples_export(args):
     entries = catalog()
     if args.name not in entries:
-        raise _Fail(f"unknown example {args.name!r}; "
-                    f"run 'bigla examples list'")
+        raise BiglaError(f"unknown example {args.name!r}; "
+                         f"run 'bigla examples list'")
     _, ctor = entries[args.name]
     return _output(args, ctor())
 
@@ -535,7 +530,7 @@ def main(argv=None) -> int:
         # unbraid, hc bch and every command that rewrites need a Lie bracket
         code, result = 1, {"ok": False, "error": str(exc)}
         lines = [f"not a Lie table: {exc}"]
-    except (_Fail, BiglaError, OSError) as exc:
+    except (BiglaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

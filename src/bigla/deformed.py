@@ -16,21 +16,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .errors import DegreeOverflow, NegativePoint, TrialsExceeded
+from .errors import BiglaError
 from .scalars import CycloScalar, I, ONE, _times, as_scalar, parse_rational
 from .sparse import Combination, add_term
 
 DEGREE_BOUND = 64
 
 # most work a random sweep may draw: its trials times the size of one
-# trial, here (degree + 1)^2 coefficient products and in
+# trial, here the degree + 1 powers a polynomial draws and in
 # hc.commutativity_failures the normal words up to the truncation.  Per
 # unit of size a tiny trial costs the most: the largest admitted sweep,
 # conv-check at truncation 0 with 60000 trials, took 2.4-4.3 s on a shared
 # 2-core host, against 0.13-0.20 s at truncation 6 with 46 trials.  The
-# untwisting sweep decides on ints and costs about its draws: iso-check at
-# degree 32 with 55 trials took 2.6-4.5 ms in process, and at degree 0
-# with 60000 trials 0.14-0.18 s.
+# untwisting sweep decides on ints, so a trial costs its draws, two
+# polynomials of degree + 1 powers each: in process on the same host,
+# iso-check at degree 0 with 60000 trials, the costliest sweep it admits, took
+# 0.13-0.15 s, and at degree 32 with 1818 trials 0.07-0.08 s.
 MAX_TRIAL_WORK = 6 * 10 ** 4
 
 Coeffs = dict[int, CycloScalar]
@@ -49,8 +50,7 @@ def _poly_mul(a: Coeffs, b: Coeffs, twisted: bool = False) -> Coeffs:
     for i, ca in a.items():
         for j, cb in b.items():
             if i + j > DEGREE_BOUND:
-                raise DegreeOverflow(
-                    f"degree {i + j} above the bound {DEGREE_BOUND}")
+                raise BiglaError(f"degree {i + j} above the bound {DEGREE_BOUND}")
             c = ca * cb
             add_term(out, i + j, -c if twisted and i & j & 1 else c)
     return out
@@ -80,7 +80,7 @@ class _Poly(Combination):
             if k < 0:
                 raise ValueError("negative powers are not polynomial")
             if k > DEGREE_BOUND:
-                raise DegreeOverflow(f"degree {k} above the bound {DEGREE_BOUND}")
+                raise BiglaError(f"degree {k} above the bound {DEGREE_BOUND}")
 
     def evaluate(self, a: Fraction) -> CycloScalar:
         return _evaluate(self.coeffs, a)
@@ -152,24 +152,24 @@ def character_at(f: EvenOddPoly, a: Fraction) -> tuple[CycloScalar, str]:
     """
     a = Fraction(a)
     if a < 0:
-        raise NegativePoint(f"character points must be >= 0, got {a}")
+        raise BiglaError(f"character points must be >= 0, got {a}")
     return (_evaluate(f.even_part(), a) + I * _evaluate(f.odd_part(), a),
             "R" if a == 0 else "C")
 
 
 def bound_trial_work(trials: int, size: int, unit: str) -> None:
-    """Raise TrialsExceeded when trials of size units each come to more
+    """Raise BiglaError when trials of size units each come to more
     than MAX_TRIAL_WORK."""
     if trials * size > MAX_TRIAL_WORK:
-        raise TrialsExceeded(f"{trials} trials of {size} {unit} come to "
-                             f"{trials * size}, above the bound {MAX_TRIAL_WORK}")
+        raise BiglaError(f"{trials} trials of {size} {unit} come to "
+                         f"{trials * size}, above the bound {MAX_TRIAL_WORK}")
 
 
 def untwisting_failures(degree: int, trials: int, rng: random.Random) -> int:
     """Draw trials random pairs of degree <= degree; the number of pairs on
     which to_complex fails to turn the star product into the pointwise
     one.  Refused before any draw if the products can pass DEGREE_BOUND or
-    the (degree + 1)^2 coefficient products of all trials pass
+    the degree + 1 powers drawn per polynomial, over all trials, pass
     MAX_TRIAL_WORK.
 
     Each trial decides on ints in one signed pass: to_complex(f * h) -
@@ -181,9 +181,9 @@ def untwisting_failures(degree: int, trials: int, rng: random.Random) -> int:
     skipped before any product and a trial costs its draws.  star_product
     and to_complex are the oracle."""
     if 2 * degree > DEGREE_BOUND:
-        raise DegreeOverflow(f"degree {degree} products reach degree {2 * degree}, "
-                             f"above the bound {DEGREE_BOUND}")
-    bound_trial_work(trials, (degree + 1) ** 2, "coefficient products")
+        raise BiglaError(f"degree {degree} products reach degree {2 * degree}, "
+                         f"above the bound {DEGREE_BOUND}")
+    bound_trial_work(trials, degree + 1, "powers per polynomial")
     defects = []
     for p in (0, 1):
         for q in (0, 1):

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Collection
 
-from .errors import AlgebraMismatch
+from .errors import BiglaError
 from .lie import (BiGradedLieAlgebra, check_lie, jacobiator, _residuals, _rotations,
                   require_lie)
 from .linear import BiGradedSpace, BilinearMap, Vector
@@ -82,8 +82,8 @@ def twist(g: BiGradedLieAlgebra) -> BiGradedLieAlgebra:
     under the super sign rule.  The input must carry the Deligne rule: the
     twist of a super table is no super companion."""
     if g.sign is not sign_deligne:
-        raise AlgebraMismatch(f"{g.name or 'algebra'}: the twist needs the "
-                              "Deligne sign rule")
+        raise BiglaError(f"{g.name or 'algebra'}: the twist needs the "
+                         "Deligne sign rule")
     degs = g.space.degrees
     constants = {}
     for (i, j), v in g.bracket.constants.items():
@@ -96,7 +96,7 @@ def unbraid(g: BiGradedLieAlgebra) -> SuperLieAlgebraWithInvolution:
     """Twist a bi-graded Lie algebra into its super companion.
 
     [a,b]_s = (-1)^(eps1(a) eps2(b)) [a,b], with sigma = (-1)^eps2 attached.
-    Raises InputNotLie if g fails its own axioms and AlgebraMismatch if it
+    Raises InputNotLie if g fails its own axioms and BiglaError if it
     already carries the super sign rule.
     """
     require_lie(g)

@@ -32,8 +32,7 @@ from itertools import combinations
 from math import comb, factorial, lcm
 from typing import Mapping, Optional
 
-from .errors import (AlgebraMismatch, DegreeViolation, NotOrthogonal, OddInput,
-                     TruncationExceeded, TruncationMismatch, TruncationTooSmall)
+from .errors import BiglaError
 from .catalog import MatrixRep
 from .deformed import bound_trial_work
 from .lie import BiGradedLieAlgebra, require_lie
@@ -64,13 +63,6 @@ class Functional(Combination):
 
     def base(self) -> tuple:
         return (self.ctx, self.truncation)
-
-    def _same(self, other: "Functional"):
-        if type(other) is not Functional or other.ctx is not self.ctx:
-            raise AlgebraMismatch("functionals on different enveloping algebras")
-        if other.truncation != self.truncation:
-            raise TruncationMismatch(
-                f"truncations differ: {self.truncation} vs {other.truncation}")
 
     # printed as the combination of the words it is nonzero on
     _order = UEAElement._order
@@ -273,7 +265,7 @@ def convolution(phi: Functional, psi: Functional) -> Functional:
 def convolution_commutes(phi: Functional, psi: Functional) -> bool:
     """Deligne commutativity for homogeneous-shift functionals: phi * psi
     = s psi * phi with s the Deligne sign of the two shifts.  Raises
-    DegreeViolation when either support spans other than one word degree.
+    BiglaError when either support spans other than one word degree.
 
     Both orders share their count keys and their common denominator, so
     the verdict is that every int row of phi * psi - s psi * phi is 0, and
@@ -285,7 +277,7 @@ def convolution_commutes(phi: Functional, psi: Functional) -> bool:
     identity reaches the rows."""
     for name, f in (("first", phi), ("second", psi)):
         if f.shift() is None:
-            raise DegreeViolation(
+            raise BiglaError(
                 f"the {name} functional has {len(f.shifts())} shifts, not one")
     _, rows = _accumulate(phi, psi, sign_deligne(phi.shift(), psi.shift()))
     return not any(any(row.values()) for row in rows)
@@ -318,8 +310,7 @@ def commutativity_failures(ctx: EnvelopingAlgebra, truncation: int,
     truncation is above MAX_TRUNCATION, or if trials times the normal words
     up to the truncation pass deformed.MAX_TRIAL_WORK."""
     if truncation > MAX_TRUNCATION:
-        raise TruncationExceeded(
-            f"truncation {truncation} above the bound {MAX_TRUNCATION}")
+        raise BiglaError(f"truncation {truncation} above the bound {MAX_TRUNCATION}")
     words = ctx.normal_words_up_to(truncation)
     bound_trial_work(trials, len(words), "normal words")
     degrees = list(words.values())
@@ -364,7 +355,7 @@ def equivariant_hom_basis(ctx: EnvelopingAlgebra,
     meaningful once the truncation dominates the number of exterior letters."""
     d_odd = sum(1 for e in ctx.exterior if e)
     if truncation < d_odd:
-        raise TruncationTooSmall(
+        raise BiglaError(
             f"truncation {truncation} below the exterior letter count {d_odd}")
     return equivariant_functionals(ctx, truncation)
 
@@ -395,13 +386,13 @@ def bch_product(g: BiGradedLieAlgebra, x: Vector, y: Vector, n: int) -> Vector:
     k of [Z_k, S(q - 1, m - k)].
     """
     if n > MAX_TRUNCATION:
-        raise TruncationExceeded(f"order {n} above the bound {MAX_TRUNCATION}")
+        raise BiglaError(f"order {n} above the bound {MAX_TRUNCATION}")
     for v in (x, y):
         if v.space != g.space:
-            raise AlgebraMismatch("vector is not over this algebra's space")
+            raise BiglaError("vector is not over this algebra's space")
         for d in v.homogeneous_parts():
             if d.parity != 0:
-                raise OddInput("exponential inputs must be parity-even")
+                raise BiglaError("exponential inputs must be parity-even")
     require_lie(g)
     br = g.bracket_of
     zero, s, half_diff = g.space.zero(), x + y, (x - y).scale(Fraction(1, 2))
@@ -425,7 +416,7 @@ def inner_automorphism_check(rep: MatrixRep, g: Matrix,
     be orthogonal, which makes it invertible with g^(-1) = g^T."""
     ginv = g.transpose()
     if g @ ginv != Matrix.identity(g.nrows):
-        raise NotOrthogonal("group element is not orthogonal: g g^T != 1")
+        raise BiglaError("group element is not orthogonal: g g^T != 1")
     bad = []
     for k in sorted(rep.images):
         lhs = g @ rep.images[k] @ ginv

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import lcm
 from typing import Callable, Collection, Mapping, Optional
 
-from .errors import DegreeViolation, InputNotLie, NotAssociative, SpaceMismatch
+from .errors import BiglaError, InputNotLie
 from .linear import BiGradedSpace, BilinearMap, Vector
 from .scalars import BiDegree, CycloScalar, _times, sign_deligne
 from .sparse import add_scaled
@@ -56,7 +56,7 @@ class BiGradedLieAlgebra:
     def __init__(self, space: BiGradedSpace, bracket: BilinearMap, name: str = "",
                  sign: SignRule = sign_deligne):
         if bracket.space != space:
-            raise SpaceMismatch("bracket not defined on the algebra's space")
+            raise BiglaError("bracket not defined on the algebra's space")
         self.space = space
         self.bracket = bracket
         self.name = name or space.name
@@ -80,7 +80,7 @@ class BiGradedAssocAlgebra:
     def __init__(self, space: BiGradedSpace, product: BilinearMap,
                  unit: Optional[Vector] = None, name: str = ""):
         if product.space != space:
-            raise SpaceMismatch("product not defined on the algebra's space")
+            raise BiglaError("product not defined on the algebra's space")
         self.space = space
         self.product = product
         self.unit = unit
@@ -252,10 +252,10 @@ def commutator_lie(a: BiGradedAssocAlgebra) -> BiGradedLieAlgebra:
     """[x,y] = xy - (-1)^(eps(x).eps(y)) yx on a homogeneous associative algebra."""
     bad = a.product.check_homogeneity()
     if bad:
-        raise DegreeViolation(f"product not homogeneous at pairs {bad[:5]}")
+        raise BiglaError(f"product not homogeneous at pairs {bad[:5]}")
     bad3 = a.check_associativity()
     if bad3:
-        raise NotAssociative(f"product fails associativity at triples {bad3[:5]}")
+        raise BiglaError(f"product fails associativity at triples {bad3[:5]}")
     degs = a.space.degrees
     n = a.space.dim
     constants = {}

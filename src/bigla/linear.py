@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from .errors import DegreeViolation, SpaceMismatch
+from .errors import BiglaError
 from .scalars import BiDegree, CycloScalar, ONE, ScalarLike
 from .sparse import Combination, add_scaled
 
@@ -59,8 +59,6 @@ class Vector(Combination):
     """Sparse vector over a BiGradedSpace.  Zero entries are dropped."""
 
     __slots__ = ("space",)
-
-    mismatch = SpaceMismatch
 
     def __init__(self, space: BiGradedSpace, coeffs: Mapping[int, CycloScalar]):
         self.space = space
@@ -112,18 +110,18 @@ def _checked_images(source: BiGradedSpace, target: BiGradedSpace,
     """Every basis image, zero where none is given.
 
     Each image must lie in target and be homogeneous of its letter's
-    degree; violating images raise DegreeViolation up front, since nothing
+    degree; violating images raise BiglaError up front, since nothing
     downstream can interpret a non-homogeneous map.
     """
     out = {}
     for k in range(source.dim):
         img = images[k] if k in images else target.zero()
         if img.space != target:
-            raise SpaceMismatch("image vector not in target space")
+            raise BiglaError("image vector not in target space")
         got = img.degree()
         if img and got != source.degrees[k]:
-            raise DegreeViolation(f"image of {source.labels[k]} has degree {got}, "
-                                  f"expected {source.degrees[k]}")
+            raise BiglaError(f"image of {source.labels[k]} has degree {got}, "
+                             f"expected {source.degrees[k]}")
         out[k] = img
     return out
 
@@ -144,7 +142,7 @@ class LinearMap:
 
     def __call__(self, v: Vector) -> Vector:
         if v.space != self.source:
-            raise SpaceMismatch("vector not in the map's source space")
+            raise BiglaError("vector not in the map's source space")
         out: dict[int, CycloScalar] = {}
         for k, c in v.coeffs.items():
             add_scaled(out, self.images[k].coeffs, c)
@@ -164,7 +162,7 @@ class AntiLinearMap:
 
     def __call__(self, v: Vector) -> Vector:
         if v.space != self.space:
-            raise SpaceMismatch("vector not in the map's space")
+            raise BiglaError("vector not in the map's space")
         out: dict[int, CycloScalar] = {}
         for k, c in v.coeffs.items():
             add_scaled(out, self.images[k].coeffs, c.conj())
@@ -179,7 +177,7 @@ class BilinearMap:
         self.constants: dict[tuple[int, int], Vector] = {}
         for (i, j), v in constants.items():
             if v.space is not space and v.space != space:
-                raise SpaceMismatch("structure constant vector not in the space")
+                raise BiglaError("structure constant vector not in the space")
             if v.coeffs:
                 self.constants[(i, j)] = v
 
@@ -189,7 +187,7 @@ class BilinearMap:
 
     def __call__(self, a: Vector, b: Vector) -> Vector:
         if a.space != self.space or b.space != self.space:
-            raise SpaceMismatch("operands not in the map's space")
+            raise BiglaError("operands not in the map's space")
         out: dict[int, CycloScalar] = {}
         for i, ca in a.coeffs.items():
             for j, cb in b.coeffs.items():

@@ -5,15 +5,15 @@ and echelon rows are all finite combinations of basis keys.  They share
 the one accumulation step, the one printer and, but for the echelon rows,
 the one Combination class below.  The coefficients only need +, *,
 truthiness for zero and, for printing, str and comparison with 1 and -1;
-the module imports nothing from bigla but the error types, so scalars
-uses it too.
+the module imports nothing from bigla but BiglaError, so scalars uses it
+too.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Union
 
-from .errors import AlgebraMismatch
+from .errors import BiglaError
 
 
 def add_term(acc: dict, key, c):
@@ -81,15 +81,12 @@ class Combination:
 
     This class holds the linear structure every combination shares.  A
     subclass names in base() what two operands must share, which are also
-    its constructor's arguments before coeffs; sets mismatch to the error
-    raised when they differ; and says how to sort a key, in _order, and
-    how format_term names it, in _name.  Combinations are treated as
-    immutable: every operation returns a fresh one.
+    its constructor's arguments before coeffs, and says how to sort a key,
+    in _order, and how format_term names it, in _name.  Combinations are
+    treated as immutable: every operation returns a fresh one.
     """
 
     __slots__ = ("coeffs",)
-
-    mismatch = AlgebraMismatch
 
     def __init__(self, coeffs: Mapping):
         self.coeffs = {k: c for k, c in coeffs.items() if c}
@@ -102,10 +99,10 @@ class Combination:
         return type(self)(*self.base(), coeffs)
 
     def _same(self, other: "Combination"):
-        """Raise mismatch unless other has this type and base."""
+        """Raise BiglaError unless other has this type and base."""
         if type(other) is not type(self) or other.base() != self.base():
-            raise self.mismatch(f"{type(self).__name__} and "
-                                f"{type(other).__name__} over different bases")
+            raise BiglaError(f"{type(self).__name__} and "
+                             f"{type(other).__name__} over different bases")
 
     def __add__(self, other: "Combination") -> "Combination":
         self._same(other)

@@ -20,7 +20,7 @@ from itertools import repeat
 from math import comb, factorial
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import AlgebraMismatch, TruncationExceeded
+from .errors import BiglaError
 from .lie import BiGradedLieAlgebra, require_lie
 from .linear import BilinearMap
 from .scalars import BiDegree, CycloScalar, ONE, sign_deligne
@@ -57,8 +57,8 @@ class EnvelopingAlgebra:
     def __init__(self, g: BiGradedLieAlgebra):
         # rewriting reads the Deligne signs from PAIRING
         if g.sign is not sign_deligne:
-            raise AlgebraMismatch(f"{g.name or 'algebra'}: the enveloping algebra "
-                                  "needs the Deligne sign rule")
+            raise BiglaError(f"{g.name or 'algebra'}: the enveloping algebra "
+                             "needs the Deligne sign rule")
         self.g = g
         degs = g.space.degrees
         codes = self.codes = tuple(2 * d.eps1 + d.eps2 for d in degs)
@@ -212,7 +212,7 @@ def normal_form(ctx: EnvelopingAlgebra, word: Sequence[int]) -> UEAElement:
     """The normal form of a raw word; a word longer than MAX_WORD is
     refused before any rewriting."""
     if len(word) > MAX_WORD:
-        raise TruncationExceeded(f"word length {len(word)} above the bound {MAX_WORD}")
+        raise BiglaError(f"word length {len(word)} above the bound {MAX_WORD}")
     return ctx.element({tuple(word): ONE})
 
 
@@ -381,13 +381,12 @@ def weyl_map(ctx: EnvelopingAlgebra, s: UEAElement) -> UEAElement:
     k letters of an arrangement of the later letters moves x past them.
     """
     if s.ctx is not ctx.sym():
-        raise AlgebraMismatch("weyl_map argument must live in the symmetric algebra")
+        raise BiglaError("weyl_map argument must live in the symmetric algebra")
     out: dict[Word, CycloScalar] = {}
     for w, c in s.coeffs.items():
         m = len(w)
         if m > MAX_TRUNCATION:
-            raise TruncationExceeded(
-                f"word length {m} above the bound {MAX_TRUNCATION}")
+            raise BiglaError(f"word length {m} above the bound {MAX_TRUNCATION}")
         arrangements: dict[Word, CycloScalar] = {(): ONE}
         for x in reversed(w):
             placed: dict[Word, CycloScalar] = {}
@@ -407,12 +406,13 @@ HOPF_AXIOMS = ("antipode", "coassociativity", "cocommutativity", "counit",
 
 
 def hopf_failures(U: EnvelopingAlgebra, max_len: int
-                  ) -> dict[str, list[tuple[Word, ...]]]:
+                  ) -> tuple[int, dict[str, list[tuple[Word, ...]]]]:
     """Check the Hopf structure on the normal words of length <= max_len.
 
-    Returns, per axiom, the inputs where it fails: a 1-tuple (w,) of the
-    word, or for multiplicativity the pair (u, v) with len(u) + len(v) <=
-    max_len.  'weyl' is the coalgebra-morphism property of weyl_map.
+    Returns the number of those words and, per axiom, the inputs where it
+    fails: a 1-tuple (w,) of the word, or for multiplicativity the pair
+    (u, v) with len(u) + len(v) <= max_len.  'weyl' is the
+    coalgebra-morphism property of weyl_map.
 
     A normal word longer than MAX_TRUNCATION, which weyl_map refuses, is
     refused before any sweep.  There is one exactly when some letter may
@@ -421,7 +421,7 @@ def hopf_failures(U: EnvelopingAlgebra, max_len: int
     fails: dict[str, list[tuple[Word, ...]]] = {key: [] for key in HOPF_AXIOMS}
     has_longer = not all(U.exterior) or sum(U.exterior) > MAX_TRUNCATION
     if max_len > MAX_TRUNCATION and has_longer:
-        raise TruncationExceeded(
+        raise BiglaError(
             f"word length {MAX_TRUNCATION + 1} above the bound {MAX_TRUNCATION}")
     words = U.normal_words_up_to(max_len)
     for w in words:
@@ -464,7 +464,7 @@ def hopf_failures(U: EnvelopingAlgebra, max_len: int
                     add_term(rhs, (uu, vv), c * cu * cv)
         if delta(weyl_map(U, s)) != TensorElement(U, 2, rhs):
             fails["weyl"].append((w,))
-    return fails
+    return len(words), fails
 
 
 def pbw_dims(ctx: EnvelopingAlgebra, n_max: int) -> tuple[list[int], list[int]]:
@@ -473,8 +473,8 @@ def pbw_dims(ctx: EnvelopingAlgebra, n_max: int) -> tuple[list[int], list[int]]:
     The second list counts multisets over polynomial letters times subsets
     of exterior letters; PBW says the lists agree.  It is computed first:
     when the normal words of degrees 0..n_max, plus one per degree, come to
-    more than MAX_PBW_WORDS, TruncationExceeded is raised before any word
-    is enumerated.
+    more than MAX_PBW_WORDS, BiglaError is raised before any word is
+    enumerated.
     """
     d_ext = sum(1 for e in ctx.exterior if e)
     d_poly = ctx.dim - d_ext
@@ -499,7 +499,7 @@ def pbw_dims(ctx: EnvelopingAlgebra, n_max: int) -> tuple[list[int], list[int]]:
             formula.extend(repeat(0, n_max - n))
             break
     if steps > MAX_PBW_WORDS:
-        raise TruncationExceeded(
+        raise BiglaError(
             f"degrees 0..{n_max} and their normal words number more "
             f"than {MAX_PBW_WORDS}")
     # walk the step table level by level, keeping per word only the lowest

@@ -590,12 +590,12 @@ def test_negative_size_flags_are_refused(argv, so3_file, capsys):
      "error: 100000000 trials of 129 normal words come to 12900000000, "
      "above the bound 60000\n"),
     (["appendix", "iso-check", "--trials", "100000000"],
-     "error: 100000000 trials of 81 coefficient products come to 8100000000, "
+     "error: 100000000 trials of 9 powers per polynomial come to 900000000, "
      "above the bound 60000\n"),
     (["hc", "conv-check", "{unitary}", "--n", "6", "--trials", "47"],
      "error: 47 trials of 1289 normal words come to 60583, above the bound 60000\n"),
-    (["appendix", "iso-check", "--degree", "32", "--trials", "56"],
-     "error: 56 trials of 1089 coefficient products come to 60984, "
+    (["appendix", "iso-check", "--degree", "32", "--trials", "1819"],
+     "error: 1819 trials of 33 powers per polynomial come to 60027, "
      "above the bound 60000\n"),
 ], ids=["conv-check", "bch", "character", "iso-check-seed0", "iso-check-seed1",
         "conv-check-trials", "iso-check-trials", "conv-check-work", "iso-check-work"])

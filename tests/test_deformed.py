@@ -10,7 +10,7 @@ from bigla.deformed import (ConjSymPoly, DEGREE_BOUND, EvenOddPoly, MAX_TRIAL_WO
                             character_at, parse_poly, star_product,
                             star_vs_pointwise_distinguisher, to_complex,
                             untwisting_failures)
-from bigla.errors import DegreeOverflow, NegativePoint
+from bigla.errors import BiglaError
 from bigla.scalars import CycloScalar, I, ONE, ZETA
 
 
@@ -94,7 +94,7 @@ def _same_sweep(degree, trials, seed, multiplicative=_untwisted):
 
 def test_int_sweep_matches_the_object_path():
     for degree in range(33):
-        trials = min(12, MAX_TRIAL_WORK // (degree + 1) ** 2)
+        trials = min(12, MAX_TRIAL_WORK // (degree + 1))
         for seed in (degree, 1000 + degree):
             got, want = _same_sweep(degree, trials, seed)
             assert got == want == 0, (degree, seed)
@@ -143,16 +143,16 @@ def test_character_residue_dichotomy():
     value1, tag1 = character_at(f, Fraction(1))
     assert tag1 == "C" and value1 == ONE + I
     assert not value1.is_conj_fixed()
-    with pytest.raises(NegativePoint):
+    with pytest.raises(BiglaError, match=r"^character points must be >= 0, got -1$"):
         character_at(f, Fraction(-1))
 
 
 def test_degree_overflow():
     x = EvenOddPoly.variable()
     high = EvenOddPoly({DEGREE_BOUND: 1})
-    with pytest.raises(DegreeOverflow):
+    with pytest.raises(BiglaError, match="^degree 65 above the bound 64$"):
         star_product(high, x)
-    with pytest.raises(DegreeOverflow):
+    with pytest.raises(BiglaError, match="^degree 65 above the bound 64$"):
         high.pointwise_mul(x)
 
 

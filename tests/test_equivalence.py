@@ -8,7 +8,7 @@ from bigla.catalog import catalog, odd_pair, so3, so12, unitary_example
 from bigla.equivalence import (SuperLieAlgebraWithInvolution, alpha_sweep,
                                involution_from_bidegree, jacobiator_alpha_check,
                                rebraid, twist, unbraid)
-from bigla.errors import AlgebraMismatch, DegreeViolation, InputNotLie
+from bigla.errors import BiglaError, InputNotLie
 from bigla.lie import BiGradedLieAlgebra, check_lie
 from bigla.linear import BilinearMap, LinearMap
 from bigla.scalars import D11
@@ -212,7 +212,7 @@ def test_a_super_table_is_refused_by_the_twist(name):
     sup = unbraid(catalog()[name][1]()).algebra
     for call in (twist, unbraid, alpha_sweep,
                  lambda g: jacobiator_alpha_check(g, 0, 0, 0)):
-        with pytest.raises(AlgebraMismatch, match="needs the Deligne sign rule"):
+        with pytest.raises(BiglaError, match="needs the Deligne sign rule"):
             call(sup)
 
 
@@ -241,7 +241,7 @@ def test_morphism_transfer():
 
     # a degree shift is not a linear map at all
     sp = g.space
-    with pytest.raises(DegreeViolation):
+    with pytest.raises(BiglaError, match="^image of e1 has degree "):
         LinearMap(sp, sp, {0: sp.basis_vector(1),
                            1: sp.basis_vector(0),
                            2: sp.basis_vector(0)})

@@ -2,7 +2,7 @@
 
 import pytest
 
-from bigla.errors import DegreeViolation, SpaceMismatch
+from bigla.errors import BiglaError
 from bigla.linear import (AntiLinearMap, BiGradedSpace, BilinearMap, LinearMap,
                           Vector)
 from bigla.scalars import D00, D10, D11, I, ONE, ZETA
@@ -40,7 +40,7 @@ def test_vector_arithmetic():
     assert 0 not in w.coeffs  # zeros are dropped eagerly
     assert (-w) + w == sp.zero()
     assert 3 * w == w.scale(3)
-    with pytest.raises(SpaceMismatch):
+    with pytest.raises(BiglaError, match="^Vector and Vector over different bases$"):
         v + BiGradedSpace([("a", D00)]).basis_vector(0)
 
 
@@ -68,7 +68,8 @@ def test_vector_conj_and_pretty():
 def test_linear_map_homogeneity_enforced():
     sp = _space()
     # image of a degree-(0,0) letter must stay in degree (0,0)
-    with pytest.raises(DegreeViolation):
+    with pytest.raises(BiglaError,
+                       match=r"^image of a has degree BiDegree\(eps1=1, eps2=0\), "):
         LinearMap(sp, sp, {0: sp.basis_vector(1)})
 
 
