@@ -247,11 +247,12 @@ def unitary_example() -> BiGradedLieAlgebra:
     for p in range(n):
         for q in range(n):
             s = sign_deligne(degrees[p], degrees[q])
-            val = a.mul(vectors[p], vectors[q]) - a.mul(vectors[q], vectors[p]).scale(s)
+            val = (a.product(vectors[p], vectors[q])
+                   - a.product(vectors[q], vectors[p]).scale(s))
             coeff, _ = _QTABLE[(_BLOCK_Q[blocks[p]], _BLOCK_Q[blocks[q]])]
-            if not coeff.is_one():
+            if coeff != 1:
                 # table coefficient is +-i: multiply by the element +-j instead
-                val = a.mul(j, val)
+                val = a.product(j, val)
                 if coeff == -I:
                     val = -val
             if not val:

@@ -307,7 +307,7 @@ def cmd_appendix_star(args):
 
 def cmd_appendix_iso_check(args):
     failures = untwisting_failures(args.degree, args.trials, random.Random(args.seed))
-    cert = star_vs_pointwise_distinguisher(3)
+    cert = star_vs_pointwise_distinguisher()
     ok = failures == 0 and cert.separates
     star, pointwise = cert.star_square.pretty(), cert.pointwise_square.pretty()
     result = {"trials": args.trials, "degree": args.degree,

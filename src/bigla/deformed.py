@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from .errors import BiglaError
-from .scalars import CycloScalar, I, ONE, _times, as_scalar, parse_rational
+from .scalars import CycloScalar, I, ONE, ZERO, _times, as_scalar, parse_rational
 from .sparse import Combination, add_term
 
 DEGREE_BOUND = 64
@@ -57,7 +57,7 @@ def _poly_mul(a: Coeffs, b: Coeffs, twisted: bool = False) -> Coeffs:
 
 
 def _evaluate(coeffs: Mapping[int, CycloScalar], a: Fraction) -> CycloScalar:
-    out = CycloScalar.zero()
+    out = ZERO
     power = Fraction(1)
     for k in range(max(coeffs, default=0) + 1):
         c = coeffs.get(k)
@@ -229,14 +229,18 @@ class DistinguisherCertificate:
         return any(s != p for _, s, p in self.samples)
 
 
-def star_vs_pointwise_distinguisher(n_max: int) -> DistinguisherCertificate:
+# the points the distinguisher evaluates both squares at
+DISTINGUISHER_POINTS = (0, 1, 2, 3)
+
+
+def star_vs_pointwise_distinguisher() -> DistinguisherCertificate:
     """Star-square the coordinate function against its pointwise square and
-    evaluate both at 0..n_max.  Any nonzero point separates them."""
+    evaluate both at DISTINGUISHER_POINTS; any nonzero one separates them."""
     x = EvenOddPoly.variable()
     star_sq = star_product(x, x)
     point_sq = x.pointwise_mul(x)
     samples = []
-    for n in range(n_max + 1):
+    for n in DISTINGUISHER_POINTS:
         a = Fraction(n)
         samples.append((a, star_sq.evaluate(a), point_sq.evaluate(a)))
     return DistinguisherCertificate(star_sq, point_sq, samples)

@@ -142,8 +142,8 @@ def _layout(ctx: EnvelopingAlgebra, width: int) -> tuple[list, int, list]:
     its letter."""
     by_width = ctx._layouts
     if width not in by_width:
-        ones = (4 ** ctx.dim - 1) // 3
-        fields: list = [()] * ctx.dim
+        ones = (4 ** ctx.g.dim - 1) // 3
+        fields: list = [()] * ctx.g.dim
         for r, k in enumerate(ctx.order):
             code, higher = ctx.codes[k], 2 * r + 2
             fields[k] = (1 << width * r, 1 << r, code << 2 * r,
@@ -394,7 +394,7 @@ def bch_product(g: BiGradedLieAlgebra, x: Vector, y: Vector, n: int) -> Vector:
             if d.parity != 0:
                 raise BiglaError("exponential inputs must be parity-even")
     require_lie(g)
-    br = g.bracket_of
+    br = g.bracket
     zero, s, half_diff = g.space.zero(), x + y, (x - y).scale(Fraction(1, 2))
     bern = _bernoulli(n)
     z = [zero, s]

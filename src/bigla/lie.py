@@ -66,12 +66,6 @@ class BiGradedLieAlgebra:
     def dim(self) -> int:
         return self.space.dim
 
-    def bracket_of(self, a: Vector, b: Vector) -> Vector:
-        return self.bracket(a, b)
-
-    def basis_bracket(self, i: int, j: int) -> Vector:
-        return self.bracket.pair(i, j)
-
     def __repr__(self):
         return f"BiGradedLieAlgebra({self.name or self.space.labels}, dim={self.dim})"
 
@@ -89,9 +83,6 @@ class BiGradedAssocAlgebra:
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    def mul(self, a: Vector, b: Vector) -> Vector:
-        return self.product(a, b)
 
     def check_associativity(self) -> list[tuple[int, int, int]]:
         """Triples (i,j,k), in order, where (e_i e_j) e_k != e_i (e_j e_k).
@@ -142,15 +133,16 @@ def check_antisymmetry(g: BiGradedLieAlgebra) -> list[tuple[int, int]]:
     """
     bad = []
     degs = g.space.degrees
+    pair = g.bracket.pair
     n = g.dim
     for i in range(n):
         for j in range(i, n):
             s = g.sign(degs[i], degs[j])
             if i == j:
-                if s == 1 and g.basis_bracket(i, i):
+                if s == 1 and pair(i, i):
                     bad.append((i, i))
                 continue
-            if g.basis_bracket(i, j) != g.basis_bracket(j, i).scale(-s):
+            if pair(i, j) != pair(j, i).scale(-s):
                 bad.append((i, j))
     return bad
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-from .scalars import ONE, CycloScalar, as_scalar
+from .scalars import ONE, ZERO, CycloScalar, as_scalar
 from .sparse import add_scaled
 
 
@@ -127,7 +127,7 @@ class Matrix:
 
 
 def _dot(r, c) -> CycloScalar:
-    out = CycloScalar.zero()
+    out = ZERO
     for a, b in zip(r, c):
         if a and b:
             out = out + a * b

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from .errors import BiglaError
-from .scalars import BiDegree, CycloScalar, ONE, ScalarLike
+from .scalars import BiDegree, CycloScalar, ONE, ScalarLike, ZERO
 from .sparse import Combination, add_scaled
 
 _new = object.__new__
@@ -86,7 +86,7 @@ class Vector(Combination):
         return self.scale(c)
 
     def coeff(self, k: int) -> CycloScalar:
-        return self.coeffs.get(k, CycloScalar.zero())
+        return self.coeffs.get(k, ZERO)
 
     def degree(self) -> Optional[BiDegree]:
         """The common degree of the support, or None if mixed or zero."""

@@ -105,10 +105,6 @@ class CycloScalar:
         and a positive int denominator, brought to lowest terms."""
         return _scalar(c0, c1, c2, c3, d)
 
-    @classmethod
-    def zero(cls) -> "CycloScalar":
-        return _scalar(0, 0, 0, 0, 1)
-
     def rationals(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         """The four rational coordinates c_j / d."""
         d = self.d
@@ -239,10 +235,6 @@ class CycloScalar:
         return join_terms(format_term(_ratio(cj, d), name)
                           for cj, name in zip(self.c, (None, "z8", "i", "z8^3")) if cj)
 
-    def is_one(self) -> bool:
-        a = self.c
-        return self.d == 1 and a[0] == 1 and not (a[1] or a[2] or a[3])
-
 
 def as_scalar(c: ScalarLike) -> CycloScalar:
     return c if isinstance(c, CycloScalar) else CycloScalar.from_rational(c)
@@ -268,7 +260,7 @@ def parse_rational(q: Union[str, int]) -> RationalLike:
         raise ValueError(f"zero denominator in {q!r}") from exc
 
 
-ZERO = CycloScalar.zero()
+ZERO = _scalar(0, 0, 0, 0, 1)
 ONE = _scalar(1, 0, 0, 0, 1)
 I = _scalar(0, 0, 1, 0, 1)
 ZETA = _scalar(0, 1, 0, 0, 1)

@@ -8,9 +8,10 @@ repeated products and coproducts amortize.  Inside the context a degree is
 a 2-bit code, so a word's degree is an XOR and every crossing sign is read
 from one 4 x 4 pairing table; BiDegree stays at the interface.
 
-The symmetric algebra is the enveloping algebra of the same space with the
-zero bracket, which makes the Weyl symmetrization a map between two
-instances of the same machinery.
+The symmetric algebra Sym(g) has the same normal words, a word standing for
+the monomial of its letters, and the same coproduct on them, so it needs no
+context of its own: weyl_map takes a mapping from words to coefficients, and
+the Hopf sweep reads the coproduct of Sym(g) from delta_word.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BiglaError
 from .lie import BiGradedLieAlgebra, require_lie
-from .linear import BilinearMap
-from .scalars import BiDegree, CycloScalar, ONE, sign_deligne
+from .scalars import BiDegree, CycloScalar, ONE, ZERO, sign_deligne
 from .sparse import Combination, add_scaled, add_term
 
 Word = tuple[int, ...]
@@ -74,11 +74,6 @@ class EnvelopingAlgebra:
         # per count width, the letter layout of hc's convolution records
         self._layouts: dict[int, tuple] = {}
         self._lie_checked = False
-        self._sym: Optional[EnvelopingAlgebra] = None
-
-    @property
-    def dim(self) -> int:
-        return self.g.dim
 
     def word_code(self, w: Word) -> int:
         """The code of a word's degree, the XOR of its letters' codes."""
@@ -112,7 +107,7 @@ class EnvelopingAlgebra:
         if a == b:
             # exterior letter squared: x x = (1/2)[x,x]
             out: dict[Word, CycloScalar] = {}
-            for k, c in self.g.basis_bracket(a, a).coeffs.items():
+            for k, c in self.g.bracket.pair(a, a).coeffs.items():
                 add_scaled(out, nf(head + (k,) + tail), HALF * c)
             return out
         codes = self.codes
@@ -121,7 +116,7 @@ class EnvelopingAlgebra:
             out = dict(swapped)
         else:
             out = {word: -c for word, c in swapped.items()}
-        for k, c in self.g.basis_bracket(a, b).coeffs.items():
+        for k, c in self.g.bracket.pair(a, b).coeffs.items():
             add_scaled(out, nf(head + (k,) + tail), c)
         return out
 
@@ -167,15 +162,6 @@ class EnvelopingAlgebra:
                 break
             out.update((w, DEGREE_OF_CODE[c]) for w, c, _ in level)
         return out
-
-    def sym(self) -> "EnvelopingAlgebra":
-        """The symmetric algebra: same letters, zero bracket, same order."""
-        if self._sym is None:
-            abelian = BiGradedLieAlgebra(
-                self.g.space, BilinearMap(self.g.space, {}),
-                name=f"sym({self.g.name})" if self.g.name else "sym")
-            self._sym = EnvelopingAlgebra(abelian)
-        return self._sym
 
 
 def word_name(labels: Sequence[str], w: Word) -> str:
@@ -356,7 +342,7 @@ def delta_slot(t: TensorElement, slot: int) -> TensorElement:
 
 
 def counit(a: UEAElement) -> CycloScalar:
-    return a.coeffs.get((), CycloScalar.zero())
+    return a.coeffs.get((), ZERO)
 
 
 def antipode(a: UEAElement) -> UEAElement:
@@ -373,17 +359,18 @@ def antipode(a: UEAElement) -> UEAElement:
     return UEAElement(ctx, out)
 
 
-def weyl_map(ctx: EnvelopingAlgebra, s: UEAElement) -> UEAElement:
-    """Symmetrization Sym(g) -> U(g): w -> (1/m!) sum over the arrangements
-    of its letters with Koszul signs.  The argument lives in ctx.sym().
+def weyl_map(ctx: EnvelopingAlgebra,
+             terms: Mapping[Word, CycloScalar]) -> UEAElement:
+    """Symmetrization Sym(g) -> U(g) of a mapping from words to
+    coefficients: w -> (1/m!) sum over the arrangements of its letters with
+    Koszul signs.  A word need not be normal; one that repeats an exterior
+    letter maps to 0.
 
     The arrangements are built from the right: inserting x after the first
     k letters of an arrangement of the later letters moves x past them.
     """
-    if s.ctx is not ctx.sym():
-        raise BiglaError("weyl_map argument must live in the symmetric algebra")
     out: dict[Word, CycloScalar] = {}
-    for w, c in s.coeffs.items():
+    for w, c in terms.items():
         m = len(w)
         if m > MAX_TRUNCATION:
             raise BiglaError(f"word length {m} above the bound {MAX_TRUNCATION}")
@@ -452,17 +439,16 @@ def hopf_failures(U: EnvelopingAlgebra, max_len: int
             eu, ev = U.element({u: ONE}), U.element({v: ONE})
             if delta(uea_multiply(eu, ev)) != delta(eu) * delta(ev):
                 fails["multiplicativity"].append((u, v))
-    S = U.sym()
+    # Sym(g) has U's normal words and their coproduct
     for w in words:
-        s = S.element({w: ONE})
         rhs: dict[tuple[Word, ...], CycloScalar] = {}
-        for (u, v), c in delta(s).coeffs.items():
-            wu = weyl_map(U, S.element({u: ONE}))
-            wv = weyl_map(U, S.element({v: ONE}))
+        for (u, v), c in delta_word(U, w).coeffs.items():
+            wu = weyl_map(U, {u: ONE})
+            wv = weyl_map(U, {v: ONE})
             for uu, cu in wu.coeffs.items():
                 for vv, cv in wv.coeffs.items():
                     add_term(rhs, (uu, vv), c * cu * cv)
-        if delta(weyl_map(U, s)) != TensorElement(U, 2, rhs):
+        if delta(weyl_map(U, {w: ONE})) != TensorElement(U, 2, rhs):
             fails["weyl"].append((w,))
     return len(words), fails
 
@@ -477,7 +463,7 @@ def pbw_dims(ctx: EnvelopingAlgebra, n_max: int) -> tuple[list[int], list[int]]:
     enumerated.
     """
     d_ext = sum(1 for e in ctx.exterior if e)
-    d_poly = ctx.dim - d_ext
+    d_poly = ctx.g.dim - d_ext
     # each degree costs a step even when empty, as above d_ext with no
     # polynomial letters
     steps = n_max + 1

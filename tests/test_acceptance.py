@@ -53,17 +53,17 @@ def test_criterion_02_unbraiding():
     g = s.algebra
     target = so12()
     constants_ok = (
-        g.basis_bracket(0, 1).coeffs == {2: ONE}          # [e1,e2] = e3
-        and g.basis_bracket(2, 0).coeffs == {1: ONE}      # [e3,e1] = e2
-        and g.basis_bracket(1, 2).coeffs == {0: -ONE})    # [e2,e3] = -e1
-    match_ok = all(g.basis_bracket(i, j).coeffs == target.basis_bracket(i, j).coeffs
+        g.bracket.pair(0, 1).coeffs == {2: ONE}          # [e1,e2] = e3
+        and g.bracket.pair(2, 0).coeffs == {1: ONE}      # [e3,e1] = e2
+        and g.bracket.pair(1, 2).coeffs == {0: -ONE})    # [e2,e3] = -e1
+    match_ok = all(g.bracket.pair(i, j).coeffs == target.bracket.pair(i, j).coeffs
                    for i in range(3) for j in range(3))
     round_ok = True
     for name, h in catalog_lie().items():
         back = rebraid(unbraid(h))
         round_ok = round_ok and back.space.degrees == h.space.degrees
         round_ok = round_ok and all(
-            back.basis_bracket(i, j).coeffs == h.basis_bracket(i, j).coeffs
+            back.bracket.pair(i, j).coeffs == h.bracket.pair(i, j).coeffs
             for i in range(h.dim) for j in range(h.dim))
     _report(2, "twist sends the rotation algebra to its split form; "
                "round trip is the identity on the catalog",
@@ -128,7 +128,7 @@ def test_criterion_05_pbw_counts_and_confluence():
     rng = random.Random(777)
     ctx = EnvelopingAlgebra(unitary_example())
     for _ in range(500):
-        w = tuple(rng.randrange(ctx.dim) for _ in range(rng.randrange(1, 6)))
+        w = tuple(rng.randrange(ctx.g.dim) for _ in range(rng.randrange(1, 6)))
         ok = ok and normal_form_random(ctx, w, rng) == ctx.normal_form(w)
     _report(5, "normal-word counts match the symmetric formula; two rewrite "
                "strategies agree on 500 words", ok)

@@ -29,8 +29,8 @@ def bracket_failures(source, target, phi):
     """Basis pairs (i, j) where phi[e_i, e_j] != [phi e_i, phi e_j]."""
     n = source.dim
     return [(i, j) for i in range(n) for j in range(n)
-            if phi(source.basis_bracket(i, j))
-            != target.bracket_of(phi.images[i], phi.images[j])]
+            if phi(source.bracket.pair(i, j))
+            != target.bracket(phi.images[i], phi.images[j])]
 
 
 def unitary_embedding():
@@ -83,19 +83,19 @@ def test_every_assoc_entry_is_associative_and_unital():
         assert a.unit is not None, name
         for k in range(a.dim):
             e = a.space.basis_vector(k)
-            assert a.mul(a.unit, e) == e, (name, k)
-            assert a.mul(e, a.unit) == e, (name, k)
+            assert a.product(a.unit, e) == e, (name, k)
+            assert a.product(e, a.unit) == e, (name, k)
 
 
 def test_q_table():
     b = algebra_B()
     one, q1, q2, q3 = (b.space.basis_vector(k) for k in range(4))
-    assert b.mul(q1, q1) == one.scale(I)
-    assert b.mul(q2, q2) == one.scale(-I)
-    assert b.mul(q3, q3) == one
-    assert b.mul(q1, q2) == q3
-    assert b.mul(q1, q3) == q2.scale(I)
-    assert b.mul(q2, q3) == q1.scale(-I)
+    assert b.product(q1, q1) == one.scale(I)
+    assert b.product(q2, q2) == one.scale(-I)
+    assert b.product(q3, q3) == one
+    assert b.product(q1, q2) == q3
+    assert b.product(q1, q3) == q2.scale(I)
+    assert b.product(q2, q3) == q1.scale(-I)
     # the table is commutative even though the generators are odd-graded
     for i in range(4):
         for j in range(4):
@@ -142,12 +142,12 @@ def test_unitary_bracket_oracles():
     g = unitary_example()
     sp = g.space
     i = sp.index
-    x1x1 = g.basis_bracket(i("x1"), i("x1"))
+    x1x1 = g.bracket.pair(i("x1"), i("x1"))
     assert x1x1.coeffs == {i("u1"): x1x1.coeff(i("u1")),
                            i("u2"): x1x1.coeff(i("u2"))}
     assert x1x1.coeff(i("u1")) == -2
     assert x1x1.coeff(i("u2")) == -2
-    x1y1 = g.basis_bracket(i("x1"), i("y1"))
+    x1y1 = g.bracket.pair(i("x1"), i("y1"))
     assert x1y1.coeff(i("h1")) == 2
     assert x1y1.coeff(i("h2")) == -2
     assert set(x1y1.coeffs) == {i("h1"), i("h2")}
@@ -210,10 +210,10 @@ def test_mat2_star_is_involutive_antiautomorphism():
     for i in range(a.dim):
         for j in range(a.dim):
             ei, ej = a.space.basis_vector(i), a.space.basis_vector(j)
-            assert star(a.mul(ei, ej)) == a.mul(star(ej), star(ei))
+            assert star(a.product(ei, ej)) == a.product(star(ej), star(ei))
     # the imaginary unit element j = i.1 squares to -1 and is anti-fixed
     j = a.unit.scale(I)
-    assert a.mul(j, j) == -a.unit
+    assert a.product(j, j) == -a.unit
     assert star(j) == -j
 
 
@@ -221,7 +221,7 @@ def test_so3_standard_rep():
     # rho[a,b] = rho(a)rho(b) - rho(b)rho(a): every Deligne sign on so3 is +1
     g, rep = so3(), so3_standard_rep()
     m = rep.images
-    assert all(rep.of_vector(g.basis_bracket(i, j)) == m[i] @ m[j] - m[j] @ m[i]
+    assert all(rep.of_vector(g.bracket.pair(i, j)) == m[i] @ m[j] - m[j] @ m[i]
                for i in range(3) for j in range(3))
 
 

@@ -11,7 +11,7 @@ from bigla.deformed import (ConjSymPoly, DEGREE_BOUND, EvenOddPoly, MAX_TRIAL_WO
                             star_vs_pointwise_distinguisher, to_complex,
                             untwisting_failures)
 from bigla.errors import BiglaError
-from bigla.scalars import CycloScalar, I, ONE, ZETA
+from bigla.scalars import ZERO, CycloScalar, I, ONE, ZETA
 
 
 def _rand_poly(rng, max_deg=6):
@@ -55,8 +55,8 @@ def test_untwisting_is_an_isomorphism():
         f, g = _rand_poly(rng), _rand_poly(rng)
         assert to_complex(star_product(f, g)) == to_complex(f) * to_complex(g)
         assert to_complex(f + g) == ConjSymPoly(
-            {k: to_complex(f).coeffs.get(k, CycloScalar.zero())
-             + to_complex(g).coeffs.get(k, CycloScalar.zero())
+            {k: to_complex(f).coeffs.get(k, ZERO)
+             + to_complex(g).coeffs.get(k, ZERO)
              for k in set(to_complex(f).coeffs) | set(to_complex(g).coeffs)})
         # evaluating the untwisted polynomial is the evaluation character
         for a in (Fraction(0), Fraction(2)):
@@ -173,7 +173,7 @@ def test_coefficient_symmetry_enforcement():
 
 
 def test_distinguisher():
-    cert = star_vs_pointwise_distinguisher(3)
+    cert = star_vs_pointwise_distinguisher()
     assert cert.separates
     assert cert.star_square == EvenOddPoly({2: -1})
     assert cert.pointwise_square == EvenOddPoly({2: 1})

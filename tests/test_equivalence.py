@@ -27,8 +27,8 @@ def test_unbraid_so3_is_so12():
     target = so12()
     for i in range(3):
         for j in range(3):
-            assert s.algebra.basis_bracket(i, j).coeffs == \
-                target.basis_bracket(i, j).coeffs
+            assert s.algebra.bracket.pair(i, j).coeffs == \
+                target.bracket.pair(i, j).coeffs
     # sigma = (-1)^eps2 fixes e1 and negates the (1,1) pair
     assert s.involution == (1, -1, -1)
 
@@ -52,8 +52,8 @@ def test_round_trip_on_catalog():
         assert back.name == g.name, name
         for i in range(g.dim):
             for j in range(g.dim):
-                assert back.basis_bracket(i, j).coeffs == \
-                    g.basis_bracket(i, j).coeffs, (name, i, j)
+                assert back.bracket.pair(i, j).coeffs == \
+                    g.bracket.pair(i, j).coeffs, (name, i, j)
 
 
 def test_unbraid_output_is_super_lie():
@@ -223,8 +223,8 @@ def test_involution_from_bidegree_is_automorphism():
     sigma = LinearMap.diagonal(g.space, signs)
     for i in range(g.dim):
         for j in range(g.dim):
-            assert sigma(g.basis_bracket(i, j)) == \
-                g.bracket_of(sigma.images[i], sigma.images[j])
+            assert sigma(g.bracket.pair(i, j)) == \
+                g.bracket(sigma.images[i], sigma.images[j])
 
 
 def test_morphism_transfer():

@@ -577,7 +577,7 @@ def test_equivariant_basis_is_equivariant():
     ctx = _ctx(g)
     truncation = 4
     basis = equivariant_functionals(ctx, truncation)
-    even = [k for k in range(ctx.dim) if g.space.degrees[k].parity == 0]
+    even = [k for k in range(ctx.g.dim) if g.space.degrees[k].parity == 0]
     for phi in basis:
         for w in ctx.normal_words_up_to(truncation - 1):
             for u in even:
@@ -618,7 +618,7 @@ def elimination_basis(ctx, truncation):
     functional is a dict word -> coefficient, in nullspace order."""
     words = list(ctx.normal_words_up_to(truncation))
     col = {w: j for j, w in enumerate(words)}
-    even = [k for k in range(ctx.dim) if ctx.g.space.degrees[k].parity == 0]
+    even = [k for k in range(ctx.g.dim) if ctx.g.space.degrees[k].parity == 0]
     ech = Echelon()
     for w in words:
         if len(w) < truncation:
@@ -734,7 +734,7 @@ def test_series_product_drops_long_words():
 
 def test_primitive_vector_reads_single_letters():
     ctx = _ctx(unitary_example())
-    for k in range(ctx.dim):
+    for k in range(ctx.g.dim):
         x = ctx.element({(k,): ONE})
         assert primitive_vector(x) == ctx.g.space.basis_vector(k)
     assert primitive_vector(ctx.element({(0, 1): ONE})) is None

@@ -32,8 +32,8 @@ def _reference_defects(g, signs):
     sigma = LinearMap.diagonal(g.space, signs)
     return [("not automorphism", i, j)
             for i in range(g.dim) for j in range(g.dim)
-            if sigma(g.basis_bracket(i, j))
-            != g.bracket_of(sigma.images[i], sigma.images[j])]
+            if sigma(g.bracket.pair(i, j))
+            != g.bracket(sigma.images[i], sigma.images[j])]
 
 
 @settings(max_examples=80, deadline=None)

@@ -103,12 +103,12 @@ def test_commutator_lie_b():
     assert not any(check_lie(g).values())
     sp = g.space
     i1, q1, q2, q3 = (sp.index(l) for l in ("1", "q1", "q2", "q3"))
-    assert g.basis_bracket(q1, q1) == sp.basis_vector(i1).scale(I * 2)
-    assert g.basis_bracket(q2, q2) == sp.basis_vector(i1).scale(I * -2)
-    assert g.basis_bracket(q1, q2) == sp.zero()
-    assert g.basis_bracket(q3, q3) == sp.zero()
-    assert g.basis_bracket(q1, q3) == sp.basis_vector(q2).scale(I * 2)
-    assert g.basis_bracket(q2, q3) == sp.basis_vector(q1).scale(I * -2)
+    assert g.bracket.pair(q1, q1) == sp.basis_vector(i1).scale(I * 2)
+    assert g.bracket.pair(q2, q2) == sp.basis_vector(i1).scale(I * -2)
+    assert g.bracket.pair(q1, q2) == sp.zero()
+    assert g.bracket.pair(q3, q3) == sp.zero()
+    assert g.bracket.pair(q1, q3) == sp.basis_vector(q2).scale(I * 2)
+    assert g.bracket.pair(q2, q3) == sp.basis_vector(q1).scale(I * -2)
 
 
 def test_commutator_lie_guards():
@@ -132,7 +132,7 @@ def test_subalgebras():
     g = unitary_example()
     even = {k for k, d in enumerate(g.space.degrees) if d.parity == 0}
     assert len(even) == 4
-    assert all(set(g.basis_bracket(i, j).coeffs) <= even for i in even for j in even)
+    assert all(set(g.bracket.pair(i, j).coeffs) <= even for i in even for j in even)
 
 
 def test_cartan_pair():

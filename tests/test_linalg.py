@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bigla.linalg import Echelon, Matrix
-from bigla.scalars import CycloScalar, I, ONE
+from bigla.scalars import ZERO, CycloScalar, I, ONE
 
 
 def _rand_scalar(rng):
@@ -55,9 +55,9 @@ def test_nullspace_annihilates():
         assert len(null) == ncols - ech.rank
         for sol in null:
             for row in rows:
-                acc = CycloScalar.zero()
+                acc = ZERO
                 for j, c in row.items():
-                    acc = acc + c * sol.get(j, CycloScalar.zero())
+                    acc = acc + c * sol.get(j, ZERO)
                 assert not acc
 
 
@@ -95,6 +95,6 @@ def test_matrix_sum_refuses_a_shape_mismatch(other):
 
 
 def test_matrix_cyclo_entries():
-    j = Matrix([[I, CycloScalar.zero()], [CycloScalar.zero(), I]])
+    j = Matrix([[I, ZERO], [ZERO, I]])
     assert j @ j == Matrix.identity(2).scale(-1)
     assert j.transpose() == j

@@ -5,14 +5,13 @@ it costs reading and testing and answers no question the library asks.
 A non-dunder ``def`` or ``class`` under ``src/bigla`` passes when its name
 
 * appears as a name or attribute elsewhere in ``src/bigla``, outside the
-  definition's own body and outside ``bigla/__init__.py``;
+  definition's own body;
 * is used by code in a ``benchmarks/`` module; or
 * is patched by the benchmark's layer trace (``SPANS``/``AGGREGATES`` in
   ``benchmarks/layertrace.py``), or owns a method that is.
 
-A re-export from ``bigla/__init__.py`` is no caller: it names a definition
-without using it.  Nor is a use inside the definition itself, such as a
-class that builds its own instances.  Names are matched without their
+A use inside the definition itself, such as a class that builds its own
+instances, is no caller.  Names are matched without their
 owner, so a method survives when any same-named attribute is read; the
 guard stops whole definitions from going dead, not every overload.
 Dunders are exempt: the interpreter calls them.  A helper the tests need
@@ -64,8 +63,7 @@ def _parse(path):
 
 
 def test_every_definition_has_a_caller():
-    trees = {path.name: _parse(path) for path in sorted(PACKAGE.glob("*.py"))
-             if path.name != "__init__.py"}
+    trees = {path.name: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
     used = sum((_used_names(tree) for tree in trees.values()), Counter())
     benchmarked = set().union(*(_used_names(_parse(path))
                                 for path in sorted(BENCHMARKS.glob("*.py"))))

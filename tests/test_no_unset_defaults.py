@@ -19,10 +19,11 @@ import ast
 from test_no_dead_code import BENCHMARKS, PACKAGE, _is_dunder, _parse
 
 
-def _defaulted(tree):
-    """(qualified name, call name, parameter, position) for every defaulted
-    parameter; position counts the arguments a call passes, so a method's
-    self is not counted, and is None for a keyword-only parameter."""
+def _parameters(tree):
+    """(qualified name, call name, parameter, position, default) for every
+    parameter but a method's self; position counts the arguments a call
+    passes and is None for a keyword-only parameter, and default is the
+    default's node or None."""
     def walk(node, prefix, cls):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -36,12 +37,14 @@ def _defaulted(tree):
                 decorators = {d.id for d in child.decorator_list
                               if isinstance(d, ast.Name)}
                 skip = 1 if cls and "staticmethod" not in decorators else 0
-                first = len(positional) - len(args.defaults)
-                for p, arg in enumerate(positional[first:], first):
-                    yield f"{prefix}{child.name}", name, arg.arg, p - skip
+                defaults = [None] * (len(positional) - len(args.defaults))
+                for p, (arg, default) in enumerate(
+                        zip(positional, defaults + args.defaults)):
+                    if p >= skip:
+                        yield (f"{prefix}{child.name}", name, arg.arg, p - skip,
+                               default)
                 for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                    if default is not None:
-                        yield f"{prefix}{child.name}", name, arg.arg, None
+                    yield f"{prefix}{child.name}", name, arg.arg, None, default
                 yield from walk(child, f"{prefix}{child.name}.", None)
             elif isinstance(child, ast.ClassDef):
                 yield from walk(child, f"{prefix}{child.name}.", child.name)
@@ -51,7 +54,8 @@ def _defaulted(tree):
 
 
 def _calls(tree):
-    """(call name, positional count, keyword names, any star) per call."""
+    """(call name, positional arguments, keyword arguments by name, any
+    star) per call."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -64,7 +68,7 @@ def _calls(tree):
             continue
         star = (any(isinstance(a, ast.Starred) for a in node.args)
                 or any(k.arg is None for k in node.keywords))
-        yield name, len(node.args), {k.arg for k in node.keywords}, star
+        yield name, node.args, {k.arg: k.value for k in node.keywords}, star
 
 
 def test_every_default_is_overridden_somewhere():
@@ -72,8 +76,9 @@ def test_every_default_is_overridden_somewhere():
     calls = [call for path in sources for call in _calls(_parse(path))]
     unset = [f"{path.stem}.{qualname}({param})"
              for path in sorted(PACKAGE.glob("*.py"))
-             for qualname, name, param, pos in _defaulted(_parse(path))
-             if not any(called == name and (star or param in keywords
-                                            or pos is not None and npos > pos)
-                        for called, npos, keywords, star in calls)]
+             for qualname, name, param, pos, default in _parameters(_parse(path))
+             if default is not None
+             and not any(called == name and (star or param in keywords
+                                             or pos is not None and len(args) > pos)
+                         for called, args, keywords, star in calls)]
     assert unset == [], "never set: " + ", ".join(unset)

@@ -1,12 +1,11 @@
 """Every name a module imports is read in that module.
 
 An import nothing reads costs load time and tells the reader about a
-dependency that is not there.  The guard covers ``src/bigla/*.py`` and
-``tests/*.py``.  Two kinds of import are exempt:
-
-* ``bigla/__init__.py``, whose imports are the library's public surface;
-* an import on a line marked ``# noqa: F401``, kept for its side effect
-  (``tests/conftest.py`` imports a hypothesis module that way).
+dependency that is not there.  The guard covers ``src/bigla/*.py``,
+``bigla/__init__.py`` included, so no re-export facade grows back, and
+``tests/*.py``.  An import on a line marked ``# noqa: F401`` is exempt, kept
+for its side effect (``tests/conftest.py`` imports a hypothesis module that
+way).
 
 A name counts as read when it appears as a bare name anywhere in the
 module, annotations included; ``import a.b`` binds and is read as ``a``.
@@ -43,7 +42,6 @@ def _unused_imports(path):
 
 
 def test_every_import_is_read():
-    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    paths += sorted(TESTS.glob("*.py"))
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
     unused = [name for path in paths for name in _unused_imports(path)]
     assert unused == [], "imported but never read: " + ", ".join(unused)

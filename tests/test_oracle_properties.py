@@ -81,7 +81,7 @@ def rebased(g, change):
         for b in range(n):
             v = g.bracket(f[a], f[b])
             constants[(a, b)] = Vector(g.space, {
-                i: sum((inv[i][j] * c for j, c in v.coeffs.items()), CycloScalar.zero())
+                i: sum((inv[i][j] * c for j, c in v.coeffs.items()), ZERO)
                 for i in range(n)})
     return BiGradedLieAlgebra(g.space, BilinearMap(g.space, constants), name="rebased")
 
@@ -113,7 +113,7 @@ def test_closed_form_matches_the_elimination_on_rebased_algebras(ctx, n):
     algebras (Scheunert, "Generalized Lie algebras", J. Math. Phys. 20
     (1979))."""
     assert not any(check_lie(ctx.g).values())
-    n = min(n, 3) if ctx.dim == 8 else n
+    n = min(n, 3) if ctx.g.dim == 8 else n
     assert closed_form_basis(ctx, n) == elimination_basis(ctx, n)
 
 
@@ -125,7 +125,7 @@ def test_convolution_matches_the_expanded_coproduct_on_rebased_algebras(ctx, n, 
     the sum of its unshuffles, each signed by the commutation factor eps(d, d')
     = (-1)^(d . d') of the grading (Scheunert, "Generalized Lie algebras", J.
     Math. Phys. 20 (1979))."""
-    n = min(n, 3) if ctx.dim == 8 else n
+    n = min(n, 3) if ctx.g.dim == 8 else n
     phi = drawn_functional(ctx, n, rng)
     psi = mixed_functional(ctx, n, rng)
     assert hc.convolution(phi, psi) == expanded_convolution(phi, psi)
@@ -161,7 +161,7 @@ def test_bch_matches_the_series_log_on_rebased_algebras(case):
 def catalog_words(draw):
     name = draw(st.sampled_from(sorted(CONTEXTS)))
     ctx = CONTEXTS[name]
-    word = draw(st.lists(st.integers(0, ctx.dim - 1), max_size=8))
+    word = draw(st.lists(st.integers(0, ctx.g.dim - 1), max_size=8))
     return ctx, tuple(word)
 
 

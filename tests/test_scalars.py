@@ -110,7 +110,7 @@ def test_pretty():
     assert (I * 3).pretty() == "3*i"
     assert Z3.pretty() == "z8^3"
     assert (ONE - ZETA).pretty() == "1 - z8"
-    assert CycloScalar.zero().pretty() == "0"
+    assert ZERO.pretty() == "0"
 
 
 def test_bidegree():

@@ -120,8 +120,8 @@ def test_lie_round_trip():
         assert back.space.degrees == g.space.degrees
         for i in range(g.dim):
             for j in range(g.dim):
-                assert back.basis_bracket(i, j).coeffs == \
-                    g.basis_bracket(i, j).coeffs, (name, i, j)
+                assert back.bracket.pair(i, j).coeffs == \
+                    g.bracket.pair(i, j).coeffs, (name, i, j)
 
 
 def test_assoc_round_trip():
@@ -145,8 +145,8 @@ def test_super_round_trip():
     assert back.involution == s.involution
     for i in range(s.dim):
         for j in range(s.dim):
-            assert back.algebra.basis_bracket(i, j).coeffs == \
-                s.algebra.basis_bracket(i, j).coeffs
+            assert back.algebra.bracket.pair(i, j).coeffs == \
+                s.algebra.bracket.pair(i, j).coeffs
 
 
 def test_docs_store_upper_triangle_only():
@@ -155,7 +155,7 @@ def test_docs_store_upper_triangle_only():
     assert stored == {(0, 1), (0, 2), (1, 2)}
     # deligne mirror: [e2,e1] = -[e1,e2]
     g = from_doc(doc)
-    assert g.basis_bracket(1, 0) == -g.basis_bracket(0, 1)
+    assert g.bracket.pair(1, 0) == -g.bracket.pair(0, 1)
 
 
 def test_super_mirror_uses_the_super_sign():
@@ -166,8 +166,8 @@ def test_super_mirror_uses_the_super_sign():
     x1 = s.space.index("x1")
     y1 = s.space.index("y1")
     # odd-odd pair: [y,x] = +[x,y] under the super rule
-    assert back.algebra.basis_bracket(y1, x1).coeffs == \
-        back.algebra.basis_bracket(x1, y1).coeffs
+    assert back.algebra.bracket.pair(y1, x1).coeffs == \
+        back.algebra.bracket.pair(x1, y1).coeffs
 
 
 @pytest.mark.parametrize("name", ["qalgebra-lie", "qmat2-lie", "unitary2x2"])

@@ -7,6 +7,7 @@ from math import comb, factorial
 
 import pytest
 
+from bigla import uea
 from bigla.catalog import algebra_B, odd_pair, so3, unitary_example
 from bigla.equivalence import unbraid
 from bigla.errors import BiglaError, InputNotLie
@@ -17,8 +18,8 @@ from bigla.scalars import D00, MINUS_ONE, ONE, ZETA, CycloScalar
 from bigla.sparse import add_scaled, add_term
 from bigla.uea import (DEGREE_OF_CODE, MAX_TRUNCATION, EnvelopingAlgebra,
                        TensorElement, antipode, counit, delta, delta_slot,
-                       delta_word, normal_form, normal_form_random, pbw_dims,
-                       weyl_map)
+                       delta_word, hopf_failures, normal_form,
+                       normal_form_random, pbw_dims, weyl_map)
 
 from test_catalog import catalog_lie
 from test_lie import reordered
@@ -50,7 +51,7 @@ def _is_normal(ctx, w):
 def _random_element(ctx, rng, n_words=3, max_len=3):
     terms = {}
     for _ in range(n_words):
-        w = tuple(rng.randrange(ctx.dim) for _ in range(rng.randrange(max_len + 1)))
+        w = tuple(rng.randrange(ctx.g.dim) for _ in range(rng.randrange(max_len + 1)))
         terms[w] = CycloScalar.from_rational(rng.randrange(-3, 4))
     return ctx.element({w: c for w, c in terms.items() if c})
 
@@ -83,7 +84,7 @@ def test_normal_form_preserves_degree_and_filtration():
     rng = random.Random(11)
     ctx = _unitary_ctx()
     for _ in range(40):
-        w = tuple(rng.randrange(ctx.dim) for _ in range(rng.randrange(1, 6)))
+        w = tuple(rng.randrange(ctx.g.dim) for _ in range(rng.randrange(1, 6)))
         d = ctx.word_degree(w)
         for term, c in ctx.normal_form(w).items():
             assert len(term) <= len(w)
@@ -125,7 +126,7 @@ def test_normal_form_random_agrees_with_leftmost():
     rng = random.Random(40)
     ctx = _unitary_ctx()
     for _ in range(60):
-        w = tuple(rng.randrange(ctx.dim) for _ in range(rng.randrange(1, 6)))
+        w = tuple(rng.randrange(ctx.g.dim) for _ in range(rng.randrange(1, 6)))
         assert normal_form_random(ctx, w, rng) == ctx.normal_form(w)
 
 
@@ -151,7 +152,7 @@ def test_rewriting_refuses_a_bracket_that_breaks_jacobi():
 
 def test_letters_are_primitive():
     ctx = _unitary_ctx()
-    for k in range(ctx.dim):
+    for k in range(ctx.g.dim):
         x = ctx.element({(k,): ONE})
         left = TensorElement(ctx, 2, {((k,), ()): ONE})
         right = TensorElement(ctx, 2, {((), (k,)): ONE})
@@ -210,24 +211,19 @@ def test_antipode():
 
 def test_weyl_map():
     ctx = _so3_ctx()
-    sym = ctx.sym()
-    s = sym.element({ctx.word_from_labels(["e1", "e2"]): ONE})
-    assert weyl_map(ctx, s).pretty() == "e1*e2 - 1/2*e3"
-    with pytest.raises(BiglaError,
-                       match="^weyl_map argument must live in the symmetric algebra$"):
-        weyl_map(ctx, ctx.one())
+    w = ctx.word_from_labels(["e1", "e2"])
+    assert weyl_map(ctx, {w: ONE}).pretty() == "e1*e2 - 1/2*e3"
 
 
 def test_weyl_map_is_injective_up_to_length_three():
     # images of the 20 symmetric words stay independent in U(so3)
     ctx = _so3_ctx()
-    sym = ctx.sym()
     words = ctx.normal_words_up_to(3)
     column = {w: k for k, w in enumerate(words)}
     ech = Echelon()
     kept = 0
     for w in words:
-        img = weyl_map(ctx, sym.element({w: ONE}))
+        img = weyl_map(ctx, {w: ONE})
         row = {column[term]: c for term, c in img.coeffs.items()}
         if ech.add_row(row) is not None:
             kept += 1
@@ -236,10 +232,9 @@ def test_weyl_map_is_injective_up_to_length_three():
 
 def test_weyl_truncation_bound():
     ctx = _so3_ctx()
-    sym = ctx.sym()
     long_word = (0,) * 7
     with pytest.raises(BiglaError, match="^word length 7 above the bound 6$"):
-        weyl_map(ctx, sym.element({long_word: ONE}))
+        weyl_map(ctx, {long_word: ONE})
 
 
 def test_pbw_dims_oracles():
@@ -411,10 +406,70 @@ def _weyl_reference(ctx, w):
 def test_hopf_maps_match_brute_force_signs(name):
     g = catalog_lie()[name]
     ctx = EnvelopingAlgebra(g)
-    sym = ctx.sym()
     for w in ctx.normal_words_up_to(3 if g.dim >= 8 else 4):
         assert delta_word(ctx, w).coeffs == _unshuffle_reference(ctx, w), w
         assert antipode(ctx.element({w: ONE})).coeffs \
             == _antipode_reference(ctx, w), w
-        assert weyl_map(ctx, sym.element({w: ONE})).coeffs \
-            == _weyl_reference(ctx, w), w
+        assert weyl_map(ctx, {w: ONE}).coeffs == _weyl_reference(ctx, w), w
+        # weyl_map reads raw words as Sym(g) does, in any letter order
+        assert weyl_map(ctx, {w[::-1]: ONE}).coeffs \
+            == _weyl_reference(ctx, w[::-1]), w
+    # every raw word of length 2 or 3; one that repeats an exterior letter
+    # symmetrizes to 0
+    repeats = 0
+    for w in (w for m in (2, 3) for w in product(range(g.dim), repeat=m)):
+        image = weyl_map(ctx, {w: ONE}).coeffs
+        assert image == _weyl_reference(ctx, w), w
+        if any(ctx.exterior[k] and w.count(k) > 1 for k in w):
+            assert image == {}, w
+            repeats += 1
+    assert repeats or not any(ctx.exterior)
+
+
+# one mutation per Hopf axiom: the name patched in bigla.uea, the
+# replacement built from the original, and the axioms it must break
+def _unsigned_crossing(crossed):
+    return lambda ctx, x, u, c: c
+
+
+def _extra_unit_term(delta_word):
+    return lambda ctx, w: delta_word(ctx, w) \
+        + TensorElement(ctx, 2, {((), ()): ONE})
+
+
+def _unsigned_second_slot(delta_slot):
+    def mutated(t, slot):
+        out = delta_slot(t, slot)
+        if slot != 1:
+            return out
+        return TensorElement(out.ctx, 3, {(a, c, b): x
+                                          for (a, b, c), x in out.coeffs.items()})
+    return mutated
+
+
+HOPF_MUTATIONS = {
+    "crossing": ("_crossed", _unsigned_crossing,
+                 {"cocommutativity", "multiplicativity", "weyl"}),
+    "antipode": ("antipode", lambda antipode: lambda a: a, {"antipode"}),
+    "weyl": ("weyl_map", lambda weyl: lambda ctx, t: weyl(ctx, t).scale(2),
+             {"weyl"}),
+    "counit": ("delta_word", _extra_unit_term, {"counit"}),
+    "coassociativity": ("delta_slot", _unsigned_second_slot,
+                        {"coassociativity"}),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(HOPF_MUTATIONS))
+def test_every_hopf_axiom_can_fail(mutation, monkeypatch):
+    """qalgebra-lie has odd letters, so a lost crossing sign shows; so3,
+    all even, has none.  The clean sweep lists no failure, and each
+    mutation makes its axioms list one."""
+    assert set().union(*(b for *_, b in HOPF_MUTATIONS.values())) \
+        == set(uea.HOPF_AXIOMS)
+    ctx = EnvelopingAlgebra(catalog_lie()["qalgebra-lie"])
+    count, clean = hopf_failures(ctx, 3)
+    assert count == 25 and not any(clean.values())
+    name, mutate, broken = HOPF_MUTATIONS[mutation]
+    monkeypatch.setattr(uea, name, mutate(getattr(uea, name)))
+    _, fails = hopf_failures(EnvelopingAlgebra(ctx.g), 3)
+    assert {axiom for axiom, where in fails.items() if where} >= broken
