@@ -10,7 +10,6 @@ q1q3 = i q2, q2q3 = -i q1, all commuting; i is zeta8^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -263,21 +262,18 @@ def unitary_example() -> BiGradedLieAlgebra:
     return BiGradedLieAlgebra(space, BilinearMap(space, constants), name="unitary")
 
 
-@dataclass
 class MatrixRep:
     """Matrices attached to basis elements of a fixed space."""
 
-    space: BiGradedSpace
-    images: dict[int, Matrix]
-    dimension: int = field(init=False)
-
-    def __post_init__(self):
-        sizes = {(m.nrows, m.ncols) for m in self.images.values()}
-        if len(sizes) != 1 or len(self.images) != self.space.dim:
+    def __init__(self, space: BiGradedSpace, images: dict[int, Matrix]):
+        sizes = {(m.nrows, m.ncols) for m in images.values()}
+        if len(sizes) != 1 or len(images) != space.dim:
             raise ValueError("need one square matrix per basis element")
         (r, c), = sizes
         if r != c:
             raise ValueError("representation matrices must be square")
+        self.space = space
+        self.images = images
         self.dimension = r
 
     def of_vector(self, v: Vector) -> Matrix:

@@ -22,8 +22,8 @@ from .catalog import (catalog, so3_group_automorphism, so3_group_elements,
                       so3_standard_rep)
 from .deformed import (character_at, parse_poly, star_product,
                        star_vs_pointwise_distinguisher, untwisting_failures)
-from .equivalence import (SuperLieAlgebraWithInvolution, alpha_sign_counts,
-                          alpha_sweep, rebraid, unbraid)
+from .equivalence import (SuperLieAlgebraWithInvolution, alpha_failures,
+                          alpha_sign_counts, rebraid, unbraid)
 from .errors import BiglaError, InputNotLie
 from .hc import (bch_product, commutativity_failures, equivariant_hom_basis,
                  inner_automorphism_check)
@@ -184,9 +184,8 @@ def cmd_rebraid(args):
 def cmd_alpha_check(args):
     g = _load_lie(args.file)
     n = g.dim
-    results = alpha_sweep(g)
+    failures = [_labels(g.space, t) for t in alpha_failures(g)]
     plus, minus = alpha_sign_counts(g)
-    failures = [_labels(g.space, t) for t, r in results.items() if not r.identity_holds]
     ok = not failures
     result = {"file": args.file, "triples": n ** 3, "alpha_plus": plus,
               "alpha_minus": minus, "failures": failures, "ok": ok}

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .errors import BiglaError
 from .scalars import CycloScalar, I, ONE, ZERO, _times, as_scalar, parse_rational
@@ -216,8 +215,7 @@ def untwisting_failures(degree: int, trials: int, rng: random.Random) -> int:
     return failures
 
 
-@dataclass(frozen=True)
-class DistinguisherCertificate:
+class DistinguisherCertificate(NamedTuple):
     """Evidence that the star and pointwise products differ as algebras."""
 
     star_square: EvenOddPoly

@@ -11,40 +11,40 @@ The Jacobi defects on the two sides differ by the pure sign
 alpha = eps1(a1)eps2(a2) + eps1(a2)eps2(a3) + eps1(a3)eps2(a1); this holds
 term by term for any degree-homogeneous bracket, Lie or not (Jacobi and
 antisymmetry play no role, but the inner bracket values must carry the
-degree of their arguments for the twist sign to come out uniform), which
-is what jacobiator_alpha_check certifies.
+degree of their arguments for the twist sign to come out uniform).
+jacobiator_alpha_check certifies it on one triple from both jacobiators.
+alpha_failures certifies it on every triple in one walk of g's int rows:
+each nested term of (-1)^alpha J_g - J_twist is g's term times a factor
+of -2, 0 or 2 read off four degrees, so no twisted table is built and the
+terms of factor 0 cost no product.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Collection
+from functools import cache
+from typing import Collection, NamedTuple
 
 from .errors import BiglaError
-from .lie import (BiGradedLieAlgebra, check_lie, jacobiator, _residuals, _rotations,
+from .lie import (BiGradedLieAlgebra, check_lie, jacobiator, _orbit_sums, _rotations,
                   require_lie)
 from .linear import BiGradedSpace, BilinearMap, Vector
-from .scalars import BiDegree, sign_deligne, sign_super, sign_unbraid
+from .scalars import DEGREE_OF_CODE, BiDegree, sign_deligne, sign_super, sign_unbraid
 
 
-@dataclass
 class SuperLieAlgebraWithInvolution:
     """A super Lie algebra plus an involutive automorphism, with the original
     bi-degree bookkeeping retained on the space.  The involution is diagonal
     on the basis and stored as its eigenvalue +-1 at each basis vector."""
 
-    algebra: BiGradedLieAlgebra
-    involution: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.algebra.sign is not sign_super:
+    def __init__(self, algebra: BiGradedLieAlgebra, involution: tuple[int, ...]):
+        if algebra.sign is not sign_super:
             raise ValueError("a super Lie algebra needs the super sign rule")
-        signs = self.involution
-        if (not isinstance(signs, (list, tuple)) or len(signs) != self.dim
-                or any(isinstance(s, bool) or s not in (1, -1) for s in signs)):
+        if (not isinstance(involution, (list, tuple)) or len(involution) != algebra.dim
+                or any(isinstance(s, bool) or s not in (1, -1) for s in involution)):
             raise ValueError("involution must list +-1 per basis element")
-        self.involution = tuple(int(s) for s in signs)
+        self.algebra = algebra
+        self.involution = tuple(int(s) for s in involution)
 
     @property
     def space(self):
@@ -77,13 +77,18 @@ def involution_from_bidegree(g: BiGradedLieAlgebra) -> tuple[int, ...]:
     return tuple(-1 if d.eps2 else 1 for d in g.space.degrees)
 
 
-def twist(g: BiGradedLieAlgebra) -> BiGradedLieAlgebra:
-    """The same table with [a,b] scaled by (-1)^(eps1(a) eps2(b)), unchecked,
-    under the super sign rule.  The input must carry the Deligne rule: the
-    twist of a super table is no super companion."""
+def _require_deligne(g: BiGradedLieAlgebra):
+    """The twist of a super table is no super companion, so the twist and
+    the alpha identity read Deligne tables only."""
     if g.sign is not sign_deligne:
         raise BiglaError(f"{g.name or 'algebra'}: the twist needs the "
                          "Deligne sign rule")
+
+
+def twist(g: BiGradedLieAlgebra) -> BiGradedLieAlgebra:
+    """The same table with [a,b] scaled by (-1)^(eps1(a) eps2(b)), unchecked,
+    under the super sign rule.  The input must carry the Deligne rule."""
+    _require_deligne(g)
     degs = g.space.degrees
     constants = {}
     for (i, j), v in g.bracket.constants.items():
@@ -126,15 +131,13 @@ def rebraid(s: SuperLieAlgebraWithInvolution) -> BiGradedLieAlgebra:
     return BiGradedLieAlgebra(rebuilt, BilinearMap(rebuilt, constants), name=name)
 
 
-@dataclass
-class AlphaCheckResult:
+class AlphaCheckResult(NamedTuple):
+    """The alpha sign of a triple and the jacobiators of g and of its twist
+    there; the identity holds where residual_bi = alpha_sign residual_super."""
+
     alpha_sign: int
     residual_bi: Vector
     residual_super: Vector
-
-    @property
-    def identity_holds(self) -> bool:
-        return self.residual_bi == self.residual_super.scale(self.alpha_sign)
 
 
 def jacobiator_alpha_check(g: BiGradedLieAlgebra, a: int, b: int, c: int
@@ -142,7 +145,8 @@ def jacobiator_alpha_check(g: BiGradedLieAlgebra, a: int, b: int, c: int
     """Compare Jacobi defects of a bracket and its twist on one basis triple.
 
     Works for non-Lie brackets too, as long as the bracket values are
-    degree-homogeneous; Jacobi and antisymmetry are not used.
+    degree-homogeneous; Jacobi and antisymmetry are not used.  It is the
+    per-triple oracle of alpha_failures.
     """
     return AlphaCheckResult(
         alpha_sign=_alpha_sign(g.space.degrees, a, b, c),
@@ -158,26 +162,33 @@ def _alpha_sign(degs, a: int, b: int, c: int) -> int:
     return -1 if alpha else 1
 
 
-def alpha_sweep(g: BiGradedLieAlgebra
-                ) -> dict[tuple[int, int, int], AlphaCheckResult]:
-    """jacobiator_alpha_check on every basis triple where the jacobiator of
-    g or of its twist is nonzero, in lexicographic order; on every other
-    triple both vanish and the identity holds.
+@cache
+def _alpha_weights() -> tuple[int, ...]:
+    """The weights of the alpha walk by the degree codes of x, y, z and m
+    (lie._orbit_sums): alpha(x,y,z) s(x,z) - s_super(x,z) u(y,z) u(x,m),
+    with s the Deligne sign and u the twist sign."""
+    return tuple(_alpha_sign((x, y, z), 0, 1, 2) * sign_deligne(x, z)
+                 - sign_super(x, z) * sign_unbraid(y, z) * sign_unbraid(x, m)
+                 for x in DEGREE_OF_CODE for y in DEGREE_OF_CODE
+                 for z in DEGREE_OF_CODE for m in DEGREE_OF_CODE)
 
-    alpha and both jacobiators are invariant under the rotation
-    (a,b,c) -> (c,a,b), so the three triples of an orbit share one result.
+
+def alpha_failures(g: BiGradedLieAlgebra) -> list[tuple[int, int, int]]:
+    """The basis triples, in lexicographic order, where the jacobiator of g
+    is not (-1)^alpha times that of its twist.
+
+    The twist scales [y,z] by u(y,z) and [x,m] by u(x,m), so the term
+    [x,[y,z]] of the twisted jacobiator is s_super(x,z) u(y,z) u(x,m) times
+    that of g, term by term, and (-1)^alpha J_g - J_twist sums each term
+    k v of g's walk (y,z) -> e_m -> x with the factor alpha s(x,z) -
+    s_super(x,z) u(y,z) u(x,m), which is -2, 0 or 2.  One walk of g's rows
+    (lie._orbit_sums) skips the terms of factor 0, every term of a
+    homogeneous table, and an orbit fails where its sum is nonzero.  No
+    twisted table and no residual vector is built.
     """
-    bi = _residuals(g)
-    sup = _residuals(twist(g))
-    zero = g.space.zero()
-    degs = g.space.degrees
-    out = {}
-    for t in bi.keys() | sup.keys():
-        result = AlphaCheckResult(_alpha_sign(degs, *t), bi.get(t, zero),
-                                  sup.get(t, zero))
-        for r in _rotations(t):
-            out[r] = result
-    return dict(sorted(out.items()))
+    _require_deligne(g)
+    _, sums = _orbit_sums(g, _alpha_weights())
+    return sorted(r for t in {t for t, _ in sums} for r in _rotations(t))
 
 
 def alpha_sign_counts(g: BiGradedLieAlgebra) -> tuple[int, int]:

@@ -9,12 +9,14 @@ unbraiding functor produces, and every checker judges a table by its own.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from functools import cache
 from math import lcm
 from typing import Callable, Collection, Mapping, Optional
 
 from .errors import BiglaError, InputNotLie
 from .linear import BiGradedSpace, BilinearMap, Vector
-from .scalars import BiDegree, CycloScalar, _times, sign_deligne
+from .scalars import DEGREE_OF_CODE, BiDegree, CycloScalar, sign_deligne
 from .sparse import add_scaled
 
 SignRule = Callable[[BiDegree, BiDegree], int]
@@ -22,34 +24,97 @@ Table = Mapping[tuple[int, int], Vector]
 Coeffs = dict[int, CycloScalar]
 
 
-# one structure constant as int coordinates over a table's common
-# denominator: (l, (a0, a1, a2, a3)) stands for the term a / d e_l
-IntTerm = tuple[int, tuple[int, int, int, int]]
+# one structure constant as a packed int over a table's common
+# denominator: (l, p) stands for the term a / d e_l, p packing the int
+# coordinates of a (_int_rows)
+IntTerm = tuple[int, int]
 
 
-def _int_rows(table: Table) -> tuple[int, dict[tuple[int, int], list[IntTerm]]]:
-    """The constants over one denominator d, the lcm of their denominators:
-    d and, per pair (x, m), the terms (l, a) of e_x e_m, with a the int
-    coordinates of the constant times d // its denominator.  The integral
-    coordinates over one denominator of Cohen, "A Course in Computational
-    Algebraic Number Theory" (1993), section 4.2."""
+def _int_rows(table: Table) -> tuple[int, int, dict[tuple[int, int], list[IntTerm]]]:
+    """The constants over one denominator d, the lcm of their denominators,
+    each packed into one int: d, the shift b and, per pair (x, m), the terms
+    (l, p) of e_x e_m.  With a the int coordinates of the constant times
+    d // its denominator, p = a0 + a1 R + a2 R^2 + a3 R^3 for R = 2^b, so a
+    rational constant is the int a0.  These are the integral coordinates
+    over one denominator of Cohen, "A Course in Computational Algebraic
+    Number Theory" (1993), section 4.2, packed by Kronecker substitution
+    (von zur Gathen-Gerhard, "Modern Computer Algebra", section 8.4): the
+    product of two packed ints packs the product polynomial in zeta before
+    zeta^4 = -1, so a verdict sums w p q on ints alone (_reduce).
+
+    b bounds every coordinate.  Let s be the sum of |a_j| over all terms.
+    Each |a_j| <= s < R / 2, so equal packed ints are equal constants.  A
+    product of two terms has coordinates at most the product of their sums
+    of |a_j|, and no verdict weighs one pair of terms by more than 6 in
+    total at one key, so every coordinate of a sum, before or after zeta^4
+    = -1, is at most 6 s^2 < R / 2.
+    """
     d = lcm(*(c.d for v in table.values() for c in v.coeffs.values()))
-    return d, {pair: [(l, c.c if c.d == d else tuple(a * (d // c.d) for a in c.c))
-                      for l, c in v.coeffs.items()]
-               for pair, v in table.items()}
+    rows: dict[tuple[int, int], list[IntTerm]] = {}
+    # the terms off the rationals, packed once the shift is known
+    wide = []
+    s = 0
+    for pair, v in table.items():
+        row = rows[pair] = []
+        for l, c in v.coeffs.items():
+            a0, a1, a2, a3 = a = c.c
+            if c.d != d:
+                f = d // c.d
+                a0, a1, a2, a3 = a = a0 * f, a1 * f, a2 * f, a3 * f
+            s += abs(a0) + abs(a1) + abs(a2) + abs(a3)
+            if a1 or a2 or a3:
+                wide.append((row, len(row), l, a))
+            row.append((l, a0))
+    b = (6 * s * s).bit_length() + 1
+    for row, k, l, (a0, a1, a2, a3) in wide:
+        row[k] = (l, a0 + ((a1 + ((a2 + (a3 << b)) << b)) << b))
+    return d, b, rows
 
 
-def _add_times(acc: dict, key, w: int, a: tuple, b: tuple):
-    """acc[key] += w a b in place, on the int coordinates of a and b."""
-    p0, p1, p2, p3 = _times(a, b)
-    r = acc.get(key)
-    if r is None:
-        acc[key] = [w * p0, w * p1, w * p2, w * p3]
-    else:
-        r[0] += w * p0
-        r[1] += w * p1
-        r[2] += w * p2
-        r[3] += w * p3
+def _reduce(acc: dict, b: int) -> dict:
+    """The keys of acc, a dict of sums of products of packed ints with
+    shift b, whose sum is nonzero in Q(zeta8), each with its four int
+    coordinates.
+
+    A sum packs c0 + c1 R + ... + c6 R^6 with R = 2^b, and zeta^4 = -1
+    folds it to r0 + r1 R + r2 R^2 + r3 R^3 modulo N = R^4 + 1.  Each
+    |r_j| < R / 2 (_int_rows), so that fold is the representative of the
+    sum modulo N nearest 0, and its balanced base-R digits are the r_j.
+    """
+    big = 1 << 4 * b
+    modulus = big + 1
+    half = 1 << (b - 1)
+    mask = (1 << b) - 1
+    out = {}
+    for key, p in acc.items():
+        p %= modulus
+        if p:
+            if p > big >> 1:
+                p -= modulus
+            coords = []
+            for _ in range(4):
+                r = p & mask
+                if r >= half:
+                    r -= 1 << b
+                coords.append(r)
+                p = (p - r) >> b
+            out[key] = coords
+    return out
+
+
+@cache
+def _signs(sign: SignRule) -> tuple[tuple[int, ...], ...]:
+    """sign on the degrees of two codes, by code."""
+    return tuple(tuple(sign(p, q) for q in DEGREE_OF_CODE)
+                 for p in DEGREE_OF_CODE)
+
+
+@cache
+def _jacobi_weights(sign: SignRule) -> tuple[int, ...]:
+    """The weights of the Jacobi walk (_orbit_sums) under sign: sign(x, z)."""
+    rows = _signs(sign)
+    return tuple(rows[x][z] for x in range(4) for _ in range(4) for z in range(4)
+                 for _ in range(4))
 
 
 class BiGradedLieAlgebra:
@@ -90,26 +155,29 @@ class BiGradedAssocAlgebra:
         Both sides are summed on the int rows (_int_rows), keyed by (i, j,
         k, l) for their term e_l: (e_i e_j) e_k adds from the walk (i, j)
         -> e_m -> (m, k), and e_i (e_j e_k) subtracts from the walk (j, k)
-        -> e_m -> (i, m).  A triple fails where a key holds nonzero ints.
+        -> e_m -> (i, m).  A triple fails where a key holds a nonzero sum.
         """
-        _, rows = _int_rows(self.product.constants)
+        _, b, rows = _int_rows(self.product.constants)
+        n = self.space.dim
         right: dict[int, list[int]] = {}
         left: dict[int, list[int]] = {}
         for x, m in rows:
             right.setdefault(x, []).append(m)
             left.setdefault(m, []).append(x)
-        acc: dict[tuple[int, int, int, int], list[int]] = {}
+        acc: defaultdict[int, int] = defaultdict(int)
         for (i, j), ij in rows.items():
-            for m, a in ij:
+            for m, p in ij:
                 for k in right.get(m, ()):
-                    for l, b in rows[(m, k)]:
-                        _add_times(acc, (i, j, k, l), 1, a, b)
+                    key = ((i * n + j) * n + k) * n
+                    for l, q in rows[(m, k)]:
+                        acc[key + l] += p * q
         for (j, k), jk in rows.items():
-            for m, a in jk:
+            for m, p in jk:
                 for i in left.get(m, ()):
-                    for l, b in rows[(i, m)]:
-                        _add_times(acc, (i, j, k, l), -1, a, b)
-        return sorted({key[:3] for key, r in acc.items() if any(r)})
+                    key = ((i * n + j) * n + k) * n
+                    for l, q in rows[(i, m)]:
+                        acc[key + l] -= p * q
+        return sorted({_triple(key // n, n) for key in _reduce(acc, b)})
 
     def check_unit(self) -> list[int]:
         if self.unit is None:
@@ -129,22 +197,25 @@ def check_antisymmetry(g: BiGradedLieAlgebra) -> list[tuple[int, int]]:
     """Pairs (i,j), i <= j, violating [a,b] = -sign(a,b)[b,a] under g's rule.
 
     For i = j with sign +1 this forces [x,x] = 0; with sign -1 the relation
-    is vacuous and the self-bracket is unconstrained.
+    is vacuous and the self-bracket is unconstrained.  The two sides are
+    compared on the int rows (_int_rows); a pair with one side only fails.
     """
+    _, _, rows = _int_rows(g.bracket.constants)
+    codes = g.space.codes
+    sign = _signs(g.sign)
     bad = []
-    degs = g.space.degrees
-    pair = g.bracket.pair
-    n = g.dim
-    for i in range(n):
-        for j in range(i, n):
-            s = g.sign(degs[i], degs[j])
-            if i == j:
-                if s == 1 and pair(i, i):
-                    bad.append((i, i))
-                continue
-            if pair(i, j) != pair(j, i).scale(-s):
+    for (i, j), ij in rows.items():
+        if i < j:
+            ji = rows.get((j, i))
+            s = -sign[codes[i]][codes[j]]
+            if ji is None or dict(ij) != {l: s * p for l, p in ji}:
                 bad.append((i, j))
-    return bad
+        elif i > j:
+            if (j, i) not in rows:
+                bad.append((j, i))
+        elif sign[codes[i]][codes[i]] == 1:
+            bad.append((i, i))
+    return sorted(bad)
 
 
 def check_jacobi(g: BiGradedLieAlgebra) -> list[tuple[int, int, int]]:
@@ -165,8 +236,9 @@ def jacobiator(g: BiGradedLieAlgebra, a: int, b: int, c: int) -> Vector:
 
     The three terms are [x,[y,z]] with sign(x,z) for the three rotations
     (x,y,z) of (a,b,c); the signs are applied by adding or negating.  It is
-    the per-triple oracle of the Jacobi sweep (_residuals), which sums the
-    same terms on ints, and the residual jacobiator_alpha_check reports.
+    the per-triple oracle of the Jacobi sweep (_residuals) and of the alpha
+    walk (equivalence.alpha_failures), which sum the same terms on the int
+    rows (_orbit_sums), and the residual jacobiator_alpha_check reports.
     """
     table = g.bracket.constants
     degs = g.space.degrees
@@ -184,39 +256,68 @@ def jacobiator(g: BiGradedLieAlgebra, a: int, b: int, c: int) -> Vector:
 
 def _residuals(g: BiGradedLieAlgebra) -> dict[tuple[int, int, int], Vector]:
     """The nonzero jacobiators, one per rotation orbit, keyed by the orbit's
-    smallest triple.
+    smallest triple: the Jacobi walk (_orbit_sums) weighted by sign(x,z)."""
+    d2, sums = _orbit_sums(g, _jacobi_weights(g.sign))
+    coeffs: dict[tuple[int, int, int], Coeffs] = {}
+    for (t, l), r in sums.items():
+        coeffs.setdefault(t, {})[l] = CycloScalar.from_coordinates(*r, d2)
+    return {t: Vector(g.space, c) for t, c in coeffs.items()}
+
+
+def _orbit_sums(g: BiGradedLieAlgebra, weights: tuple[int, ...]
+                ) -> tuple[int, dict[tuple[tuple[int, int, int], int], list[int]]]:
+    """The nested-bracket terms of each rotation orbit, weighted and summed
+    on the int rows: d^2 for the table's common denominator d (_int_rows),
+    and the int coordinates of each nonzero sum, keyed by the orbit's
+    smallest triple and the letter l of its term e_l.
 
     The rotation (a,b,c) -> (c,a,b) only reorders the three terms of a
     jacobiator, for any table and either sign rule, so one triple stands
     for its orbit: the twisted cyclic sum of Scheunert, "Generalized Lie
     algebras", J. Math. Phys. 20 (1979), taken term by term.  A term
     [x,[y,z]] is nonzero only if [y,z] has a term e_m and (x,m) is in the
-    table, so one walk (y,z) -> e_m -> x over the int rows (_int_rows)
-    visits every nonzero term once.  It adds sign(x,z) k v to its orbit's
-    coefficient of e_l, for each term k e_m of [y,z] and v e_l of [x,m],
-    over the square of the common denominator.  An orbit (a,a,a) is one
-    triple whose jacobiator holds its one term three times.
+    table, so one walk (y,z) -> e_m -> x visits every nonzero term once.
+    It adds w k v to its orbit's e_l, for each term k e_m of [y,z] and v
+    e_l of [x,m], with w read from weights at 64 x + 16 y + 4 z + m on the
+    degree codes of those letters; a term of weight 0 is skipped.  An orbit
+    (a,a,a) is one triple whose jacobiator holds its one term three times.
+    Orbits and keys are ints, t = a n^2 + b n + c and t n + l.
     """
-    d, rows = _int_rows(g.bracket.constants)
-    degs = g.space.degrees
-    sign = [[g.sign(p, q) for q in degs] for p in degs]
-    left: dict[int, list[int]] = {}
+    d, b, rows = _int_rows(g.bracket.constants)
+    n = g.space.dim
+    n2 = n * n
+    codes = g.space.codes
+    # per letter m, the letters x with (x,m) in the table, each with its
+    # weight offset and its parts of the orbit ints
+    left: dict[int, list[tuple[int, int, int, int]]] = {}
     for x, m in rows:
-        left.setdefault(m, []).append(x)
-    acc: dict[tuple[tuple[int, int, int], int], list[int]] = {}
+        left.setdefault(m, []).append((x, 64 * codes[x], x * n2, x * n))
+    acc: defaultdict[int, int] = defaultdict(int)
     for (y, z), inner in rows.items():
+        yz = y * n + z
+        yzn = yz * n
+        zy = z * n2 + y
+        cyz = 16 * codes[y] + 4 * codes[z]
         for m, k in inner:
-            for x in left.get(m, ()):
-                t = min((x, y, z), (y, z, x), (z, x, y))
-                w = sign[x][z] * 3 if x == y == z else sign[x][z]
+            cm = cyz + codes[m]
+            for x, cx, xn2, xn in left.get(m, ()):
+                w = weights[cx + cm]
+                if not w:
+                    continue
+                if x == y == z:
+                    w *= 3
+                key = min(xn2 + yz, yzn + x, zy + xn) * n
+                wk = w * k
                 for l, v in rows[(x, m)]:
-                    _add_times(acc, (t, l), w, k, v)
-    coeffs: dict[tuple[int, int, int], Coeffs] = {}
-    den = d * d
-    for (t, l), r in acc.items():
-        if any(r):
-            coeffs.setdefault(t, {})[l] = CycloScalar.from_coordinates(*r, den)
-    return {t: Vector(g.space, c) for t, c in coeffs.items()}
+                    acc[key + l] += wk * v
+    return d * d, {(_triple(key // n, n), key % n): r
+                   for key, r in _reduce(acc, b).items()}
+
+
+def _triple(t: int, n: int) -> tuple[int, int, int]:
+    """The triple (a,b,c) of t = a n^2 + b n + c."""
+    ab, c = divmod(t, n)
+    return (*divmod(ab, n), c)
 
 
 def check_homogeneity(g: BiGradedLieAlgebra) -> list[tuple[int, int]]:

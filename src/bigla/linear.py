@@ -26,6 +26,8 @@ class BiGradedSpace:
         self.name = name
         self.labels = tuple(labels)
         self.degrees = tuple(deg for _, deg in basis)
+        # each degree as its code in scalars.DEGREE_OF_CODE
+        self.codes = tuple(2 * deg.eps1 + deg.eps2 for deg in self.degrees)
         self._index = {lab: k for k, lab in enumerate(labels)}
 
     @property
@@ -197,10 +199,14 @@ class BilinearMap:
         return Vector(self.space, out)
 
     def check_homogeneity(self) -> list[tuple[int, int]]:
-        """Pairs (i,j) whose value is not homogeneous of deg(i)+deg(j)."""
+        """Pairs (i,j) whose value is not homogeneous of deg(i)+deg(j): a
+        letter of the value whose degree code is not code(i) ^ code(j)."""
+        codes = self.space.codes
         bad = []
-        degs = self.space.degrees
-        for (i, j), v in sorted(self.constants.items()):
-            if v.degree() != degs[i] + degs[j]:
-                bad.append((i, j))
-        return bad
+        for (i, j), v in self.constants.items():
+            c = codes[i] ^ codes[j]
+            for l in v.coeffs:
+                if codes[l] != c:
+                    bad.append((i, j))
+                    break
+        return sorted(bad)

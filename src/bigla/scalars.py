@@ -291,6 +291,10 @@ D01 = BiDegree(0, 1)
 D11 = BiDegree(1, 1)
 ALL_DEGREES = (D00, D11, D10, D01)
 
+# a degree (eps1, eps2) as the 2-bit code 2*eps1 + eps2: the sum of degrees
+# is the XOR of codes
+DEGREE_OF_CODE = (D00, D01, D10, D11)
+
 
 def degree(e1: int, e2: int) -> BiDegree:
     # type() and not isinstance(): True and 1.0 are not degree components

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BiglaError
 from .lie import BiGradedLieAlgebra, require_lie
-from .scalars import BiDegree, CycloScalar, ONE, ZERO, sign_deligne
+from .scalars import DEGREE_OF_CODE, BiDegree, CycloScalar, ONE, ZERO, sign_deligne
 from .sparse import Combination, add_scaled, add_term
 
 Word = tuple[int, ...]
@@ -41,9 +41,8 @@ MAX_WORD = 24
 
 HALF = CycloScalar(Fraction(1, 2))
 
-# a degree (eps1, eps2) as the 2-bit code 2*eps1 + eps2: the sum of degrees
-# is the XOR of codes and the Deligne pairing the parity of their shared bits
-DEGREE_OF_CODE = tuple(BiDegree(c >> 1, c & 1) for c in range(4))
+# the Deligne pairing of two degree codes (scalars.DEGREE_OF_CODE), the
+# parity of their shared bits
 PAIRING = tuple(tuple((a & b).bit_count() % 2 for b in range(4))
                 for a in range(4))
 
@@ -61,7 +60,7 @@ class EnvelopingAlgebra:
                              "needs the Deligne sign rule")
         self.g = g
         degs = g.space.degrees
-        codes = self.codes = tuple(2 * d.eps1 + d.eps2 for d in degs)
+        codes = self.codes = g.space.codes
         self.order = tuple(sorted(range(g.dim), key=lambda k: (_BLOCK[codes[k]], k)))
         self.rank = {k: r for r, k in enumerate(self.order)}
         # self-pairing-1 letters square to (1/2)[x,x] and never repeat

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from bigla.catalog import catalog, odd_pair, so3, so12, unitary_example
-from bigla.equivalence import (SuperLieAlgebraWithInvolution, alpha_sweep,
+from bigla.equivalence import (SuperLieAlgebraWithInvolution, alpha_failures,
                                involution_from_bidegree, jacobiator_alpha_check,
                                rebraid, twist, unbraid)
 from bigla.errors import BiglaError, InputNotLie
@@ -14,6 +14,11 @@ from bigla.linear import BilinearMap, LinearMap
 from bigla.scalars import D11
 
 from test_catalog import bracket_failures
+
+
+def identity_holds(r):
+    """J_g = (-1)^alpha J_twist on the triple jacobiator_alpha_check read."""
+    return r.residual_bi == r.residual_super.scale(r.alpha_sign)
 
 
 def _lie_entries():
@@ -92,7 +97,7 @@ def test_alpha_identity_on_catalog_triples():
             for b in range(n):
                 for c in range(n):
                     res = jacobiator_alpha_check(g, a, b, c)
-                    assert res.identity_holds, (name, a, b, c)
+                    assert identity_holds(res), (name, a, b, c)
 
 
 def test_alpha_sign_value():
@@ -136,7 +141,7 @@ def test_alpha_identity_survives_broken_brackets():
         triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n))
                    for _ in range(10)]
         for a, b, c in triples:
-            assert jacobiator_alpha_check(g, a, b, c).identity_holds, \
+            assert identity_holds(jacobiator_alpha_check(g, a, b, c)), \
                 (trial, a, b, c)
     # sanity: the perturbations really do leave the Lie world
     assert broke_jacobi
@@ -153,14 +158,22 @@ def test_alpha_identity_needs_homogeneity():
     crooked = BiGradedLieAlgebra(
         sp, BilinearMap(sp, {(x1, x1): sp.basis_vector(y1),
                              (x2, y1): sp.basis_vector(u1)}))
-    assert not jacobiator_alpha_check(crooked, x2, x1, x1).identity_holds
-    assert not alpha_sweep(crooked)[(x2, x1, x1)].identity_holds
+    assert not identity_holds(jacobiator_alpha_check(crooked, x2, x1, x1))
+    assert (x2, x1, x1) in alpha_failures(crooked)
+
+
+def _failing_triples(g):
+    """The triples where the per-triple check fails, visiting all n^3."""
+    n = g.dim
+    return [(a, b, c) for a in range(n) for b in range(n) for c in range(n)
+            if not identity_holds(jacobiator_alpha_check(g, a, b, c))]
 
 
 def test_alpha_sweep_keeps_the_orbits_only_the_twist_reaches():
     """Two nested terms that cancel in g can add up in its twist once a
-    bracket value leaves its degree, so the sweep takes the union of the
-    orbits of both sides."""
+    bracket value leaves its degree, so the one walk over g's rows must
+    still see the orbit: it weighs each term by its twist sign, not by
+    whether g's jacobiator is nonzero."""
     g = unitary_example()
     sp = g.space
     e = sp.basis_vector
@@ -170,37 +183,36 @@ def test_alpha_sweep_keeps_the_orbits_only_the_twist_reaches():
     # does not, and the super signs leave 2 u1
     crooked = BiGradedLieAlgebra(sp, BilinearMap(sp, {
         (x1, x1): e(y1), (x2, y1): e(u1), (x1, x2): e(u2), (x1, u2): -e(u1)}))
-    n = sp.dim
-    expected = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)
-                if not jacobiator_alpha_check(crooked, a, b, c).identity_holds]
+    expected = _failing_triples(crooked)
     assert expected == sorted([(x2, x1, x1), (x1, x2, x1), (x1, x1, x2)])
-    sweep = alpha_sweep(crooked)
-    assert [t for t, r in sweep.items() if not r.identity_holds] == expected
+    assert alpha_failures(crooked) == expected
     for t in expected:
-        assert not sweep[t].residual_bi
-        assert sweep[t].residual_super == e(u1).scale(2)
+        single = jacobiator_alpha_check(crooked, *t)
+        assert not single.residual_bi
+        assert single.residual_super == e(u1).scale(2)
 
 
 def test_alpha_sweep_agrees_with_the_per_triple_check():
-    # the sweep twists the table once and keeps the triples where either
-    # jacobiator is nonzero; each must see the same result as a check that
-    # twists it afresh, and every other triple has two zero jacobiators
+    # the one walk reads g's rows only; its failures must be the triples
+    # where a check that twists the table afresh fails, on a Lie table, on a
+    # homogeneous table that breaks Jacobi, and on tables with one value
+    # moved out of degree
     rng = random.Random(5)
-    for g in (so3(), _random_homogeneous_bracket(unitary_example().space, rng)):
-        n = g.dim
-        sweep = alpha_sweep(g)
-        kept = []
-        for t in [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]:
-            single = jacobiator_alpha_check(g, *t)
-            if t not in sweep:
-                assert not single.residual_bi and not single.residual_super, t
-                continue
-            kept.append(t)
-            r = sweep[t]
-            assert (r.alpha_sign, r.residual_bi, r.residual_super) == \
-                (single.alpha_sign, single.residual_bi, single.residual_super)
-        assert list(sweep) == kept
-        assert bool(kept) == any(check_lie(g).values())
+    broken = _random_homogeneous_bracket(unitary_example().space, rng)
+    assert any(check_lie(broken).values())
+    tables = [so3(), broken]
+    sp = broken.space
+    for _ in range(6):
+        i, j, k = rng.randrange(sp.dim), rng.randrange(sp.dim), rng.randrange(sp.dim)
+        constants = dict(broken.bracket.constants)
+        constants[(i, j)] = broken.bracket.pair(i, j) + sp.basis_vector(k)
+        tables.append(BiGradedLieAlgebra(sp, BilinearMap(sp, constants)))
+    seen_failure = False
+    for g in tables:
+        expected = _failing_triples(g)
+        assert alpha_failures(g) == expected
+        seen_failure = seen_failure or bool(expected)
+    assert seen_failure
 
 
 @pytest.mark.parametrize("name", ["qalgebra-lie", "qmat2-lie", "unitary2x2"])
@@ -210,7 +222,7 @@ def test_a_super_table_is_refused_by_the_twist(name):
     (6, 144 and 144 spurious alpha failures on these three), so every
     entry point refuses it, as EnvelopingAlgebra does."""
     sup = unbraid(catalog()[name][1]()).algebra
-    for call in (twist, unbraid, alpha_sweep,
+    for call in (twist, unbraid, alpha_failures,
                  lambda g: jacobiator_alpha_check(g, 0, 0, 0)):
         with pytest.raises(BiglaError, match="needs the Deligne sign rule"):
             call(sup)

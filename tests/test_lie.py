@@ -13,7 +13,7 @@ from bigla.lie import (BiGradedAssocAlgebra, BiGradedLieAlgebra,
                        check_antisymmetry, check_homogeneity, check_jacobi,
                        check_lie, commutator_lie, jacobiator, require_lie)
 from bigla.linear import BiGradedSpace, BilinearMap, LinearMap, Vector
-from bigla.scalars import D00, D10, D11, I, sign_super
+from bigla.scalars import D00, D10, D11, I, ZETA, CycloScalar, sign_super
 
 from test_catalog import bracket_failures
 
@@ -82,6 +82,36 @@ def test_antisymmetry_diagonal_rule():
     bad = BiGradedLieAlgebra(
         sp2, BilinearMap(sp2, {(0, 0): sp2.basis_vector(0)}))
     assert (0, 0) in check_antisymmetry(bad)
+
+
+def test_int_verdicts_on_the_edge_cases():
+    """The antisymmetry and homogeneity checks read int rows and degree
+    codes; each case below is one way a pair can fail or pass."""
+    sp = BiGradedSpace([("h", D00), ("x", D10), ("u", D11)])
+    e = sp.basis_vector
+
+    def table(constants, sign=None):
+        bracket = BilinearMap(sp, constants)
+        return (BiGradedLieAlgebra(sp, bracket) if sign is None
+                else BiGradedLieAlgebra(sp, bracket, sign=sign))
+
+    # a nonzero [x,x]: sign(x,x) = -1 and sign(u,u) = +1 under both rules
+    for sign in (None, sign_super):
+        assert check_antisymmetry(table({(1, 1): e(0).scale(2)}, sign)) == []
+        assert check_antisymmetry(table({(2, 2): e(0).scale(2)}, sign)) == [(2, 2)]
+    # a pair stored on one side only fails as (smaller, larger), either way
+    assert check_antisymmetry(table({(0, 1): e(1)})) == [(0, 1)]
+    assert check_antisymmetry(table({(1, 0): e(1)})) == [(0, 1)]
+    # a mirror that differs in one zeta coordinate; sign(h, x) = +1
+    value = e(1).scale(CycloScalar(1, 2, 0, -1))
+    assert check_antisymmetry(table({(0, 1): value, (1, 0): -value})) == []
+    off = -value + e(1).scale(CycloScalar(0, 0, 1, 0))
+    assert check_antisymmetry(table({(0, 1): value, (1, 0): off})) == [(0, 1)]
+    # [x,u] lands in degree (0,1), which no letter has: u and h are out of it;
+    # [h,u] = u is in degree, and one extra term h takes it out
+    assert check_homogeneity(table({(1, 2): e(2)})) == [(1, 2)]
+    assert check_homogeneity(table({(0, 2): e(2)})) == []
+    assert check_homogeneity(table({(0, 2): e(2) + e(0).scale(ZETA)})) == [(0, 2)]
 
 
 def test_sign_rule_changes_verdict():

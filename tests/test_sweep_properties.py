@@ -5,7 +5,10 @@ of each rotation orbit that a nested bracket reaches: the rotation (a,b,c)
 -> (c,a,b) only reorders the three terms of a jacobiator, and a term
 [x,[y,z]] is zero unless [y,z] has a term e_m with (x,m) in the table.  It
 calls no jacobiator and makes no scalar product.  The associativity check
-sums both bracketings on the same int rows.  The oracles below recompute every triple from scratch through
+sums both bracketings on the same int rows, the antisymmetry check compares
+the rows of each pair with its mirror's, the homogeneity check compares
+degree codes, and the alpha check sums (-1)^alpha J_g - J_twist in one walk
+of g's rows.  The oracles below recompute every triple from scratch through
 BilinearMap.__call__ and Vector.scale, or call jacobiator on each of the
 n^3 triples, on random degree-homogeneous tables with coefficients in
 Q(zeta8) (not only rationals) and on catalog tables with one structure
@@ -23,12 +26,14 @@ import pytest
 
 from bigla import lie
 from bigla.catalog import catalog
-from bigla.equivalence import (alpha_sweep, jacobiator_alpha_check, rebraid, twist,
-                               unbraid)
-from bigla.lie import (BiGradedAssocAlgebra, BiGradedLieAlgebra, check_jacobi,
-                       commutator_lie, jacobiator)
+from bigla.equivalence import (AlphaCheckResult, alpha_failures, jacobiator_alpha_check,
+                               rebraid, twist, unbraid)
+from bigla.lie import (BiGradedAssocAlgebra, BiGradedLieAlgebra, check_antisymmetry,
+                       check_jacobi, check_lie, commutator_lie, jacobiator)
 from bigla.linear import BiGradedSpace, BilinearMap, Vector
 from bigla.scalars import ALL_DEGREES, ONE, CycloScalar, sign_deligne, sign_super
+
+from test_equivalence import identity_holds
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -145,9 +150,10 @@ def _reached_orbits(g):
 @pytest.mark.parametrize("name", ["so3", "so12", "qalgebra-lie", "qmat2-lie",
                                   "unitary2x2", "odd-pair"])
 def test_sweep_makes_no_jacobiator_call_and_no_scalar_arithmetic(monkeypatch, name):
-    """The Jacobi sweep of a catalog Lie table and of its twist sums on the
-    int rows: it calls neither jacobiator nor any CycloScalar product or
-    sum, and it builds no scalar where every residual is zero."""
+    """The Lie verdicts on a catalog Lie table and on its twist, and the
+    alpha walk, read int rows and degree codes: they call neither
+    jacobiator nor any CycloScalar product or sum, and build no vector and
+    no scalar where every residual is zero."""
     g = catalog()[name][1]()
     tables = (g, twist(g))
     calls = []
@@ -163,8 +169,11 @@ def test_sweep_makes_no_jacobiator_call_and_no_scalar_arithmetic(monkeypatch, na
         monkeypatch.setattr(CycloScalar, op, counted(getattr(CycloScalar, op)))
     monkeypatch.setattr(CycloScalar, "from_coordinates",
                         counted(CycloScalar.from_coordinates))
+    monkeypatch.setattr(Vector, "__init__", counted(Vector.__init__))
     for table in tables:
-        assert check_jacobi(table) == [], table.sign.__name__
+        assert check_lie(table) == {"homogeneity": [], "antisymmetry": [],
+                                    "jacobi": []}, table.sign.__name__
+    assert alpha_failures(g) == []
     assert calls == []
 
 
@@ -178,28 +187,76 @@ def test_residual_orbits_are_reached(g):
         assert set(lie._residuals(h)) <= _reached_orbits(h), h.sign.__name__
 
 
+def alpha_sweep(g):
+    """The two-sweep alpha check, the oracle of alpha_failures: the Jacobi
+    sweep of g and of its twist, and per triple where either is nonzero, in
+    lexicographic order, the alpha sign and both residuals.  On every other
+    triple both jacobiators vanish and the identity holds.  alpha and both
+    jacobiators are invariant under the rotation (a,b,c) -> (c,a,b), so
+    the three triples of an orbit share one result."""
+    bi = lie._residuals(g)
+    sup = lie._residuals(twist(g))
+    zero = g.space.zero()
+    degs = g.space.degrees
+    out = {}
+    for t in bi.keys() | sup.keys():
+        result = AlphaCheckResult(-1 if _alpha(degs, *t) else 1, bi.get(t, zero),
+                                  sup.get(t, zero))
+        for r in lie._rotations(t):
+            out[r] = result
+    return dict(sorted(out.items()))
+
+
+def _sweep_failures(sweep):
+    return [t for t, r in sweep.items() if not identity_holds(r)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(brackets())
 def test_alpha_sweep_matches_the_per_triple_check(g):
-    """The alpha sweep holds the per-triple check on exactly the triples
-    where a jacobiator of g or of its twist is nonzero; on the rest both
-    vanish. On every homogeneous table, Lie or not, the unbraiding twist
-    multiplies each jacobiator by (-1)^alpha: the Z2xZ2 <-> super
-    correspondence of Rittenberg-Wyler, "Generalized superalgebras", Nucl.
-    Phys. B 139 (1978), and Scheunert, "Generalized Lie algebras", J. Math.
-    Phys. 20 (1979)."""
+    """The two-sweep oracle holds the per-triple check on exactly the
+    triples where a jacobiator of g or of its twist is nonzero; on the rest
+    both vanish. On every homogeneous table, Lie or not, the unbraiding
+    twist multiplies each jacobiator by (-1)^alpha, so the one walk finds no
+    failure: the Z2xZ2 <-> super correspondence of Rittenberg-Wyler,
+    "Generalized superalgebras", Nucl. Phys. B 139 (1978), and Scheunert,
+    "Generalized Lie algebras", J. Math. Phys. 20 (1979)."""
     sweep = alpha_sweep(g)
     nonzero = []
     for t in _triples(g.dim):
         single = jacobiator_alpha_check(g, *t)
         if single.residual_bi or single.residual_super:
             nonzero.append(t)
-            r = sweep[t]
-            assert (r.alpha_sign, r.residual_bi, r.residual_super) == \
-                (single.alpha_sign, single.residual_bi, single.residual_super), t
+            assert sweep[t] == single, t
         # a homogeneous table satisfies the alpha identity, Lie or not
-        assert single.identity_holds, t
+        assert identity_holds(single), t
     assert list(sweep) == nonzero
+    assert alpha_failures(g) == _sweep_failures(sweep) == []
+
+
+@st.composite
+def any_brackets(draw):
+    """Constants on random basis pairs whose values may hold letters of any
+    degree, so the twist sign of [x,m] need not match that of [y,z]."""
+    space = draw(spaces())
+    n = space.dim
+    constants = draw(st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        st.dictionaries(st.integers(0, n - 1), nonzero_scalars, min_size=1, max_size=n)
+        .map(lambda coeffs: Vector(space, coeffs)),
+        max_size=n * n))
+    return BiGradedLieAlgebra(space, BilinearMap(space, constants), name="random")
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_brackets())
+def test_alpha_walk_matches_every_triple_on_tables_out_of_degree(g):
+    """Once a value leaves its degree, the twist multiplies some nested
+    terms by the wrong sign: the one walk fails exactly the triples the
+    per-triple check and the two-sweep oracle fail."""
+    expected = [t for t in _triples(g.dim)
+                if not identity_holds(jacobiator_alpha_check(g, *t))]
+    assert alpha_failures(g) == _sweep_failures(alpha_sweep(g)) == expected
 
 
 LIE_NAMES = ("so3", "so12", "qalgebra-lie", "qmat2-lie", "unitary2x2", "odd-pair")
@@ -242,9 +299,9 @@ def _perturbed(name, i, j, k, c):
 @example(("qmat2-lie", "E12*q1", "E12*q1", "E11", ONE))
 def test_sweeps_match_every_triple_on_perturbed_catalog_tables(drawn):
     """On a catalog Lie table with one structure constant changed, the Jacobi
-    sweep under both sign rules and the alpha sweep's failures match the
-    per-triple reference over all n^3 triples, residuals included. A change
-    out of degree breaks the alpha identity, which needs homogeneous
+    sweep under both sign rules, the two-sweep oracle and the one alpha walk
+    match the per-triple reference over all n^3 triples, residuals included.
+    A change out of degree breaks the alpha identity, which needs homogeneous
     brackets (Scheunert, "Generalized Lie algebras", J. Math. Phys. 20
     (1979))."""
     g = _perturbed(*drawn)
@@ -258,7 +315,7 @@ def test_sweeps_match_every_triple_on_perturbed_catalog_tables(drawn):
     failures = [t for t in _triples(g.dim)
                 if bi[t] != (-sup[t] if _alpha(degs, *t) else sup[t])]
     sweep = alpha_sweep(g)
-    assert [t for t, r in sweep.items() if not r.identity_holds] == failures
+    assert alpha_failures(g) == _sweep_failures(sweep) == failures
     assert [(t, r.residual_bi, r.residual_super) for t, r in sweep.items()] == \
         [(t, bi[t], sup[t]) for t in _triples(g.dim) if bi[t] or sup[t]]
 
@@ -279,16 +336,101 @@ def test_associativity_check_matches_the_reference(data):
     assert a.check_associativity() == expected
 
 
+def _reference_homogeneity(table):
+    """Pairs whose value has no common degree or one other than deg(i) +
+    deg(j), read from Vector.degree and the BiDegree sum."""
+    degs = table.space.degrees
+    return [(i, j) for (i, j), v in sorted(table.constants.items())
+            if v.degree() != degs[i] + degs[j]]
+
+
+def _reference_antisymmetry(g):
+    """Pairs i <= j with [e_i,e_j] != -sign(i,j) [e_j,e_i], compared as
+    vectors; a nonzero [e_i,e_i] fails only under sign +1."""
+    bad = []
+    degs = g.space.degrees
+    pair = g.bracket.pair
+    for i in range(g.dim):
+        for j in range(i, g.dim):
+            s = g.sign(degs[i], degs[j])
+            if i == j:
+                if s == 1 and pair(i, i):
+                    bad.append((i, i))
+            elif pair(i, j) != pair(j, i).scale(-s):
+                bad.append((i, j))
+    return bad
+
+
 @st.composite
-def lie_algebras(draw):
+def mirrored_brackets(draw):
+    """A random table in which each pair i < j keeps its mirror (j,i) as
+    -sign(i,j) times its value, drops it, or keeps it with one coordinate of
+    one coefficient changed; values may leave their degree."""
+    g = draw(st.one_of(brackets(), any_brackets()))
+    g = _with_sign(g, draw(st.sampled_from(SIGNS)))
+    degs = g.space.degrees
+    constants = dict(g.bracket.constants)
+    for (i, j), v in sorted(g.bracket.constants.items()):
+        if i >= j:
+            continue
+        mirror = v.scale(-g.sign(degs[i], degs[j]))
+        how = draw(st.sampled_from(("mirror", "one side", "off by one")))
+        if how == "one side":
+            constants.pop((j, i), None)
+            continue
+        if how == "off by one":
+            k = draw(st.sampled_from(sorted(mirror.coeffs)))
+            bump = [0, 0, 0, 0]
+            bump[draw(st.integers(0, 3))] = 1
+            mirror = mirror + Vector(g.space, {k: CycloScalar(*bump)})
+        constants[(j, i)] = mirror
+    return _with_sign(BiGradedLieAlgebra(g.space, BilinearMap(g.space, constants)),
+                      g.sign)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(brackets(), any_brackets(), mirrored_brackets(),
+                 perturbations().map(lambda drawn: _perturbed(*drawn))))
+def test_antisymmetry_and_homogeneity_match_the_vector_reference(g):
+    """On int rows and degree codes, the antisymmetry and homogeneity checks
+    flag the pairs the Vector comparisons flag, under both sign rules, on
+    random tables, on tables with mirrors kept, dropped or off by one
+    coordinate, and on perturbed catalog tables."""
+    assert g.bracket.check_homogeneity() == _reference_homogeneity(g.bracket)
+    for h in (_with_sign(g, sign) for sign in SIGNS):
+        assert check_antisymmetry(h) == _reference_antisymmetry(h), h.sign.__name__
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(brackets(), any_brackets()))
+def test_product_homogeneity_matches_the_vector_reference(g):
+    """The homogeneity check of associative product tables, homogeneous or
+    with values in any degree, against the Vector reference."""
+    a = BiGradedAssocAlgebra(g.space, g.bracket)
+    assert a.product.check_homogeneity() == _reference_homogeneity(a.product)
+
+
+def test_catalog_tables_pass_the_int_verdicts_as_the_reference_does():
+    for name, (kind, ctor) in catalog().items():
+        a = ctor()
+        table = a.bracket if kind == "lie" else a.product
+        assert table.check_homogeneity() == _reference_homogeneity(table) == [], name
+        if kind == "lie":
+            for h in (_with_sign(a, sign) for sign in SIGNS):
+                assert check_antisymmetry(h) == _reference_antisymmetry(h), \
+                    (name, h.sign.__name__)
+
+
+@st.composite
+def lie_algebras(draw, scales=nonzero_scalars):
     """The commutator algebra of a Z2xZ2-graded matrix algebra: indices
     1..m carry random degrees, E_ij has degree d_i + d_j, and each basis
-    vector is rescaled by a random nonzero scalar, so the constants leave
-    the rationals."""
+    vector is rescaled by a nonzero scalar drawn from scales, so the
+    constants leave the rationals."""
     m = draw(st.integers(1, 3))
     d = draw(st.lists(st.sampled_from(ALL_DEGREES), min_size=m, max_size=m))
     units = [(i, j) for i in range(m) for j in range(m)]
-    scale = {u: draw(nonzero_scalars) for u in units}
+    scale = {u: draw(scales) for u in units}
     space = BiGradedSpace([(f"E{i}{j}", d[i] + d[j]) for i, j in units],
                           name="random-matrix")
     pos = {u: k for k, u in enumerate(units)}
@@ -299,6 +441,34 @@ def lie_algebras(draw):
             constants[(pos[(i, j)], pos[(j, l)])] = Vector(space, {pos[(i, l)]: c})
     return commutator_lie(BiGradedAssocAlgebra(space, BilinearMap(space, constants),
                                                name="random-matrix"))
+
+
+large_rationals = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+                            st.integers(1, 10 ** 6))
+large_scalars = st.builds(CycloScalar, large_rationals, large_rationals,
+                          large_rationals, large_rationals).filter(bool)
+
+
+@settings(max_examples=20, deadline=None)
+@given(lie_algebras(large_scalars), st.data())
+def test_int_verdicts_keep_large_constants_exact(g, data):
+    """Constants with coordinates and denominators far beyond a machine word
+    still pack into one int each without overlap: a Lie table passes every
+    verdict and the alpha walk, and with one constant changed the Jacobi
+    residuals, unpacked from their sums, are the per-triple jacobiators."""
+    assert check_lie(g) == {"homogeneity": [], "antisymmetry": [], "jacobi": []}
+    assert alpha_failures(g) == []
+    space = g.space
+    letters = st.integers(0, space.dim - 1)
+    pair = data.draw(st.tuples(letters, letters))
+    k = data.draw(letters)
+    constants = dict(g.bracket.constants)
+    constants[pair] = g.bracket.pair(*pair) + Vector(space, {k: data.draw(large_scalars)})
+    h = BiGradedLieAlgebra(space, BilinearMap(space, constants))
+    residuals = lie._residuals(h)
+    assert {r: v for t, v in residuals.items() for r in lie._rotations(t)} == \
+        {t: v for t, v in _every_triple(h).items() if v}
+    assert check_antisymmetry(h) == _reference_antisymmetry(h)
 
 
 @settings(max_examples=20, deadline=None)
