@@ -5,7 +5,7 @@ Z2-graded (super) Lie algebra carrying an involutive automorphism: twist the
 bracket by (-1)^(eps1 of left * eps2 of right), remember eps2 as the
 diagonal involution sigma = (-1)^eps2, and read parity as eps1+eps2.  Both
 directions of the twist are literally the same sign, so the round trip is
-the identity on the nose.
+the identity on the nose, and one signed copy (_twisted) builds both.
 
 The Jacobi defects on the two sides differ by the pure sign
 alpha = eps1(a1)eps2(a2) + eps1(a2)eps2(a3) + eps1(a3)eps2(a1); this holds
@@ -15,8 +15,9 @@ degree of their arguments for the twist sign to come out uniform).
 jacobiator_alpha_check certifies it on one triple from both jacobiators.
 alpha_failures certifies it on every triple in one walk of g's int rows:
 each nested term of (-1)^alpha J_g - J_twist is g's term times a factor
-of -2, 0 or 2 read off four degrees, so no twisted table is built and the
-terms of factor 0 cost no product.
+of -2, 0 or 2 read off four degrees, so no twisted table is built, the
+terms of factor 0 cost no product, and an orbit fails where its packed sum
+is not zero.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from functools import cache
 from typing import Collection, NamedTuple
 
 from .errors import BiglaError
-from .lie import (BiGradedLieAlgebra, check_lie, jacobiator, _orbit_sums, _rotations,
-                  require_lie)
+from .lie import BiGradedLieAlgebra, check_lie, jacobiator, _orbit_sums, require_lie
 from .linear import BiGradedSpace, BilinearMap, Vector
 from .scalars import DEGREE_OF_CODE, BiDegree, sign_deligne, sign_super, sign_unbraid
 
@@ -89,12 +89,24 @@ def twist(g: BiGradedLieAlgebra) -> BiGradedLieAlgebra:
     """The same table with [a,b] scaled by (-1)^(eps1(a) eps2(b)), unchecked,
     under the super sign rule.  The input must carry the Deligne rule."""
     _require_deligne(g)
-    degs = g.space.degrees
-    constants = {}
-    for (i, j), v in g.bracket.constants.items():
-        constants[(i, j)] = v.scale(sign_unbraid(degs[i], degs[j]))
-    return BiGradedLieAlgebra(g.space, BilinearMap(g.space, constants),
+    return BiGradedLieAlgebra(g.space, _twisted(g.bracket, g.space),
                               name=f"{g.name}~s" if g.name else "", sign=sign_super)
+
+
+def _twisted(m: BilinearMap, space: BiGradedSpace) -> BilinearMap:
+    """m's constants on space, [a,b] times (-1)^(eps1(a) eps2(b)) read on
+    space's degrees, with no scalar product: a value of sign +1 is the
+    stored vector (rehomed to space) and one of sign -1 negates each
+    coefficient."""
+    degs = space.degrees
+    constants = {}
+    for (i, j), v in m.constants.items():
+        if sign_unbraid(degs[i], degs[j]) == -1:
+            v = Vector.of_nonzero(space, {k: -c for k, c in v.coeffs.items()})
+        elif v.space is not space:
+            v = Vector.of_nonzero(space, v.coeffs)
+        constants[(i, j)] = v
+    return BilinearMap(space, constants)
 
 
 def unbraid(g: BiGradedLieAlgebra) -> SuperLieAlgebraWithInvolution:
@@ -121,14 +133,8 @@ def rebraid(s: SuperLieAlgebraWithInvolution) -> BiGradedLieAlgebra:
           BiDegree((space.degrees[k].parity + eps2[k]) % 2, eps2[k]))
          for k in range(space.dim)],
         name=space.name)
-    constants = {}
-    for (i, j), v in s.algebra.bracket.constants.items():
-        sign = sign_unbraid(rebuilt.degrees[i], rebuilt.degrees[j])
-        constants[(i, j)] = Vector(rebuilt, dict(v.coeffs)).scale(sign)
-    name = s.algebra.name
-    if name.endswith("~s"):
-        name = name[:-2]
-    return BiGradedLieAlgebra(rebuilt, BilinearMap(rebuilt, constants), name=name)
+    return BiGradedLieAlgebra(rebuilt, _twisted(s.algebra.bracket, rebuilt),
+                              name=s.algebra.name.removesuffix("~s"))
 
 
 class AlphaCheckResult(NamedTuple):
@@ -187,8 +193,7 @@ def alpha_failures(g: BiGradedLieAlgebra) -> list[tuple[int, int, int]]:
     twisted table and no residual vector is built.
     """
     _require_deligne(g)
-    _, sums = _orbit_sums(g, _alpha_weights())
-    return sorted(r for t in {t for t, _ in sums} for r in _rotations(t))
+    return _orbit_sums(g, _alpha_weights())
 
 
 def alpha_sign_counts(g: BiGradedLieAlgebra) -> tuple[int, int]:

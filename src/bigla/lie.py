@@ -1,10 +1,11 @@
 """Bi-graded Lie and associative algebras over Q(zeta8).
 
 The axiom checkers are diagnostics: they return sorted lists of violations
-(empty means pass) rather than raising, so a CLI can render them and tests
-can assert on exact residuals.  A Lie table carries its sign rule: the
-Deligne rule by default, the parity rule for the super algebras the
-unbraiding functor produces, and every checker judges a table by its own.
+(empty means pass) rather than raising, so a CLI can render them; the
+residual of a failing Jacobi triple is what jacobiator returns.  A Lie
+table carries its sign rule: the Deligne rule by default, the parity rule
+for the super algebras the unbraiding functor produces, and every checker
+judges a table by its own.
 """
 
 from __future__ import annotations
@@ -21,18 +22,27 @@ from .sparse import add_scaled
 
 SignRule = Callable[[BiDegree, BiDegree], int]
 Table = Mapping[tuple[int, int], Vector]
-Coeffs = dict[int, CycloScalar]
 
 
-# one structure constant as a packed int over a table's common
+# one structure constant as a packed int over its table's common
 # denominator: (l, p) stands for the term a / d e_l, p packing the int
-# coordinates of a (_int_rows)
+# coordinates of a (_pack)
 IntTerm = tuple[int, int]
+IntRows = tuple[int, dict[tuple[int, int], list[IntTerm]]]
 
 
-def _int_rows(table: Table) -> tuple[int, int, dict[tuple[int, int], list[IntTerm]]]:
+def _int_rows(m: BilinearMap) -> IntRows:
+    """m's constants packed into int rows (_pack), built on first use and
+    kept on m: they depend only on the constants, which never change, so
+    every verdict on m, under either sign rule, reads the same rows."""
+    if m._packed is None:
+        m._packed = _pack(m.constants)
+    return m._packed
+
+
+def _pack(table: Table) -> IntRows:
     """The constants over one denominator d, the lcm of their denominators,
-    each packed into one int: d, the shift b and, per pair (x, m), the terms
+    each packed into one int: the shift b and, per pair (x, m), the terms
     (l, p) of e_x e_m.  With a the int coordinates of the constant times
     d // its denominator, p = a0 + a1 R + a2 R^2 + a3 R^3 for R = 2^b, so a
     rational constant is the int a0.  These are the integral coordinates
@@ -40,7 +50,8 @@ def _int_rows(table: Table) -> tuple[int, int, dict[tuple[int, int], list[IntTer
     Number Theory" (1993), section 4.2, packed by Kronecker substitution
     (von zur Gathen-Gerhard, "Modern Computer Algebra", section 8.4): the
     product of two packed ints packs the product polynomial in zeta before
-    zeta^4 = -1, so a verdict sums w p q on ints alone (_reduce).
+    zeta^4 = -1, so a verdict sums w p q on ints alone (_nonzero_keys).  A
+    verdict only tests a sum for zero, so d itself is not kept.
 
     b bounds every coordinate.  Let s be the sum of |a_j| over all terms.
     Each |a_j| <= s < R / 2, so equal packed ints are equal constants.  A
@@ -68,38 +79,21 @@ def _int_rows(table: Table) -> tuple[int, int, dict[tuple[int, int], list[IntTer
     b = (6 * s * s).bit_length() + 1
     for row, k, l, (a0, a1, a2, a3) in wide:
         row[k] = (l, a0 + ((a1 + ((a2 + (a3 << b)) << b)) << b))
-    return d, b, rows
+    return b, rows
 
 
-def _reduce(acc: dict, b: int) -> dict:
+def _nonzero_keys(acc: dict[int, int], b: int) -> list[int]:
     """The keys of acc, a dict of sums of products of packed ints with
-    shift b, whose sum is nonzero in Q(zeta8), each with its four int
-    coordinates.
+    shift b, whose sum is nonzero in Q(zeta8).
 
     A sum packs c0 + c1 R + ... + c6 R^6 with R = 2^b, and zeta^4 = -1
     folds it to r0 + r1 R + r2 R^2 + r3 R^3 modulo N = R^4 + 1.  Each
-    |r_j| < R / 2 (_int_rows), so that fold is the representative of the
-    sum modulo N nearest 0, and its balanced base-R digits are the r_j.
+    |r_j| < R / 2 (_pack), so that fold lies strictly between -N / 2 and
+    N / 2 and is 0 only where every r_j is: the sum is zero exactly where N
+    divides it.
     """
-    big = 1 << 4 * b
-    modulus = big + 1
-    half = 1 << (b - 1)
-    mask = (1 << b) - 1
-    out = {}
-    for key, p in acc.items():
-        p %= modulus
-        if p:
-            if p > big >> 1:
-                p -= modulus
-            coords = []
-            for _ in range(4):
-                r = p & mask
-                if r >= half:
-                    r -= 1 << b
-                coords.append(r)
-                p = (p - r) >> b
-            out[key] = coords
-    return out
+    modulus = (1 << 4 * b) + 1
+    return [key for key, p in acc.items() if p % modulus]
 
 
 @cache
@@ -155,9 +149,10 @@ class BiGradedAssocAlgebra:
         Both sides are summed on the int rows (_int_rows), keyed by (i, j,
         k, l) for their term e_l: (e_i e_j) e_k adds from the walk (i, j)
         -> e_m -> (m, k), and e_i (e_j e_k) subtracts from the walk (j, k)
-        -> e_m -> (i, m).  A triple fails where a key holds a nonzero sum.
+        -> e_m -> (i, m).  A triple fails where a key holds a nonzero sum
+        (_nonzero_keys).
         """
-        _, b, rows = _int_rows(self.product.constants)
+        b, rows = _int_rows(self.product)
         n = self.space.dim
         right: dict[int, list[int]] = {}
         left: dict[int, list[int]] = {}
@@ -177,7 +172,7 @@ class BiGradedAssocAlgebra:
                     key = ((i * n + j) * n + k) * n
                     for l, q in rows[(i, m)]:
                         acc[key + l] -= p * q
-        return sorted({_triple(key // n, n) for key in _reduce(acc, b)})
+        return sorted({_triple(key // n, n) for key in _nonzero_keys(acc, b)})
 
     def check_unit(self) -> list[int]:
         if self.unit is None:
@@ -200,7 +195,7 @@ def check_antisymmetry(g: BiGradedLieAlgebra) -> list[tuple[int, int]]:
     is vacuous and the self-bracket is unconstrained.  The two sides are
     compared on the int rows (_int_rows); a pair with one side only fails.
     """
-    _, _, rows = _int_rows(g.bracket.constants)
+    _, rows = _int_rows(g.bracket)
     codes = g.space.codes
     sign = _signs(g.sign)
     bad = []
@@ -220,8 +215,8 @@ def check_antisymmetry(g: BiGradedLieAlgebra) -> list[tuple[int, int]]:
 
 def check_jacobi(g: BiGradedLieAlgebra) -> list[tuple[int, int, int]]:
     """Triples (a,b,c) violating the cyclic Jacobi identity twisted by g's
-    sign rule."""
-    return sorted(r for t in _residuals(g) for r in _rotations(t))
+    sign rule: the Jacobi walk (_orbit_sums) weighted by sign(x,z)."""
+    return _orbit_sums(g, _jacobi_weights(g.sign))
 
 
 def _rotations(t: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
@@ -236,13 +231,15 @@ def jacobiator(g: BiGradedLieAlgebra, a: int, b: int, c: int) -> Vector:
 
     The three terms are [x,[y,z]] with sign(x,z) for the three rotations
     (x,y,z) of (a,b,c); the signs are applied by adding or negating.  It is
-    the per-triple oracle of the Jacobi sweep (_residuals) and of the alpha
-    walk (equivalence.alpha_failures), which sum the same terms on the int
-    rows (_orbit_sums), and the residual jacobiator_alpha_check reports.
+    the per-triple oracle of the Jacobi sweep (check_jacobi) and of the
+    alpha walk (equivalence.alpha_failures), which sum the same terms on
+    the int rows (_orbit_sums) but keep only which sums are nonzero, so it
+    gives the residual of a triple they report; jacobiator_alpha_check
+    reports it too.
     """
     table = g.bracket.constants
     degs = g.space.degrees
-    out: Coeffs = {}
+    out: dict[int, CycloScalar] = {}
     for x, y, z in ((a, b, c), (c, a, b), (b, c, a)):
         inner = table.get((y, z))
         if inner is not None:
@@ -254,22 +251,11 @@ def jacobiator(g: BiGradedLieAlgebra, a: int, b: int, c: int) -> Vector:
     return Vector(g.space, out)
 
 
-def _residuals(g: BiGradedLieAlgebra) -> dict[tuple[int, int, int], Vector]:
-    """The nonzero jacobiators, one per rotation orbit, keyed by the orbit's
-    smallest triple: the Jacobi walk (_orbit_sums) weighted by sign(x,z)."""
-    d2, sums = _orbit_sums(g, _jacobi_weights(g.sign))
-    coeffs: dict[tuple[int, int, int], Coeffs] = {}
-    for (t, l), r in sums.items():
-        coeffs.setdefault(t, {})[l] = CycloScalar.from_coordinates(*r, d2)
-    return {t: Vector(g.space, c) for t, c in coeffs.items()}
-
-
 def _orbit_sums(g: BiGradedLieAlgebra, weights: tuple[int, ...]
-                ) -> tuple[int, dict[tuple[tuple[int, int, int], int], list[int]]]:
-    """The nested-bracket terms of each rotation orbit, weighted and summed
-    on the int rows: d^2 for the table's common denominator d (_int_rows),
-    and the int coordinates of each nonzero sum, keyed by the orbit's
-    smallest triple and the letter l of its term e_l.
+                ) -> list[tuple[int, int, int]]:
+    """The triples, in lexicographic order, of every rotation orbit whose
+    nested-bracket terms, weighted and summed on the int rows (_int_rows),
+    leave a nonzero sum at some letter l of a term e_l (_nonzero_keys).
 
     The rotation (a,b,c) -> (c,a,b) only reorders the three terms of a
     jacobiator, for any table and either sign rule, so one triple stands
@@ -283,7 +269,7 @@ def _orbit_sums(g: BiGradedLieAlgebra, weights: tuple[int, ...]
     (a,a,a) is one triple whose jacobiator holds its one term three times.
     Orbits and keys are ints, t = a n^2 + b n + c and t n + l.
     """
-    d, b, rows = _int_rows(g.bracket.constants)
+    b, rows = _int_rows(g.bracket)
     n = g.space.dim
     n2 = n * n
     codes = g.space.codes
@@ -310,8 +296,8 @@ def _orbit_sums(g: BiGradedLieAlgebra, weights: tuple[int, ...]
                 wk = w * k
                 for l, v in rows[(x, m)]:
                     acc[key + l] += wk * v
-    return d * d, {(_triple(key // n, n), key % n): r
-                   for key, r in _reduce(acc, b).items()}
+    orbits = {key // n for key in _nonzero_keys(acc, b)}
+    return sorted(r for t in orbits for r in _rotations(_triple(t, n)))
 
 
 def _triple(t: int, n: int) -> tuple[int, int, int]:

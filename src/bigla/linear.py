@@ -172,7 +172,9 @@ class AntiLinearMap:
 
 
 class BilinearMap:
-    """Bilinear map V x V -> V from structure constants on basis pairs."""
+    """Bilinear map V x V -> V from structure constants on basis pairs.
+    Like its vectors it is immutable: constants is not changed after
+    construction, so lie._int_rows keeps the packed int rows in _packed."""
 
     def __init__(self, space: BiGradedSpace, constants: Mapping[tuple[int, int], Vector]):
         self.space = space
@@ -182,6 +184,7 @@ class BilinearMap:
                 raise BiglaError("structure constant vector not in the space")
             if v.coeffs:
                 self.constants[(i, j)] = v
+        self._packed = None
 
     def pair(self, i: int, j: int) -> Vector:
         v = self.constants.get((i, j))

@@ -8,26 +8,29 @@ calls no jacobiator and makes no scalar product.  The associativity check
 sums both bracketings on the same int rows, the antisymmetry check compares
 the rows of each pair with its mirror's, the homogeneity check compares
 degree codes, and the alpha check sums (-1)^alpha J_g - J_twist in one walk
-of g's rows.  The oracles below recompute every triple from scratch through
-BilinearMap.__call__ and Vector.scale, or call jacobiator on each of the
-n^3 triples, on random degree-homogeneous tables with coefficients in
-Q(zeta8) (not only rationals) and on catalog tables with one structure
-constant perturbed, each table under both sign rules.  The alpha identity and the
-round trip rebraid(unbraid(g)) == g are the Z2xZ2 <-> super
-correspondence of Scheunert, "Generalized Lie algebras", J. Math. Phys. 20
-(1979), and Rittenberg-Wyler, "Generalized superalgebras", Nucl. Phys. B
-139 (1978).
+of g's rows.  Each verdict only tests its packed sums for zero, so the
+residuals come from the oracles below: they recompute every triple from
+scratch through BilinearMap.__call__ and Vector.scale, or call jacobiator
+on each of the n^3 triples or on one triple per rotation orbit, on random
+degree-homogeneous tables with coefficients in Q(zeta8) (not only
+rationals) and on catalog tables with one structure constant perturbed,
+each table under both sign rules.  The alpha identity and the round trip
+rebraid(unbraid(g)) == g are the Z2xZ2 <-> super correspondence of
+Scheunert, "Generalized Lie algebras", J. Math. Phys. 20 (1979), and
+Rittenberg-Wyler, "Generalized superalgebras", Nucl. Phys. B 139 (1978).
 """
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 import pytest
 
 from bigla import lie
 from bigla.catalog import catalog
-from bigla.equivalence import (AlphaCheckResult, alpha_failures, jacobiator_alpha_check,
-                               rebraid, twist, unbraid)
+from bigla.equivalence import (AlphaCheckResult, SuperLieAlgebraWithInvolution,
+                               alpha_failures, jacobiator_alpha_check, rebraid, twist,
+                               unbraid)
 from bigla.lie import (BiGradedAssocAlgebra, BiGradedLieAlgebra, check_antisymmetry,
                        check_jacobi, check_lie, commutator_lie, jacobiator)
 from bigla.linear import BiGradedSpace, BilinearMap, Vector
@@ -102,6 +105,19 @@ def _every_triple(g):
     return {t: jacobiator(g, *t) for t in _triples(g.dim)}
 
 
+def _orbit_residuals(g):
+    """The nonzero jacobiators, one per rotation orbit, keyed by the orbit's
+    smallest triple: jacobiator on that triple, kept where it is nonzero.
+    The sweeps keep only which orbits fail; this is their residual."""
+    out = {}
+    for t in _triples(g.dim):
+        if t == min(lie._rotations(t)):
+            v = jacobiator(g, *t)
+            if v:
+                out[t] = v
+    return out
+
+
 def _alpha(degs, a, b, c):
     return (degs[a].eps1 * degs[b].eps2 + degs[b].eps1 * degs[c].eps2
             + degs[c].eps1 * degs[a].eps2) % 2
@@ -153,9 +169,10 @@ def test_sweep_makes_no_jacobiator_call_and_no_scalar_arithmetic(monkeypatch, na
     """The Lie verdicts on a catalog Lie table and on its twist, and the
     alpha walk, read int rows and degree codes: they call neither
     jacobiator nor any CycloScalar product or sum, and build no vector and
-    no scalar where every residual is zero."""
+    no scalar where every residual is zero.  Both twists, twist and
+    rebraid, copy each value kept or negated: no product, no Vector.scale
+    and no vector built through its constructor."""
     g = catalog()[name][1]()
-    tables = (g, twist(g))
     calls = []
 
     def counted(op):
@@ -170,32 +187,55 @@ def test_sweep_makes_no_jacobiator_call_and_no_scalar_arithmetic(monkeypatch, na
     monkeypatch.setattr(CycloScalar, "from_coordinates",
                         counted(CycloScalar.from_coordinates))
     monkeypatch.setattr(Vector, "__init__", counted(Vector.__init__))
-    for table in tables:
+    monkeypatch.setattr(Vector, "scale", counted(Vector.scale))
+    for table in (g, twist(g)):
         assert check_lie(table) == {"homogeneity": [], "antisymmetry": [],
                                     "jacobi": []}, table.sign.__name__
     assert alpha_failures(g) == []
+    assert rebraid(unbraid(g)).bracket.constants == g.bracket.constants
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["so3", "so12", "qalgebra-lie", "qmat2-lie",
+                                  "unitary2x2", "odd-pair"])
+def test_each_verdict_packs_its_table_once(monkeypatch, name):
+    """check_lie, unbraid and the super check each pack the one table they
+    judge once: its verdicts, under either sign rule, share the int rows
+    kept on the map."""
+    fresh = catalog()[name][1]
+    s = unbraid(fresh())
+    packed = []
+    pack = lie._pack
+    monkeypatch.setattr(lie, "_pack", lambda table: packed.append(table) or pack(table))
+    for run, table in ((check_lie, fresh()), (unbraid, fresh()),
+                       (SuperLieAlgebraWithInvolution.check, s)):
+        packed.clear()
+        run(table)
+        assert len(packed) == 1, run.__name__
 
 
 @settings(max_examples=60, deadline=None)
 @given(brackets())
 def test_residual_orbits_are_reached(g):
-    """Every orbit the sweep reports nonzero has a rotation (x,y,z) whose
-    [y,z] has a term e_m with (x,m) in the table: the sweep's walk misses
-    no orbit that holds a nonzero term."""
+    """The sweep fails exactly the orbits whose jacobiator is nonzero, and
+    each has a rotation (x,y,z) whose [y,z] has a term e_m with (x,m) in
+    the table: the sweep's walk misses no orbit that holds a nonzero
+    term."""
     for h in (_with_sign(g, sign) for sign in SIGNS):
-        assert set(lie._residuals(h)) <= _reached_orbits(h), h.sign.__name__
+        orbits = {min(lie._rotations(t)) for t in check_jacobi(h)}
+        assert orbits == set(_orbit_residuals(h)), h.sign.__name__
+        assert orbits <= _reached_orbits(h), h.sign.__name__
 
 
 def alpha_sweep(g):
-    """The two-sweep alpha check, the oracle of alpha_failures: the Jacobi
-    sweep of g and of its twist, and per triple where either is nonzero, in
-    lexicographic order, the alpha sign and both residuals.  On every other
-    triple both jacobiators vanish and the identity holds.  alpha and both
-    jacobiators are invariant under the rotation (a,b,c) -> (c,a,b), so
-    the three triples of an orbit share one result."""
-    bi = lie._residuals(g)
-    sup = lie._residuals(twist(g))
+    """The two-sweep alpha check, the oracle of alpha_failures: the orbit
+    residuals of g and of its twist, and per triple where either is
+    nonzero, in lexicographic order, the alpha sign and both residuals.  On
+    every other triple both jacobiators vanish and the identity holds.
+    alpha and both jacobiators are invariant under the rotation (a,b,c) ->
+    (c,a,b), so the three triples of an orbit share one result."""
+    bi = _orbit_residuals(g)
+    sup = _orbit_residuals(twist(g))
     zero = g.space.zero()
     degs = g.space.degrees
     out = {}
@@ -453,11 +493,14 @@ large_scalars = st.builds(CycloScalar, large_rationals, large_rationals,
 @given(lie_algebras(large_scalars), st.data())
 def test_int_verdicts_keep_large_constants_exact(g, data):
     """Constants with coordinates and denominators far beyond a machine word
-    still pack into one int each without overlap: a Lie table passes every
+    still pack into one int each without overlap: every packed constant
+    unpacks to its coordinates over the common denominator, the shift
+    leaves room for every sum a verdict makes, a Lie table passes every
     verdict and the alpha walk, and with one constant changed the Jacobi
-    residuals, unpacked from their sums, are the per-triple jacobiators."""
+    sweep fails exactly the triples whose jacobiator is nonzero."""
     assert check_lie(g) == {"homogeneity": [], "antisymmetry": [], "jacobi": []}
     assert alpha_failures(g) == []
+    _assert_packed_exactly(g.bracket)
     space = g.space
     letters = st.integers(0, space.dim - 1)
     pair = data.draw(st.tuples(letters, letters))
@@ -465,10 +508,38 @@ def test_int_verdicts_keep_large_constants_exact(g, data):
     constants = dict(g.bracket.constants)
     constants[pair] = g.bracket.pair(*pair) + Vector(space, {k: data.draw(large_scalars)})
     h = BiGradedLieAlgebra(space, BilinearMap(space, constants))
-    residuals = lie._residuals(h)
-    assert {r: v for t, v in residuals.items() for r in lie._rotations(t)} == \
-        {t: v for t, v in _every_triple(h).items() if v}
+    _assert_packed_exactly(h.bracket)
+    every = {t: v for t, v in _every_triple(h).items() if v}
+    assert {r: v for t, v in _orbit_residuals(h).items()
+            for r in lie._rotations(t)} == every
+    assert check_jacobi(h) == list(every)
     assert check_antisymmetry(h) == _reference_antisymmetry(h)
+
+
+def _assert_packed_exactly(m):
+    """Each packed int of m's rows is its constant's four coordinates over
+    the lcm d of the denominators, as balanced digits base R = 2^b, and
+    6 s^2 < R / 2 for s the sum of their absolute values: the bound that
+    keeps every coordinate of a verdict's sum apart (lie._pack)."""
+    b, rows = lie._int_rows(m)
+    d = lcm(*(c.d for v in m.constants.values() for c in v.coeffs.values()))
+    s = 0
+    for pair, v in m.constants.items():
+        unpacked = {}
+        for l, p in rows[pair]:
+            coords = []
+            for _ in range(4):
+                r = p % (1 << b)
+                if r >= 1 << (b - 1):
+                    r -= 1 << b
+                coords.append(r)
+                p = (p - r) >> b
+            assert p == 0, pair
+            unpacked[l] = coords
+            s += sum(map(abs, coords))
+        assert unpacked == {l: [a * (d // c.d) for a in c.c]
+                            for l, c in v.coeffs.items()}, pair
+    assert 6 * s * s < 1 << (b - 1)
 
 
 @settings(max_examples=20, deadline=None)
