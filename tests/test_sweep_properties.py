@@ -43,6 +43,7 @@ st = pytest.importorskip("hypothesis.strategies")
 given, settings, example = hypothesis.given, hypothesis.settings, hypothesis.example
 
 SIGNS = (sign_deligne, sign_super)
+LIE_NAMES = ("so3", "so12", "qalgebra-lie", "qmat2-lie", "unitary2x2", "odd-pair")
 
 rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 scalars = st.builds(CycloScalar, rationals, rationals, rationals, rationals)
@@ -163,8 +164,7 @@ def _reached_orbits(g):
     return reached
 
 
-@pytest.mark.parametrize("name", ["so3", "so12", "qalgebra-lie", "qmat2-lie",
-                                  "unitary2x2", "odd-pair"])
+@pytest.mark.parametrize("name", LIE_NAMES)
 def test_sweep_makes_no_jacobiator_call_and_no_scalar_arithmetic(monkeypatch, name):
     """The Lie verdicts on a catalog Lie table and on its twist, and the
     alpha walk, read int rows and degree codes: they call neither
@@ -196,8 +196,7 @@ def test_sweep_makes_no_jacobiator_call_and_no_scalar_arithmetic(monkeypatch, na
     assert calls == []
 
 
-@pytest.mark.parametrize("name", ["so3", "so12", "qalgebra-lie", "qmat2-lie",
-                                  "unitary2x2", "odd-pair"])
+@pytest.mark.parametrize("name", LIE_NAMES)
 def test_each_verdict_packs_its_table_once(monkeypatch, name):
     """check_lie, unbraid and the super check each pack the one table they
     judge once: its verdicts, under either sign rule, share the int rows
@@ -297,9 +296,6 @@ def test_alpha_walk_matches_every_triple_on_tables_out_of_degree(g):
     expected = [t for t in _triples(g.dim)
                 if not identity_holds(jacobiator_alpha_check(g, *t))]
     assert alpha_failures(g) == _sweep_failures(alpha_sweep(g)) == expected
-
-
-LIE_NAMES = ("so3", "so12", "qalgebra-lie", "qmat2-lie", "unitary2x2", "odd-pair")
 
 
 @cache
