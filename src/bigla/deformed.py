@@ -13,10 +13,11 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, NamedTuple, Optional, Union
 
 from .errors import BiglaError
-from .scalars import CycloScalar, I, ONE, ZERO, _times, as_scalar, parse_rational
+from .scalars import CycloScalar, I, ONE, _times, as_scalar, parse_rational
 from .sparse import Combination, add_term
 
 DEGREE_BOUND = 64
@@ -27,10 +28,12 @@ DEGREE_BOUND = 64
 # unit of size a tiny trial costs the most: the largest admitted sweep,
 # conv-check at truncation 0 with 60000 trials, took 2.4-4.3 s on a shared
 # 2-core host, against 0.13-0.20 s at truncation 6 with 46 trials.  The
-# untwisting sweep decides on ints, so a trial costs its draws, two
-# polynomials of degree + 1 powers each: in process on the same host,
-# iso-check at degree 0 with 60000 trials, the costliest sweep it admits, took
-# 0.13-0.15 s, and at degree 32 with 1818 trials 0.07-0.08 s.
+# untwisting sweep is bounded the same way, though on a correct untwisting
+# its defect table is zero and it makes no draw at all: a trial costs its
+# draws only when a defect is nonzero, two polynomials of degree + 1 powers
+# each.  With a nonzero defect, in process on the same host, iso-check at
+# degree 0 with 60000 trials, the costliest sweep it admits, took 0.13-0.15
+# s, and at degree 32 with 1818 trials 0.07-0.08 s.
 MAX_TRIAL_WORK = 6 * 10 ** 4
 
 Coeffs = dict[int, CycloScalar]
@@ -56,14 +59,24 @@ def _poly_mul(a: Coeffs, b: Coeffs, twisted: bool = False) -> Coeffs:
 
 
 def _evaluate(coeffs: Mapping[int, CycloScalar], a: Fraction) -> CycloScalar:
-    out = ZERO
-    power = Fraction(1)
-    for k in range(max(coeffs, default=0) + 1):
+    """sum c_k a^k by Horner's rule on int coordinates: for a = p/q and D
+    the lcm of the coefficients' denominators, the sum times D q^deg is
+    sum_k (D c_k) p^k q^(deg - k), whose coordinates are ints.  Only the
+    result is a CycloScalar, built once over the denominator D q^deg."""
+    p, q = a.numerator, a.denominator
+    d = lcm(*(c.d for c in coeffs.values()))
+    deg = max(coeffs, default=0)
+    a0 = a1 = a2 = a3 = 0
+    qk = 1
+    for k in range(deg, -1, -1):
+        a0, a1, a2, a3 = a0 * p, a1 * p, a2 * p, a3 * p
         c = coeffs.get(k)
-        if c:
-            out = out + c * power
-        power *= a
-    return out
+        if c is not None:
+            f = d // c.d * qk
+            c0, c1, c2, c3 = c.c
+            a0, a1, a2, a3 = a0 + c0 * f, a1 + c1 * f, a2 + c2 * f, a3 + c3 * f
+        qk *= q
+    return CycloScalar.from_coordinates(a0, a1, a2, a3, d * q ** deg)
 
 
 class _Poly(Combination):
@@ -165,20 +178,21 @@ def bound_trial_work(trials: int, size: int, unit: str) -> None:
 
 
 def untwisting_failures(degree: int, trials: int, rng: random.Random) -> int:
-    """Draw trials random pairs of degree <= degree; the number of pairs on
-    which to_complex fails to turn the star product into the pointwise
-    one.  Refused before any draw if the products can pass DEGREE_BOUND or
-    the degree + 1 powers drawn per polynomial, over all trials, pass
+    """The number of trials random pairs of degree <= degree on which
+    to_complex fails to turn the star product into the pointwise one.
+    Refused before any draw if the products can pass DEGREE_BOUND or the
+    degree + 1 powers drawn per polynomial, over all trials, pass
     MAX_TRIAL_WORK.
 
-    Each trial decides on ints in one signed pass: to_complex(f * h) -
-    to_complex(f) to_complex(h) adds defect(i, j) f_i h_j to the
-    coordinates of x^(i+j), with defect(i, j) = u(i + j) tau(i, j) - u(i)
-    u(j) for to_complex's factor u and the star sign tau, and the pair
-    fails when some power's coordinates are nonzero.  The defect depends
-    only on the parities of i and j and is 0 on all four, so every pair is
-    skipped before any product and a trial costs its draws.  star_product
-    and to_complex are the oracle."""
+    to_complex(f * h) - to_complex(f) to_complex(h) adds defect(i, j) f_i
+    h_j to the coordinates of x^(i+j), with defect(i, j) = u(i + j) tau(i,
+    j) - u(i) u(j) for to_complex's factor u and the star sign tau.  The
+    defect depends only on the parities of i and j, so its four entries
+    decide every pair at once: on a correct untwisting all four are 0, no
+    drawn pair can fail, and the sweep returns 0 without a draw.  Only a
+    nonzero defect draws, and each trial decides on ints in one signed
+    pass: the pair fails when some power's coordinates are nonzero.
+    star_product and to_complex are the oracle."""
     if 2 * degree > DEGREE_BOUND:
         raise BiglaError(f"degree {degree} products reach degree {2 * degree}, "
                          f"above the bound {DEGREE_BOUND}")
@@ -190,6 +204,8 @@ def untwisting_failures(degree: int, trials: int, rng: random.Random) -> int:
                  zip(_UNTWIST[(p + q) & 1], _times(_UNTWIST[p], _UNTWIST[q]))]
             if any(d):
                 defects.append((p, q, d))
+    if not defects:
+        return 0
 
     def draw() -> tuple[list, list]:
         """(power, coefficient times 6) pairs of a random polynomial, split

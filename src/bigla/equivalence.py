@@ -68,7 +68,7 @@ def _involution_defects(g: BiGradedLieAlgebra, signs: tuple[int, ...]) -> list:
     a diagonal +-1 map is involutive, so nothing else can fail."""
     return [("not automorphism", i, j)
             for (i, j), v in sorted(g.bracket.constants.items())
-            if any(signs[k] != signs[i] * signs[j] for k in v.coeffs)]
+            if any(signs[k] != signs[i] * signs[j] for k in v)]
 
 
 def involution_from_bidegree(g: BiGradedLieAlgebra) -> tuple[int, ...]:
@@ -96,17 +96,14 @@ def twist(g: BiGradedLieAlgebra) -> BiGradedLieAlgebra:
 def _twisted(m: BilinearMap, space: BiGradedSpace) -> BilinearMap:
     """m's constants on space, [a,b] times (-1)^(eps1(a) eps2(b)) read on
     space's degrees, with no scalar product: a value of sign +1 is the
-    stored vector (rehomed to space) and one of sign -1 negates each
-    coefficient."""
+    stored coefficient dict and one of sign -1 negates each coefficient."""
     degs = space.degrees
     constants = {}
     for (i, j), v in m.constants.items():
         if sign_unbraid(degs[i], degs[j]) == -1:
-            v = Vector.of_nonzero(space, {k: -c for k, c in v.coeffs.items()})
-        elif v.space is not space:
-            v = Vector.of_nonzero(space, v.coeffs)
+            v = {k: -c for k, c in v.items()}
         constants[(i, j)] = v
-    return BilinearMap(space, constants)
+    return BilinearMap.of_coeffs(space, constants)
 
 
 def unbraid(g: BiGradedLieAlgebra) -> SuperLieAlgebraWithInvolution:
@@ -193,7 +190,7 @@ def alpha_failures(g: BiGradedLieAlgebra) -> list[tuple[int, int, int]]:
     twisted table and no residual vector is built.
     """
     _require_deligne(g)
-    return _orbit_sums(g, _alpha_weights())
+    return _orbit_sums(g, _alpha_weights(), False)
 
 
 def alpha_sign_counts(g: BiGradedLieAlgebra) -> tuple[int, int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import cache
+from itertools import permutations
 from math import lcm
 from typing import Callable, Collection, Mapping, Optional
 
@@ -21,7 +22,7 @@ from .scalars import DEGREE_OF_CODE, BiDegree, CycloScalar, sign_deligne
 from .sparse import add_scaled
 
 SignRule = Callable[[BiDegree, BiDegree], int]
-Table = Mapping[tuple[int, int], Vector]
+Table = Mapping[tuple[int, int], Mapping[int, CycloScalar]]
 
 
 # one structure constant as a packed int over its table's common
@@ -60,14 +61,14 @@ def _pack(table: Table) -> IntRows:
     total at one key, so every coordinate of a sum, before or after zeta^4
     = -1, is at most 6 s^2 < R / 2.
     """
-    d = lcm(*(c.d for v in table.values() for c in v.coeffs.values()))
+    d = lcm(*(c.d for v in table.values() for c in v.values()))
     rows: dict[tuple[int, int], list[IntTerm]] = {}
     # the terms off the rationals, packed once the shift is known
     wide = []
     s = 0
     for pair, v in table.items():
         row = rows[pair] = []
-        for l, c in v.coeffs.items():
+        for l, c in v.items():
             a0, a1, a2, a3 = a = c.c
             if c.d != d:
                 f = d // c.d
@@ -194,7 +195,17 @@ def check_antisymmetry(g: BiGradedLieAlgebra) -> list[tuple[int, int]]:
     For i = j with sign +1 this forces [x,x] = 0; with sign -1 the relation
     is vacuous and the self-bracket is unconstrained.  The two sides are
     compared on the int rows (_int_rows); a pair with one side only fails.
+    The verdict is kept on g's bracket per sign rule, so check_lie, whose
+    Jacobi check reads it too, computes it once.
     """
+    memo = g.bracket._antisymmetry
+    bad = memo.get(g.sign)
+    if bad is None:
+        bad = memo[g.sign] = _antisymmetry_failures(g)
+    return list(bad)
+
+
+def _antisymmetry_failures(g: BiGradedLieAlgebra) -> list[tuple[int, int]]:
     _, rows = _int_rows(g.bracket)
     codes = g.space.codes
     sign = _signs(g.sign)
@@ -202,8 +213,10 @@ def check_antisymmetry(g: BiGradedLieAlgebra) -> list[tuple[int, int]]:
     for (i, j), ij in rows.items():
         if i < j:
             ji = rows.get((j, i))
-            s = -sign[codes[i]][codes[j]]
-            if ji is None or dict(ij) != {l: s * p for l, p in ji}:
+            if ji is not None and sign[codes[i]][codes[j]] == 1:
+                ji = [(l, -p) for l, p in ji]
+            # a loaded mirror lists its letters in the order of its row
+            if ji is None or ij != ji and dict(ij) != dict(ji):
                 bad.append((i, j))
         elif i > j:
             if (j, i) not in rows:
@@ -215,8 +228,23 @@ def check_antisymmetry(g: BiGradedLieAlgebra) -> list[tuple[int, int]]:
 
 def check_jacobi(g: BiGradedLieAlgebra) -> list[tuple[int, int, int]]:
     """Triples (a,b,c) violating the cyclic Jacobi identity twisted by g's
-    sign rule: the Jacobi walk (_orbit_sums) weighted by sign(x,z)."""
-    return _orbit_sums(g, _jacobi_weights(g.sign))
+    sign rule: the Jacobi walk (_orbit_sums) weighted by sign(x,z).
+
+    When g passes check_antisymmetry and its sign rule is symmetric, the
+    inner brackets of J(b,a,c) are those of J(a,b,c) times -sign, term by
+    term, so J(b,a,c) = -s(a,b) s(a,c) s(b,c) J(a,b,c): a triple fails
+    exactly when its transposes do, and the walk sums only the orbits in
+    even cyclic order.  Any other table gets the full rotation walk.
+    """
+    half = _symmetric(g.sign) and not check_antisymmetry(g)
+    return _orbit_sums(g, _jacobi_weights(g.sign), half)
+
+
+@cache
+def _symmetric(sign: SignRule) -> bool:
+    """Whether sign(d, e) = sign(e, d) for every two degrees."""
+    rows = _signs(sign)
+    return all(rows[p][q] == rows[q][p] for p in range(4) for q in range(4))
 
 
 def _rotations(t: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
@@ -244,14 +272,14 @@ def jacobiator(g: BiGradedLieAlgebra, a: int, b: int, c: int) -> Vector:
         inner = table.get((y, z))
         if inner is not None:
             negate = g.sign(degs[x], degs[z]) == -1
-            for m, k in inner.coeffs.items():
+            for m, k in inner.items():
                 v = table.get((x, m))
                 if v is not None:
-                    add_scaled(out, v.coeffs, -k if negate else k)
+                    add_scaled(out, v, -k if negate else k)
     return Vector(g.space, out)
 
 
-def _orbit_sums(g: BiGradedLieAlgebra, weights: tuple[int, ...]
+def _orbit_sums(g: BiGradedLieAlgebra, weights: tuple[int, ...], half: bool
                 ) -> list[tuple[int, int, int]]:
     """The triples, in lexicographic order, of every rotation orbit whose
     nested-bracket terms, weighted and summed on the int rows (_int_rows),
@@ -268,6 +296,11 @@ def _orbit_sums(g: BiGradedLieAlgebra, weights: tuple[int, ...]
     degree codes of those letters; a term of weight 0 is skipped.  An orbit
     (a,a,a) is one triple whose jacobiator holds its one term three times.
     Orbits and keys are ints, t = a n^2 + b n + c and t n + l.
+
+    With half, the caller knows that an orbit fails exactly when its
+    transposes do (check_jacobi): the walk skips every term whose distinct
+    x, y, z are in odd cyclic order, y < x < z or x < z < y or z < y < x,
+    and reports every permutation of a failing orbit.
     """
     b, rows = _int_rows(g.bracket)
     n = g.space.dim
@@ -284,9 +317,14 @@ def _orbit_sums(g: BiGradedLieAlgebra, weights: tuple[int, ...]
         yzn = yz * n
         zy = z * n2 + y
         cyz = 16 * codes[y] + 4 * codes[z]
+        # the x the half walk skips: 1 for y < x < z, 2 for x < z or y < x
+        # when z < y, 0 for none
+        odd = 0 if not half or y == z else 1 if y < z else 2
         for m, k in inner:
             cm = cyz + codes[m]
             for x, cx, xn2, xn in left.get(m, ()):
+                if odd and (y < x < z if odd == 1 else x < z or y < x):
+                    continue
                 w = weights[cx + cm]
                 if not w:
                     continue
@@ -297,7 +335,8 @@ def _orbit_sums(g: BiGradedLieAlgebra, weights: tuple[int, ...]
                 for l, v in rows[(x, m)]:
                     acc[key + l] += wk * v
     orbits = {key // n for key in _nonzero_keys(acc, b)}
-    return sorted(r for t in orbits for r in _rotations(_triple(t, n)))
+    spread = permutations if half else _rotations
+    return sorted({r for t in orbits for r in spread(_triple(t, n))})
 
 
 def _triple(t: int, n: int) -> tuple[int, int, int]:

@@ -173,22 +173,39 @@ class AntiLinearMap:
 
 class BilinearMap:
     """Bilinear map V x V -> V from structure constants on basis pairs.
-    Like its vectors it is immutable: constants is not changed after
-    construction, so lie._int_rows keeps the packed int rows in _packed."""
+    constants maps each pair (i, j) to the coefficient dict of its nonzero
+    value, the store every verdict reads; only pair and __call__ build a
+    Vector.  Like its vectors it is immutable: constants is not changed
+    after construction, so lie._int_rows keeps the packed int rows in
+    _packed, and lie.check_antisymmetry its verdict per sign rule in
+    _antisymmetry."""
 
     def __init__(self, space: BiGradedSpace, constants: Mapping[tuple[int, int], Vector]):
-        self.space = space
-        self.constants: dict[tuple[int, int], Vector] = {}
-        for (i, j), v in constants.items():
+        for v in constants.values():
             if v.space is not space and v.space != space:
                 raise BiglaError("structure constant vector not in the space")
-            if v.coeffs:
-                self.constants[(i, j)] = v
+        self.space = space
+        self.constants = {pair: v.coeffs for pair, v in constants.items() if v.coeffs}
         self._packed = None
+        self._antisymmetry = {}
+
+    @classmethod
+    def of_coeffs(cls, space: BiGradedSpace,
+                  constants: dict[tuple[int, int], dict[int, CycloScalar]]
+                  ) -> "BilinearMap":
+        """The map with constants, a dict of coefficient dicts that hold no
+        zero and are not empty, that the caller hands over: it is kept as
+        it is, not filtered or copied."""
+        m = _new(cls)
+        m.space = space
+        m.constants = constants
+        m._packed = None
+        m._antisymmetry = {}
+        return m
 
     def pair(self, i: int, j: int) -> Vector:
         v = self.constants.get((i, j))
-        return self.space.zero() if v is None else v
+        return self.space.zero() if v is None else Vector.of_nonzero(self.space, v)
 
     def __call__(self, a: Vector, b: Vector) -> Vector:
         if a.space != self.space or b.space != self.space:
@@ -198,7 +215,7 @@ class BilinearMap:
             for j, cb in b.coeffs.items():
                 v = self.constants.get((i, j))
                 if v is not None:
-                    add_scaled(out, v.coeffs, ca * cb)
+                    add_scaled(out, v, ca * cb)
         return Vector(self.space, out)
 
     def check_homogeneity(self) -> list[tuple[int, int]]:
@@ -208,7 +225,7 @@ class BilinearMap:
         bad = []
         for (i, j), v in self.constants.items():
             c = codes[i] ^ codes[j]
-            for l in v.coeffs:
+            for l in v:
                 if codes[l] != c:
                     bad.append((i, j))
                     break

@@ -85,13 +85,6 @@ def scalar_from_json(obj: Any, seen: dict) -> CycloScalar:
     return c
 
 
-def _index(k: Any, dim: int, what: str) -> int:
-    # JSON true and 1.0 are not indices, though Python counts True as an int
-    if type(k) is not int or not 0 <= k < dim:
-        raise ValueError(f"{what} index {k!r} out of range")
-    return k
-
-
 def _space_from_json(basis: Any, name: str) -> BiGradedSpace:
     if not isinstance(basis, list) or not basis:
         raise ValueError("basis must be a nonempty list")
@@ -111,17 +104,21 @@ def _space_from_json(basis: Any, name: str) -> BiGradedSpace:
     return BiGradedSpace(entries, name=name)
 
 
-def _value_from_json(obj: Any, space: BiGradedSpace, seen: dict) -> Vector:
+def _value_from_json(obj: Any, dim: int, seen: dict) -> dict[int, CycloScalar]:
+    """The coefficient dict of a value, a list of terms on basis indices
+    below dim; it holds no zero."""
     if not isinstance(obj, list):
         raise ValueError(f"value must be a list of terms, got {obj!r}")
     coeffs = {}
-    dim = space.dim
     for term in obj:
         if not isinstance(term, dict) or "basis" not in term or "coeff" not in term:
             raise ValueError(f"value term needs basis and coeff: {term!r}")
-        k = _index(term["basis"], dim, "basis")
+        k = term["basis"]
+        # JSON true and 1.0 are not indices, though Python counts True as an int
+        if type(k) is not int or not 0 <= k < dim:
+            raise ValueError(f"basis index {k!r} out of range")
         add_term(coeffs, k, scalar_from_json(term["coeff"], seen))
-    return Vector.of_nonzero(space, coeffs)
+    return coeffs
 
 
 _ROW_KEYS = frozenset(("left", "right", "value"))
@@ -129,48 +126,57 @@ _ROW_KEYS = frozenset(("left", "right", "value"))
 
 def _table_from_json(rows: Any, space: BiGradedSpace, what: str, seen: dict,
                      sign_rule=None) -> BilinearMap:
-    """Read a table in one pass.  With a sign rule it is a bracket table:
-    rows store only left <= right, and each row with left < right also
-    gives its mirror [j, i] = -s [i, j], s = +-1.  For s = -1 the mirror is
-    the stored vector itself: combinations are never changed in place.  For
-    s = 1 each distinct coefficient is negated once.  A row with left >
-    right is reported after the pass, so a malformed row anywhere in the
-    table is reported first."""
+    """Read a table in one pass into coefficient dicts, the map's only
+    store.  With a sign rule it is a bracket table: rows store only left <=
+    right, and each row with left < right also gives its mirror [j, i] =
+    -s [i, j], s = +-1.  For s = -1 the mirror is the stored dict itself:
+    constants are never changed in place.  For s = 1 each distinct
+    coefficient is negated once.  A row with left > right is reported
+    after the pass, so a malformed row anywhere in the table is reported
+    first."""
     if not isinstance(rows, list):
         raise ValueError(f"{what} table must be a list")
-    constants: dict[tuple[int, int], Vector] = {}
+    constants: dict[tuple[int, int], dict[int, CycloScalar]] = {}
     misplaced: dict[tuple[int, int], None] = {}
     negated: dict[CycloScalar, CycloScalar] = {}
+    empty = False
     dim = space.dim
     degrees = space.degrees
     for row in rows:
         if not isinstance(row, dict) or not _ROW_KEYS <= row.keys():
             raise ValueError(f"{what} row needs left, right, value: {row!r}")
-        i, j = _index(row["left"], dim, what), _index(row["right"], dim, what)
-        key = (i, j)
+        key = i, j = row["left"], row["right"]
+        for k in key:
+            if type(k) is not int or not 0 <= k < dim:
+                raise ValueError(f"{what} index {k!r} out of range")
         if sign_rule is not None and i > j:
             if key in misplaced:
                 raise ValueError(f"duplicate {what} entry ({i}, {j})")
-            _value_from_json(row["value"], space, seen)
+            _value_from_json(row["value"], dim, seen)
             misplaced[key] = None
             continue
         if key in constants:
             raise ValueError(f"duplicate {what} entry ({i}, {j})")
-        constants[key] = v = _value_from_json(row["value"], space, seen)
-        if sign_rule is None or i == j or not v.coeffs:
+        constants[key] = v = _value_from_json(row["value"], dim, seen)
+        if not v:
+            empty = True
+            continue
+        if sign_rule is None or i == j:
             continue
         if sign_rule(degrees[i], degrees[j]) == 1:
             mirror = {}
-            for k, c in v.coeffs.items():
+            for k, c in v.items():
                 m = negated.get(c)
                 if m is None:
                     m = negated[c] = -c
                 mirror[k] = m
-            v = Vector.of_nonzero(space, mirror)
+            v = mirror
         constants[(j, i)] = v
     for i, j in misplaced:
         raise ValueError(f"store only left <= right, got ({i}, {j})")
-    return BilinearMap(space, constants)
+    if empty:
+        constants = {key: v for key, v in constants.items() if v}
+    return BilinearMap.of_coeffs(space, constants)
 
 
 # "\n" and the indentation json.dumps(indent=2) writes at each nesting level
@@ -203,15 +209,15 @@ _BASIS = ("{" + _IND[3] + '"degree": [' + _IND[4] + "%d," + _IND[4] + "%d"
           + _IND[3] + "]," + _IND[3] + '"label": %s' + _IND[2] + "}")
 
 
-def _value_text(v: Vector, level: int, term: str) -> str:
-    return _list([term % (k, *_components(c)) for k, c in sorted(v.coeffs.items())],
+def _value_text(coeffs: dict[int, CycloScalar], level: int, term: str) -> str:
+    return _list([term % (k, *_components(c)) for k, c in sorted(coeffs.items())],
                  level)
 
 
 def _table_text(m: BilinearMap, upper_only: bool) -> str:
     return _list([_ROW % (i, j, _value_text(v, 3, _ROW_TERM))
                   for (i, j), v in sorted(m.constants.items())
-                  if v.coeffs and not (upper_only and i > j)], 1)
+                  if not (upper_only and i > j)], 1)
 
 
 def _basis_text(space: BiGradedSpace) -> str:
@@ -228,7 +234,7 @@ def dumps(a: Algebra) -> str:
                   ("brackets", _table_text(a.bracket, True)),
                   ("kind", _quote(KIND_LIE)), ("name", _quote(a.name)))
     elif isinstance(a, BiGradedAssocAlgebra):
-        unit = "null" if a.unit is None else _value_text(a.unit, 1, _UNIT_TERM)
+        unit = "null" if a.unit is None else _value_text(a.unit.coeffs, 1, _UNIT_TERM)
         fields = (("basis", _basis_text(a.space)), ("kind", _quote(KIND_ASSOC)),
                   ("name", _quote(a.name)),
                   ("products", _table_text(a.product, False)), ("unit", unit))
@@ -267,7 +273,8 @@ def from_doc(doc: Any) -> Algebra:
         space = _space_from_json(doc.get("basis"), name)
         product = _table_from_json(doc.get("products"), space, "product", seen)
         unit = doc.get("unit")
-        unit_vec = _value_from_json(unit, space, seen) if unit is not None else None
+        unit_vec = (None if unit is None
+                    else Vector.of_nonzero(space, _value_from_json(unit, space.dim, seen)))
         return BiGradedAssocAlgebra(space, product, unit=unit_vec, name=name)
     raise ValueError(f"unknown kind {kind!r}")
 

@@ -106,7 +106,7 @@ class EnvelopingAlgebra:
         if a == b:
             # exterior letter squared: x x = (1/2)[x,x]
             out: dict[Word, CycloScalar] = {}
-            for k, c in self.g.bracket.pair(a, a).coeffs.items():
+            for k, c in self.g.bracket.constants.get((a, a), {}).items():
                 add_scaled(out, nf(head + (k,) + tail), HALF * c)
             return out
         codes = self.codes
@@ -115,7 +115,7 @@ class EnvelopingAlgebra:
             out = dict(swapped)
         else:
             out = {word: -c for word, c in swapped.items()}
-        for k, c in self.g.bracket.pair(a, b).coeffs.items():
+        for k, c in self.g.bracket.constants.get((a, b), {}).items():
             add_scaled(out, nf(head + (k,) + tail), c)
         return out
 

@@ -133,7 +133,7 @@ def test_unitary_example_shape():
     assert list(g.space.labels) == ["u1", "u2", "h1", "h2", "x1", "x2", "y1", "y2"]
     assert list(g.space.degrees) == [D00, D00, D11, D11, D10, D10, D01, D01]
     for v in g.bracket.constants.values():
-        for c in v.coeffs.values():
+        for c in v.values():
             assert c.is_rational()
     assert not any(check_lie(g).values())
 

@@ -84,7 +84,8 @@ def _oracle_failures(degree, trials, rng, multiplicative=_untwisted):
 
 def _same_sweep(degree, trials, seed, multiplicative=_untwisted):
     """Run the int sweep and the oracle on one seed; their failure counts,
-    after checking that both leave the generator in the same state."""
+    after checking that both leave the generator in the same state.  Only
+    a broken untwisting makes the sweep draw."""
     fast, slow = random.Random(seed), random.Random(seed)
     got = untwisting_failures(degree, trials, fast)
     want = _oracle_failures(degree, trials, slow, multiplicative)
@@ -93,12 +94,20 @@ def _same_sweep(degree, trials, seed, multiplicative=_untwisted):
 
 
 def test_int_sweep_matches_the_object_path():
+    """The four-entry defect table is zero, so the sweep decides every pair
+    without a draw: it returns 0 and leaves its generator as it found it,
+    while the oracle still draws and finds no failing pair."""
     for degree in range(33):
         trials = min(12, MAX_TRIAL_WORK // (degree + 1))
         for seed in (degree, 1000 + degree):
-            got, want = _same_sweep(degree, trials, seed)
+            fast = random.Random(seed)
+            got = untwisting_failures(degree, trials, fast)
+            want = _oracle_failures(degree, trials, random.Random(seed))
             assert got == want == 0, (degree, seed)
-    assert _same_sweep(0, 500, 7) == (0, 0)
+            assert fast.getstate() == random.Random(seed).getstate(), (degree, seed)
+    fast = random.Random(7)
+    assert untwisting_failures(0, 500, fast) == _oracle_failures(0, 500, random.Random(7)) == 0
+    assert fast.getstate() == random.Random(7).getstate()
 
 
 # each mutation with the object path that makes the same mistake: the star

@@ -6,7 +6,8 @@ for the tests that compare results across PBW orders.
 
 import pytest
 
-from bigla.catalog import (algebra_B, m2_superalgebra, odd_pair, so3, so12,
+from bigla import lie
+from bigla.catalog import (algebra_B, catalog, m2_superalgebra, odd_pair, so3, so12,
                            unitary_example, upper_triangular3)
 from bigla.errors import BiglaError, InputNotLie
 from bigla.lie import (BiGradedAssocAlgebra, BiGradedLieAlgebra,
@@ -23,7 +24,7 @@ def reordered(g, order):
     pos = {k: p for p, k in enumerate(order)}
     space = BiGradedSpace([(g.space.labels[k], g.space.degrees[k]) for k in order],
                           name=g.name)
-    constants = {(pos[i], pos[j]): Vector(space, {pos[k]: c for k, c in v.coeffs.items()})
+    constants = {(pos[i], pos[j]): Vector(space, {pos[k]: c for k, c in v.items()})
                  for (i, j), v in g.bracket.constants.items()}
     return BiGradedLieAlgebra(space, BilinearMap(space, constants), sign=g.sign)
 
@@ -32,7 +33,7 @@ def _broken_so3():
     # [e1,e2] = e3 + e2 keeps homogeneity (e2, e3 share a degree) but breaks
     # Jacobi and antisymmetry pairing with [e2,e1] = -e3
     g = so3()
-    constants = dict(g.bracket.constants)
+    constants = {pair: g.bracket.pair(*pair) for pair in g.bracket.constants}
     constants[(0, 1)] = constants[(0, 1)] + g.space.basis_vector(1)
     return BiGradedLieAlgebra(g.space, BilinearMap(g.space, constants),
                               name="broken")
@@ -125,6 +126,30 @@ def test_sign_rule_changes_verdict():
     # but it is Deligne-Lie as shipped
     assert check_lie(so12()) == {"homogeneity": [], "antisymmetry": [],
                                  "jacobi": []}
+
+
+def test_antisymmetry_is_computed_once_per_map_and_sign_rule(monkeypatch):
+    """check_lie's Jacobi check reads the antisymmetry verdict, which the
+    bracket keeps per sign rule: one computation per rule, and a caller
+    that changes the returned list does not change the kept verdict."""
+    runs = []
+    failures = lie._antisymmetry_failures
+    monkeypatch.setattr(lie, "_antisymmetry_failures",
+                        lambda g: runs.append(g.sign) or failures(g))
+    # Deligne-Lie as shipped; under the super rule the mirrors of
+    # [e_1, e_3] and [e_2, e_3] are off by their sign
+    g = catalog()["qalgebra-lie"][1]()
+    assert check_lie(g) == check_lie(g) == {"homogeneity": [], "antisymmetry": [],
+                                            "jacobi": []}
+    assert len(runs) == 1
+    check_antisymmetry(g).append((0, 0))
+    assert check_antisymmetry(g) == []
+    sup = BiGradedLieAlgebra(g.space, g.bracket, sign=sign_super)
+    fresh = BiGradedLieAlgebra(g.space, BilinearMap(
+        g.space, {p: g.bracket.pair(*p) for p in g.bracket.constants}), sign=sign_super)
+    assert check_antisymmetry(sup) == failures(fresh) != []
+    assert check_jacobi(sup) == check_jacobi(fresh)
+    assert len(runs) == 3
 
 
 def test_commutator_lie_b():

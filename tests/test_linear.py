@@ -98,7 +98,7 @@ def test_bilinear_map():
 
 def test_a_given_value_builds_no_zero_vector(monkeypatch):
     """pair and the basis images of a map build the zero vector only for a
-    missing entry; PBW rewriting reads a bracket through pair at every step."""
+    missing entry; a given value is wrapped as it is stored."""
     sp = _space()
     m = BilinearMap(sp, {(1, 1): sp.basis_vector(0)})
     images = {k: sp.basis_vector(k) for k in range(sp.dim)}

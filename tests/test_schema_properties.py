@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from bigla import lie
 from bigla.catalog import catalog
 from bigla.equivalence import SuperLieAlgebraWithInvolution, unbraid
 from bigla.lie import BiGradedAssocAlgebra, BiGradedLieAlgebra
@@ -22,7 +23,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 given, settings = hypothesis.given, hypothesis.settings
 
-from test_sweep_properties import homogeneous_tables, scalars, spaces  # noqa: E402
+from test_sweep_properties import (homogeneous_tables, lie_algebras, scalars,  # noqa: E402
+                                   spaces)
 
 
 def oracle_scalar(c):
@@ -34,9 +36,8 @@ def oracle_value(v):
 
 
 def oracle_table(m, upper_only):
-    return [{"left": i, "right": j, "value": oracle_value(v)}
-            for (i, j), v in sorted(m.constants.items())
-            if v.coeffs and not (upper_only and i > j)]
+    return [{"left": i, "right": j, "value": oracle_value(m.pair(i, j))}
+            for i, j in sorted(m.constants) if not (upper_only and i > j)]
 
 
 def oracle_doc(a):
@@ -206,7 +207,7 @@ def contents(a):
         extra = None if a.unit is None else a.unit.coeffs
     else:
         kind, table, extra = KIND_LIE, a.bracket, None
-    return kind, {p: v.coeffs for p, v in table.constants.items()}, extra
+    return kind, table.constants, extra
 
 
 # a few spellings of a few rationals, JSON ints among them
@@ -253,3 +254,49 @@ def test_loads_agrees_with_the_reference_loader(text):
     with eps(y, x) = +-1 (Scheunert, "Generalized Lie algebras", J. Math.
     Phys. 20 (1979))."""
     assert contents(loads(text)) == contents(reference_loads(text))
+
+
+def _table(a):
+    """The one table of an algebra of any kind."""
+    if isinstance(a, SuperLieAlgebraWithInvolution):
+        return a.algebra.bracket
+    return a.product if isinstance(a, BiGradedAssocAlgebra) else a.bracket
+
+
+def _assert_loader_keeps_the_table(a):
+    """loads(dumps(a)) gives a's pair(i, j) for every i and j and the int
+    rows of a map built from a's Vectors, and it builds no Vector for its
+    table, through of_nonzero or the constructor: the only one a load may
+    build is an associative file's unit."""
+    text = dumps(a)
+    built = []
+    of_nonzero, init = Vector.of_nonzero.__func__, Vector.__init__
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Vector, "of_nonzero", classmethod(
+            lambda cls, *args: built.append(args) or of_nonzero(cls, *args)))
+        patch.setattr(Vector, "__init__",
+                      lambda self, *args: built.append(args) or init(self, *args))
+        b = loads(text)
+    assert len(built) == (getattr(a, "unit", None) is not None)
+    old, new = _table(a), _table(b)
+    n = a.space.dim
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    assert [new.pair(*p) for p in pairs] == [old.pair(*p) for p in pairs]
+    vectors = BilinearMap(old.space, {p: old.pair(*p) for p in pairs})
+    (b_new, rows_new), (b_old, rows_old) = lie._int_rows(new), lie._int_rows(vectors)
+    assert b_new == b_old
+    assert {p: sorted(row) for p, row in rows_new.items()} == \
+        {p: sorted(row) for p, row in rows_old.items()}
+
+
+def test_loading_a_catalog_file_builds_no_table_vector():
+    written = [make() for kind, make in catalog().values()]
+    written += [unbraid(make()) for kind, make in catalog().values() if kind == "lie"]
+    for a in written:
+        _assert_loader_keeps_the_table(a)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lie_algebras())
+def test_loading_a_random_lie_algebra_builds_no_table_vector(g):
+    _assert_loader_keeps_the_table(g)

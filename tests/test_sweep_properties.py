@@ -34,7 +34,8 @@ from bigla.equivalence import (AlphaCheckResult, SuperLieAlgebraWithInvolution,
 from bigla.lie import (BiGradedAssocAlgebra, BiGradedLieAlgebra, check_antisymmetry,
                        check_jacobi, check_lie, commutator_lie, jacobiator)
 from bigla.linear import BiGradedSpace, BilinearMap, Vector
-from bigla.scalars import ALL_DEGREES, ONE, CycloScalar, sign_deligne, sign_super
+from bigla.scalars import (ALL_DEGREES, ONE, CycloScalar, sign_deligne, sign_super,
+                           sign_unbraid)
 
 from test_equivalence import identity_holds
 
@@ -159,7 +160,7 @@ def _reached_orbits(g):
     reached = set()
     for x, y, z in _triples(g.dim):
         inner = table.get((y, z))
-        if inner is not None and any((x, m) in table for m in inner.coeffs):
+        if inner is not None and any((x, m) in table for m in inner):
             reached.add(min((x, y, z), (y, z, x), (z, x, y)))
     return reached
 
@@ -323,7 +324,7 @@ def _perturbed(name, i, j, k, c):
     g = _catalog_table(name)
     space = g.space
     pair = (space.index(i), space.index(j))
-    constants = dict(g.bracket.constants)
+    constants = {p: g.bracket.pair(*p) for p in g.bracket.constants}
     constants[pair] = g.bracket.pair(*pair) + Vector(space, {space.index(k): c})
     return BiGradedLieAlgebra(space, BilinearMap(space, constants), name=name)
 
@@ -356,6 +357,37 @@ def test_sweeps_match_every_triple_on_perturbed_catalog_tables(drawn):
         [(t, bi[t], sup[t]) for t in _triples(g.dim) if bi[t] or sup[t]]
 
 
+def _perturbed_antisymmetric(name, i, j, k, c):
+    """_perturbed with the mirror changed to match: [e_j, e_i] gets -s c e_k,
+    s = sign(i, j), so the table stays antisymmetric unless i = j with s = 1."""
+    g = _perturbed(name, i, j, k, c)
+    space = g.space
+    a, b = space.index(i), space.index(j)
+    if a == b:
+        return g
+    constants = {p: g.bracket.pair(*p) for p in g.bracket.constants}
+    s = g.sign(space.degrees[a], space.degrees[b])
+    constants[(b, a)] = g.bracket.pair(b, a) + Vector(space, {space.index(k): -s * c})
+    return BiGradedLieAlgebra(space, BilinearMap(space, constants), name=name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(perturbations())
+def test_half_walk_matches_every_triple_on_antisymmetric_tables(drawn):
+    """A catalog Lie table with one structure constant changed on both
+    sides stays antisymmetric and may fail Jacobi: the walk over the orbits
+    in even cyclic order, with every permutation of a failing orbit
+    reported, fails exactly the triples of the per-triple reference, on the
+    table and on its twist under the super rule."""
+    g = _perturbed_antisymmetric(*drawn)
+    for table in (g, twist(g)):
+        if check_antisymmetry(table):
+            continue
+        every = _every_triple(table)
+        assert check_jacobi(table) == [t for t, v in every.items() if v], \
+            table.sign.__name__
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_associativity_check_matches_the_reference(data):
@@ -376,8 +408,8 @@ def _reference_homogeneity(table):
     """Pairs whose value has no common degree or one other than deg(i) +
     deg(j), read from Vector.degree and the BiDegree sum."""
     degs = table.space.degrees
-    return [(i, j) for (i, j), v in sorted(table.constants.items())
-            if v.degree() != degs[i] + degs[j]]
+    return [(i, j) for i, j in sorted(table.constants)
+            if table.pair(i, j).degree() != degs[i] + degs[j]]
 
 
 def _reference_antisymmetry(g):
@@ -405,8 +437,8 @@ def mirrored_brackets(draw):
     g = draw(st.one_of(brackets(), any_brackets()))
     g = _with_sign(g, draw(st.sampled_from(SIGNS)))
     degs = g.space.degrees
-    constants = dict(g.bracket.constants)
-    for (i, j), v in sorted(g.bracket.constants.items()):
+    constants = {pair: g.bracket.pair(*pair) for pair in g.bracket.constants}
+    for (i, j), v in sorted(constants.items()):
         if i >= j:
             continue
         mirror = v.scale(-g.sign(degs[i], degs[j]))
@@ -501,7 +533,7 @@ def test_int_verdicts_keep_large_constants_exact(g, data):
     letters = st.integers(0, space.dim - 1)
     pair = data.draw(st.tuples(letters, letters))
     k = data.draw(letters)
-    constants = dict(g.bracket.constants)
+    constants = {p: g.bracket.pair(*p) for p in g.bracket.constants}
     constants[pair] = g.bracket.pair(*pair) + Vector(space, {k: data.draw(large_scalars)})
     h = BiGradedLieAlgebra(space, BilinearMap(space, constants))
     _assert_packed_exactly(h.bracket)
@@ -518,7 +550,7 @@ def _assert_packed_exactly(m):
     6 s^2 < R / 2 for s the sum of their absolute values: the bound that
     keeps every coordinate of a verdict's sum apart (lie._pack)."""
     b, rows = lie._int_rows(m)
-    d = lcm(*(c.d for v in m.constants.values() for c in v.coeffs.values()))
+    d = lcm(*(c.d for v in m.constants.values() for c in v.values()))
     s = 0
     for pair, v in m.constants.items():
         unpacked = {}
@@ -534,7 +566,7 @@ def _assert_packed_exactly(m):
             unpacked[l] = coords
             s += sum(map(abs, coords))
         assert unpacked == {l: [a * (d // c.d) for a in c.c]
-                            for l, c in v.coeffs.items()}, pair
+                            for l, c in v.items()}, pair
     assert 6 * s * s < 1 << (b - 1)
 
 
@@ -553,3 +585,61 @@ def test_rebraid_undoes_unbraid_on_random_lie_algebras(g):
     assert (back.name, back.space.labels, back.space.degrees) == \
         (g.name, g.space.labels, g.space.degrees)
     assert back.bracket.constants == g.bracket.constants
+
+
+def _broken_mirrors(g):
+    """g with one mirror broken, for each pair i < j with a value: [e_j, e_i]
+    gets e_l added, e_l a letter of [e_i, e_j], so the table stays
+    homogeneous and fails antisymmetry at (i, j) only."""
+    for i, j in sorted(g.bracket.constants):
+        if i < j:
+            constants = {p: g.bracket.pair(*p) for p in g.bracket.constants}
+            l = min(g.bracket.constants[(i, j)])
+            constants[(j, i)] = g.bracket.pair(j, i) + g.space.basis_vector(l)
+            yield (i, j), BiGradedLieAlgebra(g.space, BilinearMap(g.space, constants),
+                                             sign=g.sign)
+
+
+@pytest.mark.parametrize("name", LIE_NAMES)
+def test_jacobi_walk_falls_back_on_a_broken_mirror(name):
+    """A table whose only defect is one broken mirror is not antisymmetric,
+    so J(b,a,c) need not fail with J(a,b,c): check_jacobi keeps the full
+    rotation walk and returns exactly the triples of the per-triple
+    oracle, on the table and on its twist under the super rule."""
+    g = _catalog_table(name)
+    half_differs = False
+    for h in (g, twist(g)):
+        for pair, broken in _broken_mirrors(h):
+            assert broken.bracket.check_homogeneity() == []
+            assert check_antisymmetry(broken) == [pair]
+            expected = [t for t, v in _every_triple(broken).items() if v]
+            assert check_jacobi(broken) == expected, (h.sign.__name__, pair)
+            half = lie._orbit_sums(broken, lie._jacobi_weights(broken.sign), True)
+            half_differs |= half != expected
+    # on these tables the half walk would report the wrong triples
+    assert half_differs == (name in ("qalgebra-lie", "qmat2-lie", "unitary2x2"))
+
+
+@pytest.mark.parametrize("name", LIE_NAMES)
+def test_jacobi_walk_falls_back_under_a_sign_rule_that_is_not_symmetric(name):
+    """J(b,a,c) = -s(a,b) s(a,c) s(b,c) J(a,b,c) needs s(x,y) = s(y,x).
+    Under sign_unbraid, which is not symmetric, a catalog table with its
+    mirrors rebuilt to pass the antisymmetry check still gets the full
+    rotation walk and exactly the triples of the per-triple oracle."""
+    g = _catalog_table(name)
+    degs = g.space.degrees
+    constants = {}
+    for i, j in g.bracket.constants:
+        s = sign_unbraid(degs[i], degs[j])
+        if i < j:
+            constants[(i, j)] = g.bracket.pair(i, j)
+            constants[(j, i)] = g.bracket.pair(i, j).scale(-s)
+        elif i == j and s == -1:
+            constants[(i, i)] = g.bracket.pair(i, i)
+    h = BiGradedLieAlgebra(g.space, BilinearMap(g.space, constants), sign=sign_unbraid)
+    assert check_antisymmetry(h) == []
+    expected = [t for t, v in _every_triple(h).items() if v]
+    assert check_jacobi(h) == expected
+    half = lie._orbit_sums(h, lie._jacobi_weights(h.sign), True)
+    # on these tables the half walk would report the wrong triples
+    assert (half != expected) == (name in ("qmat2-lie", "unitary2x2"))

@@ -133,7 +133,7 @@ def test_normal_form_random_agrees_with_leftmost():
 def test_rewriting_refuses_a_bracket_that_breaks_jacobi():
     # [e1,e2] = e3 + e2, kept antisymmetric, as in the CLI's broken table
     g = so3()
-    table = dict(g.bracket.constants)
+    table = {pair: g.bracket.pair(*pair) for pair in g.bracket.constants}
     table[(0, 1)] = table[(0, 1)] + g.space.basis_vector(1)
     table[(1, 0)] = table[(1, 0)] - g.space.basis_vector(1)
     ctx = EnvelopingAlgebra(BiGradedLieAlgebra(g.space, BilinearMap(g.space, table),
