@@ -22,18 +22,18 @@ from .sparse import Combination, add_term
 
 DEGREE_BOUND = 64
 
-# most work a random sweep may draw: its trials times the size of one
-# trial, here the degree + 1 powers a polynomial draws and in
-# hc.commutativity_failures the normal words up to the truncation.  Per
-# unit of size a tiny trial costs the most: the largest admitted sweep,
-# conv-check at truncation 0 with 60000 trials, took 2.4-4.3 s on a shared
-# 2-core host, against 0.13-0.20 s at truncation 6 with 46 trials.  The
-# untwisting sweep is bounded the same way, though on a correct untwisting
-# its defect table is zero and it makes no draw at all: a trial costs its
-# draws only when a defect is nonzero, two polynomials of degree + 1 powers
-# each.  With a nonzero defect, in process on the same host, iso-check at
-# degree 0 with 60000 trials, the costliest sweep it admits, took 0.13-0.15
-# s, and at degree 32 with 1818 trials 0.07-0.08 s.
+# most work a random sweep may draw: its trials times the size of one trial,
+# here the degree + 1 powers a polynomial draws and in
+# hc.commutativity_failures the normal words up to the truncation.  Per unit of
+# size a tiny trial costs the most: in process on a shared 2-core host, the
+# largest admitted sweep, conv-check on qmat2-lie at truncation 0 with 60000
+# trials, took 1.6-2.4 s, against 0.028-0.032 s at truncation 6 with 46 trials.
+# The untwisting sweep is bounded the same way, though on a correct untwisting
+# its defect table is zero and it makes no draw at all: a trial costs its draws
+# only when a defect is nonzero, two polynomials of degree + 1 powers each.
+# With a nonzero defect, on the same host, iso-check at degree 0 with 60000
+# trials, the costliest sweep it admits, took 0.13-0.15 s, and at degree 32
+# with 1818 trials 0.07-0.08 s.
 MAX_TRIAL_WORK = 6 * 10 ** 4
 
 Coeffs = dict[int, CycloScalar]

@@ -38,7 +38,7 @@ from .deformed import bound_trial_work
 from .lie import BiGradedLieAlgebra, require_lie
 from .linalg import Matrix
 from .linear import LinearMap, Vector
-from .scalars import BiDegree, CycloScalar, ONE, sign_deligne
+from .scalars import DEGREE_OF_CODE, BiDegree, CycloScalar, ONE, sign_deligne
 from .sparse import Combination
 from .uea import MAX_TRUNCATION, EnvelopingAlgebra, UEAElement, Word
 
@@ -82,14 +82,14 @@ class Functional(Combination):
     def support_by_length(self) -> tuple[int, list[list[SupportRecord]]]:
         """The common denominator of the functional's values, and one
         record per normal word of length <= truncation it is nonzero on,
-        bucketed by length and computed on the first call; convolution
-        reads the functional on nothing else, and the word degrees of these
-        words are its shifts.  A word is read letter by letter and dropped
-        at its first letter of lower rank than the one before, or at an
-        exterior letter it already holds: the rule of
-        EnvelopingAlgebra.violations.
+        bucketed by length; convolution reads the functional on nothing
+        else, and the word degrees of these words are its shifts.  A
+        functional commutativity_failures draws arrives with both, built
+        as its values were drawn.  One built from coefficients computes
+        them on the first call, and drops every word past the truncation
+        or out of PBW order (EnvelopingAlgebra.violations).
 
-        For a word u the record holds, per PBW rank r:
+        For a word u the record (_record) holds, per PBW rank r:
         - key: the count of the rank-r letter in the field of _count_width
           bits at r, so the key of u v sorted by rank is key u + key v;
         - ext and other: bit r set when u has the rank-r letter and it is,
@@ -106,29 +106,17 @@ class Functional(Combination):
             fields, exterior, _ = _layout(ctx, _count_width(n))
             den = lcm(*(c.d for c in self.coeffs.values()))
             buckets: list[list[SupportRecord]] = [[] for _ in range(n + 1)]
-            shifts, word_degree = set(), ctx.word_degree
+            shifts, word_degree, violations = set(), ctx.word_degree, ctx.violations
             for u, c in self.coeffs.items():
-                if len(u) > n:
+                if len(u) > n or next(violations(u), None) is not None:
                     continue
-                key = present = odd = below = last = 0
-                for x in u:
-                    at_key, at_bit, at_rank, above = fields[x]
-                    if at_bit < last or at_bit & present & exterior:
-                        break
-                    last = at_bit
-                    key += at_key
-                    present |= at_bit
-                    odd ^= at_rank
-                    below ^= above
+                scale = den // c.d
+                if c.is_rational():
+                    terms = ((0, c.c[0] * scale),)
                 else:
-                    scale = den // c.d
-                    if c.is_rational():
-                        terms = ((0, c.c[0] * scale),)
-                    else:
-                        terms = tuple((p, cp * scale) for p, cp in enumerate(c.c) if cp)
-                    buckets[len(u)].append((key, present & exterior,
-                                            present & ~exterior, odd, below, terms))
-                    shifts.add(word_degree(u))
+                    terms = tuple((p, cp * scale) for p, cp in enumerate(c.c) if cp)
+                buckets[len(u)].append(_record(fields, exterior, u, terms))
+                shifts.add(word_degree(u))
             self._shifts = shifts
             self._by_length = (den, buckets)
         return self._by_length
@@ -153,6 +141,19 @@ def _layout(ctx: EnvelopingAlgebra, width: int) -> tuple[list, int, list]:
         by_width[width] = (fields, exterior,
                            [(width * r, k) for r, k in enumerate(ctx.order)])
     return by_width[width]
+
+
+def _record(fields: list, exterior: int, u: Word,
+            terms: tuple[tuple[int, int], ...]) -> SupportRecord:
+    """The support record of the normal word u with value terms."""
+    key = present = odd = below = 0
+    for x in u:
+        at_key, at_bit, at_rank, above = fields[x]
+        key += at_key
+        present |= at_bit
+        odd ^= at_rank
+        below ^= above
+    return key, present & exterior, present & ~exterior, odd, below, terms
 
 
 def _count_width(truncation: int) -> int:
@@ -288,19 +289,26 @@ _SMALL_VALUES = tuple(CycloScalar.from_rational(v) for v in range(-3, 4))
 
 
 def _random_functional(ctx: EnvelopingAlgebra, truncation: int,
-                       degrees: list[BiDegree],
-                       by_degree: Mapping[BiDegree, list[Word]],
+                       codes: list[int], by_code: list[list[Word]],
                        rng: random.Random) -> Functional:
-    """Small integers on a random subset of the words of one word degree.
-    degrees holds the degree of every normal word up to the truncation, so
-    a degree is drawn in proportion to its words, and by_degree the words
-    of each degree in enumeration order."""
-    target = degrees[rng.randrange(len(degrees))]
+    """Small integers on a random subset of the words of one degree code,
+    drawn in proportion to its words (codes, by_code: normal_words_by_code).
+    The words are normal, the values ints and the code's degree the one
+    shift, so each kept word's record is built as its value is drawn."""
+    target = codes[rng.randrange(len(codes))]
+    fields, exterior, _ = _layout(ctx, _count_width(truncation))
     vals = {}
-    for w in by_degree[target]:
+    buckets: list[list[SupportRecord]] = [[] for _ in range(truncation + 1)]
+    for w in by_code[target]:
         if rng.random() < 0.6:
-            vals[w] = rng.choice(_SMALL_VALUES)
-    return Functional(ctx, truncation, vals)
+            c = rng.choice(_SMALL_VALUES)
+            if c:
+                vals[w] = c
+                buckets[len(w)].append(_record(fields, exterior, w, ((0, c.c[0]),)))
+    phi = Functional(ctx, truncation, vals)
+    phi._shifts = {DEGREE_OF_CODE[target]} if vals else set()
+    phi._by_length = (1, buckets)
+    return phi
 
 
 def commutativity_failures(ctx: EnvelopingAlgebra, truncation: int,
@@ -311,17 +319,12 @@ def commutativity_failures(ctx: EnvelopingAlgebra, truncation: int,
     up to the truncation pass deformed.MAX_TRIAL_WORK."""
     if truncation > MAX_TRUNCATION:
         raise BiglaError(f"truncation {truncation} above the bound {MAX_TRUNCATION}")
-    words = ctx.normal_words_up_to(truncation)
-    bound_trial_work(trials, len(words), "normal words")
-    degrees = list(words.values())
-    by_degree: dict[BiDegree, list[Word]] = {}
-    for w, d in words.items():
-        by_degree.setdefault(d, []).append(w)
-    checked = 0
-    failures = 0
+    codes, by_code = ctx.normal_words_by_code(truncation)
+    bound_trial_work(trials, len(codes), "normal words")
+    checked = failures = 0
     while checked < trials:
-        phi = _random_functional(ctx, truncation, degrees, by_degree, rng)
-        psi = _random_functional(ctx, truncation, degrees, by_degree, rng)
+        phi = _random_functional(ctx, truncation, codes, by_code, rng)
+        psi = _random_functional(ctx, truncation, codes, by_code, rng)
         if phi.shift() is None or psi.shift() is None:
             continue
         if not convolution_commutes(phi, psi):

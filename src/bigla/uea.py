@@ -143,24 +143,34 @@ class EnvelopingAlgebra:
     def word_from_labels(self, labels: Iterable[str]) -> Word:
         return tuple(self.g.space.index(lab) for lab in labels)
 
-    def normal_words_up_to(self, n: int) -> dict[Word, BiDegree]:
-        """Normal words of length <= n, shortest first and each length in
-        lexicographic order of ranks, mapped to their word degrees.
+    def normal_words_by_code(self, n: int) -> tuple[list[int], list[list[Word]]]:
+        """The degree code of every normal word of length <= n, shortest
+        first and each length in lexicographic order of ranks, and per code
+        its words in that order.
 
         A prefix of a normal word is normal, so each length extends the
         words of the one before by the step table, and the first empty
         length ends the enumeration.
         """
         steps = self.steps
-        out = {(): DEGREE_OF_CODE[0]}
+        codes, by_code = [0], [[()], [], [], []]
         level = [((), 0, 0)]
         for _ in range(n):
             level = [(w + (k,), c ^ ck, nxt) for w, c, low in level
                      for k, ck, nxt in steps[low:]]
             if not level:
                 break
-            out.update((w, DEGREE_OF_CODE[c]) for w, c, _ in level)
-        return out
+            for w, c, _ in level:
+                codes.append(c)
+                by_code[c].append(w)
+        return codes, by_code
+
+    def normal_words_up_to(self, n: int) -> dict[Word, BiDegree]:
+        """Normal words of length <= n, in the order of normal_words_by_code,
+        mapped to their word degrees."""
+        codes, by_code = self.normal_words_by_code(n)
+        words = [iter(of_code) for of_code in by_code]
+        return {next(words[c]): DEGREE_OF_CODE[c] for c in codes}
 
 
 def word_name(labels: Sequence[str], w: Word) -> str:

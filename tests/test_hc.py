@@ -11,6 +11,7 @@ import json
 import os
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, factorial
 
 import pytest
@@ -27,7 +28,8 @@ from bigla.linalg import Echelon, Matrix
 from bigla.linear import Vector
 from bigla.scalars import CycloScalar, ONE, ZERO, sign_deligne
 from bigla.sparse import add_term
-from bigla.uea import EnvelopingAlgebra, UEAElement, delta_word, uea_multiply
+from bigla.uea import (MAX_TRUNCATION, EnvelopingAlgebra, UEAElement, delta_word,
+                       uea_multiply)
 
 from test_catalog import catalog_lie
 from test_lie import reordered
@@ -64,13 +66,9 @@ def _random_functional(ctx, truncation, rng):
 
 def drawn_functional(ctx, truncation, rng):
     """hc._random_functional over the normal words up to the truncation,
-    grouped by degree, as commutativity_failures draws them."""
-    words = ctx.normal_words_up_to(truncation)
-    by_degree = {}
-    for w, d in words.items():
-        by_degree.setdefault(d, []).append(w)
-    return hc._random_functional(ctx, truncation, list(words.values()),
-                                 by_degree, rng)
+    grouped by degree code, as commutativity_failures draws them."""
+    codes, by_code = ctx.normal_words_by_code(truncation)
+    return hc._random_functional(ctx, truncation, codes, by_code, rng)
 
 
 def mixed_functional(ctx, truncation, rng):
@@ -196,11 +194,12 @@ def test_convolution_commutes_reads_each_support_once(monkeypatch):
     """One convolution_commutes call builds each functional's support
     records once, though it reads both shifts and both orders of the pair:
     every build lays out the letters through hc._layout, and none other
-    does."""
+    does.  Drawn functionals arrive with their records and build none."""
     g = catalog_lie()["qmat2-lie"]
     ctx = _ctx(g)
     rng = random.Random(7)
-    phi, psi = drawn_functional(ctx, 4, rng), drawn_functional(ctx, 4, rng)
+    drawn = drawn_functional(ctx, 4, rng), drawn_functional(ctx, 4, rng)
+    phi, psi = (Functional(ctx, 4, f.coeffs) for f in drawn)
     builds = []
     layout = hc._layout
 
@@ -209,9 +208,49 @@ def test_convolution_commutes_reads_each_support_once(monkeypatch):
         return layout(*args)
 
     monkeypatch.setattr(hc, "_layout", counted)
+    assert convolution_commutes(*drawn)
+    assert builds == []
     assert convolution_commutes(phi, psi)
     assert len(builds) == 2
     assert phi._by_length is not None and psi._by_length is not None
+
+
+def _normal_words(ctx, n):
+    """Normal words of length <= n, shortest first and each length in
+    lexicographic order of ranks, read off no step table: the letters of
+    each multiset listed by rank, less the words that repeat an exterior
+    letter."""
+    return [w for m in range(n + 1)
+            for w in combinations_with_replacement(ctx.order, m)
+            if not any(a == b and ctx.exterior[a] for a, b in zip(w, w[1:]))]
+
+
+@pytest.mark.parametrize("name", sorted(catalog_lie()))
+def test_draws_arrive_with_the_records_their_coefficients_give(name):
+    """On every catalog Lie algebra and its basis reversed, at every
+    truncation commutativity_failures admits: the walk it draws on,
+    normal_words_by_code, lists the degree code of every normal word in
+    the order of normal_words_up_to, and each code's words in that order,
+    so the degree draw reads the same index as over the word degrees; and
+    every drawn functional arrives with the common denominator, records
+    and shifts that support_by_length computes for a functional built from
+    its coefficients."""
+    g = catalog_lie()[name]
+    for ctx in (_ctx(g), _ctx(reordered(g, range(g.dim)[::-1]))):
+        for n in range(MAX_TRUNCATION + 1):
+            words = _normal_words(ctx, n)
+            assert list(ctx.normal_words_up_to(n)) == words
+            codes, by_code = ctx.normal_words_by_code(n)
+            assert codes == [ctx.word_code(w) for w in words]
+            assert by_code == [[w for w in words if ctx.word_code(w) == code]
+                               for code in range(4)]
+            for seed in range(3):
+                rng = random.Random(seed)
+                for _ in range(4):
+                    phi = hc._random_functional(ctx, n, codes, by_code, rng)
+                    built = Functional(ctx, n, phi.coeffs)
+                    assert phi.support_by_length() == built.support_by_length()
+                    assert phi.shifts() == built.shifts()
 
 
 def test_count_keys_are_wide_enough_for_the_truncation():

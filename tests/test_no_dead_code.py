@@ -11,9 +11,13 @@ A non-dunder ``def`` or ``class`` under ``src/bigla`` passes when its name
   ``benchmarks/layertrace.py``), or owns a method that is.
 
 A use inside the definition itself, such as a class that builds its own
-instances, is no caller.  Names are matched without their
-owner, so a method survives when any same-named attribute is read; the
-guard stops whole definitions from going dead, not every overload.
+instances, is no caller.  A module-level definition is used in
+``src/bigla`` only as a bare name or as ``<module>.<name>`` with
+``<module>`` a ``bigla`` module, so an attribute of the same name on
+some object, such as ``self._index``, keeps no module-level ``_index``
+alive.  A method's name is matched without its owner, so a method
+survives when any same-named attribute is read; the guard stops whole
+definitions from going dead, not every overload.
 Dunders are exempt: the interpreter calls them.  A helper the tests need
 but the library does not belongs in the tests, as an oracle.
 """
@@ -47,13 +51,17 @@ def _definitions(tree):
     yield from walk(tree, "")
 
 
-def _used_names(tree):
-    """How often each identifier is read as a bare name or as an attribute."""
+def _used_names(tree, modules=None):
+    """How often each identifier is read as a bare name or as an attribute;
+    given the package's module names, only as a bare name or as an
+    attribute of one of those modules."""
     out = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and (
+                modules is None
+                or isinstance(node.value, ast.Name) and node.value.id in modules):
             out[node.attr] += 1
     return out
 
@@ -64,7 +72,10 @@ def _parse(path):
 
 def test_every_definition_has_a_caller():
     trees = {path.name: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    modules = {name[:-3] for name in trees}
     used = sum((_used_names(tree) for tree in trees.values()), Counter())
+    used_bare = sum((_used_names(tree, modules) for tree in trees.values()),
+                    Counter())
     benchmarked = set().union(*(_used_names(_parse(path))
                                 for path in sorted(BENCHMARKS.glob("*.py"))))
     trace = _layertrace()
@@ -74,6 +85,8 @@ def test_every_definition_has_a_caller():
             for module, tree in trees.items()
             for qualname, node in _definitions(tree)
             if not _is_dunder(node.name)
-            and used[node.name] == _used_names(node)[node.name]
+            and (used_bare[node.name] == _used_names(node, modules)[node.name]
+                 if "." not in qualname
+                 else used[node.name] == _used_names(node)[node.name])
             and node.name not in benchmarked | traced]
     assert dead == [], "no caller: " + ", ".join(dead)
